@@ -13,14 +13,11 @@ from .expr import (Expr, EvalContext, parse, format_expr, simplify, derive,
 from .calculus import (WebSpec, Rect, WebFrame, partial, d1, d2, web_H,
                        web_K, basic_invariant, mu, sample_points)
 from .invariants import (InvariantReport, ZeroTestPolicy, zero_test,
-                         I1_of_mu, I2_of_mu, I_fp, J_alpha, check_4web,
-                         check_dweb)
+                         I1_of_mu, I2_of_mu, I_fp, J_alpha, check_dweb)
 from .covariant import (WeightedScalar, delta, commutator_residual,
                         prolong_a, K1_closed_residual, K2_closed_residual)
-from .linearizer import (GridSpec, ScalarField, ConnectionField,
-                         LinearizationResult, integrate_lambda,
-                         lambda_path_discrepancy, build_connection,
-                         flatness_residual, flat_coordinates,
+from .linearizer import (GridSpec, ScalarField, LinearizationResult,
+                         NotLinearizableError, flat_coordinates,
                          straightness_report, render_svg)
 
 __version__ = "0.1.0"

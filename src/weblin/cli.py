@@ -198,7 +198,6 @@ def cmd_invariants(cfg: RunConfig) -> int:
 def cmd_linearize(cfg: RunConfig) -> int:
     web = _web_from_config(cfg)
     params = {k: _fraction(v, "--param") for k, v in cfg.params.items()}
-    verdict, reports = check_dweb(web, _policy(cfg))
     try:
         grid = lin.GridSpec(rect=web.domain, nx=cfg.grid, ny=cfg.grid)
     except lin.LinearizerError as err:
@@ -209,33 +208,32 @@ def cmd_linearize(cfg: RunConfig) -> int:
                 float(_fraction(cfg.base[1], "--base")))
     lam0 = (float(_fraction(cfg.lambda0[0], "--lambda0")),
             float(_fraction(cfg.lambda0[1], "--lambda0")))
-    if verdict != YES and not cfg.force:
-        msg = (f"web verdict is {verdict}; linearization refused "
+    try:
+        result = lin.flat_coordinates(web, grid, base=base, lam0=lam0,
+                                      params=params, force=cfg.force,
+                                      policy=_policy(cfg))
+        lin.straightness_report(result, web, params=params)
+    except lin.NotLinearizableError as err:
+        msg = (f"web verdict is {err.verdict}; linearization refused "
                "(--force to run it anyway as a negative control)")
         if cfg.json_output:
-            print(json.dumps(_report_json(cfg, web, verdict, reports,
+            print(json.dumps(_report_json(cfg, web, err.verdict, err.reports,
                                           {"refused": msg}), indent=2))
         else:
             _echo_web(web)
             print(msg)
-        return EXIT_NO if verdict == NO else EXIT_INCONCLUSIVE
-    try:
-        lam1, lam2 = lin.integrate_lambda(web, base=base, lam0=lam0,
-                                          grid=grid, params=params, force=True)
-        conn = lin.build_connection(lam1, lam2, web, params=params)
-        result = lin.flat_coordinates(conn, base=base, force=cfg.force)
-        lin.straightness_report(result, web, params=params)
+        return EXIT_NO if err.verdict == NO else EXIT_INCONCLUSIVE
     except lin.LinearizerError as err:
         print(f"linearization failed: {err}", file=sys.stderr)
         return EXIT_NO
     if cfg.svg:
-        lin.render_svg(result, web, cfg.svg, params=params)
+        lin.render_svg(result, cfg.svg)
     if cfg.json_output:
-        print(json.dumps(_report_json(cfg, web, verdict, reports,
+        print(json.dumps(_report_json(cfg, web, result.verdict, result.reports,
                                       result.to_json()), indent=2))
     else:
         _echo_web(web)
-        print(f"verdict: {verdict}")
+        print(f"verdict: {result.verdict}")
         print(f"grid: {cfg.grid}x{cfg.grid}, base {result.base}, "
               f"lambda0 {result.lam0}")
         print(f"flatness residual:          {result.flatness_residual:.3e}")

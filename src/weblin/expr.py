@@ -942,6 +942,7 @@ def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Call
 # parsing
 
 _RESERVED = {"sqrt", "exp", "log"}
+_MAX_NESTING = 100
 _TOKEN_RE = re.compile(r"\s*(?:(?P<number>\d+(?:\.\d+)?)"
                        r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^()]))")
@@ -978,6 +979,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -1026,11 +1028,19 @@ class _Parser:
                 return e
 
     def unary(self) -> Expr:
+        # every parenthesis, function argument, unary minus and exponent
+        # nests through here; a bound keeps clear of the recursion limit
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.peek().pos)
         t = self.peek()
         if t.kind == "op" and t.text == "-":
             self.next()
-            return neg(self.unary())
-        return self.power()
+            e = neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()

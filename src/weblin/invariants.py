@@ -9,6 +9,7 @@ it, 256-bit floating arithmetic with a scale-aware threshold otherwise.
 """
 from __future__ import annotations
 
+import decimal
 import random
 import time
 from dataclasses import dataclass, field
@@ -21,14 +22,14 @@ from . import expr as ex
 from .expr import (Expr, EvalContext, EvalError, add, div, mul, neg, pow_,
                    sub, evaluate, evaluate_scaled, is_exactly_evaluable,
                    dag_size)
-from .calculus import (WebSpec, WebFrame, Rect, SamplePoint,
+from .calculus import (WebSpec, WebFrame, SamplePoint,
                        DomainTooSingularError, mu as web_mu, basic_invariant,
                        random_rational, sample_points, _point_is_valid)
 
 __all__ = [
     "ZeroTestPolicy", "Evidence", "InvariantReport", "ConstructionOrders",
     "DegenerateDirectionError", "zero_test", "I1_of_mu", "I2_of_mu", "I_fp",
-    "J_alpha", "build_compatibility_pair", "check_4web", "check_dweb",
+    "J_alpha", "build_compatibility_pair", "check_dweb",
     "MAX_F_ORDER", "MAX_BASIC_ORDER",
 ]
 
@@ -223,9 +224,20 @@ def J_alpha(web: WebSpec, alpha: int) -> Expr:
 # vanishing test
 
 
+# str() of an int longer than 4300 digits (Python's default limit) fails;
+# every int below 2**_STR_BITS is shorter than that
+_STR_DIGITS = 4300
+_STR_BITS = 14284
+
+
 def _fmt_residual(v) -> str:
     if isinstance(v, Fraction):
-        return str(v)
+        size = max(abs(v.numerator), v.denominator)
+        if size.bit_length() <= _STR_BITS or size < 10 ** _STR_DIGITS:
+            return str(v)
+        # bounded length: 25 significant digits, marked as approximate
+        return "~" + str(decimal.Context(prec=25).divide(v.numerator,
+                                                        v.denominator))
     if isinstance(v, float):
         return repr(v)
     return mpmath.nstr(v, 25)
@@ -330,16 +342,3 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
         return NO, reports
     return INCONCLUSIVE, reports
 
-
-def check_4web(f: Expr, g: Expr, domain: Rect | None = None,
-               seed: int = 1, policy: ZeroTestPolicy | None = None
-               ) -> tuple[str, list[InvariantReport]]:
-    """Convenience wrapper: linearizability of the 4-web (x, y, f, g)."""
-    web = WebSpec(f=f, gs=(g,), domain=domain or Rect(*_default_domain()),
-                  seed=seed)
-    return check_dweb(web, policy)
-
-
-def _default_domain():
-    from .calculus import DEFAULT_DOMAIN
-    return DEFAULT_DOMAIN

@@ -1,12 +1,18 @@
-"""Numerical construction of the flat connection and flat coordinates.
+"""Numerical linearization: flat coordinates of a linearizable web.
 
-For a web that passed the linearizability test, the deformation components
-lambda1, lambda2 satisfy a first-order Frobenius system whose coefficients
-are the symbolic scalars H, K, mu and the frame derivatives of mu.  This
-module integrates that system with classical 4th-order steps along grid
-lines, assembles the deformed connection, verifies its flatness by finite
-differences, integrates a parallel coframe to produce potentials (u, v), and
-measures how straight every leaf becomes under (x, y) -> (u, v).
+`flat_coordinates(web, grid)` is the whole pipeline.  It runs the
+linearizability test once and refuses a web whose verdict is not YES.  For
+a YES web the deformation components lambda1, lambda2 of the flat
+connection satisfy a first-order Frobenius system whose coefficients are
+the symbolic scalars H, K, mu and the frame derivatives of mu; a parallel
+coframe and its potentials (u, v) satisfy a linear system along with them.
+The pipeline evaluates the coefficients once, integrates the whole system
+with classical 4th-order steps along grid lines in the x-first and then the
+y-first order, verifies flatness (finite-difference curvature of the
+x-first lambda), path independence (the two orders), and a nondegenerate,
+closed coframe, and returns (u, v).  `straightness_report` then traces the
+leaves of every foliation once and measures how straight they become under
+(x, y) -> (u, v); `render_svg` draws those same leaves.
 
 Coefficients are always evaluated from their symbolic expressions on a
 refined lattice that contains every integrator substep point; only the
@@ -15,24 +21,22 @@ unknowns (lambda, the coframe, the potentials) are discretized.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import expr as ex
-from .expr import Expr, grid_function, derive
+from .expr import grid_function
 from .calculus import WebSpec, WebFrame, Rect, mu as web_mu
-from .invariants import check_dweb, ZeroTestPolicy, YES
+from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
 
 __all__ = [
-    "GridSpec", "ScalarField", "ConnectionField", "LinearizationResult",
+    "GridSpec", "ScalarField", "CoefficientGrid", "LinearizationResult",
     "LinearizerError", "NotLinearizableError", "integrate_lambda",
-    "lambda_path_discrepancy", "build_connection", "flatness_residual",
-    "flat_coordinates", "straightness_report", "trace_leaves", "render_svg",
-    "DEFAULT_GRID_N", "LAMBDA_BLOWUP_BOUND",
+    "flatness_residual", "flat_coordinates", "straightness_report",
+    "trace_leaves", "render_svg", "DEFAULT_GRID_N", "LAMBDA_BLOWUP_BOUND",
+    "LEAVES_PER_FOLIATION",
 ]
 
 DEFAULT_GRID_N = 41
@@ -40,6 +44,7 @@ DEFAULT_SUBSTEPS = 2
 LAMBDA_BLOWUP_BOUND = 1e12
 COFRAME_DET_BOUND = 1e-8
 FLATNESS_FACTOR = 1e-4  # threshold = factor * grid diameter
+LEAVES_PER_FOLIATION = 5
 
 
 class LinearizerError(RuntimeError):
@@ -47,7 +52,15 @@ class LinearizerError(RuntimeError):
 
 
 class NotLinearizableError(LinearizerError):
-    """The web failed (or did not pass) the linearizability test."""
+    """The web did not pass the linearizability test; carries the verdict
+    and the invariant reports of `check_dweb`."""
+
+    def __init__(self, verdict: str, reports: list[InvariantReport]):
+        super().__init__(
+            f"web verdict is {verdict}; refusing to integrate the flat "
+            "connection (pass force=True to override)")
+        self.verdict = verdict
+        self.reports = reports
 
 
 @dataclass(frozen=True)
@@ -154,48 +167,44 @@ class CoefficientGrid:
         return tuple(self.arrays[n][ix, iy] for n in _COEFF_NAMES)
 
 
-def _rhs(coeffs: tuple[float, ...], s: Sequence[float], along: str,
-         full: bool) -> list[float]:
+def _rhs(coeffs: tuple[float, ...], s: Sequence[float],
+         along: str) -> list[float]:
     """Frame equations converted to x- or y-derivatives.
 
-    State: (l1, l2) or (l1, l2, p1, q1, p2, q2, u, v); the potentials
-    integrate du = theta1, dv = theta2 with theta = p w1 + q w2 =
-    -p fx dx - q fy dy.
+    State: (l1, l2, p1, q1, p2, q2, u, v); two coframes theta = p w1 + q w2
+    = -p fx dx - q fy dy are transported, and the potentials integrate
+    du = theta1, dv = theta2.
     """
     fx, fy, H, K, mu, mu1, mu2 = coeffs
-    l1, l2 = s[0], s[1]
+    l1, l2, p1, q1, p2, q2 = s[:6]
     if along == "x":
         fac = -fx
         dl1 = l1 * (H + l1 + mu)
         dl2 = -K / 3 + H * (l2 - mu / 3) + l1 * l2 + (2.0 / 3) * mu1 - mu2 / 3
-        out = [fac * dl1, fac * dl2]
-        if full:
-            p1, q1, p2, q2 = s[2], s[3], s[4], s[5]
-            c11 = 2 * l1 + mu + H
-            out += [fac * p1 * c11,
-                    fac * (p1 * l2 + q1 * (l1 + H)),
-                    fac * p2 * c11,
-                    fac * (p2 * l2 + q2 * (l1 + H)),
-                    fac * p1,
-                    fac * p2]
-    else:
-        fac = -fy
-        dl1 = K / 3 + H * (l1 + mu / 3) + l1 * l2 + mu1 / 3 - (2.0 / 3) * mu2
-        dl2 = l2 * (H + l2 - mu)
-        out = [fac * dl1, fac * dl2]
-        if full:
-            p1, q1, p2, q2 = s[2], s[3], s[4], s[5]
-            c22 = 2 * l2 - mu + H
-            out += [fac * (p1 * (l2 + H) + q1 * l1),
-                    fac * q1 * c22,
-                    fac * (p2 * (l2 + H) + q2 * l1),
-                    fac * q2 * c22,
-                    fac * q1,
-                    fac * q2]
-    return out
+        c11 = 2 * l1 + mu + H
+        return [fac * dl1,
+                fac * dl2,
+                fac * p1 * c11,
+                fac * (p1 * l2 + q1 * (l1 + H)),
+                fac * p2 * c11,
+                fac * (p2 * l2 + q2 * (l1 + H)),
+                fac * p1,
+                fac * p2]
+    fac = -fy
+    dl1 = K / 3 + H * (l1 + mu / 3) + l1 * l2 + mu1 / 3 - (2.0 / 3) * mu2
+    dl2 = l2 * (H + l2 - mu)
+    c22 = 2 * l2 - mu + H
+    return [fac * dl1,
+            fac * dl2,
+            fac * (p1 * (l2 + H) + q1 * l1),
+            fac * q1 * c22,
+            fac * (p2 * (l2 + H) + q2 * l1),
+            fac * q2 * c22,
+            fac * q1,
+            fac * q2]
 
 
-def _rk4_step(cg: CoefficientGrid, s: list[float], along: str, full: bool,
+def _rk4_step(cg: CoefficientGrid, s: list[float], along: str,
               ix: int, iy: int, h: float, sign: int) -> list[float]:
     """One substep of size sign*h; (ix, iy) is the refined start index and
     the stage points sit at refined offsets 0, sign, 2*sign."""
@@ -204,7 +213,7 @@ def _rk4_step(cg: CoefficientGrid, s: list[float], along: str, full: bool,
             c = cg.at(ix + offset, iy)
         else:
             c = cg.at(ix, iy + offset)
-        return _rhs(c, state, along, full)
+        return _rhs(c, state, along)
 
     hh = sign * h
     k1 = f(0, s)
@@ -219,7 +228,7 @@ def _rk4_step(cg: CoefficientGrid, s: list[float], along: str, full: bool,
     return out
 
 
-def _march(cg: CoefficientGrid, s0: Sequence[float], along: str, full: bool,
+def _march(cg: CoefficientGrid, s0: Sequence[float], along: str,
            fixed_ref: int, start_node: int, stop_node: int,
            h_node: float) -> dict[int, list[float]]:
     """Integrate from start_node to stop_node (inclusive) along a grid line;
@@ -236,184 +245,48 @@ def _march(cg: CoefficientGrid, s0: Sequence[float], along: str, full: bool,
         for k in range(m):
             off = sign * 2 * k
             if along == "x":
-                s = _rk4_step(cg, s, "x", full, ref + off, fixed_ref, h, sign)
+                s = _rk4_step(cg, s, "x", ref + off, fixed_ref, h, sign)
             else:
-                s = _rk4_step(cg, s, "y", full, fixed_ref, ref + off, h, sign)
+                s = _rk4_step(cg, s, "y", fixed_ref, ref + off, h, sign)
         node += sign
         states[node] = s
     return states
 
 
-def _sweep(cg: CoefficientGrid, s0: Sequence[float], base_node: tuple[int, int],
-           full: bool, first: str) -> np.ndarray:
-    """Fill the whole grid by integrating first along one axis through the
-    base, then along the other axis from every node of that line."""
+def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
+                     s0: Sequence[float], first: str) -> np.ndarray:
+    """Integrate the Frobenius system over the whole grid from the base node.
+
+    The state is (l1, l2, p1, q1, p2, q2, u, v) as in `_rhs`; the lambda
+    equations do not involve the coframe.  The sweep goes along the base
+    line of axis `first` ("x" or "y"), then along the other axis from every
+    node of that line.  Returns the states as an (nx, ny, 8) array.
+    """
     g = cg.grid
     nx, ny = g.nx, g.ny
     ib, jb = base_node
-    dim = len(s0)
-    out = np.empty((nx, ny, dim))
+    out = np.empty((nx, ny, len(s0)))
     if first == "x":
         line: dict[int, list[float]] = {}
-        line.update(_march(cg, s0, "x", full, jb * cg.r, ib, nx - 1, g.hx))
-        line.update(_march(cg, s0, "x", full, jb * cg.r, ib, 0, g.hx))
+        line.update(_march(cg, s0, "x", jb * cg.r, ib, nx - 1, g.hx))
+        line.update(_march(cg, s0, "x", jb * cg.r, ib, 0, g.hx))
         for i in range(nx):
             col = {}
-            col.update(_march(cg, line[i], "y", full, i * cg.r, jb, ny - 1, g.hy))
-            col.update(_march(cg, line[i], "y", full, i * cg.r, jb, 0, g.hy))
+            col.update(_march(cg, line[i], "y", i * cg.r, jb, ny - 1, g.hy))
+            col.update(_march(cg, line[i], "y", i * cg.r, jb, 0, g.hy))
             for j in range(ny):
                 out[i, j] = col[j]
     else:
         line = {}
-        line.update(_march(cg, s0, "y", full, ib * cg.r, jb, ny - 1, g.hy))
-        line.update(_march(cg, s0, "y", full, ib * cg.r, jb, 0, g.hy))
+        line.update(_march(cg, s0, "y", ib * cg.r, jb, ny - 1, g.hy))
+        line.update(_march(cg, s0, "y", ib * cg.r, jb, 0, g.hy))
         for j in range(ny):
             row = {}
-            row.update(_march(cg, line[j], "x", full, j * cg.r, ib, nx - 1, g.hx))
-            row.update(_march(cg, line[j], "x", full, j * cg.r, ib, 0, g.hx))
+            row.update(_march(cg, line[j], "x", j * cg.r, ib, nx - 1, g.hx))
+            row.update(_march(cg, line[j], "x", j * cg.r, ib, 0, g.hx))
             for i in range(nx):
                 out[i, j] = row[i]
     return out
-
-
-# keyed by id(web) with the web kept referenced, so ids cannot be recycled
-_verdict_cache: dict[int, tuple[WebSpec, str]] = {}
-
-
-def _require_linearizable(web: WebSpec, force: bool,
-                          policy: ZeroTestPolicy | None = None) -> None:
-    if force:
-        return
-    hit = _verdict_cache.get(id(web))
-    if hit is not None and hit[0] is web:
-        verdict = hit[1]
-    else:
-        verdict, _ = check_dweb(web, policy)
-        _verdict_cache[id(web)] = (web, verdict)
-    if verdict != YES:
-        raise NotLinearizableError(
-            f"web verdict is {verdict}; refusing to integrate the flat "
-            "connection (pass force=True to override)")
-
-
-def _resolve_grid_base(web: WebSpec, grid: GridSpec | None,
-                       base: tuple[float, float] | None):
-    g = grid or GridSpec(rect=web.domain)
-    if base is None:
-        cx, cy = g.rect.center
-        base = (float(cx), float(cy))
-    ib, jb = g.nearest_index(float(base[0]), float(base[1]))
-    return g, (ib, jb)
-
-
-def integrate_lambda(web: WebSpec, base: tuple[float, float] | None = None,
-                     lam0: tuple[float, float] = (0.0, 0.0),
-                     grid: GridSpec | None = None, *,
-                     params: Mapping[str, Fraction] | None = None,
-                     substeps: int = DEFAULT_SUBSTEPS, force: bool = False,
-                     policy: ZeroTestPolicy | None = None,
-                     sweep_order: str = "xy"
-                     ) -> tuple[ScalarField, ScalarField]:
-    """Integrate the deformation components from the base point.
-
-    Refuses non-linearizable webs unless force=True.  The sweep goes along
-    the base row first, then up/down every column ("xy"); path independence
-    against the transposed order is a property of the flat system, checked
-    by `lambda_path_discrepancy`, not assumed.
-    """
-    _require_linearizable(web, force, policy)
-    g, node = _resolve_grid_base(web, grid, base)
-    cg = CoefficientGrid(web, g, params, substeps)
-    first = "x" if sweep_order == "xy" else "y"
-    state = _sweep(cg, [float(lam0[0]), float(lam0[1])], node, False, first)
-    return (ScalarField(g, state[:, :, 0]), ScalarField(g, state[:, :, 1]))
-
-
-def lambda_path_discrepancy(web: WebSpec,
-                            base: tuple[float, float] | None = None,
-                            lam0: tuple[float, float] = (0.0, 0.0),
-                            grid: GridSpec | None = None, *,
-                            params: Mapping[str, Fraction] | None = None,
-                            substeps: int = DEFAULT_SUBSTEPS,
-                            force: bool = False) -> float:
-    """Max over nodes of |lambda(x-then-y) - lambda(y-then-x)|."""
-    _require_linearizable(web, force)
-    g, node = _resolve_grid_base(web, grid, base)
-    cg = CoefficientGrid(web, g, params, substeps)
-    s0 = [float(lam0[0]), float(lam0[1])]
-    a = _sweep(cg, s0, node, False, "x")
-    b = _sweep(cg, s0, node, False, "y")
-    return float(np.abs(a - b).max())
-
-
-@dataclass
-class ConnectionField:
-    """Coefficients of the deformed (flat candidate) connection on the grid.
-
-    nabla_i applied to the coframe has coefficient matrix
-        nabla_1 w1 = -(2 l1 + mu + H) w1 - l2 w2,   nabla_1 w2 = -(l1+H) w2,
-        nabla_2 w1 = -(l2+H) w1,   nabla_2 w2 = -l1 w1 - (2 l2 - mu + H) w2,
-    symmetric deformation by construction.
-    """
-    grid: GridSpec
-    lam1: ScalarField
-    lam2: ScalarField
-    web: WebSpec
-    coeffs: CoefficientGrid
-    base_node: tuple[int, int]
-    lam0: tuple[float, float]
-
-    def _node_coeff(self, name: str) -> np.ndarray:
-        r = self.coeffs.r
-        return self.coeffs.arrays[name][::r, ::r]
-
-    @property
-    def mu_nodes(self) -> np.ndarray:
-        return self._node_coeff("mu")
-
-    @property
-    def H_nodes(self) -> np.ndarray:
-        return self._node_coeff("H")
-
-    def deformation(self) -> dict[str, np.ndarray]:
-        """Deformation components T12^2 = l1, T12^1 = l2, T11^1 = 2 l1 + mu,
-        T22^2 = 2 l2 - mu."""
-        l1, l2 = self.lam1.values, self.lam2.values
-        mu = self.mu_nodes
-        return {"T12^2": l1, "T12^1": l2,
-                "T11^1": 2 * l1 + mu, "T22^2": 2 * l2 - mu}
-
-    def gamma(self) -> dict[str, np.ndarray]:
-        """Connection coefficients: gamma['i,j,k'] is the w_k coefficient of
-        nabla_i w_j."""
-        l1, l2 = self.lam1.values, self.lam2.values
-        mu, H = self.mu_nodes, self.H_nodes
-        zero = np.zeros_like(l1)
-        return {
-            "1,1,1": -(2 * l1 + mu + H), "1,1,2": -l2,
-            "1,2,1": zero, "1,2,2": -(l1 + H),
-            "2,1,1": -(l2 + H), "2,1,2": zero,
-            "2,2,1": -l1, "2,2,2": -(2 * l2 - mu + H),
-        }
-
-
-def build_connection(lam1: ScalarField, lam2: ScalarField, web: WebSpec, *,
-                     params: Mapping[str, Fraction] | None = None,
-                     coeffs: CoefficientGrid | None = None,
-                     base_node: tuple[int, int] | None = None,
-                     lam0: tuple[float, float] | None = None
-                     ) -> ConnectionField:
-    """Assemble the connection field from integrated deformation components."""
-    if lam1.grid is not lam2.grid and lam1.grid != lam2.grid:
-        raise LinearizerError("lambda fields must share a grid")
-    g = lam1.grid
-    cg = coeffs or CoefficientGrid(web, g, params, DEFAULT_SUBSTEPS)
-    if base_node is None:
-        cx, cy = g.rect.center
-        base_node = g.nearest_index(float(cx), float(cy))
-    if lam0 is None:
-        lam0 = (float(lam1.values[base_node]), float(lam2.values[base_node]))
-    return ConnectionField(g, lam1, lam2, web, cg, base_node, lam0)
 
 
 def _diff4(A: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -429,15 +302,15 @@ def _diff4(A: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def flatness_residual(conn: ConnectionField, web: WebSpec | None = None) -> float:
-    """Max curvature-coefficient magnitude of the deformed connection.
+def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
+                      l2: np.ndarray) -> float:
+    """Max curvature-coefficient magnitude of the connection deformed by
+    lambda = (l1, l2), given at the grid nodes.
 
     The lambda derivatives are finite differences (4th order, centered in
     the interior); the symbolic coefficients are exact at the nodes.
     """
-    g = conn.grid
-    l1, l2 = conn.lam1.values, conn.lam2.values
-    cg = conn.coeffs
+    g = cg.grid
     r = cg.r
     fx = cg.arrays["fx"][::r, ::r]
     fy = cg.arrays["fy"][::r, ::r]
@@ -466,7 +339,9 @@ def flatness_residual(conn: ConnectionField, web: WebSpec | None = None) -> floa
 
 @dataclass
 class LinearizationResult:
-    """Flat coordinates and the residuals that certify them."""
+    """Flat coordinates, the residuals that certify them, the web's verdict
+    and invariant reports, and (after `straightness_report`) the traced
+    leaves as (foliation index, points, mapped points)."""
     u: ScalarField
     v: ScalarField
     flatness_residual: float
@@ -475,6 +350,10 @@ class LinearizationResult:
     base: tuple[float, float] = (0.0, 0.0)
     lam0: tuple[float, float] = (0.0, 0.0)
     skipped_leaves: int = 0
+    verdict: str | None = None
+    reports: list[InvariantReport] = field(default_factory=list)
+    leaves: list[tuple[int, np.ndarray, np.ndarray]] = field(
+        default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -491,51 +370,53 @@ class LinearizationResult:
         }
 
 
-def flat_coordinates(conn: ConnectionField, base: tuple[float, float] | None = None,
-                     *, force: bool = False) -> LinearizationResult:
-    """Solve the parallel-coframe system and integrate it to potentials.
+def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
+                     base: tuple[float, float] | None = None,
+                     lam0: tuple[float, float] = (0.0, 0.0),
+                     params: Mapping[str, Fraction] | None = None,
+                     substeps: int = DEFAULT_SUBSTEPS, force: bool = False,
+                     policy: ZeroTestPolicy | None = None
+                     ) -> LinearizationResult:
+    """The linearization pipeline: flat coordinates (u, v) of the web.
 
-    Two coframes are initialized at the base as dx and dy and transported
-    over the grid; closedness (finite-difference curl) and nondegeneracy of
-    the resulting map are verified, then the potentials u, v are the leaves'
-    new coordinates.
+    Decides the verdict with `check_dweb` and refuses a web that is not YES
+    with `NotLinearizableError`, unless force=True.  Lambda starts at lam0
+    at the grid node nearest to `base` (default: the grid center), and two
+    coframes start there as dx and dy.  The x-first sweep must give a flat
+    connection; the y-first sweep measures path independence; the coframes
+    must stay nondegenerate and closed (finite-difference curl), and their
+    potentials are u, v.  With force=True the flatness and closedness
+    refusals are skipped too.
     """
-    g = conn.grid
-    cg = conn.coeffs
-    if base is not None:
-        node = g.nearest_index(float(base[0]), float(base[1]))
-    else:
-        node = conn.base_node
-    flat = flatness_residual(conn)
+    verdict, reports = check_dweb(web, policy)
+    if verdict != YES and not force:
+        raise NotLinearizableError(verdict, reports)
+    g = grid or GridSpec(rect=web.domain)
+    if base is None:
+        base = g.rect.center
+    ib, jb = g.nearest_index(float(base[0]), float(base[1]))
+    lam0 = (float(lam0[0]), float(lam0[1]))
+    cg = CoefficientGrid(web, g, params, substeps)
+    r = cg.r
+    fx = cg.arrays["fx"][::r, ::r]
+    fy = cg.arrays["fy"][::r, ::r]
+    # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
+    s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
+          0.0, 0.0]
+    state = integrate_lambda(cg, (ib, jb), s0, "x")
+    flat = flatness_residual(cg, state[:, :, 0], state[:, :, 1])
     threshold = FLATNESS_FACTOR * g.diameter
     if flat > threshold and not force:
         raise LinearizerError(
             f"connection is not flat (residual {flat:.3e} > {threshold:.3e}); "
             "linearization refused")
-    ib, jb = node
-    r = cg.r
-    fxb = cg.arrays["fx"][ib * r, jb * r]
-    fyb = cg.arrays["fy"][ib * r, jb * r]
-    lam0 = (float(conn.lam1.values[ib, jb]), float(conn.lam2.values[ib, jb]))
-    # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
-    s0 = [lam0[0], lam0[1], -1.0 / fxb, 0.0, 0.0, -1.0 / fyb, 0.0, 0.0]
-    state = _sweep(cg, s0, node, True, "x")
-    state_t = _sweep(cg, s0, node, True, "y")
+    state_t = integrate_lambda(cg, (ib, jb), s0, "y")
     path_resid = float(np.abs(state[:, :, :2] - state_t[:, :, :2]).max())
-    lam_resid = float(np.abs(state[:, :, 0] - conn.lam1.values).max())
-    lam_resid = max(lam_resid,
-                    float(np.abs(state[:, :, 1] - conn.lam2.values).max()))
-    if lam_resid > 1e-6 and not force:
-        raise LinearizerError(
-            "connection field does not match its own integration "
-            f"(deviation {lam_resid:.3e}); was lambda modified?")
     p1, q1 = state[:, :, 2], state[:, :, 3]
     p2, q2 = state[:, :, 4], state[:, :, 5]
     det = p1 * q2 - q1 * p2
     if np.abs(det).min() < COFRAME_DET_BOUND:
         raise LinearizerError("coordinate map singular on grid")
-    fx = cg.arrays["fx"][::r, ::r]
-    fy = cg.arrays["fy"][::r, ::r]
     curl = 0.0
     for (p, q) in ((p1, q1), (p2, q2)):
         gx = -p * fx  # d(potential)/dx
@@ -546,12 +427,11 @@ def flat_coordinates(conn: ConnectionField, base: tuple[float, float] | None = N
         raise LinearizerError(
             f"transported coframe is not closed (curl {curl:.3e}); "
             "linearization refused")
-    u = ScalarField(g, state[:, :, 6])
-    v = ScalarField(g, state[:, :, 7])
     return LinearizationResult(
-        u=u, v=v, flatness_residual=flat,
-        path_independence_residual=path_resid,
-        base=(float(g.xs[ib]), float(g.ys[jb])), lam0=lam0)
+        u=ScalarField(g, state[:, :, 6]), v=ScalarField(g, state[:, :, 7]),
+        flatness_residual=flat, path_independence_residual=path_resid,
+        base=(float(g.xs[ib]), float(g.ys[jb])), lam0=lam0,
+        verdict=verdict, reports=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +527,14 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
     return out
 
 
-def straightness_report(result: LinearizationResult, web: WebSpec,
-                        leaves_per_foliation: int = 5, *,
+def straightness_report(result: LinearizationResult, web: WebSpec, *,
                         params: Mapping[str, Fraction] | None = None
                         ) -> dict[str, float]:
     """Per-foliation max normalized line-fit residual of the mapped leaves.
 
-    Leaves with fewer than 5 usable sample points are skipped and counted in
+    Traces LEAVES_PER_FOLIATION leaves of every foliation and keeps them,
+    with their images under (u, v), in result.leaves.  Leaves with fewer
+    than 5 usable sample points are skipped and counted in
     result.skipped_leaves.
     """
     from scipy.interpolate import RectBivariateSpline
@@ -662,20 +543,24 @@ def straightness_report(result: LinearizationResult, web: WebSpec,
     su = RectBivariateSpline(g.xs, g.ys, result.u.values)
     sv = RectBivariateSpline(g.xs, g.ys, result.v.values)
     report: dict[str, float] = {}
+    leaves: list[tuple[int, np.ndarray, np.ndarray]] = []
     skipped = 0
     foliations = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
-    for name in foliations:
+    for idx, name in enumerate(foliations):
         worst = 0.0
-        for leaf in trace_leaves(web, g, name, leaves_per_foliation, params):
+        for leaf in trace_leaves(web, g, name, LEAVES_PER_FOLIATION, params):
+            uu = su.ev(leaf[:, 0], leaf[:, 1])
+            vv = sv.ev(leaf[:, 0], leaf[:, 1])
+            mapped = np.stack([uu, vv], axis=1)
+            leaves.append((idx, leaf, mapped))
             if len(leaf) < 5:
                 skipped += 1
                 continue
-            uu = su.ev(leaf[:, 0], leaf[:, 1])
-            vv = sv.ev(leaf[:, 0], leaf[:, 1])
-            worst = max(worst, _tls_line_residual(np.stack([uu, vv], axis=1)))
+            worst = max(worst, _tls_line_residual(mapped))
         report[name] = worst
     result.straightness = report
     result.skipped_leaves = skipped
+    result.leaves = leaves
     return report
 
 
@@ -706,27 +591,15 @@ def _svg_panel(polylines: list[tuple[int, np.ndarray]], origin_x: float,
     return lines
 
 
-def render_svg(result: LinearizationResult, web: WebSpec, path: str,
-               leaves_per_foliation: int = 7, *,
-               params: Mapping[str, Fraction] | None = None) -> None:
-    """Two panels: leaves in the original chart and in flat coordinates,
-    one stroke color per foliation."""
-    from scipy.interpolate import RectBivariateSpline
-
-    g = result.u.grid
-    su = RectBivariateSpline(g.xs, g.ys, result.u.values)
-    sv = RectBivariateSpline(g.xs, g.ys, result.v.values)
-    foliations = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
-    original: list[tuple[int, np.ndarray]] = []
-    mapped: list[tuple[int, np.ndarray]] = []
-    for idx, name in enumerate(foliations):
-        for leaf in trace_leaves(web, g, name, leaves_per_foliation, params):
-            if len(leaf) < 2:
-                continue
-            original.append((idx, leaf))
-            uu = su.ev(leaf[:, 0], leaf[:, 1])
-            vv = sv.ev(leaf[:, 0], leaf[:, 1])
-            mapped.append((idx, np.stack([uu, vv], axis=1)))
+def render_svg(result: LinearizationResult, path: str) -> None:
+    """Two panels: the leaves that `straightness_report` traced, in the
+    original chart and in flat coordinates, one stroke color per foliation."""
+    if not result.leaves:
+        raise LinearizerError("no traced leaves to draw; run "
+                              "straightness_report on the result first")
+    original = [(idx, leaf) for idx, leaf, _ in result.leaves
+                if len(leaf) >= 2]
+    mapped = [(idx, pts) for idx, _, pts in result.leaves if len(pts) >= 2]
     size, pad = 360.0, 16.0
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {2 * size:.0f} {size:.0f}">',

@@ -159,8 +159,8 @@ def test_criterion_6_frobenius_path_independence():
             discs = []
             for n in (41, 81):
                 g = lin.GridSpec(rect=web.domain, nx=n, ny=n)
-                discs.append(lin.lambda_path_discrepancy(
-                    web, grid=g, params=params))
+                discs.append(lin.flat_coordinates(
+                    web, g, params=params).path_independence_residual)
             coarse, fine = discs
             assert coarse < PATH_TOLERANCE, (name, coarse)
             at_floor = coarse < PATH_FLOOR and fine < PATH_FLOOR
@@ -175,17 +175,13 @@ def test_criterion_7_end_to_end_linearization():
         for name in ("two-pencils", "parabola-tangents"):
             web = corpus.linearization_web(corpus.case_by_name(name))
             g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
-            lam1, lam2 = lin.integrate_lambda(web, grid=g)
-            conn = lin.build_connection(lam1, lam2, web)
-            res = lin.flat_coordinates(conn)
+            res = lin.flat_coordinates(web, g)
             rep = lin.straightness_report(res, web)
             assert max(rep.values()) < STRAIGHTNESS_BOUND, (name, rep)
         control = corpus.linearization_web(
             corpus.case_by_name("exponential-twist"))
         g = lin.GridSpec(rect=control.domain, nx=41, ny=41)
-        lam1, lam2 = lin.integrate_lambda(control, grid=g, force=True)
-        conn = lin.build_connection(lam1, lam2, control)
-        res = lin.flat_coordinates(conn, force=True)
+        res = lin.flat_coordinates(control, g, force=True)
         rep = lin.straightness_report(res, control)
         assert max(rep.values()) > NEGATIVE_CONTROL_BOUND, rep
 

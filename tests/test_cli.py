@@ -38,6 +38,24 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "offset" in err
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        deep = "(" * 3000 + "x" + ")" * 3000
+        code, out, err = run(capsys, "check", "--f", deep, "--g", "x+y")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested too deeply" in err
+
+    def test_huge_exact_residual(self, capsys):
+        # exact residuals here run to thousands of digits
+        code, out, _ = run(capsys, "check", "--f", "x/y",
+                           "--g", "x^1000+y", "--json")
+        assert code in (EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_USAGE)
+        doc = json.loads(out)
+        for inv in doc["invariants"]:
+            for e in inv["evidence"]:
+                assert len(e["residual"]) < 100
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "check", "--nope")
         assert code == EXIT_USAGE

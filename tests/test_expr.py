@@ -72,6 +72,13 @@ class TestParsing:
     def test_rational_literal(self):
         assert parse("1/2") is const(F(1, 2))
 
+    def test_nesting_bound(self):
+        assert parse("(" * 99 + "x" + ")" * 99) is X
+        for deep in ("(" * 200 + "x" + ")" * 200, "-" * 1000 + "x",
+                     "x^" * 200 + "2", "exp(" * 200 + "x" + ")" * 200):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse(deep)
+
     def test_uppercase_rejected(self):
         with pytest.raises(ParseError):
             parse("X + y")

@@ -13,7 +13,7 @@ from weblin.calculus import (Rect, WebSpec, WebFrame, sample_points, mu,
                              basic_invariant, random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
                                I_fp, J_alpha, build_compatibility_pair,
-                               check_4web, check_dweb, ConstructionOrders,
+                               check_dweb, ConstructionOrders,
                                DegenerateDirectionError, MAX_F_ORDER,
                                MAX_BASIC_ORDER)
 from weblin import corpus
@@ -210,7 +210,7 @@ class TestZeroTest:
 
 class TestCheckers:
     def test_check_4web_wrapper(self):
-        verdict, reports = check_4web(parse("x/y"), parse("(1-y)/(1-x)"))
+        verdict, reports = check_dweb(_web("x/y", "(1-y)/(1-x)"))
         assert verdict == "YES"
         assert [r.name for r in reports] == ["I1", "I2"]
 
@@ -227,7 +227,7 @@ class TestCheckers:
         web = corpus.web_for(corpus.LINEAR_FIVE_WEB)
         assert check_dweb(web)[0] == "YES"
         for g in web.gs:
-            v, _ = check_4web(web.f, g, domain=web.domain)
+            v, _ = check_dweb(WebSpec(f=web.f, gs=(g,), domain=web.domain))
             assert v == "YES"
 
     def test_determinism_across_runs(self):

@@ -25,150 +25,123 @@ WEB3 = corpus.linearization_web(corpus.case_by_name("parabola-tangents"))
 WEB5 = corpus.linearization_web(corpus.case_by_name("exponential-twist"))
 
 
+def _linearize(web, n=41, ny=None, **kw):
+    g = lin.GridSpec(rect=web.domain, nx=n, ny=ny or n)
+    return lin.flat_coordinates(web, g, **kw)
+
+
+def _lambda(web, grid, lam0=(0.0, 0.0)):
+    """The pipeline's x-first lambda from the grid center, with its
+    coefficient grid."""
+    cg = lin.CoefficientGrid(web, grid)
+    cx, cy = grid.rect.center
+    node = grid.nearest_index(float(cx), float(cy))
+    state = lin.integrate_lambda(cg, node, [*lam0, 0, 0, 0, 0, 0, 0], "x")
+    return cg, state[:, :, 0], state[:, :, 1]
+
+
 @pytest.fixture(scope="module")
 def web2_grid():
     return lin.GridSpec(rect=WEB2.domain, nx=41, ny=41)
 
 
 @pytest.fixture(scope="module")
-def web2_pipeline(web2_grid):
-    lam1, lam2 = lin.integrate_lambda(WEB2, grid=web2_grid)
-    conn = lin.build_connection(lam1, lam2, WEB2)
-    result = lin.flat_coordinates(conn)
+def web2_result(web2_grid):
+    result = lin.flat_coordinates(WEB2, web2_grid)
     lin.straightness_report(result, WEB2)
-    return lam1, lam2, conn, result
+    return result
 
 
 class TestTrivialGauge:
     def test_lambda_identically_zero(self):
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
-        lam1, lam2 = lin.integrate_lambda(ZERO_GAUGE_WEB, grid=g)
-        assert np.abs(lam1.values).max() == 0
-        assert np.abs(lam2.values).max() == 0
+        _, lam1, lam2 = _lambda(ZERO_GAUGE_WEB, g)
+        assert np.abs(lam1).max() == 0
+        assert np.abs(lam2).max() == 0
 
     def test_connection_coefficients_vanish(self):
+        # every coefficient of the deformed connection is a sum of
+        # lambda1, lambda2, mu and H terms
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
-        lam1, lam2 = lin.integrate_lambda(ZERO_GAUGE_WEB, grid=g)
-        conn = lin.build_connection(lam1, lam2, ZERO_GAUGE_WEB)
-        for arr in conn.gamma().values():
+        cg, lam1, lam2 = _lambda(ZERO_GAUGE_WEB, g)
+        for arr in (lam1, lam2, cg.arrays["mu"], cg.arrays["H"]):
             assert np.abs(arr).max() == 0
-        assert lin.flatness_residual(conn) < 1e-14
+        assert lin.flatness_residual(cg, lam1, lam2) < 1e-14
+        assert _linearize(ZERO_GAUGE_WEB, 21).flatness_residual < 1e-14
 
     def test_flat_coordinates_are_translates(self):
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
-        lam1, lam2 = lin.integrate_lambda(ZERO_GAUGE_WEB, grid=g)
-        conn = lin.build_connection(lam1, lam2, ZERO_GAUGE_WEB)
-        res = lin.flat_coordinates(conn)
+        res = lin.flat_coordinates(ZERO_GAUGE_WEB, g)
         XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
         assert np.abs(res.u.values - (XX - res.base[0])).max() < 1e-12
         assert np.abs(res.v.values - (YY - res.base[1])).max() < 1e-12
 
     def test_straightness_at_rounding_level(self):
-        g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
-        lam1, lam2 = lin.integrate_lambda(ZERO_GAUGE_WEB, grid=g)
-        conn = lin.build_connection(lam1, lam2, ZERO_GAUGE_WEB)
-        res = lin.flat_coordinates(conn)
+        res = _linearize(ZERO_GAUGE_WEB, 21)
         rep = lin.straightness_report(res, ZERO_GAUGE_WEB)
         assert max(rep.values()) < 1e-12
 
 
 class TestIntegrateLambda:
     def test_refuses_nonlinearizable(self):
-        g = lin.GridSpec(rect=WEB5.domain, nx=21, ny=21)
-        with pytest.raises(lin.NotLinearizableError):
-            lin.integrate_lambda(WEB5, grid=g)
+        with pytest.raises(lin.NotLinearizableError) as info:
+            _linearize(WEB5, 21)
+        assert info.value.verdict == "NO"
+        assert [r.name for r in info.value.reports] == ["I1", "I2"]
 
     def test_path_independence_example_one(self):
         web = corpus.linearization_web(corpus.case_by_name(
             "pencil-with-parallels"))
-        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
-        assert lin.lambda_path_discrepancy(web, grid=g) < 1e-8
+        assert _linearize(web).path_independence_residual < 1e-8
 
     def test_blowup_guard(self):
         web = corpus.linearization_web(corpus.case_by_name(
             "pencil-with-parallels"))
-        g = lin.GridSpec(rect=web.domain, nx=21, ny=21)
         with pytest.raises(lin.LinearizerError, match="diverged"):
-            lin.integrate_lambda(web, grid=g, lam0=(1e9, 1e9))
+            _linearize(web, 21, lam0=(1e9, 1e9))
 
     def test_missing_parameter_value(self):
         web = corpus.web_for(corpus.case_by_name("power-web"))
-        g = lin.GridSpec(rect=web.domain, nx=21, ny=21)
         with pytest.raises(lin.LinearizerError, match="parameter"):
-            lin.integrate_lambda(web, grid=g, force=True)
+            _linearize(web, 21, force=True)
 
     def test_singular_grid_reported(self):
         # the exponential-twist web is singular on x + y = 1
         web = _web("x/y", "(x+y)*exp(-x)",
                    domain=Rect(F(1, 4), F(3, 4), F(1, 4), F(3, 4)))
-        g = lin.GridSpec(rect=web.domain, nx=21, ny=21)
         with pytest.raises(lin.LinearizerError, match="singular"):
-            lin.integrate_lambda(web, grid=g, force=True)
-
-
-class TestConnection:
-    def test_geodesy_constraint(self, web2_pipeline):
-        _, _, conn, _ = web2_pipeline
-        T = conn.deformation()
-        lhs = T["T11^1"] + T["T22^2"]
-        rhs = 2 * (T["T12^1"] + T["T12^2"])
-        assert np.abs(lhs - rhs).max() < 1e-12
-
-    def test_deformation_enters_both_slots(self, web2_pipeline):
-        # T(w1)'s off-diagonal coefficient and nabla_2 w2's w1 coefficient
-        # are the same lambda
-        _, _, conn, _ = web2_pipeline
-        gam = conn.gamma()
-        T = conn.deformation()
-        assert np.array_equal(gam["1,1,2"], -T["T12^1"])
-        assert np.array_equal(gam["2,2,1"], -T["T12^2"])
-
-    def test_grid_mismatch_rejected(self, web2_grid, web2_pipeline):
-        lam1, lam2, _, _ = web2_pipeline
-        other = lin.GridSpec(rect=WEB2.domain, nx=21, ny=21)
-        lam_other, _ = lin.integrate_lambda(WEB2, grid=other)
-        with pytest.raises(lin.LinearizerError, match="share a grid"):
-            lin.build_connection(lam1, lam_other, WEB2)
+            _linearize(web, 21, force=True)
 
 
 class TestFlatness:
-    def test_example_two_residual(self, web2_pipeline):
-        _, _, conn, _ = web2_pipeline
-        assert lin.flatness_residual(conn) < 1e-6
+    def test_example_two_residual(self, web2_result):
+        assert web2_result.flatness_residual < 1e-6
 
     def test_example_one_residual(self):
         web = corpus.linearization_web(corpus.case_by_name(
             "pencil-with-parallels"))
-        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
-        lam1, lam2 = lin.integrate_lambda(web, grid=g)
-        conn = lin.build_connection(lam1, lam2, web)
-        assert lin.flatness_residual(conn) < 1e-6
+        assert _linearize(web).flatness_residual < 1e-6
 
-    def test_perturbation_detected(self, web2_grid, web2_pipeline):
-        lam1, lam2, _, _ = web2_pipeline
-        bumped = lin.ScalarField(web2_grid, lam1.values.copy())
-        bumped.values[20, 20] += 0.1
-        conn = lin.build_connection(bumped, lam2, WEB2)
-        assert lin.flatness_residual(conn) > 1e-3
+    def test_perturbation_detected(self, web2_grid):
+        cg, lam1, lam2 = _lambda(WEB2, web2_grid)
+        assert lin.flatness_residual(cg, lam1, lam2) < 1e-6
+        bumped = lam1.copy()
+        bumped[20, 20] += 0.1
+        assert lin.flatness_residual(cg, bumped, lam2) > 1e-3
 
-    def test_nonflat_input_refused(self, web2_grid, web2_pipeline):
-        lam1, lam2, _, _ = web2_pipeline
-        bumped = lin.ScalarField(web2_grid, lam1.values.copy())
-        bumped.values[20, 20] += 0.1
-        conn = lin.build_connection(bumped, lam2, WEB2)
+    def test_nonflat_input_refused(self, monkeypatch):
+        # a NO web passed off as YES: its lambda cannot be flat
+        monkeypatch.setattr(lin, "check_dweb", lambda web, policy: ("YES", []))
         with pytest.raises(lin.LinearizerError, match="not flat"):
-            lin.flat_coordinates(conn)
+            _linearize(WEB5)
 
     def test_integrator_is_fourth_order(self):
         # with a nonzero gauge the two-path discrepancy is a pure
         # integrator-error probe; halving the step must cut it by ~16
         # (assert >= 8 to allow constant drift while still certifying
         # order four, not two)
-        discs = []
-        for n in (21, 41):
-            g = lin.GridSpec(rect=WEB2.domain, nx=n, ny=n)
-            discs.append(lin.lambda_path_discrepancy(WEB2, grid=g,
-                                                     lam0=(0.3, -0.2)))
+        discs = [_linearize(WEB2, n, lam0=(0.3, -0.2)
+                            ).path_independence_residual for n in (21, 41)]
         assert discs[0] > 1e-14  # genuinely above rounding
         assert discs[1] <= discs[0] / 8
 
@@ -176,27 +149,18 @@ class TestFlatness:
         # nontrivial lambda via a nonzero gauge; halving the step must cut
         # the finite-difference flatness residual by >= 3.5 (or both are at
         # rounding level already)
-        vals = []
-        for n in (41, 81):
-            g = lin.GridSpec(rect=WEB2.domain, nx=n, ny=n)
-            lam1, lam2 = lin.integrate_lambda(WEB2, grid=g, lam0=(0.3, -0.2))
-            conn = lin.build_connection(lam1, lam2, WEB2)
-            vals.append(lin.flatness_residual(conn))
-        coarse, fine = vals
+        coarse, fine = [_linearize(WEB2, n, lam0=(0.3, -0.2)
+                                   ).flatness_residual for n in (41, 81)]
         assert coarse < 1e-12 or fine <= coarse / 3.5
 
 
 class TestFlatCoordinates:
-    def test_example_two_straightness(self, web2_pipeline):
-        _, _, _, result = web2_pipeline
-        assert result.straightness
-        assert max(result.straightness.values()) < 1e-5
+    def test_example_two_straightness(self, web2_result):
+        assert web2_result.straightness
+        assert max(web2_result.straightness.values()) < 1e-5
 
     def test_example_three_straightness(self):
-        g = lin.GridSpec(rect=WEB3.domain, nx=41, ny=41)
-        lam1, lam2 = lin.integrate_lambda(WEB3, grid=g)
-        conn = lin.build_connection(lam1, lam2, WEB3)
-        res = lin.flat_coordinates(conn)
+        res = _linearize(WEB3)
         rep = lin.straightness_report(res, WEB3)
         # the f-leaves are tangent lines of a parabola, straight already;
         # everything here measures numerical error only
@@ -204,27 +168,23 @@ class TestFlatCoordinates:
 
     def test_power_web_with_concrete_exponent(self):
         web = corpus.linearization_web(corpus.case_by_name("power-web"))
-        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
         params = {"n": F(2)}
-        lam1, lam2 = lin.integrate_lambda(web, grid=g, params=params)
-        conn = lin.build_connection(lam1, lam2, web, params=params)
-        res = lin.flat_coordinates(conn)
+        res = _linearize(web, params=params)
         rep = lin.straightness_report(res, web, params=params)
         assert max(rep.values()) < 1e-5
 
     def test_gauge_freedom(self, web2_grid):
         # different initial deformation values give different coordinates
         # but leaves stay straight
-        lam1, lam2 = lin.integrate_lambda(WEB2, grid=web2_grid,
-                                          lam0=(0.3, -0.2))
-        assert np.abs(lam1.values).max() > 0.01
-        conn = lin.build_connection(lam1, lam2, WEB2)
-        res = lin.flat_coordinates(conn)
+        _, lam1, _ = _lambda(WEB2, web2_grid, lam0=(0.3, -0.2))
+        assert np.abs(lam1).max() > 0.01
+        res = lin.flat_coordinates(WEB2, web2_grid, lam0=(0.3, -0.2))
+        assert res.lam0 == (0.3, -0.2)
         rep = lin.straightness_report(res, WEB2)
         assert max(rep.values()) < 1e-5
 
-    def test_affine_invariance_of_straightness(self, web2_pipeline):
-        _, _, _, result = web2_pipeline
+    def test_affine_invariance_of_straightness(self, web2_result):
+        result = web2_result
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         off = rng.normal(size=2)
@@ -241,18 +201,13 @@ class TestFlatCoordinates:
             assert rep2[k] < 1e-5
 
     def test_negative_control(self):
-        g = lin.GridSpec(rect=WEB5.domain, nx=41, ny=41)
-        lam1, lam2 = lin.integrate_lambda(WEB5, grid=g, force=True)
-        conn = lin.build_connection(lam1, lam2, WEB5)
-        res = lin.flat_coordinates(conn, force=True)
+        res = _linearize(WEB5, force=True)
+        assert res.verdict == "NO"
         rep = lin.straightness_report(res, WEB5)
         assert max(rep.values()) > 1e-2
 
     def test_non_square_grid(self):
-        g = lin.GridSpec(rect=WEB2.domain, nx=31, ny=21)
-        lam1, lam2 = lin.integrate_lambda(WEB2, grid=g)
-        conn = lin.build_connection(lam1, lam2, WEB2)
-        res = lin.flat_coordinates(conn)
+        res = _linearize(WEB2, 31, 21)
         rep = lin.straightness_report(res, WEB2)
         assert max(rep.values()) < 1e-5
 
@@ -264,12 +219,36 @@ class TestFlatCoordinates:
                 continue
             web = corpus.linearization_web(case)
             params = {"n": F(2)} if case.name == "power-web" else None
-            g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
-            lam1, lam2 = lin.integrate_lambda(web, grid=g, params=params)
-            conn = lin.build_connection(lam1, lam2, web, params=params)
-            res = lin.flat_coordinates(conn)
+            res = _linearize(web, params=params)
             rep = lin.straightness_report(res, web, params=params)
             assert max(rep.values()) < 1e-5, (case.name, rep)
+
+
+class TestPipeline:
+    def test_one_coefficient_grid_and_one_trace_per_foliation(
+            self, monkeypatch, tmp_path):
+        grids, traced = [], []
+        real_grid, real_trace = lin.CoefficientGrid, lin.trace_leaves
+
+        def counting_grid(*args, **kwargs):
+            grids.append(args)
+            return real_grid(*args, **kwargs)
+
+        def counting_trace(web, grid, foliation, *args, **kwargs):
+            traced.append(foliation)
+            return real_trace(web, grid, foliation, *args, **kwargs)
+
+        monkeypatch.setattr(lin, "CoefficientGrid", counting_grid)
+        monkeypatch.setattr(lin, "trace_leaves", counting_trace)
+        res = _linearize(WEB2, 21)
+        lin.straightness_report(res, WEB2)
+        lin.render_svg(res, str(tmp_path / "web.svg"))
+        assert len(grids) == 1
+        assert traced == ["x", "y", "f", "g4"]
+
+    def test_verdict_and_reports_on_result(self, web2_result):
+        assert web2_result.verdict == "YES"
+        assert [r.verdict for r in web2_result.reports] == ["ZERO", "ZERO"]
 
 
 class TestLeafTracing:
@@ -294,10 +273,9 @@ class TestLeafTracing:
 
 
 class TestSvg:
-    def test_svg_written(self, tmp_path, web2_pipeline):
-        _, _, _, result = web2_pipeline
+    def test_svg_written(self, tmp_path, web2_result):
         out = tmp_path / "web.svg"
-        lin.render_svg(result, WEB2, str(out))
+        lin.render_svg(web2_result, str(out))
         text = out.read_text()
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
@@ -307,17 +285,20 @@ class TestSvg:
                   for line in text.splitlines() if "<polyline" in line}
         assert len(colors) == 4
 
-    def test_svg_deterministic(self, tmp_path, web2_pipeline):
-        _, _, _, result = web2_pipeline
+    def test_svg_deterministic(self, tmp_path, web2_result):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        lin.render_svg(result, WEB2, str(a))
-        lin.render_svg(result, WEB2, str(b))
+        lin.render_svg(web2_result, str(a))
+        lin.render_svg(web2_result, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_svg_needs_traced_leaves(self, tmp_path):
+        res = _linearize(ZERO_GAUGE_WEB, 21)
+        with pytest.raises(lin.LinearizerError, match="straightness_report"):
+            lin.render_svg(res, str(tmp_path / "web.svg"))
 
 
 class TestJson:
-    def test_result_json_strings(self, web2_pipeline):
-        _, _, _, result = web2_pipeline
-        d = result.to_json()
+    def test_result_json_strings(self, web2_result):
+        d = web2_result.to_json()
         assert isinstance(d["flatness_residual"], str)
         assert set(d["straightness"]) == {"x", "y", "f", "g4"}
