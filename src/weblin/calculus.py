@@ -15,12 +15,12 @@ import random
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from . import expr as ex
-from .expr import (Expr, EvalContext, EvalError, ExactnessError, derive, div,
-                   mul, neg, pow_, sub, add, log_, evaluate,
-                   is_exactly_evaluable, free_symbols)
+from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, derive,
+                   div, mul, pow_, sub, log_, evaluate, is_exactly_evaluable,
+                   free_symbols)
 
 __all__ = [
     "Rect", "WebSpec", "WebFrame", "DomainTooSingularError", "partial",
@@ -287,6 +287,8 @@ def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int) -> bool:
                                               precision=precision))
                 if abs(v) < _DISTINCT_EPS:
                     return False
+        except ExactBudgetError:
+            raise  # not a property of the point: the zero test reports it
         except EvalError:
             return False
     return True
@@ -294,13 +296,12 @@ def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int) -> bool:
 
 def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
                   params: Mapping[str, Fraction] | None = None,
-                  precision: int = 256,
-                  extra_exprs: Sequence[Expr] = ()) -> list[SamplePoint]:
+                  precision: int = 256) -> list[SamplePoint]:
     """Draw `count` accepted sample points inside the web domain.
 
-    Points violating the web validity constraints (or at which any of
-    `extra_exprs` fails to evaluate) are rejected; after MAX_REJECTIONS
-    consecutive rejections the domain is declared too singular.
+    Points violating the web validity constraints are rejected; after
+    MAX_REJECTIONS consecutive rejections the domain is declared too
+    singular.
     """
     rng = rng if rng is not None else random.Random(web.seed)
     if params is None:
@@ -313,20 +314,7 @@ def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
         pt = SamplePoint(random_rational(rng, dom.x_lo, dom.x_hi),
                          random_rational(rng, dom.y_lo, dom.y_hi),
                          dict(params))
-        ok = pt.x != pt.y and _point_is_valid(web, pt, precision)
-        if ok:
-            for e in extra_exprs:
-                try:
-                    mode = ("exact" if is_exactly_evaluable(e)
-                            and web.is_rational else "float")
-                    evaluate(e, EvalContext(pt.bindings(), mode=mode,
-                                            precision=precision))
-                except ExactnessError:
-                    pass  # preferable mode refused; zero test will use float
-                except EvalError:
-                    ok = False
-                    break
-        if ok:
+        if pt.x != pt.y and _point_is_valid(web, pt, precision):
             out.append(pt)
             rejects = 0
         else:

@@ -12,6 +12,14 @@ The smart constructors perform light, value-preserving canonicalization
 coefficients and of identical factors).  They deliberately do not factor or
 cancel symbolic rational functions; correctness of downstream zero tests
 rests on evaluation, not on the simplifier.
+
+One interpreter, `_walk`, evaluates a DAG children-first in three
+arithmetics that supply only their number operations: exact rationals
+(`Fraction`, capped at EXACT_BITS per numerator or denominator), p-bit
+mpmath floats for every precision p, and numpy doubles over whole grids
+(`grid_function`).  The real-domain rules (zero or negative base, integer
+exponent, log of a non-positive value) are shared by the two scalar
+arithmetics; the grid leaves singular entries as nan/inf.
 """
 from __future__ import annotations
 
@@ -19,18 +27,18 @@ import itertools
 import math
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import mpmath
 
 __all__ = [
     "Expr", "EvalContext", "ExprError", "ParseError", "EvalError",
     "MissingBindingError", "SingularSampleError", "DomainEvalError",
-    "ExactnessError", "const", "var", "param", "add", "sub", "mul", "div",
-    "neg", "pow_", "sqrt", "exp_", "log_", "X", "Y", "parse", "format_expr",
-    "simplify", "derive", "substitute", "evaluate", "evaluate_scaled",
+    "ExactnessError", "ExactBudgetError", "EXACT_BITS", "const", "var",
+    "param", "add", "sub", "mul", "div", "neg", "pow_", "sqrt", "exp_",
+    "log_", "X", "Y", "parse", "format_expr", "simplify", "derive", "substitute", "evaluate", "evaluate_scaled",
     "dag_size", "free_symbols", "is_exactly_evaluable", "grid_function",
 ]
 
@@ -48,6 +56,9 @@ _MASK_X = 1
 _MASK_Y = 2
 _MASK_PARAM = 4
 _MASK_TRANSCENDENTAL = 8  # exp/log node, or pow with non-integer exponent
+
+# exact evaluation refuses a numerator or denominator longer than this
+EXACT_BITS = 2 ** 18
 
 
 class ExprError(ValueError):
@@ -78,6 +89,13 @@ class DomainEvalError(EvalError):
 
 class ExactnessError(EvalError):
     """Exact mode refused: the value is not representable as a rational."""
+
+
+class ExactBudgetError(ExactnessError):
+    """Exact mode refused: a value outgrew EXACT_BITS."""
+
+    def __init__(self):
+        super().__init__(f"exact evaluation exceeded {EXACT_BITS} bits")
 
 
 class Expr:
@@ -544,6 +562,19 @@ def is_exactly_evaluable(e: Expr) -> bool:
     return not (e.mask & _MASK_TRANSCENDENTAL)
 
 
+_REBUILD = {ADD: add, MUL: mul, POW: pow_, EXP: exp_, LOG: log_}
+
+
+def _rebuild(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild bottom-up through the canonicalizing constructors, with
+    `leaf(n)` standing in for every childless node n."""
+    out: dict[int, Expr] = {}
+    for n in topo_order(e):
+        out[n.uid] = (_REBUILD[n.kind](*(out[c.uid] for c in n.children))
+                      if n.children else leaf(n))
+    return out[e.uid]
+
+
 def simplify(e: Expr) -> Expr:
     """Rebuild bottom-up through the canonicalizing constructors.
 
@@ -551,50 +582,13 @@ def simplify(e: Expr) -> Expr:
     the DAG.  Division by a constant zero folds to an error node that
     evaluation reports as a singular sample.
     """
-    rebuilt: dict[int, Expr] = {}
-    for n in topo_order(e):
-        if not n.children:
-            rebuilt[n.uid] = n
-            continue
-        kids = tuple(rebuilt[c.uid] for c in n.children)
-        if n.kind == ADD:
-            rebuilt[n.uid] = add(*kids)
-        elif n.kind == MUL:
-            rebuilt[n.uid] = mul(*kids)
-        elif n.kind == POW:
-            rebuilt[n.uid] = pow_(kids[0], kids[1])
-        elif n.kind == EXP:
-            rebuilt[n.uid] = exp_(kids[0])
-        elif n.kind == LOG:
-            rebuilt[n.uid] = log_(kids[0])
-        else:
-            rebuilt[n.uid] = n
-    return rebuilt[e.uid]
+    return _rebuild(e, lambda n: n)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables/parameters by expressions (simultaneously)."""
-    out: dict[int, Expr] = {}
-    for n in topo_order(e):
-        if n.kind in (VAR, PARAM) and n.name in mapping:
-            out[n.uid] = as_expr(mapping[n.name])
-        elif not n.children:
-            out[n.uid] = n
-        else:
-            kids = tuple(out[c.uid] for c in n.children)
-            if n.kind == ADD:
-                out[n.uid] = add(*kids)
-            elif n.kind == MUL:
-                out[n.uid] = mul(*kids)
-            elif n.kind == POW:
-                out[n.uid] = pow_(kids[0], kids[1])
-            elif n.kind == EXP:
-                out[n.uid] = exp_(kids[0])
-            elif n.kind == LOG:
-                out[n.uid] = log_(kids[0])
-            else:
-                out[n.uid] = n
-    return out[e.uid]
+    return _rebuild(e, lambda n: as_expr(mapping[n.name])
+                    if n.kind in (VAR, PARAM) and n.name in mapping else n)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +669,9 @@ class EvalContext:
 
     Every variable and parameter occurring in the expression must be bound;
     a missing binding raises, never defaults.  ``mode`` is ``"exact"``
-    (Fraction arithmetic) or ``"float"`` (native doubles for
-    precision <= 53 bits, mpmath above).
+    (Fraction arithmetic, bounded by EXACT_BITS) or ``"float"`` (mpmath
+    binary floats with a ``precision``-bit mantissa, whatever the
+    precision).
     """
     bindings: Mapping[str, Fraction]
     mode: str = "exact"
@@ -696,8 +691,171 @@ class EvalContext:
         object.__setattr__(self, "bindings", clean)
 
 
+def _walk(order: list[Expr], arith, leaves: Mapping[str, object]):
+    """The value of the last node of `order`, a children-first node list.
+
+    The one DAG interpreter: sums and products use the values' own `+` and
+    `*`, folded left to right from the first child; `arith` supplies
+    constants (`num`), `pow`, `exp`, `log` and an optional per-node `check`;
+    `leaves` maps variable and parameter names to values.
+    """
+    num, power, exp, log = arith.num, arith.pow, arith.exp, arith.log
+    check = arith.check
+    vals: dict[int, object] = {}
+    v = None
+    for n in order:
+        k = n.kind
+        if k == CONST:
+            v = num(n.value)
+        elif k == VAR or k == PARAM:
+            v = leaves[n.name]
+        elif k == ADD:
+            kids = n.children
+            v = vals[kids[0].uid]
+            for c in kids[1:]:
+                v = v + vals[c.uid]
+        elif k == MUL:
+            kids = n.children
+            v = vals[kids[0].uid]
+            for c in kids[1:]:
+                v = v * vals[c.uid]
+        elif k == POW:
+            b, ex = n.children
+            v = power(vals[b.uid], vals[ex.uid], ex)
+        elif k == EXP:
+            v = exp(vals[n.children[0].uid])
+        elif k == LOG:
+            v = log(vals[n.children[0].uid])
+        else:
+            raise SingularSampleError(
+                "undefined value (division by constant zero)")
+        if check is not None:
+            check(v)
+        vals[n.uid] = v
+    return v
+
+
+class _RealArithmetic:
+    """Real-domain rules shared by the two scalar arithmetics.
+
+    An exponent counts as an integer by its value; subclasses supply
+    `num`, `int_pow`, `root` (positive base, non-integer exponent), `exp`,
+    `ln` and `check`.
+    """
+
+    def pow(self, b, ex, ex_node):
+        if ex == int(ex):
+            if b == 0 and ex < 0:
+                raise SingularSampleError("zero base with negative power")
+            return self.int_pow(b, int(ex))
+        if b < 0:
+            raise DomainEvalError("negative base with fractional power")
+        if b == 0:
+            if ex < 0:
+                raise SingularSampleError("zero base with negative power")
+            return self.num(Fraction(0))
+        return self.root(b, ex)
+
+    def log(self, u):
+        if u <= 0:
+            raise DomainEvalError("log of non-positive value")
+        return self.ln(u)
+
+
+class _ExactArithmetic(_RealArithmetic):
+    """Fractions; refuses irrational values and sizes above EXACT_BITS."""
+
+    @staticmethod
+    def num(q: Fraction) -> Fraction:
+        return q
+
+    @staticmethod
+    def check(v: Fraction) -> None:
+        if (v.numerator.bit_length() > EXACT_BITS
+                or v.denominator.bit_length() > EXACT_BITS):
+            raise ExactBudgetError()
+
+    def int_pow(self, b: Fraction, n: int) -> Fraction:
+        # |b^n| has at least |n| * (bits - 1) bits: refuse before computing it
+        bits = max(abs(b.numerator), b.denominator).bit_length()
+        if abs(n) * (bits - 1) > EXACT_BITS:
+            raise ExactBudgetError()
+        return b ** n
+
+    def root(self, b: Fraction, ex: Fraction) -> Fraction:
+        r = _exact_root(b, ex.denominator)
+        if r is None:
+            raise ExactnessError("irrational root; exact mode refused")
+        return self.int_pow(r, ex.numerator)
+
+    @staticmethod
+    def exp(u: Fraction) -> Fraction:
+        if u != 0:
+            raise ExactnessError("exp of nonzero value; exact mode refused")
+        return Fraction(1)
+
+    @staticmethod
+    def ln(u: Fraction) -> Fraction:
+        if u != 1:
+            raise ExactnessError("log of value != 1; exact mode refused")
+        return Fraction(0)
+
+
+_EXACT = _ExactArithmetic()
+
+
+class _MpfArithmetic(_RealArithmetic):
+    """mpmath floats at the working precision; records the scale
+    max(1, |every intermediate|) and refuses non-finite values."""
+
+    exp = staticmethod(mpmath.exp)
+    ln = staticmethod(mpmath.log)
+    root = staticmethod(mpmath.power)
+
+    def __init__(self):
+        self.scale = mpmath.mpf(1)
+
+    @staticmethod
+    def num(q) -> mpmath.mpf:
+        if isinstance(q, Fraction):
+            return mpmath.mpf(q.numerator) / q.denominator
+        return mpmath.mpf(q)
+
+    @staticmethod
+    def int_pow(b: mpmath.mpf, n: int) -> mpmath.mpf:
+        return b ** n
+
+    def check(self, v: mpmath.mpf) -> None:
+        if not mpmath.isfinite(v):
+            raise DomainEvalError("non-finite value in evaluation")
+        a = abs(v)
+        if a > self.scale:
+            self.scale = a
+
+
+class _GridArithmetic:
+    """numpy doubles, elementwise; singularities become nan/inf entries.
+
+    An exponent counts as an integer only when its node is an integer
+    constant, so a parameter exponent always goes through float `power`.
+    """
+
+    check = None
+    num = staticmethod(float)
+
+    def __init__(self, np):
+        self.power, self.exp, self.log = np.power, np.exp, np.log
+
+    def pow(self, b, ex, ex_node):
+        if ex_node.kind == CONST and ex_node.value.denominator == 1:
+            p = int(ex_node.value)
+            return self.power(b, p) if p >= 0 else 1.0 / self.power(b, -p)
+        return self.power(b, ex)
+
+
 def evaluate(e: Expr, ctx: EvalContext):
-    """Evaluate at the context bindings.  Exact mode returns a Fraction."""
+    """Evaluate at the context bindings: a Fraction in exact mode, an mpf
+    in float mode."""
     return evaluate_scaled(e, ctx)[0]
 
 
@@ -706,179 +864,18 @@ def evaluate_scaled(e: Expr, ctx: EvalContext):
 
     The scale is what a sound vanishing test compares the final value
     against: a tiny result reached through huge intermediates carries fewer
-    trustworthy bits.
+    trustworthy bits.  Exact mode reports no scale (None).
     """
     missing = free_symbols(e) - set(ctx.bindings)
     if missing:
         raise MissingBindingError(
             f"no binding for {', '.join(sorted(missing))}")
     if ctx.mode == "exact":
-        return _eval_exact(e, ctx.bindings), None
-    if ctx.precision <= 53:
-        return _eval_double(e, ctx.bindings)
-    return _eval_mpf(e, ctx.bindings, ctx.precision)
-
-
-def _eval_exact(e: Expr, bindings) -> Fraction:
-    vals: dict[int, Fraction] = {}
-    for n in topo_order(e):
-        k = n.kind
-        if k == CONST:
-            v = n.value
-        elif k in (VAR, PARAM):
-            v = Fraction(bindings[n.name])
-        elif k == ADD:
-            v = sum((vals[c.uid] for c in n.children), Fraction(0))
-        elif k == MUL:
-            v = Fraction(1)
-            for c in n.children:
-                v *= vals[c.uid]
-        elif k == POW:
-            b = vals[n.children[0].uid]
-            ex = vals[n.children[1].uid]
-            if ex.denominator == 1:
-                if b == 0 and ex < 0:
-                    raise SingularSampleError("zero base with negative power")
-                v = b ** int(ex)
-            else:
-                if b < 0:
-                    raise DomainEvalError("negative base with fractional power")
-                if b == 0:
-                    v = Fraction(0)
-                else:
-                    root = _exact_root(b, ex.denominator)
-                    if root is None:
-                        raise ExactnessError(
-                            "irrational root; exact mode refused")
-                    v = root ** ex.numerator
-        elif k == EXP:
-            u = vals[n.children[0].uid]
-            if u != 0:
-                raise ExactnessError("exp of nonzero value; exact mode refused")
-            v = Fraction(1)
-        elif k == LOG:
-            u = vals[n.children[0].uid]
-            if u <= 0:
-                raise DomainEvalError("log of non-positive value")
-            if u != 1:
-                raise ExactnessError("log of value != 1; exact mode refused")
-            v = Fraction(0)
-        else:
-            raise SingularSampleError("undefined value (division by constant zero)")
-        vals[n.uid] = v
-    return vals[e.uid]
-
-
-def _eval_double(e: Expr, bindings):
-    vals: dict[int, float] = {}
-    scale = 1.0
-    for n in topo_order(e):
-        k = n.kind
-        try:
-            if k == CONST:
-                v = float(n.value)
-            elif k in (VAR, PARAM):
-                v = float(bindings[n.name])
-            elif k == ADD:
-                v = math.fsum(vals[c.uid] for c in n.children)
-            elif k == MUL:
-                v = 1.0
-                for c in n.children:
-                    v *= vals[c.uid]
-            elif k == POW:
-                b = vals[n.children[0].uid]
-                ex = vals[n.children[1].uid]
-                if ex == int(ex):
-                    if b == 0.0 and ex < 0:
-                        raise SingularSampleError("zero base with negative power")
-                    v = b ** int(ex)
-                elif b < 0:
-                    raise DomainEvalError("negative base with fractional power")
-                elif b == 0.0:
-                    if ex < 0:
-                        raise SingularSampleError("zero base with negative power")
-                    v = 0.0
-                else:
-                    v = b ** ex
-            elif k == EXP:
-                v = math.exp(vals[n.children[0].uid])
-            elif k == LOG:
-                u = vals[n.children[0].uid]
-                if u <= 0:
-                    raise DomainEvalError("log of non-positive value")
-                v = math.log(u)
-            else:
-                raise SingularSampleError(
-                    "undefined value (division by constant zero)")
-        except OverflowError:
-            raise DomainEvalError("overflow in double evaluation") from None
-        if not math.isfinite(v):
-            raise DomainEvalError("overflow in double evaluation")
-        a = abs(v)
-        if a > scale:
-            scale = a
-        vals[n.uid] = v
-    return vals[e.uid], scale
-
-
-def _eval_mpf(e: Expr, bindings, precision: int):
-    with mpmath.workprec(precision):
-        one = mpmath.mpf(1)
-        vals: dict[int, mpmath.mpf] = {}
-        scale = one
-
-        def to_mpf(q) -> mpmath.mpf:
-            if isinstance(q, Fraction):
-                return mpmath.mpf(q.numerator) / q.denominator
-            return mpmath.mpf(q)
-
-        for n in topo_order(e):
-            k = n.kind
-            if k == CONST:
-                v = to_mpf(n.value)
-            elif k in (VAR, PARAM):
-                v = to_mpf(bindings[n.name])
-            elif k == ADD:
-                v = mpmath.mpf(0)
-                for c in n.children:
-                    v += vals[c.uid]
-            elif k == MUL:
-                v = one
-                for c in n.children:
-                    v *= vals[c.uid]
-            elif k == POW:
-                b = vals[n.children[0].uid]
-                ex_node = n.children[1]
-                if ex_node.kind == CONST and ex_node.value.denominator == 1:
-                    if b == 0 and ex_node.value < 0:
-                        raise SingularSampleError("zero base with negative power")
-                    v = b ** int(ex_node.value)
-                else:
-                    ex = vals[ex_node.uid]
-                    if b < 0:
-                        raise DomainEvalError("negative base with fractional power")
-                    if b == 0:
-                        if ex <= 0:
-                            raise SingularSampleError("zero base with non-positive power")
-                        v = mpmath.mpf(0)
-                    else:
-                        v = mpmath.power(b, ex)
-            elif k == EXP:
-                v = mpmath.exp(vals[n.children[0].uid])
-            elif k == LOG:
-                u = vals[n.children[0].uid]
-                if u <= 0:
-                    raise DomainEvalError("log of non-positive value")
-                v = mpmath.log(u)
-            else:
-                raise SingularSampleError("undefined value (division by constant zero)")
-            if mpmath.isinf(v) or mpmath.isnan(v):
-                raise DomainEvalError("non-finite value in evaluation")
-            a = abs(v)
-            if a > scale:
-                scale = a
-            vals[n.uid] = v
-        return vals[e.uid], scale
+        return _walk(topo_order(e), _EXACT, ctx.bindings), None
+    with mpmath.workprec(ctx.precision):
+        arith = _MpfArithmetic()
+        leaves = {k: arith.num(v) for k, v in ctx.bindings.items()}
+        return _walk(topo_order(e), arith, leaves), arith.scale
 
 
 def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Callable:
@@ -896,42 +893,13 @@ def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Call
     order = topo_order(e)
     if any(n.kind == UNDEF for n in order):
         raise SingularSampleError("undefined value (division by constant zero)")
+    arith = _GridArithmetic(np)
 
     def fn(xg, yg):
         xg = np.asarray(xg, dtype=float)
         yg = np.asarray(yg, dtype=float)
-        vals: dict[int, object] = {}
         with np.errstate(all="ignore"):
-            for n in order:
-                k = n.kind
-                if k == CONST:
-                    v = float(n.value)
-                elif k == VAR:
-                    v = xg if n.name == "x" else yg
-                elif k == PARAM:
-                    v = params[n.name]
-                elif k == ADD:
-                    v = vals[n.children[0].uid]
-                    for c in n.children[1:]:
-                        v = v + vals[c.uid]
-                elif k == MUL:
-                    v = vals[n.children[0].uid]
-                    for c in n.children[1:]:
-                        v = v * vals[c.uid]
-                elif k == POW:
-                    b = vals[n.children[0].uid]
-                    ex_node = n.children[1]
-                    if ex_node.kind == CONST and ex_node.value.denominator == 1:
-                        p = int(ex_node.value)
-                        v = np.power(b, p) if p >= 0 else 1.0 / np.power(b, -p)
-                    else:
-                        v = np.power(b, vals[ex_node.uid])
-                elif k == EXP:
-                    v = np.exp(vals[n.children[0].uid])
-                else:  # LOG
-                    v = np.log(vals[n.children[0].uid])
-                vals[n.uid] = v
-        out = vals[e.uid]
+            out = _walk(order, arith, {**params, "x": xg, "y": yg})
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(xg.shape, yg.shape)).copy()
 

@@ -12,25 +12,23 @@ from __future__ import annotations
 import decimal
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import mpmath
 
 from . import expr as ex
-from .expr import (Expr, EvalContext, EvalError, add, div, mul, neg, pow_,
-                   sub, evaluate, evaluate_scaled, is_exactly_evaluable,
-                   dag_size)
+from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, add, div,
+                   mul, neg, pow_, sub, evaluate, evaluate_scaled,
+                   is_exactly_evaluable, dag_size)
 from .calculus import (WebSpec, WebFrame, SamplePoint,
-                       DomainTooSingularError, mu as web_mu, basic_invariant,
-                       random_rational, sample_points, _point_is_valid)
+                       DomainTooSingularError, mu as web_mu, random_rational,
+                       sample_points)
 
 __all__ = [
-    "ZeroTestPolicy", "Evidence", "InvariantReport", "ConstructionOrders",
+    "ZeroTestPolicy", "Evidence", "InvariantReport",
     "DegenerateDirectionError", "zero_test", "I1_of_mu", "I2_of_mu", "I_fp",
     "J_alpha", "build_compatibility_pair", "check_dweb",
-    "MAX_F_ORDER", "MAX_BASIC_ORDER",
 ]
 
 ZERO = "ZERO"
@@ -39,11 +37,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 YES = "YES"
 NO = "NO"
-
-# construction-depth bounds: at most 4 derivative levels on the web function,
-# at most 3 on the basic invariant
-MAX_F_ORDER = 4
-MAX_BASIC_ORDER = 3
 
 
 class DegenerateDirectionError(ex.ExprError):
@@ -79,39 +72,6 @@ class Evidence:
         }
 
 
-@dataclass(frozen=True)
-class ConstructionOrders:
-    """Derivative depth spent while building an expression.
-
-    `f_order` counts derivative levels applied to the web function f
-    (every frame operator adds one); `basic_order` counts levels applied on
-    top of the basic invariant, None when the expression does not involve it.
-    """
-    f_order: int
-    basic_order: int | None
-
-    def bumped(self) -> "ConstructionOrders":
-        return ConstructionOrders(
-            self.f_order + 1,
-            None if self.basic_order is None else self.basic_order + 1)
-
-    @staticmethod
-    def combine(*orders: "ConstructionOrders") -> "ConstructionOrders":
-        f = max(o.f_order for o in orders)
-        basics = [o.basic_order for o in orders if o.basic_order is not None]
-        return ConstructionOrders(f, max(basics) if basics else None)
-
-    def assert_bounds(self, name: str) -> None:
-        if self.f_order > MAX_F_ORDER:
-            raise ex.ExprError(
-                f"{name}: construction used derivative depth {self.f_order}"
-                f" > {MAX_F_ORDER} in the web function")
-        if self.basic_order is not None and self.basic_order > MAX_BASIC_ORDER:
-            raise ex.ExprError(
-                f"{name}: construction used derivative depth "
-                f"{self.basic_order} > {MAX_BASIC_ORDER} in the basic invariant")
-
-
 @dataclass
 class InvariantReport:
     name: str
@@ -122,7 +82,6 @@ class InvariantReport:
     elapsed: float
     mode: str
     reason: str | None = None
-    orders: ConstructionOrders | None = None
 
     def to_json(self) -> dict:
         return {
@@ -172,21 +131,10 @@ def I2_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
 
 
 def build_compatibility_pair(web: WebSpec, alpha: int = 4
-                             ) -> tuple[Expr, Expr, ConstructionOrders]:
-    """I1, I2 for the 4-subweb (x, y, f, g_alpha), with the derivative
-    depth recorded during construction."""
-    a_orders = ConstructionOrders(1, 0)
-    h_orders = ConstructionOrders(2, None)
-    k_orders = h_orders.bumped()
-    mu_orders = ConstructionOrders.combine(a_orders, a_orders.bumped())
-    dmu_orders = mu_orders.bumped()
-    ddmu_orders = dmu_orders.bumped()
-    total = ConstructionOrders.combine(
-        ddmu_orders, dmu_orders, mu_orders, h_orders, h_orders.bumped(),
-        k_orders, k_orders.bumped())
-    total.assert_bounds(f"I1/I2 (alpha={alpha})")
+                             ) -> tuple[Expr, Expr]:
+    """I1, I2 for the 4-subweb (x, y, f, g_alpha)."""
     m = web_mu(web, alpha)
-    return I1_of_mu(m, web), I2_of_mu(m, web), total
+    return I1_of_mu(m, web), I2_of_mu(m, web)
 
 
 def I_fp(web: WebSpec, p: Expr) -> Expr:
@@ -238,8 +186,6 @@ def _fmt_residual(v) -> str:
         # bounded length: 25 significant digits, marked as approximate
         return "~" + str(decimal.Context(prec=25).divide(v.numerator,
                                                         v.denominator))
-    if isinstance(v, float):
-        return repr(v)
     return mpmath.nstr(v, 25)
 
 
@@ -252,7 +198,9 @@ def zero_test(e: Expr, web: WebSpec,
     Returns (verdict, evidence, mode, reason).  Exact arithmetic when the
     expression is free of radicals/transcendentals, else high-precision
     floats; in float mode a NONZERO verdict needs confirmation at two
-    independent points.  Sampling failures yield INCONCLUSIVE, never a guess.
+    independent points.  Sampling failures, and exact values outgrowing
+    EXACT_BITS, yield INCONCLUSIVE, never a guess (a float fallback could
+    call a tiny but nonzero exact value zero).
     """
     policy = policy or ZeroTestPolicy()
     rng = rng if rng is not None else random.Random(web.seed)
@@ -287,12 +235,15 @@ def zero_test(e: Expr, web: WebSpec,
                             e, EvalContext(pt.bindings(), mode="float",
                                            precision=policy.precision))
                         evidence.append(Evidence(pt, _fmt_residual(v), "float"))
-                        if abs(v) < policy.threshold_scale * max(1.0, float(scale)):
+                        # in mpf: a scale past the double range stays finite
+                        if abs(v) < policy.threshold_scale * max(1, scale):
                             passes += 1
                         else:
                             hits += 1
                             if hits >= policy.nonzero_confirmations:
                                 return NONZERO, evidence, mode, None
+                except ExactBudgetError:
+                    raise  # not a singular sample: INCONCLUSIVE below
                 except EvalError:
                     failures += 1
                     if failures > failure_cap:
@@ -302,7 +253,7 @@ def zero_test(e: Expr, web: WebSpec,
                 return (INCONCLUSIVE, evidence, mode,
                         "sampling budget exhausted with an unconfirmed outlier"
                         if hits else "could not complete the sample schedule")
-    except DomainTooSingularError as err:
+    except (DomainTooSingularError, ExactBudgetError) as err:
         return INCONCLUSIVE, evidence, mode, str(err)
     if hits:
         return (INCONCLUSIVE, evidence, mode,
@@ -310,14 +261,14 @@ def zero_test(e: Expr, web: WebSpec,
     return ZERO, evidence, mode, None
 
 
-def _report(name: str, e: Expr, web: WebSpec, policy: ZeroTestPolicy,
-            orders: ConstructionOrders | None = None) -> InvariantReport:
+def _report(name: str, e: Expr, web: WebSpec,
+            policy: ZeroTestPolicy) -> InvariantReport:
     t0 = time.perf_counter()
     verdict, evidence, mode, reason = zero_test(e, web, policy)
     return InvariantReport(
         name=name, expr=e, dag_size=dag_size(e), verdict=verdict,
         evidence=evidence, elapsed=time.perf_counter() - t0, mode=mode,
-        reason=reason, orders=orders)
+        reason=reason)
 
 
 def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
@@ -328,13 +279,10 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
     second-order J invariants of the extra foliations join the list.
     """
     policy = policy or ZeroTestPolicy()
-    I1, I2, orders = build_compatibility_pair(web, 4)
-    reports = [_report("I1", I1, web, policy, orders),
-               _report("I2", I2, web, policy, orders)]
+    I1, I2 = build_compatibility_pair(web, 4)
+    reports = [_report("I1", I1, web, policy), _report("I2", I2, web, policy)]
     for alpha in range(5, web.d + 1):
-        j = J_alpha(web, alpha)
-        reports.append(_report(f"J{alpha}", j, web, policy,
-                               ConstructionOrders(2, None)))
+        reports.append(_report(f"J{alpha}", J_alpha(web, alpha), web, policy))
     verdicts = {r.verdict for r in reports}
     if verdicts == {ZERO}:
         return YES, reports

@@ -15,8 +15,9 @@ Criteria:
   7. flat coordinates straighten every foliation of examples two-pencils
      and parabola-tangents to 1e-5, and fail visibly on the forced
      negative control;
-  8. invariant construction never differentiates deeper than order 4 in the
-     web function and order 3 in the basic invariant.
+  8. I1 and I2 depend on exactly the 4-jets of f and g, J5 on exactly the
+     2-jets of f, g4 and g5: a degree-4 (degree-2) monomial perturbation at
+     a point changes them there, a degree-5 (degree-3) one does not.
 """
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ from weblin.calculus import (WebSpec, WebFrame, web_K, basic_invariant,
                              sample_points)
 from weblin.covariant import (WeightedScalar, delta, commutator_residual,
                               K1_closed_residual, K2_closed_residual)
-from weblin.invariants import (zero_test, build_compatibility_pair,
-                               MAX_F_ORDER, MAX_BASIC_ORDER)
+from weblin.invariants import zero_test, build_compatibility_pair, J_alpha
 from weblin import linearizer as lin
 from weblin import corpus
 
@@ -186,12 +186,14 @@ def test_criterion_7_end_to_end_linearization():
         assert max(rep.values()) > NEGATIVE_CONTROL_BOUND, rep
 
 
-def test_criterion_8_construction_order_bounds():
-    with criterion(8, "invariant construction depth <= 4 in the web "
-                      "function and <= 3 in the basic invariant"):
-        for case in corpus.CASES:
-            web = corpus.web_for(case)
-            _, _, orders = build_compatibility_pair(web)
-            assert orders.f_order <= MAX_F_ORDER
-            assert orders.basic_order <= MAX_BASIC_ORDER
-            orders.assert_bounds(case.name)
+def test_criterion_8_invariant_jet_order(jet_changes):
+    with criterion(8, "I1/I2 of two-pencils see every 4th-order and no "
+                      "5th-order monomial of f and g; J5 of linear-five-web "
+                      "every 2nd-order and no 3rd-order one of f, g4, g5"):
+        web = corpus.web_for(corpus.case_by_name("two-pencils"))
+        assert all(map(all, jet_changes(web, build_compatibility_pair, 4)))
+        assert not any(map(any, jet_changes(web, build_compatibility_pair, 5)))
+        web = corpus.web_for(corpus.LINEAR_FIVE_WEB)
+        j5 = lambda w: [J_alpha(w, 5)]  # noqa: E731
+        assert all(map(all, jet_changes(web, j5, 2)))
+        assert not any(map(any, jet_changes(web, j5, 3)))

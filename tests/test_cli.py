@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -47,14 +48,28 @@ class TestExitCodes:
         assert "nested too deeply" in err
 
     def test_huge_exact_residual(self, capsys):
-        # exact residuals here run to thousands of digits
+        # exact residuals here run to thousands of digits, within the
+        # exact-arithmetic budget: still an exact NO
+        for n in (1000, 3000):
+            code, out, _ = run(capsys, "check", "--f", "x/y",
+                               "--g", f"x^{n}+y", "--json")
+            assert code == EXIT_NO
+            doc = json.loads(out)
+            for inv in doc["invariants"]:
+                for e in inv["evidence"]:
+                    assert e["mode"] == "exact"
+                    assert len(e["residual"]) < 100
+
+    @pytest.mark.parametrize("n", [10000, 100000])
+    def test_exact_budget_exceeded(self, capsys, n):
+        # no float fallback: a float residual can read tiny where the
+        # exact value is nonzero, so the honest answer is INCONCLUSIVE
+        t0 = time.perf_counter()
         code, out, _ = run(capsys, "check", "--f", "x/y",
-                           "--g", "x^1000+y", "--json")
-        assert code in (EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_USAGE)
-        doc = json.loads(out)
-        for inv in doc["invariants"]:
-            for e in inv["evidence"]:
-                assert len(e["residual"]) < 100
+                           "--g", f"x^{n}+y")
+        assert time.perf_counter() - t0 < 30
+        assert code == EXIT_INCONCLUSIVE
+        assert out.count("reason: exact evaluation exceeded 262144 bits") == 2
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "check", "--nope")

@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, assume, strategies as st
 
@@ -12,9 +13,10 @@ from weblin import expr as E
 from weblin.expr import (X, Y, add, const, div, mul, neg, parse, pow_, sqrt,
                          sub, exp_, log_, param, derive, evaluate,
                          evaluate_scaled, format_expr, simplify, substitute,
-                         dag_size, EvalContext, ParseError, EvalError,
-                         MissingBindingError, SingularSampleError,
-                         DomainEvalError, ExactnessError)
+                         dag_size, grid_function, EvalContext, ParseError,
+                         EvalError, MissingBindingError, SingularSampleError,
+                         DomainEvalError, ExactnessError, ExactBudgetError,
+                         EXACT_BITS)
 
 F = Fraction
 
@@ -214,6 +216,66 @@ class TestEvaluation:
                                       precision=53))
         assert out == 0.125
 
+    def test_precision_means_mantissa_bits(self):
+        third = {p: evaluate(const(F(1, 3)), EvalContext({}, mode="float",
+                                                         precision=p))
+                 for p in (24, 40, 53)}
+        assert third[40] != third[53] and third[24] != third[40]
+        for p, v in third.items():
+            with mpmath.workprec(p):
+                assert v == mpmath.mpf(1) / 3
+            assert v.man.bit_length() <= p
+
+    def test_exact_budget(self):
+        e = parse("x^100 + y")
+        assert evaluate(e, ctx(F(9999, 10000), 1)) == F(9999, 10000) ** 100 + 1
+        with pytest.raises(ExactBudgetError, match=f"{EXACT_BITS} bits"):
+            evaluate(parse("x^100000 + y"), ctx(F(9999, 10000), 1))
+        # refused before the power is formed
+        with pytest.raises(ExactBudgetError):
+            evaluate(parse("x^1000000000"), ctx(3, 1))
+        # products of in-budget values are caught one node later
+        big = parse("x^20000 * y^20000")
+        with pytest.raises(ExactBudgetError):
+            evaluate(big, ctx(F(9999, 10000), F(9998, 9999)))
+        assert issubclass(ExactBudgetError, ExactnessError)
+        # float mode has no such cap
+        v = evaluate(parse("x^100000"), ctx(F(9999, 10000), 1, mode="float"))
+        assert 0 < v < 1
+
+
+# one rule set for the two scalar arithmetics: (expression, bindings,
+# value or exception), checked in exact, 256-bit and 40-bit arithmetic
+DOMAIN_RULES = [
+    ("y^(-1/2)", {"y": 0}, SingularSampleError),
+    ("x^n", {"x": -2, "n": 2}, 4),
+    ("x^n", {"x": 0, "n": 0}, 1),
+    ("x^n", {"x": 0, "n": -1}, SingularSampleError),
+    ("x^n", {"x": 0, "n": F(1, 2)}, 0),
+    ("x^n", {"x": -2, "n": F(1, 2)}, DomainEvalError),
+    ("x^n", {"x": F(4, 9), "n": F(-1, 2)}, F(3, 2)),
+    ("1/x", {"x": 0}, SingularSampleError),
+    ("sqrt(x)", {"x": -1}, DomainEvalError),
+    ("log(x)", {"x": 0}, DomainEvalError),
+    ("log(x)", {"x": 1}, 0),
+    ("exp(x)", {"x": 0}, 1),
+]
+ARITHMETICS = {"exact": {"mode": "exact"},
+               "mpf256": {"mode": "float", "precision": 256},
+               "mpf40": {"mode": "float", "precision": 40}}
+
+
+@pytest.mark.parametrize("arith", list(ARITHMETICS))
+@pytest.mark.parametrize("text, bindings, want", DOMAIN_RULES)
+def test_domain_rules(text, bindings, want, arith):
+    c = EvalContext({k: F(v) for k, v in bindings.items()},
+                    **ARITHMETICS[arith])
+    if isinstance(want, type):
+        with pytest.raises(want):
+            evaluate(parse(text), c)
+    else:
+        assert evaluate(parse(text), c) == want
+
 
 class TestFormatting:
     def test_simple_quotient(self):
@@ -341,6 +403,33 @@ class TestProperties:
                 assume(False)
             assert abs(got - want) <= mpmath.mpf(2) ** -80 * max(
                 1, abs(want), abs(got))
+
+
+class TestOneEvaluator:
+    @given(_expr_strategy())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_mpf_and_grid_agree(self, e):
+        # wherever exact evaluation is defined, 256-bit mpf agrees to its
+        # precision and the compiled double grid to a double's, both
+        # relative to the scale of the intermediates
+        checked = 0
+        for pt in POINTS:
+            try:
+                exact = evaluate(e, EvalContext(pt))
+            except EvalError:
+                continue
+            v, scale = evaluate_scaled(e, EvalContext(pt, mode="float"))
+            with mpmath.workprec(256):
+                err = abs(v - mpmath.mpf(exact.numerator) / exact.denominator)
+            assert err <= 2.0 ** -200 * scale
+            fn = grid_function(e, {"n": pt["n"]})
+            got = fn(float(pt["x"]), float(pt["y"]))
+            assert got.shape == ()
+            assert abs(float(got) - exact) <= 2.0 ** -30 * scale
+            arr = fn(np.array([float(pt["x"])] * 2), float(pt["y"]))
+            assert arr.shape == (2,) and (arr == float(got)).all()
+            checked += 1
+        assume(checked > 0)
 
 
 def _hp_value(e, pt, xval):

@@ -13,9 +13,7 @@ from weblin.calculus import (Rect, WebSpec, WebFrame, sample_points, mu,
                              basic_invariant, random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
                                I_fp, J_alpha, build_compatibility_pair,
-                               check_dweb, ConstructionOrders,
-                               DegenerateDirectionError, MAX_F_ORDER,
-                               MAX_BASIC_ORDER)
+                               check_dweb, DegenerateDirectionError)
 from weblin import corpus
 
 F = Fraction
@@ -96,7 +94,7 @@ class TestDerivationOracle:
         webs = [WEB5, _web("x/y", "x + y^2")]
         for web in webs:
             E1, E2 = _derived_compatibility(web)
-            I1, I2, _ = build_compatibility_pair(web)
+            I1, I2 = build_compatibility_pair(web)
             resid1 = add(mul(3, E1), I1)
             resid2 = add(mul(3, E2), I2)
             rng = random.Random(11)
@@ -170,7 +168,7 @@ class TestZeroTest:
     def test_example_three_float_zero(self):
         web = _web("x + sqrt(x^2 - y)", "x + y",
                    domain=Rect(F(5, 4), F(7, 4), F(1, 8), F(3, 8)))
-        I1, I2, _ = build_compatibility_pair(web)
+        I1, I2 = build_compatibility_pair(web)
         verdict, evidence, mode, _ = zero_test(I1, web)
         assert verdict == "ZERO" and mode == "float"
 
@@ -201,6 +199,22 @@ class TestZeroTest:
         verdict, evidence, mode, reason = zero_test(sub(X, X), web)
         assert verdict == "INCONCLUSIVE"
         assert reason and "singular" in reason
+
+    def test_scale_beyond_double_range(self):
+        # exp(3000 x) is about 10^326..10^977 here; its scale once
+        # overflowed to inf as a double and made every residual vanish
+        verdict, evidence, mode, _ = zero_test(parse("exp(3000*x)"), WEB1)
+        assert verdict == "NONZERO" and mode == "float"
+
+    def test_exact_budget_is_inconclusive(self):
+        web = _web("x/y", "x^100000 + y")
+        I1, _ = build_compatibility_pair(web)
+        verdict, _, mode, reason = zero_test(I1, web)
+        assert (verdict, mode) == ("INCONCLUSIVE", "exact")
+        assert reason == "exact evaluation exceeded 262144 bits"
+        # the budget also stops sampling; evaluation never falls back
+        verdict, _, _, reason = zero_test(sub(X, X), web)
+        assert verdict == "INCONCLUSIVE" and "262144 bits" in reason
 
     def test_inconclusive_propagates_to_verdict(self):
         verdict, reports = check_dweb(_web("x/y", "x"))
@@ -239,21 +253,19 @@ class TestCheckers:
             json.dumps([r.to_json() for r in r2])
 
 
-class TestOrderBounds:
-    def test_construction_depth_recorded(self):
-        for case in corpus.CASES:
-            web = corpus.web_for(case)
-            _, _, orders = build_compatibility_pair(web)
-            assert orders.f_order == MAX_F_ORDER == 4
-            assert orders.basic_order == MAX_BASIC_ORDER == 3
+class TestJetOrder:
+    """The invariants depend on exactly the jets the paper names."""
 
-    def test_bounds_enforced(self):
-        too_deep = ConstructionOrders(5, 3)
-        with pytest.raises(Exception, match="depth 5"):
-            too_deep.assert_bounds("test")
-        too_basic = ConstructionOrders(4, 4)
-        with pytest.raises(Exception, match="basic invariant"):
-            too_basic.assert_bounds("test")
+    def test_compatibility_pair_is_fourth_order(self, jet_changes):
+        web = _web("x/y", "x + y^2")
+        assert all(map(all, jet_changes(web, build_compatibility_pair, 4)))
+        assert not any(map(any, jet_changes(web, build_compatibility_pair, 5)))
+
+    def test_J_alpha_is_second_order(self, jet_changes):
+        web = corpus.web_for(corpus.case_by_name("bol-five-web"))
+        j5 = lambda w: [J_alpha(w, 5)]  # noqa: E731
+        assert all(map(all, jet_changes(web, j5, 2)))
+        assert not any(map(any, jet_changes(web, j5, 3)))
 
 
 class TestReportJson:
