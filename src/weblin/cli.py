@@ -89,6 +89,13 @@ def _fraction(text: str, what: str) -> Fraction:
         raise UsageError(f"bad {what} value {text!r}: {err}") from None
 
 
+def _floats(texts: tuple[str, ...], what: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(_fraction(t, what)) for t in texts)
+    except OverflowError:
+        raise UsageError(f"{what} value beyond double range") from None
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     cfg.json_output = getattr(args, "json", False)
@@ -202,12 +209,8 @@ def cmd_linearize(cfg: RunConfig) -> int:
         grid = lin.GridSpec(rect=web.domain, nx=cfg.grid, ny=cfg.grid)
     except lin.LinearizerError as err:
         raise UsageError(str(err)) from None
-    base = None
-    if cfg.base:
-        base = (float(_fraction(cfg.base[0], "--base")),
-                float(_fraction(cfg.base[1], "--base")))
-    lam0 = (float(_fraction(cfg.lambda0[0], "--lambda0")),
-            float(_fraction(cfg.lambda0[1], "--lambda0")))
+    base = _floats(cfg.base, "--base") if cfg.base else None
+    lam0 = _floats(cfg.lambda0, "--lambda0")
     try:
         result = lin.flat_coordinates(web, grid, base=base, lam0=lam0,
                                       params=params, force=cfg.force,

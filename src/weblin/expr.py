@@ -60,6 +60,12 @@ _MASK_TRANSCENDENTAL = 8  # exp/log node, or pow with non-integer exponent
 # exact evaluation refuses a numerator or denominator longer than this
 EXACT_BITS = 2 ** 18
 
+# str() of an int longer than 4300 digits (Python's default limit) fails;
+# every int below 2**_STR_BITS is shorter than that.  A DAG constant must
+# stay below it, so every constant prints.
+_STR_DIGITS = 4300
+_STR_BITS = 14284
+
 
 class ExprError(ValueError):
     pass
@@ -150,10 +156,6 @@ class Expr:
     def is_zero(self) -> bool:
         return self.kind == CONST and self.value == 0
 
-    @property
-    def is_one(self) -> bool:
-        return self.kind == CONST and self.value == 1
-
 
 _lock = threading.RLock()
 _table: dict[tuple, Expr] = {}
@@ -201,9 +203,24 @@ def const(v) -> Expr:
     if isinstance(v, float):
         raise TypeError("float constants are not allowed in the DAG; "
                         "pass int, Fraction or a string")
-    if isinstance(v, str):
+    if not isinstance(v, Fraction):
         v = Fraction(v)
-    return _intern(CONST, value=Fraction(v))
+    if (v.numerator.bit_length() > _STR_BITS
+            or v.denominator.bit_length() > _STR_BITS):
+        raise ExprError(f"constant exceeds {_STR_BITS} bits")
+    return _intern(CONST, value=v)
+
+
+def _pow_bits(b: Fraction, n: int) -> int:
+    """A lower bound on the bit length of b^n's numerator or denominator:
+    |b^n| has at least |n| * (bits - 1) bits."""
+    return abs(n) * (max(abs(b.numerator), b.denominator).bit_length() - 1)
+
+
+def _const_pow(c: Fraction, n: int) -> Expr:
+    if _pow_bits(c, n) > _STR_BITS:
+        raise ExprError(f"constant exceeds {_STR_BITS} bits")
+    return const(c ** n)
 
 
 def var(name: str) -> Expr:
@@ -441,14 +458,14 @@ def pow_(base, exponent) -> Expr:
             if r.denominator == 1:
                 if c == 0 and r < 0:
                     return _UNDEF
-                return const(c ** int(r))
+                return _const_pow(c, int(r))
             if c == 0:
                 return _ZERO if r > 0 else _UNDEF
             if c < 0:
                 return _UNDEF  # real-valued: negative base, fractional power
             root = _exact_root(c, r.denominator)
             if root is not None:
-                return const(root ** r.numerator)
+                return _const_pow(root, r.numerator)
             return _intern(POW, (base, exponent))
         if base.kind == EXP:
             return exp_(mul(exponent, base.children[0]))
@@ -776,9 +793,7 @@ class _ExactArithmetic(_RealArithmetic):
             raise ExactBudgetError()
 
     def int_pow(self, b: Fraction, n: int) -> Fraction:
-        # |b^n| has at least |n| * (bits - 1) bits: refuse before computing it
-        bits = max(abs(b.numerator), b.denominator).bit_length()
-        if abs(n) * (bits - 1) > EXACT_BITS:
+        if _pow_bits(b, n) > EXACT_BITS:  # refuse before computing it
             raise ExactBudgetError()
         return b ** n
 
@@ -841,10 +856,18 @@ class _GridArithmetic:
     """
 
     check = None
-    num = staticmethod(float)
 
     def __init__(self, np):
         self.power, self.exp, self.log = np.power, np.exp, np.log
+
+    @staticmethod
+    def num(q: Fraction) -> float:
+        # a constant beyond double range is an infinite entry, as any other
+        # overflow on the grid is
+        try:
+            return float(q)
+        except OverflowError:
+            return math.inf if q > 0 else -math.inf
 
     def pow(self, b, ex, ex_node):
         if ex_node.kind == CONST and ex_node.value.denominator == 1:
@@ -886,14 +909,14 @@ def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Call
     """
     import numpy as np
 
-    params = {k: float(v) for k, v in (params or {}).items()}
+    arith = _GridArithmetic(np)
+    params = {k: arith.num(v) for k, v in (params or {}).items()}
     missing = free_symbols(e) - {"x", "y"} - set(params)
     if missing:
         raise MissingBindingError(f"no binding for {', '.join(sorted(missing))}")
     order = topo_order(e)
     if any(n.kind == UNDEF for n in order):
         raise SingularSampleError("undefined value (division by constant zero)")
-    arith = _GridArithmetic(np)
 
     def fn(xg, yg):
         xg = np.asarray(xg, dtype=float)
@@ -1021,6 +1044,8 @@ class _Parser:
     def atom(self) -> Expr:
         t = self.next()
         if t.kind == "number":
+            if len(t.text) > _STR_DIGITS:  # int() of more digits fails
+                raise ParseError("number too long", t.pos)
             return const(Fraction(t.text))
         if t.kind == "ident":
             name = t.text

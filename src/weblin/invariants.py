@@ -172,16 +172,11 @@ def J_alpha(web: WebSpec, alpha: int) -> Expr:
 # vanishing test
 
 
-# str() of an int longer than 4300 digits (Python's default limit) fails;
-# every int below 2**_STR_BITS is shorter than that
-_STR_DIGITS = 4300
-_STR_BITS = 14284
-
-
 def _fmt_residual(v) -> str:
     if isinstance(v, Fraction):
+        # str() fails past ex._STR_DIGITS digits
         size = max(abs(v.numerator), v.denominator)
-        if size.bit_length() <= _STR_BITS or size < 10 ** _STR_DIGITS:
+        if size.bit_length() <= ex._STR_BITS or size < 10 ** ex._STR_DIGITS:
             return str(v)
         # bounded length: 25 significant digits, marked as approximate
         return "~" + str(decimal.Context(prec=25).divide(v.numerator,

@@ -10,8 +10,11 @@ The pipeline evaluates the coefficients once, integrates the whole system
 with classical 4th-order steps along grid lines in the x-first and then the
 y-first order, verifies flatness (finite-difference curvature of the
 x-first lambda), path independence (the two orders), and a nondegenerate,
-closed coframe, and returns (u, v).  `straightness_report` then traces the
-leaves of every foliation once and measures how straight they become under
+closed coframe, and returns (u, v).  A sweep integrates its base line, then
+every line of the other axis in one batch, the state held as arrays over
+the lines.  `straightness_report` then traces the leaves of every foliation
+once (their points lie on grid lines, where (u, v) is interpolated by cubic
+Hermite along the line) and measures how straight they become under
 (x, y) -> (u, v); `render_svg` draws those same leaves.
 
 Coefficients are always evaluated from their symbolic expressions on a
@@ -73,6 +76,12 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 5 or self.ny < 5:
             raise LinearizerError("grid needs at least 5x5 nodes")
+        try:
+            xlo, xhi, ylo, yhi = self.rect.as_floats()
+        except OverflowError:
+            xlo = xhi = ylo = yhi = 0.0
+        if not (0 < xhi - xlo < math.inf and 0 < yhi - ylo < math.inf):
+            raise LinearizerError("rectangle extent is not a positive double")
 
     @property
     def xs(self) -> np.ndarray:
@@ -118,6 +127,33 @@ class ScalarField:
         if self.values.shape != (self.grid.nx, self.grid.ny):
             raise LinearizerError("field shape does not match grid")
 
+    def on_grid_lines(self, points: np.ndarray) -> np.ndarray:
+        """Values at points on grid lines (x equal to some xs[i] or y to
+        some ys[j], bit for bit) by cubic Hermite interpolation along the
+        line, with slopes from 4th-order finite differences of the nodes."""
+        g = self.grid
+        on_col = np.isin(points[:, 0], g.xs)
+        on_row = ~on_col & np.isin(points[:, 1], g.ys)
+        if not np.all(on_col | on_row):
+            raise LinearizerError("point on no grid line; cannot interpolate")
+        out = np.empty(len(points))
+        # a column is interpolated in y (axis 1), a row in x (axis 0)
+        for sel, axis, nodes, across, h in ((on_col, 1, g.ys, g.xs, g.hy),
+                                            (on_row, 0, g.xs, g.ys, g.hx)):
+            vals = np.moveaxis(self.values, axis, 1)
+            slopes = np.moveaxis(_diff4(self.values, h, axis), axis, 1)
+            t, fixed = points[sel, axis], points[sel, 1 - axis]
+            line = np.searchsorted(across, fixed)
+            k = np.clip(np.searchsorted(nodes, t, side="right") - 1,
+                        0, len(nodes) - 2)
+            dt = nodes[k + 1] - nodes[k]
+            s = (t - nodes[k]) / dt
+            out[sel] = ((1 + 2 * s) * (1 - s) ** 2 * vals[line, k]
+                        + s * (1 - s) ** 2 * dt * slopes[line, k]
+                        + s * s * (3 - 2 * s) * vals[line, k + 1]
+                        + s * s * (s - 1) * dt * slopes[line, k + 1])
+        return out
+
 
 _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")
 
@@ -135,45 +171,37 @@ class CoefficientGrid:
                  substeps: int = DEFAULT_SUBSTEPS):
         if substeps < 1:
             raise LinearizerError("substeps must be >= 1")
-        self.web = web
         self.grid = grid
         self.substeps = substeps
         self.r = 2 * substeps
-        self.params = dict(params or {})
-        missing = set(web.params) - set(self.params)
+        missing = set(web.params) - set(params or {})
         if missing:
             raise LinearizerError(
                 f"no value for parameter(s) {', '.join(sorted(missing))}")
         fr = WebFrame.of(web.f)
         m = web_mu(web, 4)
-        exprs = {
-            "fx": fr.fx, "fy": fr.fy, "H": fr.H, "K": fr.K,
-            "mu": m, "mu1": fr.d1(m), "mu2": fr.d2(m),
-        }
+        exprs = (fr.fx, fr.fy, fr.H, fr.K, m, fr.d1(m), fr.d2(m))
         xlo, xhi, ylo, yhi = grid.rect.as_floats()
-        self.rx = np.linspace(xlo, xhi, (grid.nx - 1) * self.r + 1)
-        self.ry = np.linspace(ylo, yhi, (grid.ny - 1) * self.r + 1)
-        XX, YY = np.meshgrid(self.rx, self.ry, indexing="ij")
+        XX, YY = np.meshgrid(np.linspace(xlo, xhi, (grid.nx - 1) * self.r + 1),
+                             np.linspace(ylo, yhi, (grid.ny - 1) * self.r + 1),
+                             indexing="ij")
         self.arrays: dict[str, np.ndarray] = {}
-        for name, e in exprs.items():
-            vals = grid_function(e, self.params)(XX, YY)
+        for name, e in zip(_COEFF_NAMES, exprs):
+            vals = grid_function(e, params)(XX, YY)
             if not np.all(np.isfinite(vals)):
                 raise LinearizerError(
                     f"coefficient {name} is singular inside the grid; "
                     "choose a smaller or shifted rectangle")
             self.arrays[name] = vals
 
-    def at(self, ix: int, iy: int) -> tuple[float, ...]:
-        return tuple(self.arrays[n][ix, iy] for n in _COEFF_NAMES)
 
-
-def _rhs(coeffs: tuple[float, ...], s: Sequence[float],
-         along: str) -> list[float]:
+def _rhs(coeffs: tuple[np.ndarray, ...], s: Sequence[np.ndarray],
+         along: str) -> list[np.ndarray]:
     """Frame equations converted to x- or y-derivatives.
 
-    State: (l1, l2, p1, q1, p2, q2, u, v); two coframes theta = p w1 + q w2
-    = -p fx dx - q fy dy are transported, and the potentials integrate
-    du = theta1, dv = theta2.
+    State: (l1, l2, p1, q1, p2, q2, u, v), each an array over a batch of
+    lines; two coframes theta = p w1 + q w2 = -p fx dx - q fy dy are
+    transported, and the potentials integrate du = theta1, dv = theta2.
     """
     fx, fy, H, K, mu, mu1, mu2 = coeffs
     l1, l2, p1, q1, p2, q2 = s[:6]
@@ -204,16 +232,14 @@ def _rhs(coeffs: tuple[float, ...], s: Sequence[float],
             fac * q2]
 
 
-def _rk4_step(cg: CoefficientGrid, s: list[float], along: str,
-              ix: int, iy: int, h: float, sign: int) -> list[float]:
-    """One substep of size sign*h; (ix, iy) is the refined start index and
+def _rk4_step(arrays: Sequence[np.ndarray], s: list[np.ndarray], along: str,
+              t: int, fixed: slice, h: float, sign: int) -> list[np.ndarray]:
+    """One substep of size sign*h on a batch of parallel lines: `arrays`
+    holds the coefficients indexed [along, across], t is the refined start
+    index along the lines and `fixed` selects their refined indices across;
     the stage points sit at refined offsets 0, sign, 2*sign."""
-    def f(offset: int, state: Sequence[float]) -> list[float]:
-        if along == "x":
-            c = cg.at(ix + offset, iy)
-        else:
-            c = cg.at(ix, iy + offset)
-        return _rhs(c, state, along)
+    def f(offset: int, state: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return _rhs(tuple(a[t + offset, fixed] for a in arrays), state, along)
 
     hh = sign * h
     k1 = f(0, s)
@@ -222,71 +248,50 @@ def _rk4_step(cg: CoefficientGrid, s: list[float], along: str,
     k4 = f(2 * sign, [si + hh * ki for si, ki in zip(s, k3)])
     out = [si + hh / 6 * (a + 2 * b + 2 * c + d)
            for si, a, b, c, d in zip(s, k1, k2, k3, k4)]
-    for v in out[:2]:
-        if not math.isfinite(v) or abs(v) > LAMBDA_BLOWUP_BOUND:
-            raise LinearizerError("Frobenius integration diverged; shrink grid")
+    lam = np.stack(out[:2])
+    if not np.all(np.isfinite(lam)) or np.abs(lam).max() > LAMBDA_BLOWUP_BOUND:
+        raise LinearizerError("Frobenius integration diverged; shrink grid")
     return out
 
 
-def _march(cg: CoefficientGrid, s0: Sequence[float], along: str,
-           fixed_ref: int, start_node: int, stop_node: int,
-           h_node: float) -> dict[int, list[float]]:
-    """Integrate from start_node to stop_node (inclusive) along a grid line;
-    returns states at the main-grid nodes passed."""
-    m = cg.substeps
-    r = cg.r
-    sign = 1 if stop_node >= start_node else -1
-    h = h_node / m
-    states = {start_node: list(s0)}
-    s = list(s0)
-    node = start_node
-    while node != stop_node:
-        ref = node * r
-        for k in range(m):
-            off = sign * 2 * k
-            if along == "x":
-                s = _rk4_step(cg, s, "x", ref + off, fixed_ref, h, sign)
-            else:
-                s = _rk4_step(cg, s, "y", fixed_ref, ref + off, h, sign)
-        node += sign
-        states[node] = s
-    return states
+def _integrate_lines(cg: CoefficientGrid, s0: Sequence[np.ndarray],
+                     along: str, start: int, fixed: slice) -> np.ndarray:
+    """Integrate a batch of parallel grid lines from their node `start` to
+    both ends.  s0 holds the 8 state components at the start node, each an
+    array over the lines, and `fixed` selects the lines' refined indices
+    across them.  Returns the states as an (nodes along, lines, 8) array."""
+    g = cg.grid
+    n, h = (g.nx, g.hx) if along == "x" else (g.ny, g.hy)
+    arrays = [cg.arrays[name] if along == "x" else cg.arrays[name].T
+              for name in _COEFF_NAMES]
+    out = np.empty((n, len(s0[0]), len(s0)))
+    out[start] = np.stack(s0, axis=1)
+    for sign, stop in ((1, n - 1), (-1, 0)):
+        s = list(s0)
+        for node in range(start, stop, sign):
+            for k in range(cg.substeps):
+                s = _rk4_step(arrays, s, along, node * cg.r + 2 * sign * k,
+                              fixed, h / cg.substeps, sign)
+            out[node + sign] = np.stack(s, axis=1)
+    return out
 
 
 def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
                      s0: Sequence[float], first: str) -> np.ndarray:
-    """Integrate the Frobenius system over the whole grid from the base node.
-
-    The state is (l1, l2, p1, q1, p2, q2, u, v) as in `_rhs`; the lambda
-    equations do not involve the coframe.  The sweep goes along the base
-    line of axis `first` ("x" or "y"), then along the other axis from every
-    node of that line.  Returns the states as an (nx, ny, 8) array.
-    """
-    g = cg.grid
-    nx, ny = g.nx, g.ny
+    """Integrate the Frobenius system over the whole grid from the base node:
+    the base line of axis `first` ("x" or "y") as a batch of one, then every
+    line of the other axis at once, each from its node on the base line.
+    The state is (l1, l2, p1, q1, p2, q2, u, v) as in `_rhs`; returns the
+    states as an (nx, ny, 8) array."""
+    r = cg.r
     ib, jb = base_node
-    out = np.empty((nx, ny, len(s0)))
-    if first == "x":
-        line: dict[int, list[float]] = {}
-        line.update(_march(cg, s0, "x", jb * cg.r, ib, nx - 1, g.hx))
-        line.update(_march(cg, s0, "x", jb * cg.r, ib, 0, g.hx))
-        for i in range(nx):
-            col = {}
-            col.update(_march(cg, line[i], "y", i * cg.r, jb, ny - 1, g.hy))
-            col.update(_march(cg, line[i], "y", i * cg.r, jb, 0, g.hy))
-            for j in range(ny):
-                out[i, j] = col[j]
-    else:
-        line = {}
-        line.update(_march(cg, s0, "y", ib * cg.r, jb, ny - 1, g.hy))
-        line.update(_march(cg, s0, "y", ib * cg.r, jb, 0, g.hy))
-        for j in range(ny):
-            row = {}
-            row.update(_march(cg, line[j], "x", j * cg.r, ib, nx - 1, g.hx))
-            row.update(_march(cg, line[j], "x", j * cg.r, ib, 0, g.hx))
-            for i in range(nx):
-                out[i, j] = row[i]
-    return out
+    start, across = (ib, jb) if first == "x" else (jb, ib)
+    second = "y" if first == "x" else "x"
+    line = _integrate_lines(cg, [np.array([float(v)]) for v in s0], first,
+                            start, slice(across * r, across * r + 1))
+    states = _integrate_lines(cg, list(line[:, 0, :].T), second, across,
+                              slice(None, None, r))
+    return states.transpose(1, 0, 2) if first == "x" else states
 
 
 def _diff4(A: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -311,14 +316,8 @@ def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
     the interior); the symbolic coefficients are exact at the nodes.
     """
     g = cg.grid
-    r = cg.r
-    fx = cg.arrays["fx"][::r, ::r]
-    fy = cg.arrays["fy"][::r, ::r]
-    H = cg.arrays["H"][::r, ::r]
-    K = cg.arrays["K"][::r, ::r]
-    mu = cg.arrays["mu"][::r, ::r]
-    mu1 = cg.arrays["mu1"][::r, ::r]
-    mu2 = cg.arrays["mu2"][::r, ::r]
+    fx, fy, H, K, mu, mu1, mu2 = (cg.arrays[name][::cg.r, ::cg.r]
+                                  for name in _COEFF_NAMES)
 
     def d1(A):
         return -_diff4(A, g.hx, 0) / fx
@@ -397,9 +396,7 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
     cg = CoefficientGrid(web, g, params, substeps)
-    r = cg.r
-    fx = cg.arrays["fx"][::r, ::r]
-    fy = cg.arrays["fy"][::r, ::r]
+    fx, fy = (cg.arrays[name][::cg.r, ::cg.r] for name in ("fx", "fy"))
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
     s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
           0.0, 0.0]
@@ -450,28 +447,34 @@ def _tls_line_residual(points: np.ndarray) -> float:
     return res / extent if extent > 0 else 0.0
 
 
-def _bisect_root(fn: Callable[[float, float], float], fixed: float,
-                 lo: float, hi: float, target: float, along: str) -> float | None:
-    def val(t: float) -> float:
-        v = fn(t, fixed) if along == "x" else fn(fixed, t)
-        return float(v) - target
+def _first_crossings(fn: Callable, W: np.ndarray, level: float,
+                     across: np.ndarray, along_nodes: np.ndarray, along: str
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """First crossing of `level` on every line of W, bisected 80 times for
+    all lines at once.  W[k] samples fn on the line at across[k], at
+    along_nodes in direction `along`; a line whose bracket fails (non-finite
+    or same-signed ends, non-finite midpoints) is dropped.  Returns the
+    across coordinates and the roots of the lines kept."""
+    D = W - level
+    change = D[:, :-1] * D[:, 1:] <= 0
+    k = np.nonzero(change.any(axis=1))[0]
+    j = change[k].argmax(axis=1)
+    fixed, lo, hi = across[k], along_nodes[j], along_nodes[j + 1]
 
-    try:
+    def val(t: np.ndarray) -> np.ndarray:
+        return (fn(t, fixed) if along == "x" else fn(fixed, t)) - level
+
+    with np.errstate(all="ignore"):
         flo, fhi = val(lo), val(hi)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return None
-    if not (math.isfinite(flo) and math.isfinite(fhi)) or flo * fhi > 0:
-        return None
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = val(mid)
-        if not math.isfinite(fm):
-            return None
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        keep = np.isfinite(flo) & np.isfinite(fhi) & ~(flo * fhi > 0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = val(mid)
+            keep &= np.isfinite(fm)
+            left = flo * fm <= 0
+            hi = np.where(left, mid, hi)
+            lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+    return fixed[keep], (0.5 * (lo + hi))[keep]
 
 
 def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
@@ -479,9 +482,11 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
                  ) -> list[np.ndarray]:
     """Polyline samples of `leaves` level curves of one foliation.
 
-    Foliations are named "x", "y", "f", "g4".."gd".  Level curves of f/g are
-    found by scalar bisection along grid columns and rows; pieces that leave
-    the rectangle are simply absent from the returned samples.
+    Foliations are named "x", "y", "f", "g4".."gd".  A level curve of f/g
+    is sampled where it first crosses each grid column and each grid row,
+    found by bisecting all crossings of a level together; every sample
+    point therefore lies on a grid line.  Pieces that leave the rectangle
+    are simply absent from the returned samples.
     """
     xs, ys = grid.xs, grid.ys
     if foliation == "x":
@@ -506,24 +511,12 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
     levels = np.quantile(W, np.linspace(0.25, 0.75, leaves))
     out = []
     for c in levels:
-        pts: list[tuple[float, float]] = []
-        for i in range(grid.nx):
-            col = W[i, :] - c
-            sign_change = np.nonzero(col[:-1] * col[1:] <= 0)[0]
-            for j in sign_change[:1]:
-                root = _bisect_root(fn, xs[i], ys[j], ys[j + 1], c, "y")
-                if root is not None:
-                    pts.append((xs[i], root))
-        for j in range(grid.ny):
-            row = W[:, j] - c
-            sign_change = np.nonzero(row[:-1] * row[1:] <= 0)[0]
-            for i in sign_change[:1]:
-                root = _bisect_root(fn, ys[j], xs[i], xs[i + 1], c, "x")
-                if root is not None:
-                    pts.append((root, ys[j]))
+        col_x, col_y = _first_crossings(fn, W, c, xs, ys, "y")
+        row_y, row_x = _first_crossings(fn, W.T, c, ys, xs, "x")
+        pts = (list(zip(col_x.tolist(), col_y.tolist()))
+               + list(zip(row_x.tolist(), row_y.tolist())))
         if pts:
-            arr = np.array(sorted(set(pts)))
-            out.append(arr)
+            out.append(np.array(sorted(set(pts))))
     return out
 
 
@@ -537,11 +530,7 @@ def straightness_report(result: LinearizationResult, web: WebSpec, *,
     than 5 usable sample points are skipped and counted in
     result.skipped_leaves.
     """
-    from scipy.interpolate import RectBivariateSpline
-
     g = result.u.grid
-    su = RectBivariateSpline(g.xs, g.ys, result.u.values)
-    sv = RectBivariateSpline(g.xs, g.ys, result.v.values)
     report: dict[str, float] = {}
     leaves: list[tuple[int, np.ndarray, np.ndarray]] = []
     skipped = 0
@@ -549,9 +538,8 @@ def straightness_report(result: LinearizationResult, web: WebSpec, *,
     for idx, name in enumerate(foliations):
         worst = 0.0
         for leaf in trace_leaves(web, g, name, LEAVES_PER_FOLIATION, params):
-            uu = su.ev(leaf[:, 0], leaf[:, 1])
-            vv = sv.ev(leaf[:, 0], leaf[:, 1])
-            mapped = np.stack([uu, vv], axis=1)
+            mapped = np.stack([result.u.on_grid_lines(leaf),
+                               result.v.on_grid_lines(leaf)], axis=1)
             leaves.append((idx, leaf, mapped))
             if len(leaf) < 5:
                 skipped += 1

@@ -71,6 +71,13 @@ class TestExitCodes:
         assert code == EXIT_INCONCLUSIVE
         assert out.count("reason: exact evaluation exceeded 262144 bits") == 2
 
+    def test_folded_constant_too_large(self, capsys):
+        code, out, err = run(capsys, "check", "--f", "x/y",
+                             "--g", "x + y + 3^10000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: constant exceeds 14284 bits\n"
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "check", "--nope")
         assert code == EXIT_USAGE
@@ -168,6 +175,25 @@ class TestLinearizeCommand:
                            "--grid", "21", "--lambda0", "0.3,-0.2")
         assert code == EXIT_YES
         assert "lambda0 (0.3, -0.2)" in out
+
+    def test_constant_beyond_double_range(self, capsys):
+        # a web constant past 2^1024 is an infinite coefficient on the grid
+        code, out, err = run(capsys, "linearize", "--f", "3^1000*x/y",
+                             "--g", "x+y", "--grid", "21")
+        assert code == EXIT_NO
+        assert out == ""
+        assert err.startswith("linearization failed: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--base", "1e400,0"), ("--lambda0", "0,-1e400"),
+        ("--domain", "1e400,1e401,1,2"), ("--domain", "0,1e-400,1,2")])
+    def test_flag_beyond_double_range(self, capsys, flag, value):
+        code, out, err = run(capsys, "linearize", "--f", "x/y",
+                             "--g", "x+y", "--grid", "21", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_param_flag(self, capsys):
         code, out, _ = run(capsys, "linearize", "--f", "x/y",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -13,10 +14,10 @@ from weblin import expr as E
 from weblin.expr import (X, Y, add, const, div, mul, neg, parse, pow_, sqrt,
                          sub, exp_, log_, param, derive, evaluate,
                          evaluate_scaled, format_expr, simplify, substitute,
-                         dag_size, grid_function, EvalContext, ParseError,
-                         EvalError, MissingBindingError, SingularSampleError,
-                         DomainEvalError, ExactnessError, ExactBudgetError,
-                         EXACT_BITS)
+                         dag_size, grid_function, EvalContext, ExprError,
+                         ParseError, EvalError, MissingBindingError,
+                         SingularSampleError, DomainEvalError, ExactnessError,
+                         ExactBudgetError, EXACT_BITS)
 
 F = Fraction
 
@@ -84,6 +85,20 @@ class TestParsing:
     def test_uppercase_rejected(self):
         with pytest.raises(ParseError):
             parse("X + y")
+
+    def test_folded_constants_are_bounded(self):
+        # every DAG constant stays printable (str() of an int fails past
+        # 4300 digits); a huge power is refused before it is computed
+        assert parse("3^9000") is const(F(3) ** 9000)
+        for text in ("2^(3^17)", "3^9000*3^9000", "3^10000", "(1/3)^10000",
+                     "4^(30001/2)"):
+            t0 = time.perf_counter()
+            with pytest.raises(ExprError, match="constant exceeds 14284 bits"):
+                parse(text)
+            assert time.perf_counter() - t0 < 0.05, text
+        for text in ("1" * 4301, "0." + "0" * 4298 + "1"):
+            with pytest.raises(ParseError, match="number too long"):
+                parse("x + " + text)
 
 
 class TestHashConsing:

@@ -1,12 +1,16 @@
 """Frobenius integration, flatness, flat coordinates, straightness."""
 from __future__ import annotations
 
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weblin.expr import parse
+from weblin.expr import grid_function, parse
 from weblin.calculus import Rect, WebSpec
 from weblin import linearizer as lin
 from weblin import corpus
@@ -111,6 +115,27 @@ class TestIntegrateLambda:
                    domain=Rect(F(1, 4), F(3, 4), F(1, 4), F(3, 4)))
         with pytest.raises(lin.LinearizerError, match="singular"):
             _linearize(web, 21, force=True)
+
+
+class TestBatchedSweep:
+    def test_non_square_grid_off_centre_base(self):
+        # 31x21 nodes and an off-centre base: a swapped axis or a shifted
+        # line index in the batched sweep cannot hide here
+        g = lin.GridSpec(rect=WEB2.domain, nx=31, ny=21)
+        cg = lin.CoefficientGrid(WEB2, g)
+        ib, jb = 7, 15
+        s0 = [0.3, -0.2, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        states = [lin.integrate_lambda(cg, (ib, jb), s0, first)
+                  for first in ("x", "y")]
+        for state in states:
+            assert state.shape == (31, 21, 8)
+            assert state[ib, jb].tolist() == s0
+        assert np.abs(states[0][:, :, :2]).max() > 0.1
+        # the criterion-6 tolerance
+        assert np.abs(states[0][:, :, :2] - states[1][:, :, :2]).max() < 1e-8
+        res = lin.flat_coordinates(WEB2, g, base=(g.xs[ib], g.ys[jb]))
+        assert res.base == (g.xs[ib], g.ys[jb])
+        assert res.u.values[ib, jb] == res.v.values[ib, jb] == 0
 
 
 class TestFlatness:
@@ -270,6 +295,58 @@ class TestLeafTracing:
     def test_unknown_foliation(self, web2_grid):
         with pytest.raises(lin.LinearizerError):
             lin.trace_leaves(WEB2, web2_grid, "q", 3)
+
+
+class TestHermite:
+    GRID = lin.GridSpec(rect=Rect(F(-1), F(1), F(0), F(2)), nx=21, ny=21)
+    CUBIC = parse("x^3 - 2*x*y^2 + y")
+
+    def _field(self):
+        g = self.GRID
+        XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
+        return lin.ScalarField(g, grid_function(self.CUBIC)(XX, YY))
+
+    def test_cubic_reproduced_on_grid_lines(self):
+        g = self.GRID
+        rng = np.random.default_rng(7)
+        cols = np.stack([rng.choice(g.xs, 50), rng.uniform(0, 2, 50)], axis=1)
+        rows = np.stack([rng.uniform(-1, 1, 50), rng.choice(g.ys, 50)], axis=1)
+        nodes = np.stack([g.xs[[0, 3, 20]], g.ys[[20, 0, 9]]], axis=1)
+        pts = np.vstack([cols, rows, nodes])
+        got = self._field().on_grid_lines(pts)
+        want = grid_function(self.CUBIC)(pts[:, 0], pts[:, 1])
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_point_on_no_grid_line(self):
+        g = self.GRID
+        pts = np.array([[g.xs[3], 0.5], [g.xs[3] + 1e-9, g.ys[2] + 1e-9]])
+        with pytest.raises(lin.LinearizerError, match="no grid line"):
+            self._field().on_grid_lines(pts)
+
+
+class TestDependencies:
+    def test_linearize_does_not_import_scipy(self, tmp_path):
+        code = ("import sys\n"
+                "from weblin.cli import main\n"
+                "rc = main(sys.argv[1:])\n"
+                "print('scipy' in sys.modules)\n"
+                "sys.exit(rc)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "linearize", "--json",
+             "--svg", str(tmp_path / "web.svg"), "--f", "x/y",
+             "--g", "(1-y)/(1-x)", "--domain", "1/4,3/8,1/2,3/4",
+             "--grid", "21"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_runtime_dependencies(self):
+        tomllib = pytest.importorskip("tomllib")
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml"
+                ).read_text()
+        deps = tomllib.loads(text)["project"]["dependencies"]
+        assert sorted(re.split(r"[<>=!~;\[ ]", d)[0] for d in deps) == [
+            "mpmath", "numpy"]
 
 
 class TestSvg:
