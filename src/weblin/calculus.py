@@ -12,9 +12,9 @@ deformation scalar mu) is built from them.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from . import expr as ex
@@ -105,54 +105,45 @@ class WebSpec:
             raise ex.ExprError(f"foliation index {alpha} out of range 4..{self.d}")
         return self.gs[alpha - 4]
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
         return all(is_exactly_evaluable(e) for e in (self.f, *self.gs))
 
-
-_frames: dict[int, "WebFrame"] = {}
-_frames_lock = threading.Lock()
+    @cached_property
+    def validity_checks(self) -> tuple[Expr, ...]:
+        """What must not vanish at a valid sample point: the first partials
+        of every web function, each a_alpha and a_alpha - 1, and the
+        pairwise differences of the a_alpha."""
+        fr = WebFrame(self.f)
+        checks = [fr.fx, fr.fy]
+        for g in self.gs:
+            checks += [derive(g, "x"), derive(g, "y")]
+        a_list = [basic_invariant(self, alpha) for alpha in range(4, self.d + 1)]
+        for a in a_list:
+            checks += [a, sub(a, 1)]
+        for i, a in enumerate(a_list):
+            checks += [sub(a, b) for b in a_list[i + 1:]]
+        return tuple(checks)
 
 
 class WebFrame:
-    """The frame operators of a fixed f, with per-frame rewrite caches."""
+    """The frame operators of a fixed f.
+
+    Holds no cache: `derive` is memoized and interning returns the same
+    node, so a fresh frame gives the same expressions as an old one.
+    """
 
     def __init__(self, f: Expr):
-        self.f = f
         self.fx = derive(f, "x")
         self.fy = derive(f, "y")
         self._fx_inv = pow_(self.fx, -1)
         self._fy_inv = pow_(self.fy, -1)
-        self._cache1: dict[int, Expr] = {}
-        self._cache2: dict[int, Expr] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def of(f: Expr) -> "WebFrame":
-        with _frames_lock:
-            fr = _frames.get(f.uid)
-            if fr is None:
-                fr = WebFrame(f)
-                _frames[f.uid] = fr
-            return fr
 
     def d1(self, e: Expr) -> Expr:
-        with self._lock:
-            hit = self._cache1.get(e.uid)
-        if hit is None:
-            hit = mul(-1, derive(e, "x"), self._fx_inv)
-            with self._lock:
-                self._cache1[e.uid] = hit
-        return hit
+        return mul(-1, derive(e, "x"), self._fx_inv)
 
     def d2(self, e: Expr) -> Expr:
-        with self._lock:
-            hit = self._cache2.get(e.uid)
-        if hit is None:
-            hit = mul(-1, derive(e, "y"), self._fy_inv)
-            with self._lock:
-                self._cache2[e.uid] = hit
-        return hit
+        return mul(-1, derive(e, "y"), self._fy_inv)
 
     @property
     def H(self) -> Expr:
@@ -172,17 +163,17 @@ def partial(e: Expr, v: str) -> Expr:
 
 def d1(e: Expr, web: WebSpec) -> Expr:
     """First frame operator: -partial(e, x) / partial(f, x)."""
-    return WebFrame.of(web.f).d1(e)
+    return WebFrame(web.f).d1(e)
 
 
 def d2(e: Expr, web: WebSpec) -> Expr:
     """Second frame operator: -partial(e, y) / partial(f, y)."""
-    return WebFrame.of(web.f).d2(e)
+    return WebFrame(web.f).d2(e)
 
 
 def web_H(web: WebSpec) -> Expr:
     """H = f_xy / (f_x f_y), the single connection scalar of the 3-subweb."""
-    return WebFrame.of(web.f).H
+    return WebFrame(web.f).H
 
 
 def web_K(web: WebSpec, mode: str = "structure") -> Expr:
@@ -192,7 +183,7 @@ def web_K(web: WebSpec, mode: str = "structure") -> Expr:
     mode "log":       K = -(log(f_x/f_y))_xy / (f_x f_y).
     The two agree as functions; keeping both gives a cross-formula oracle.
     """
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     if mode == "structure":
         return fr.K
     if mode == "log":
@@ -207,7 +198,7 @@ def basic_invariant(web: WebSpec, alpha: int = 4) -> Expr:
 
     Identical (already at DAG level) to d1(g_alpha)/d2(g_alpha).
     """
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     g = web.g(alpha)
     return div(mul(fr.fy, derive(g, "x")), mul(fr.fx, derive(g, "y")))
 
@@ -220,7 +211,7 @@ def mu(web: WebSpec, alpha: int = 4) -> Expr:
     The denominator is fixed as (a - a^2); flipping it to (a^2 - a) negates
     the value but not any vanishing verdict.
     """
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     a = basic_invariant(web, alpha)
     num = sub(fr.d1(a), mul(a, fr.d2(a)))
     return div(num, sub(a, pow_(a, 2)))
@@ -255,41 +246,19 @@ def random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     raise DomainTooSingularError("interval too narrow for rational sampling")
 
 
-def _validity_checks(web: WebSpec) -> list[Expr]:
-    fr = WebFrame.of(web.f)
-    checks = [fr.fx, fr.fy]
-    a_list = []
-    for alpha in range(4, web.d + 1):
-        g = web.g(alpha)
-        checks.append(derive(g, "x"))
-        checks.append(derive(g, "y"))
-        a_list.append(basic_invariant(web, alpha))
-    for a in a_list:
-        checks.append(a)            # a != 0
-        checks.append(sub(a, 1))    # a != 1
-    for i in range(len(a_list)):
-        for j in range(i + 1, len(a_list)):
-            checks.append(sub(a_list[i], a_list[j]))  # pairwise distinct
-    return checks
-
-
 def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int) -> bool:
-    bindings = point.bindings()
     exact = web.is_rational
-    for chk in _validity_checks(web):
+    ctx = EvalContext(point.bindings(), mode="exact" if exact else "float",
+                      precision=precision)
+    eps = 0 if exact else _DISTINCT_EPS
+    for chk in web.validity_checks:
         try:
-            if exact and is_exactly_evaluable(chk):
-                v = evaluate(chk, EvalContext(bindings, mode="exact"))
-                if v == 0:
-                    return False
-            else:
-                v = evaluate(chk, EvalContext(bindings, mode="float",
-                                              precision=precision))
-                if abs(v) < _DISTINCT_EPS:
-                    return False
+            v = evaluate(chk, ctx)
         except ExactBudgetError:
             raise  # not a property of the point: the zero test reports it
         except EvalError:
+            return False
+        if v == 0 or abs(v) < eps:
             return False
     return True
 

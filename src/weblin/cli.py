@@ -118,8 +118,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for item in getattr(args, "param", None) or []:
         if "=" not in item:
             raise UsageError(f"--param expects name=value, got {item!r}")
-        name, _, value = item.partition("=")
-        cfg.params[name.strip()] = value.strip()
+        name, _, value = (t.strip() for t in item.partition("="))
+        if name in cfg.params:
+            raise UsageError(f"--param {name} given twice")
+        cfg.params[name] = value
     if cfg.samples < 1:
         raise UsageError("--samples must be positive")
     if cfg.precision < 24:
@@ -204,6 +206,10 @@ def cmd_invariants(cfg: RunConfig) -> int:
 
 def cmd_linearize(cfg: RunConfig) -> int:
     web = _web_from_config(cfg)
+    unknown = sorted(set(cfg.params) - set(web.params))
+    if unknown:
+        raise UsageError(f"--param {', '.join(unknown)}: not a parameter "
+                         "of the web")
     params = {k: _fraction(v, "--param") for k, v in cfg.params.items()}
     try:
         grid = lin.GridSpec(rect=web.domain, nx=cfg.grid, ny=cfg.grid)

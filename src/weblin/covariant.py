@@ -49,7 +49,7 @@ def delta(u: WeightedScalar, i: int, web: WebSpec) -> WeightedScalar:
     """Covariant derivative delta_i^(k): d_i(u) - k H u, weight k+1."""
     if i not in (1, 2):
         raise ex.ExprError("frame index must be 1 or 2")
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     du = fr.d1(u.expr) if i == 1 else fr.d2(u.expr)
     e = du if u.weight == 0 else sub(du, mul(u.weight, fr.H, u.expr))
     return WeightedScalar(e, u.weight + 1)
@@ -65,7 +65,7 @@ def commutator_residual(u: WeightedScalar, web: WebSpec) -> Expr:
               delta(delta(u, 2, web), 1, web).expr)
     if s == 0:
         return lhs
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     return sub(lhs, mul(s, fr.K, u.expr))
 
 
@@ -114,7 +114,7 @@ def prolong_a(web: WebSpec, alpha: int = 4) -> dict[str, Expr]:
 
 def curvature_derivatives(web: WebSpec) -> tuple[Expr, Expr]:
     """K1 = d1(K) - 2HK and K2 = d2(K) - 2HK (K has weight two)."""
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     Kw = WeightedScalar(fr.K, 2)
     return delta(Kw, 1, web).expr, delta(Kw, 2, web).expr
 
@@ -125,7 +125,7 @@ def _closed_rhs(web: WebSpec, alpha: int, which: int) -> Expr:
     a1, a2 = p["a1"], p["a2"]
     a11, a12, a22 = p["a11"], p["a12"], p["a22"]
     a111, a112, a122, a222 = p["a111"], p["a112"], p["a122"], p["a222"]
-    K = WebFrame.of(web.f).K
+    K = WebFrame(web.f).K
     den = sub(a, pow_(a, 2))
     inv1 = pow_(den, -1)
     inv2 = pow_(den, -2)

@@ -5,7 +5,8 @@ operators applied to the deformation scalar mu vanish identically; a d-web
 additionally needs the d-4 second-order differences J_alpha between the
 deformation scalars of its 4-subwebs to vanish.  Vanishing is decided by
 random evaluation: exact rational arithmetic whenever the expression allows
-it, 256-bit floating arithmetic with a scale-aware threshold otherwise.
+it, p-bit (default 256) floating arithmetic with a scale-aware threshold
+otherwise.  The invariants of one web share their sample points.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 YES = "YES"
 NO = "NO"
 
+PARAM_DRAWS = 3            # parameter draws per test of a web with parameters
+NONZERO_CONFIRMATIONS = 2  # float-mode witnesses required for NONZERO
+
 
 class DegenerateDirectionError(ex.ExprError):
     """p defines the same foliation direction as the f-foliation."""
@@ -47,9 +51,7 @@ class DegenerateDirectionError(ex.ExprError):
 class ZeroTestPolicy:
     """Sampling schedule and thresholds for the vanishing test."""
     points: int = 8
-    param_draws: int = 3
     precision: int = 256
-    nonzero_confirmations: int = 2  # float-mode witnesses required
 
     @property
     def threshold_scale(self) -> float:
@@ -98,7 +100,7 @@ class InvariantReport:
 
 def I1_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
     """First compatibility operator applied to mu (mixed term d1atop d2)."""
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     H, K = fr.H, fr.K
     m1, m2 = fr.d1(mu_expr), fr.d2(mu_expr)
     return add(
@@ -115,7 +117,7 @@ def I1_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
 
 def I2_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
     """Second compatibility operator applied to mu (same mixed term)."""
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     H, K = fr.H, fr.K
     m1, m2 = fr.d1(mu_expr), fr.d2(mu_expr)
     return add(
@@ -148,7 +150,7 @@ def I_fp(web: WebSpec, p: Expr) -> Expr:
     differences of I values coincide with differences of mu values with
     constant +1 (no extra sign or factor).
     """
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     p1, p2 = fr.d1(p), fr.d2(p)
     if p1 is p2:
         raise DegenerateDirectionError(
@@ -184,9 +186,26 @@ def _fmt_residual(v) -> str:
     return mpmath.nstr(v, 25)
 
 
+def _draw(web: WebSpec, rng: random.Random, params: dict[str, Fraction],
+          precision: int, memo: dict) -> SamplePoint:
+    """The next accepted point of `rng`, drawn and validated once per memo.
+
+    A point depends only on the generator state, the parameter values and
+    the validation precision, so `memo` keeps it under those together with
+    the state after it, and a later walk reaching that state replays both.
+    """
+    key = (rng.getstate(), tuple(sorted(params.items())), precision)
+    hit = memo.get(key)
+    if hit is None:
+        pt = sample_points(web, 1, rng, params=params, precision=precision)[0]
+        hit = memo[key] = pt, rng.getstate()
+    rng.setstate(hit[1])
+    return hit[0]
+
+
 def zero_test(e: Expr, web: WebSpec,
               policy: ZeroTestPolicy | None = None,
-              rng: random.Random | None = None
+              memo: dict | None = None
               ) -> tuple[str, list[Evidence], str, str | None]:
     """Sound vanishing verdict for e over the web domain.
 
@@ -195,13 +214,16 @@ def zero_test(e: Expr, web: WebSpec,
     floats; in float mode a NONZERO verdict needs confirmation at two
     independent points.  Sampling failures, and exact values outgrowing
     EXACT_BITS, yield INCONCLUSIVE, never a guess (a float fallback could
-    call a tiny but nonzero exact value zero).
+    call a tiny but nonzero exact value zero).  A `memo` shared by the
+    tests of one web draws each sample point once; the evidence does not
+    depend on it.
     """
     policy = policy or ZeroTestPolicy()
-    rng = rng if rng is not None else random.Random(web.seed)
+    memo = {} if memo is None else memo
+    rng = random.Random(web.seed)
     exact = is_exactly_evaluable(e)
     mode = "exact" if exact else "float"
-    draws = policy.param_draws if web.params else 1
+    draws = PARAM_DRAWS if web.params else 1
     evidence: list[Evidence] = []
     hits = 0
 
@@ -215,9 +237,7 @@ def zero_test(e: Expr, web: WebSpec,
             failures = 0
             while passes < policy.points and budget > 0:
                 budget -= 1
-                pts = sample_points(web, 1, rng, params=params,
-                                    precision=policy.precision)
-                pt = pts[0]
+                pt = _draw(web, rng, params, policy.precision, memo)
                 try:
                     if exact:
                         v = evaluate(e, EvalContext(pt.bindings(), mode="exact"))
@@ -235,7 +255,7 @@ def zero_test(e: Expr, web: WebSpec,
                             passes += 1
                         else:
                             hits += 1
-                            if hits >= policy.nonzero_confirmations:
+                            if hits >= NONZERO_CONFIRMATIONS:
                                 return NONZERO, evidence, mode, None
                 except ExactBudgetError:
                     raise  # not a singular sample: INCONCLUSIVE below
@@ -256,28 +276,30 @@ def zero_test(e: Expr, web: WebSpec,
     return ZERO, evidence, mode, None
 
 
-def _report(name: str, e: Expr, web: WebSpec,
-            policy: ZeroTestPolicy) -> InvariantReport:
-    t0 = time.perf_counter()
-    verdict, evidence, mode, reason = zero_test(e, web, policy)
-    return InvariantReport(
-        name=name, expr=e, dag_size=dag_size(e), verdict=verdict,
-        evidence=evidence, elapsed=time.perf_counter() - t0, mode=mode,
-        reason=reason)
-
-
 def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
                ) -> tuple[str, list[InvariantReport]]:
     """Decide linearizability of the web: YES iff every invariant is ZERO.
 
     For d = 4 this is exactly the two-invariant test; for d > 4 the
-    second-order J invariants of the extra foliations join the list.
+    second-order J invariants of the extra foliations join the list.  The
+    tests share their sample points, so a report's `elapsed` includes
+    validating a point only for the first invariant that reaches it.
     """
     policy = policy or ZeroTestPolicy()
+    memo: dict = {}
+
+    def report(name: str, e: Expr) -> InvariantReport:
+        t0 = time.perf_counter()
+        verdict, evidence, mode, reason = zero_test(e, web, policy, memo)
+        return InvariantReport(
+            name=name, expr=e, dag_size=dag_size(e), verdict=verdict,
+            evidence=evidence, elapsed=time.perf_counter() - t0, mode=mode,
+            reason=reason)
+
     I1, I2 = build_compatibility_pair(web, 4)
-    reports = [_report("I1", I1, web, policy), _report("I2", I2, web, policy)]
-    for alpha in range(5, web.d + 1):
-        reports.append(_report(f"J{alpha}", J_alpha(web, alpha), web, policy))
+    reports = [report("I1", I1), report("I2", I2)]
+    reports += [report(f"J{alpha}", J_alpha(web, alpha))
+                for alpha in range(5, web.d + 1)]
     verdicts = {r.verdict for r in reports}
     if verdicts == {ZERO}:
         return YES, reports

@@ -178,7 +178,7 @@ class CoefficientGrid:
         if missing:
             raise LinearizerError(
                 f"no value for parameter(s) {', '.join(sorted(missing))}")
-        fr = WebFrame.of(web.f)
+        fr = WebFrame(web.f)
         m = web_mu(web, 4)
         exprs = (fr.fx, fr.fy, fr.H, fr.K, m, fr.d1(m), fr.d2(m))
         xlo, xhi, ylo, yhi = grid.rect.as_floats()

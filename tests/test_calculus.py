@@ -114,7 +114,7 @@ class TestK:
 
     def test_product_f_hexagonal(self):
         web = _web("x*y", "x+y")
-        fr = WebFrame.of(web.f)
+        fr = WebFrame(web.f)
         d1H, d2H = fr.d1(fr.H), fr.d2(fr.H)
         ctx = EvalContext({"x": F(2, 5), "y": F(3, 7)})
         want = F(1, (F(2, 5) * F(3, 7)) ** 2)
@@ -156,7 +156,7 @@ class TestBasicInvariant:
         # f_y g_x / (f_x g_y) and d1(g)/d2(g) canonicalize to one DAG
         for case in corpus.CASES:
             web = corpus.web_for(case)
-            fr = WebFrame.of(web.f)
+            fr = WebFrame(web.f)
             for alpha in range(4, web.d + 1):
                 g = web.g(alpha)
                 assert basic_invariant(web, alpha) is div(fr.d1(g), fr.d2(g))
@@ -164,7 +164,7 @@ class TestBasicInvariant:
     def test_two_formulas_agree_at_points(self):
         for case in corpus.CASES:
             web = corpus.web_for(case)
-            fr = WebFrame.of(web.f)
+            fr = WebFrame(web.f)
             a = basic_invariant(web, 4)
             alt = div(fr.d1(web.g(4)), fr.d2(web.g(4)))
             diff = sub(a, alt)

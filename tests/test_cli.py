@@ -201,6 +201,20 @@ class TestLinearizeCommand:
                            "--grid", "21")
         assert code == EXIT_YES
 
+    @pytest.mark.parametrize("g, params", [
+        ("x+y", ("q=2",)),                       # the web has no q
+        ("x^n + y^n", ("n=2", "q=2")),           # n is one, q is not
+        ("x^n + y^n", ("n=2", "n=3")),           # a name given twice
+    ])
+    def test_param_names_checked(self, capsys, g, params):
+        argv = ["linearize", "--f", "x/y", "--g", g, "--grid", "21"]
+        for p in params:
+            argv += ["--param", p]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSelftest:
     def test_plain_corpus(self, capsys):

@@ -39,7 +39,7 @@ def _assert_vanishes(e, web, points=8):
 
 class TestDelta:
     def test_weight_zero_is_plain_frame_derivative(self):
-        fr = WebFrame.of(WEB2.f)
+        fr = WebFrame(WEB2.f)
         a = WeightedScalar(basic_invariant(WEB2), 0)
         assert delta(a, 1, WEB2).expr is fr.d1(a.expr)
         assert delta(a, 2, WEB2).expr is fr.d2(a.expr)
@@ -52,14 +52,14 @@ class TestDelta:
         assert out.weight == 4
 
     def test_curvature_derivative_formula(self):
-        fr = WebFrame.of(WEB2.f)
+        fr = WebFrame(WEB2.f)
         K1, K2 = curvature_derivatives(WEB2)
         assert K1 is sub(fr.d1(fr.K), mul(2, fr.H, fr.K))
         assert K2 is sub(fr.d2(fr.K), mul(2, fr.H, fr.K))
 
     def test_flat_frame_reduces_to_plain_derivative(self):
         web = _web("x+y", "x-y")
-        fr = WebFrame.of(web.f)
+        fr = WebFrame(web.f)
         u = WeightedScalar(parse("x^2*y"), 3)
         assert delta(u, 1, web).expr is fr.d1(u.expr)
 
@@ -118,7 +118,7 @@ class TestProlongations:
         _assert_vanishes(sub(a12, a21), WEB2)
 
     def test_a11_explicit_expansion(self):
-        fr = WebFrame.of(WEB2.f)
+        fr = WebFrame(WEB2.f)
         a = basic_invariant(WEB2)
         p = prolong_a(WEB2)
         direct = sub(fr.d1(fr.d1(a)), mul(fr.H, fr.d1(a)))

@@ -14,7 +14,7 @@ from weblin.calculus import (Rect, WebSpec, WebFrame, sample_points, mu,
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
                                I_fp, J_alpha, build_compatibility_pair,
                                check_dweb, DegenerateDirectionError)
-from weblin import corpus
+from weblin import calculus, corpus, invariants
 
 F = Fraction
 
@@ -63,7 +63,7 @@ def _derived_compatibility(web):
     with l1, l2 as free parameters and the chain rule supplying their
     derivatives.
     """
-    fr = WebFrame.of(web.f)
+    fr = WebFrame(web.f)
     H, K = fr.H, fr.K
     m = mu(web)
     mu1, mu2 = fr.d1(m), fr.d2(m)
@@ -217,9 +217,79 @@ class TestZeroTest:
         assert verdict == "INCONCLUSIVE" and "262144 bits" in reason
 
     def test_inconclusive_propagates_to_verdict(self):
+        # with shared draws, every invariant still meets the singular domain
         verdict, reports = check_dweb(_web("x/y", "x"))
         assert verdict == "INCONCLUSIVE"
-        assert all(r.verdict == "INCONCLUSIVE" for r in reports)
+        assert [r.verdict for r in reports] == ["INCONCLUSIVE"] * 2
+        assert all("singular" in r.reason and not r.evidence
+                   for r in reports)
+
+
+class TestSharedSamples:
+    """The invariants of a web share one memo of drawn and validated
+    points, and each still gets the evidence of an independent run."""
+
+    def test_divergent_consumption_matches_fresh_runs(self, monkeypatch):
+        # the radical fails at every x < 1/2, so the first expression uses
+        # more draws per parameter value than the second and the two walks
+        # of Random(web.seed) part after the first parameter draw
+        web = _web("x/y", "x^n + y^n")
+        exprs = [parse("sqrt(x-1/2)*sqrt(2*x-1) - sqrt(2)*(x-1/2)"), const(0)]
+        calls = []
+        counted = invariants.sample_points
+        monkeypatch.setattr(invariants, "sample_points",
+                            lambda *a, **kw: calls.append(1) or counted(*a, **kw))
+        fresh, alone = [], []   # results and draws of independent runs
+        for e in exprs:
+            start = len(calls)
+            fresh.append(zero_test(e, web))
+            alone.append(len(calls) - start)
+        del calls[:]
+        memo: dict = {}
+        shared = [zero_test(e, web, memo=memo) for e in exprs]
+        assert shared == fresh
+        points = [[ev.point for ev in r[1]] for r in fresh]
+        assert points[0] != points[1]
+        draws = [list(dict.fromkeys(tuple(sorted(ev.point.params.items()))
+                                    for ev in r[1])) for r in fresh]
+        assert draws[0][0] == draws[1][0] and draws[0][1:] != draws[1][1:]
+        # the second test replays a prefix, then draws past the divergence
+        assert alone[0] < len(calls) < sum(alone)
+        drawn = len(calls)
+        zero_test(exprs[1], web, memo=memo)
+        assert len(calls) == drawn
+
+    @pytest.mark.parametrize("case", [*corpus.CASES, corpus.LINEAR_FIVE_WEB],
+                             ids=lambda c: c.name)
+    def test_check_dweb_equals_independent_tests(self, case):
+        web = corpus.web_for(case)
+        policy = ZeroTestPolicy()
+        _, reports = check_dweb(web, policy)
+        for r in reports:
+            assert (r.verdict, r.evidence, r.mode, r.reason) == \
+                zero_test(r.expr, web, policy)
+
+    @pytest.mark.parametrize("name", ["two-pencils", "bol-five-web",
+                                      "power-web"])
+    def test_each_point_validated_once(self, monkeypatch, name):
+        seen = []
+        valid = calculus._point_is_valid
+
+        def counting(web, point, precision):
+            ok = valid(web, point, precision)
+            if ok:
+                seen.append((point.x, point.y,
+                             tuple(sorted(point.params.items()))))
+            return ok
+
+        monkeypatch.setattr(calculus, "_point_is_valid", counting)
+        _, reports = check_dweb(corpus.web_for(corpus.case_by_name(name)))
+        assert len(seen) == len(set(seen))
+        used = {(ev.point.x, ev.point.y,
+                 tuple(sorted(ev.point.params.items())))
+                for r in reports for ev in r.evidence}
+        assert used <= set(seen)
+        assert sum(len(r.evidence) for r in reports) > len(seen)
 
 
 class TestCheckers:
