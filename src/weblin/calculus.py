@@ -18,9 +18,9 @@ from functools import cached_property
 from typing import Mapping
 
 from . import expr as ex
-from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, derive,
-                   div, mul, pow_, sub, log_, evaluate, is_exactly_evaluable,
-                   free_symbols)
+from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, Store,
+                   derive, div, mul, pow_, sub, log_, evaluate,
+                   is_exactly_evaluable, free_symbols)
 
 __all__ = [
     "Rect", "WebSpec", "WebFrame", "DomainTooSingularError", "partial",
@@ -246,14 +246,15 @@ def random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     raise DomainTooSingularError("interval too narrow for rational sampling")
 
 
-def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int) -> bool:
+def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int,
+                    store: Store | None = None) -> bool:
     exact = web.is_rational
     ctx = EvalContext(point.bindings(), mode="exact" if exact else "float",
                       precision=precision)
     eps = 0 if exact else _DISTINCT_EPS
     for chk in web.validity_checks:
         try:
-            v = evaluate(chk, ctx)
+            v = evaluate(chk, ctx, store)
         except ExactBudgetError:
             raise  # not a property of the point: the zero test reports it
         except EvalError:
@@ -265,12 +266,14 @@ def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int) -> bool:
 
 def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
                   params: Mapping[str, Fraction] | None = None,
-                  precision: int = 256) -> list[SamplePoint]:
+                  precision: int = 256,
+                  stores: list[Store] | None = None) -> list[SamplePoint]:
     """Draw `count` accepted sample points inside the web domain.
 
     Points violating the web validity constraints are rejected; after
     MAX_REJECTIONS consecutive rejections the domain is declared too
-    singular.
+    singular.  A candidate's validity checks share one store: with
+    `stores`, one per point, that of the point it would become.
     """
     rng = rng if rng is not None else random.Random(web.seed)
     if params is None:
@@ -283,10 +286,12 @@ def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
         pt = SamplePoint(random_rational(rng, dom.x_lo, dom.x_hi),
                          random_rational(rng, dom.y_lo, dom.y_hi),
                          dict(params))
-        if pt.x != pt.y and _point_is_valid(web, pt, precision):
+        store = stores[len(out)] if stores else Store()
+        if pt.x != pt.y and _point_is_valid(web, pt, precision, store):
             out.append(pt)
             rejects = 0
         else:
+            store.clear()
             rejects += 1
             if rejects > MAX_REJECTIONS:
                 raise DomainTooSingularError(

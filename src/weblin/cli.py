@@ -29,6 +29,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
 
 _VERDICT_EXIT = {YES: EXIT_YES, NO: EXIT_NO, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
@@ -124,8 +125,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cfg.params[name] = value
     if cfg.samples < 1:
         raise UsageError("--samples must be positive")
-    if cfg.precision < 24:
-        raise UsageError("--precision must be at least 24 bits")
+    if not 24 <= cfg.precision <= MAX_PRECISION:
+        raise UsageError(f"--precision must be 24 to {MAX_PRECISION} bits")
     return cfg
 
 
@@ -311,7 +312,7 @@ def build_parser() -> _ArgumentParser:
         p.add_argument("--samples", type=int, default=8,
                        help="sample points per vanishing test (default 8)")
         p.add_argument("--precision", type=int, default=256,
-                       help="float precision in bits (default 256)")
+                       help="float precision in bits, 24..65536 (default 256)")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
 

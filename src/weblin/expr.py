@@ -13,32 +13,36 @@ coefficients and of identical factors).  They deliberately do not factor or
 cancel symbolic rational functions; correctness of downstream zero tests
 rests on evaluation, not on the simplifier.
 
-One interpreter, `_walk`, evaluates a DAG children-first in three
-arithmetics that supply only their number operations: exact rationals
-(`Fraction`, capped at EXACT_BITS per numerator or denominator), p-bit
-mpmath floats for every precision p, and numpy doubles over whole grids
-(`grid_function`).  The real-domain rules (zero or negative base, integer
-exponent, log of a non-positive value) are shared by the two scalar
-arithmetics; the grid leaves singular entries as nan/inf.
+One interpreter, `_walk`, runs a `Program`: roots compiled lazily into
+slot orders over their union DAG (interning nothing), with values kept in
+one `Store` per point so a node shared by several roots is computed once
+per point.  Three arithmetics supply the number operations: exact
+rationals (`Fraction`, capped at EXACT_BITS), p-bit floats as raw mpmath
+tuples, and numpy doubles over whole grids (`grid_function`).  The two
+scalar ones share the real-domain rules; grids keep singular entries nan/inf.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Mapping
 
 import mpmath
+from mpmath import libmp
 
 __all__ = [
     "Expr", "EvalContext", "ExprError", "ParseError", "EvalError",
     "MissingBindingError", "SingularSampleError", "DomainEvalError",
     "ExactnessError", "ExactBudgetError", "EXACT_BITS", "const", "var",
     "param", "add", "sub", "mul", "div", "neg", "pow_", "sqrt", "exp_",
-    "log_", "X", "Y", "parse", "format_expr", "simplify", "derive", "substitute", "evaluate", "evaluate_scaled",
+    "log_", "X", "Y", "parse", "format_expr", "simplify", "derive",
+    "substitute", "evaluate", "evaluate_scaled", "Program", "Store",
     "dag_size", "free_symbols", "is_exactly_evaluable", "grid_function",
 ]
 
@@ -708,73 +712,98 @@ class EvalContext:
         object.__setattr__(self, "bindings", clean)
 
 
-def _walk(order: list[Expr], arith, leaves: Mapping[str, object]):
-    """The value of the last node of `order`, a children-first node list.
+class Program:
+    """A straight-line program over the DAGs of the roots evaluated through
+    it, one slot per distinct node.  A root is compiled when first
+    evaluated: its children-first order becomes instructions (slot, kind,
+    constant, name or constant exponent, child slots), and nodes shared with
+    earlier roots keep their slots.  Compiling interns no node."""
 
-    The one DAG interpreter: sums and products use the values' own `+` and
-    `*`, folded left to right from the first child; `arith` supplies
-    constants (`num`), `pow`, `exp`, `log` and an optional per-node `check`;
-    `leaves` maps variable and parameter names to values.
+    def __init__(self):
+        self.slots: dict[int, int] = {}   # node uid -> slot
+        self.codes: dict[int, list] = {}  # root uid -> instructions
+
+    def code(self, root: Expr) -> list[tuple]:
+        code = self.codes.get(root.uid)
+        if code is None:
+            code = self.codes[root.uid] = []
+            slots = self.slots
+            for n in topo_order(root):
+                arg = (n.value if n.kind == CONST else n.name if n.kind != POW
+                       else n.children[1].value)
+                code.append((slots.setdefault(n.uid, len(slots)), n.kind, arg,
+                             tuple(slots[c.uid] for c in n.children)))
+        return code
+
+
+class Store(dict):
+    """One program's slot values at one point: per arithmetic ("exact" or a
+    precision), a list holding each node's value, the EvalError it raised,
+    or None while no root has reached it; then the leaves and arithmetic."""
+
+    def __init__(self, program: Program | None = None):
+        super().__init__()
+        self.program = program or Program()
+
+
+def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object]):
+    """The value of compiled root `code`: the one DAG interpreter.  A slot
+    already holding a value is read, one holding an error raises it again,
+    so the first failing node in the root's own order raises.  `arith`
+    supplies `add` and `mul` (folded left to right), `num`, `pow`, `exp`,
+    `log` and an optional per-node `check`; `leaves` maps names to values.
     """
-    num, power, exp, log = arith.num, arith.pow, arith.exp, arith.log
-    check = arith.check
-    vals: dict[int, object] = {}
-    v = None
-    for n in order:
-        k = n.kind
-        if k == CONST:
-            v = num(n.value)
-        elif k == VAR or k == PARAM:
-            v = leaves[n.name]
-        elif k == ADD:
-            kids = n.children
-            v = vals[kids[0].uid]
-            for c in kids[1:]:
-                v = v + vals[c.uid]
-        elif k == MUL:
-            kids = n.children
-            v = vals[kids[0].uid]
-            for c in kids[1:]:
-                v = v * vals[c.uid]
-        elif k == POW:
-            b, ex = n.children
-            v = power(vals[b.uid], vals[ex.uid], ex)
-        elif k == EXP:
-            v = exp(vals[n.children[0].uid])
-        elif k == LOG:
-            v = log(vals[n.children[0].uid])
-        else:
-            raise SingularSampleError(
-                "undefined value (division by constant zero)")
-        if check is not None:
-            check(v)
-        vals[n.uid] = v
-    return v
+    add, mul, num, power = arith.add, arith.mul, arith.num, arith.pow
+    exp, log, check = arith.exp, arith.log, arith.check
+    try:
+        for s, k, arg, kids in code:
+            v = vals[s]
+            if v is not None:
+                if isinstance(v, EvalError):
+                    raise v
+                continue
+            if k == MUL:
+                v = reduce(mul, map(vals.__getitem__, kids))
+            elif k == ADD:
+                v = reduce(add, map(vals.__getitem__, kids))
+            elif k == POW:
+                v = power(vals[kids[0]], vals[kids[1]], arg)
+            elif k == CONST:
+                v = num(arg)
+            elif k == VAR or k == PARAM:
+                v = leaves[arg]
+            elif k == EXP or k == LOG:
+                v = (exp if k == EXP else log)(vals[kids[0]])
+            else:
+                raise SingularSampleError(
+                    "undefined value (division by constant zero)")
+            if check is not None:
+                check(v)
+            vals[s] = v
+    except EvalError as err:
+        vals[s] = err
+        raise
+    return vals[s]
 
 
 class _RealArithmetic:
-    """Real-domain rules shared by the two scalar arithmetics.
+    """Real-domain rules shared by the two scalar arithmetics.  An exponent
+    counts as an integer by its value; subclasses supply `num`, `integer`
+    (the int value, or None), `sign`, `int_pow`, `root` (positive base,
+    non-integer exponent), `exp`, `ln` and `check`."""
 
-    An exponent counts as an integer by its value; subclasses supply
-    `num`, `int_pow`, `root` (positive base, non-integer exponent), `exp`,
-    `ln` and `check`.
-    """
-
-    def pow(self, b, ex, ex_node):
-        if ex == int(ex):
-            if b == 0 and ex < 0:
-                raise SingularSampleError("zero base with negative power")
-            return self.int_pow(b, int(ex))
-        if b < 0:
+    def pow(self, b, ex, _const_ex):
+        n, sign = self.integer(ex), self.sign(b)
+        if sign == 0 and self.sign(ex) < 0:
+            raise SingularSampleError("zero base with negative power")
+        if n is not None:
+            return self.int_pow(b, n)
+        if sign < 0:
             raise DomainEvalError("negative base with fractional power")
-        if b == 0:
-            if ex < 0:
-                raise SingularSampleError("zero base with negative power")
-            return self.num(Fraction(0))
-        return self.root(b, ex)
+        return self.num(Fraction(0)) if sign == 0 else self.root(b, ex)
 
     def log(self, u):
-        if u <= 0:
+        if self.sign(u) <= 0:
             raise DomainEvalError("log of non-positive value")
         return self.ln(u)
 
@@ -782,9 +811,11 @@ class _RealArithmetic:
 class _ExactArithmetic(_RealArithmetic):
     """Fractions; refuses irrational values and sizes above EXACT_BITS."""
 
-    @staticmethod
-    def num(q: Fraction) -> Fraction:
-        return q
+    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
+    num = staticmethod(lambda q: q)
+    integer = staticmethod(
+        lambda q: q.numerator if q.denominator == 1 else None)
+    sign = staticmethod(lambda q: (q > 0) - (q < 0))
 
     @staticmethod
     def check(v: Fraction) -> None:
@@ -820,32 +851,45 @@ _EXACT = _ExactArithmetic()
 
 
 class _MpfArithmetic(_RealArithmetic):
-    """mpmath floats at the working precision; records the scale
-    max(1, |every intermediate|) and refuses non-finite values."""
+    """p-bit floats as raw `mpmath.libmp` tuples: every operation is the
+    libmp call mpmath's mpf operators make (at `prec`, round to nearest), so
+    values are bit-identical to mpf arithmetic, minus the object wrappers.
+    Refuses non-finite values."""
 
-    exp = staticmethod(mpmath.exp)
-    ln = staticmethod(mpmath.log)
-    root = staticmethod(mpmath.power)
+    def __init__(self, prec: int):
+        rnd = libmp.round_nearest
+        self.add = lambda a, b: libmp.mpf_add(a, b, prec, rnd)
+        self.mul = lambda a, b: libmp.mpf_mul(a, b, prec, rnd)
+        self.int_pow = lambda b, n: libmp.mpf_pow_int(b, n, prec, rnd)
+        self.root = lambda b, ex: libmp.mpf_pow(b, ex, prec, rnd)
+        self.exp = lambda u: libmp.mpf_exp(u, prec, rnd)
+        self.ln = lambda u: libmp.mpf_log(u, prec, rnd)
+        self.prec = prec
 
-    def __init__(self):
-        self.scale = mpmath.mpf(1)
+    def num(self, q) -> tuple:
+        if not isinstance(q, Fraction):
+            return mpmath.mpf(q, prec=self.prec)._mpf_
+        p, rnd = self.prec, libmp.round_nearest  # mpf(numerator) / denominator
+        return libmp.mpf_div(libmp.from_int(q.numerator, p, rnd),
+                             libmp.from_int(q.denominator), p, rnd)
+
+    integer = staticmethod(lambda v: libmp.to_int(v) if v[2] >= 0 else None)
+    sign = staticmethod(lambda v: 0 if not v[1] else -1 if v[0] else 1)
 
     @staticmethod
-    def num(q) -> mpmath.mpf:
-        if isinstance(q, Fraction):
-            return mpmath.mpf(q.numerator) / q.denominator
-        return mpmath.mpf(q)
-
-    @staticmethod
-    def int_pow(b: mpmath.mpf, n: int) -> mpmath.mpf:
-        return b ** n
-
-    def check(self, v: mpmath.mpf) -> None:
-        if not mpmath.isfinite(v):
+    def check(v: tuple) -> None:
+        if not v[1] and v[2]:  # inf and nan: zero mantissa, nonzero exponent
             raise DomainEvalError("non-finite value in evaluation")
-        a = abs(v)
-        if a > self.scale:
-            self.scale = a
+
+
+def _scale(code: list[tuple], vals: list) -> tuple:
+    """max(1, |v|) over the slots of a compiled root, as an mpf tuple."""
+    best = libmp.fone
+    for s, _, _, _ in code:
+        a = (0,) + vals[s][1:]  # |v| < 2^(exponent + bit count)
+        if a[2] + a[3] >= best[2] + best[3] and libmp.mpf_gt(a, best):
+            best = a
+    return best
 
 
 class _GridArithmetic:
@@ -855,6 +899,7 @@ class _GridArithmetic:
     constant, so a parameter exponent always goes through float `power`.
     """
 
+    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
     check = None
 
     def __init__(self, np):
@@ -869,36 +914,49 @@ class _GridArithmetic:
         except OverflowError:
             return math.inf if q > 0 else -math.inf
 
-    def pow(self, b, ex, ex_node):
-        if ex_node.kind == CONST and ex_node.value.denominator == 1:
-            p = int(ex_node.value)
-            return self.power(b, p) if p >= 0 else 1.0 / self.power(b, -p)
-        return self.power(b, ex)
+    def pow(self, b, ex, q):
+        if q is None or q.denominator != 1:
+            return self.power(b, ex)
+        n = int(q)
+        return self.power(b, n) if n >= 0 else 1.0 / self.power(b, -n)
 
 
-def evaluate(e: Expr, ctx: EvalContext):
-    """Evaluate at the context bindings: a Fraction in exact mode, an mpf
-    in float mode."""
-    return evaluate_scaled(e, ctx)[0]
-
-
-def evaluate_scaled(e: Expr, ctx: EvalContext):
-    """Evaluate and report the magnitude scale max(1, |intermediates|).
-
-    The scale is what a sound vanishing test compares the final value
-    against: a tiny result reached through huge intermediates carries fewer
-    trustworthy bits.  Exact mode reports no scale (None).
-    """
+def _evaluate(e: Expr, ctx: EvalContext, store: Store | None, scaled: bool):
     missing = free_symbols(e) - set(ctx.bindings)
     if missing:
         raise MissingBindingError(
             f"no binding for {', '.join(sorted(missing))}")
-    if ctx.mode == "exact":
-        return _walk(topo_order(e), _EXACT, ctx.bindings), None
-    with mpmath.workprec(ctx.precision):
-        arith = _MpfArithmetic()
+    store = Store() if store is None else store
+    code = store.program.code(e)
+    key = ctx.precision if ctx.mode == "float" else ctx.mode
+    if key not in store:
+        arith = _EXACT if key == "exact" else _MpfArithmetic(key)
         leaves = {k: arith.num(v) for k, v in ctx.bindings.items()}
-        return _walk(topo_order(e), arith, leaves), arith.scale
+        store[key] = [], leaves, arith
+    vals, leaves, arith = store[key]
+    vals.extend([None] * (len(store.program.slots) - len(vals)))
+    v = _walk(code, arith, vals, leaves)
+    if arith is _EXACT:
+        return v, None
+    return mpmath.mp.make_mpf(v), (mpmath.mp.make_mpf(_scale(code, vals))
+                                   if scaled else None)
+
+
+def evaluate(e: Expr, ctx: EvalContext, store: Store | None = None):
+    """Evaluate at the context bindings: a Fraction in exact mode, an mpf
+    in float mode.  Nodes a `store` already holds are read, not computed."""
+    return _evaluate(e, ctx, store, False)[0]
+
+
+def evaluate_scaled(e: Expr, ctx: EvalContext, store: Store | None = None):
+    """Evaluate and report the magnitude scale max(1, |intermediates|).
+
+    The scale is what a sound vanishing test compares the final value
+    against: a tiny result reached through huge intermediates carries fewer
+    trustworthy bits.  It spans the nodes of `e` alone, whatever else a
+    shared `store` holds.  Exact mode reports no scale (None).
+    """
+    return _evaluate(e, ctx, store, True)
 
 
 def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Callable:
@@ -914,15 +972,16 @@ def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Call
     missing = free_symbols(e) - {"x", "y"} - set(params)
     if missing:
         raise MissingBindingError(f"no binding for {', '.join(sorted(missing))}")
-    order = topo_order(e)
-    if any(n.kind == UNDEF for n in order):
+    code = Program().code(e)  # one slot per instruction
+    if any(k == UNDEF for _, k, _, _ in code):
         raise SingularSampleError("undefined value (division by constant zero)")
 
     def fn(xg, yg):
         xg = np.asarray(xg, dtype=float)
         yg = np.asarray(yg, dtype=float)
         with np.errstate(all="ignore"):
-            out = _walk(order, arith, {**params, "x": xg, "y": yg})
+            out = _walk(code, arith, [None] * len(code),
+                        {**params, "x": xg, "y": yg})
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(xg.shape, yg.shape)).copy()
 

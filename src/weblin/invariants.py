@@ -13,7 +13,7 @@ from __future__ import annotations
 import decimal
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -27,7 +27,7 @@ from .calculus import (WebSpec, WebFrame, SamplePoint,
                        sample_points)
 
 __all__ = [
-    "ZeroTestPolicy", "Evidence", "InvariantReport",
+    "ZeroTestPolicy", "Evidence", "InvariantReport", "SampleMemo",
     "DegenerateDirectionError", "zero_test", "I1_of_mu", "I2_of_mu", "I_fp",
     "J_alpha", "build_compatibility_pair", "check_dweb",
 ]
@@ -186,26 +186,39 @@ def _fmt_residual(v) -> str:
     return mpmath.nstr(v, 25)
 
 
-def _draw(web: WebSpec, rng: random.Random, params: dict[str, Fraction],
-          precision: int, memo: dict) -> SamplePoint:
-    """The next accepted point of `rng`, drawn and validated once per memo.
+@dataclass
+class SampleMemo:
+    """The accepted sample points of one web.  A point depends only on the
+    generator state, the parameter values and the validation precision, so
+    it is drawn and validated once under those and kept with the state
+    after it (each distinct state held once) and a `Store` of `program`,
+    the slot program of the web's validity checks and invariants."""
+    program: ex.Program = field(default_factory=ex.Program)
+    points: dict = field(default_factory=dict)  # key -> (point, after, store)
+    states: dict = field(default_factory=dict)  # generator states, by value
 
-    A point depends only on the generator state, the parameter values and
-    the validation precision, so `memo` keeps it under those together with
-    the state after it, and a later walk reaching that state replays both.
-    """
-    key = (rng.getstate(), tuple(sorted(params.items())), precision)
-    hit = memo.get(key)
+
+def _draw(web: WebSpec, rng: random.Random, params: dict[str, Fraction],
+          precision: int, memo: SampleMemo) -> tuple[SamplePoint, ex.Store]:
+    """The next accepted point of `rng` and its store, drawn once per memo:
+    a later walk reaching the same state replays them."""
+    intern = memo.states.setdefault
+    state = rng.getstate()
+    key = (intern(state, state), tuple(sorted(params.items())), precision)
+    hit = memo.points.get(key)
     if hit is None:
-        pt = sample_points(web, 1, rng, params=params, precision=precision)[0]
-        hit = memo[key] = pt, rng.getstate()
+        store = ex.Store(memo.program)
+        pt = sample_points(web, 1, rng, params=params, precision=precision,
+                           stores=[store])[0]
+        state = rng.getstate()
+        hit = memo.points[key] = pt, intern(state, state), store
     rng.setstate(hit[1])
-    return hit[0]
+    return hit[0], hit[2]
 
 
 def zero_test(e: Expr, web: WebSpec,
               policy: ZeroTestPolicy | None = None,
-              memo: dict | None = None
+              memo: SampleMemo | None = None
               ) -> tuple[str, list[Evidence], str, str | None]:
     """Sound vanishing verdict for e over the web domain.
 
@@ -215,11 +228,11 @@ def zero_test(e: Expr, web: WebSpec,
     independent points.  Sampling failures, and exact values outgrowing
     EXACT_BITS, yield INCONCLUSIVE, never a guess (a float fallback could
     call a tiny but nonzero exact value zero).  A `memo` shared by the
-    tests of one web draws each sample point once; the evidence does not
-    depend on it.
+    tests of one web draws each sample point once and evaluates each shared
+    node once per point; the evidence does not depend on it.
     """
     policy = policy or ZeroTestPolicy()
-    memo = {} if memo is None else memo
+    memo = SampleMemo() if memo is None else memo
     rng = random.Random(web.seed)
     exact = is_exactly_evaluable(e)
     mode = "exact" if exact else "float"
@@ -237,18 +250,17 @@ def zero_test(e: Expr, web: WebSpec,
             failures = 0
             while passes < policy.points and budget > 0:
                 budget -= 1
-                pt = _draw(web, rng, params, policy.precision, memo)
+                pt, store = _draw(web, rng, params, policy.precision, memo)
+                ctx = EvalContext(pt.bindings(), mode, policy.precision)
                 try:
                     if exact:
-                        v = evaluate(e, EvalContext(pt.bindings(), mode="exact"))
+                        v = evaluate(e, ctx, store)
                         evidence.append(Evidence(pt, _fmt_residual(v), "exact"))
                         if v != 0:
                             return NONZERO, evidence, mode, None
                         passes += 1
                     else:
-                        v, scale = evaluate_scaled(
-                            e, EvalContext(pt.bindings(), mode="float",
-                                           precision=policy.precision))
+                        v, scale = evaluate_scaled(e, ctx, store)
                         evidence.append(Evidence(pt, _fmt_residual(v), "float"))
                         # in mpf: a scale past the double range stays finite
                         if abs(v) < policy.threshold_scale * max(1, scale):
@@ -282,11 +294,13 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
 
     For d = 4 this is exactly the two-invariant test; for d > 4 the
     second-order J invariants of the extra foliations join the list.  The
-    tests share their sample points, so a report's `elapsed` includes
-    validating a point only for the first invariant that reaches it.
+    tests share their sample points and one slot program, so at each point
+    a node of an invariant or validity check is computed once, and a
+    report's `elapsed` counts validating a point, and each shared node, only
+    for the first invariant that reaches it.
     """
     policy = policy or ZeroTestPolicy()
-    memo: dict = {}
+    memo = SampleMemo()
 
     def report(name: str, e: Expr) -> InvariantReport:
         t0 = time.perf_counter()

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from weblin.cli import main, EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_USAGE
+from weblin.cli import (main, build_parser, _build_config, EXIT_YES, EXIT_NO,
+                        EXIT_INCONCLUSIVE, EXIT_USAGE)
 
 
 def run(capsys, *argv):
@@ -77,6 +78,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == "error: constant exceeds 14284 bits\n"
+
+    @pytest.mark.parametrize("bits", [23, 65537])
+    def test_precision_out_of_range(self, capsys, bits):
+        # above 2^16 bits one float evaluation could run for minutes
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check", "--f", "x/y",
+                             "--g", "exp(x)+y", "--precision", str(bits))
+        assert time.perf_counter() - t0 < 5
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --precision") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bits", [24, 65536])
+    def test_precision_bounds_accepted(self, bits):
+        args = build_parser().parse_args(["check", "--f", "x/y", "--g", "x+y",
+                                          "--precision", str(bits)])
+        assert _build_config(args).precision == bits
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "check", "--nope")

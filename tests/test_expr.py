@@ -447,6 +447,70 @@ class TestOneEvaluator:
         assume(checked > 0)
 
 
+def _outcome(e, c, store):
+    """What evaluating e gives, bit for bit: (value, scale) as exact
+    Fractions or raw mpf tuples, or the class of the error raised."""
+    try:
+        v, scale = evaluate_scaled(e, c, store)
+    except EvalError as err:
+        return type(err)
+    if c.mode == "exact":
+        return v, scale
+    return v._mpf_, scale._mpf_
+
+
+class TestSlotProgram:
+    """Roots sharing one store read each other's slots, yet every root
+    gives exactly what a one-root program gives."""
+
+    @given(st.lists(_expr_strategy(), min_size=2, max_size=4),
+           st.sampled_from(POINTS))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_store_equals_lone_walk(self, base, pt):
+        roots = base + [mul(base[0], base[1]), E.sub(base[1], base[0]),
+                        pow_(add(base[0], 1), -1)]
+        for mode, precision in (("exact", 256), ("float", 24),
+                                ("float", 40), ("float", 256)):
+            c = EvalContext(pt, mode=mode, precision=precision)
+            store = E.Store(E.Program())
+            for e in roots + roots[::-1]:
+                assert _outcome(e, c, store) == _outcome(e, c, None)
+
+    def test_first_failure_in_the_roots_own_order(self):
+        # at x = 1/3, s is singular and b outgrows EXACT_BITS; whichever the
+        # root's own order reaches first raises, also when another root
+        # already left the other node's error in the shared store
+        # (interned after b, so add(s, b) walks s first)
+        b = pow_(X, 300001)
+        s = pow_(sub(mul(27, X), 9), -5)
+        c = ctx(F(1, 3), 1)
+        firsts = set()
+        for root in (add(s, b), add(s, mul(b, Y)), mul(s, b, Y)):
+            order = E.topo_order(root)
+            first = (SingularSampleError if order.index(s) < order.index(b)
+                     else ExactBudgetError)
+            firsts.add(first)
+            assert _outcome(root, c, None) is first
+            for other in (s, b):
+                store = E.Store()
+                assert _outcome(other, c, store) in (SingularSampleError,
+                                                     ExactBudgetError)
+                assert _outcome(root, c, store) is first
+                assert _outcome(root, c, store) is first  # memoized
+        assert firsts == {SingularSampleError, ExactBudgetError}
+
+    def test_compiling_interns_no_node(self):
+        e = parse("x^3*exp(y) + sqrt(x + y)/(x - y)")
+        d = derive(e, "x")
+        size = len(E._table)
+        store = E.Store()
+        for root in (e, d, e):
+            evaluate(root, ctx(F(1, 3), F(1, 2), mode="float"), store)
+        assert len(E._table) == size
+        assert len(store.program.slots) == len(
+            {n.uid for r in (e, d) for n in E.topo_order(r)})
+
+
 def _hp_value(e, pt, xval):
     bindings = {k: v for k, v in pt.items() if v is not None}
     bindings["x"] = xval

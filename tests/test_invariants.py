@@ -245,7 +245,7 @@ class TestSharedSamples:
             fresh.append(zero_test(e, web))
             alone.append(len(calls) - start)
         del calls[:]
-        memo: dict = {}
+        memo = invariants.SampleMemo()
         shared = [zero_test(e, web, memo=memo) for e in exprs]
         assert shared == fresh
         points = [[ev.point for ev in r[1]] for r in fresh]
@@ -258,6 +258,20 @@ class TestSharedSamples:
         drawn = len(calls)
         zero_test(exprs[1], web, memo=memo)
         assert len(calls) == drawn
+
+    def test_memo_holds_each_state_once(self):
+        # a point's "after" state is the key state of the next point: the
+        # memo keeps one object per distinct generator state
+        web = corpus.web_for(corpus.case_by_name("power-web"))
+        memo = invariants.SampleMemo()
+        for e in build_compatibility_pair(web):
+            zero_test(e, web, memo=memo)
+        held = ([key[0] for key in memo.points]
+                + [hit[1] for hit in memo.points.values()])
+        distinct = set(held)
+        assert len(memo.points) > 10
+        assert len({id(state) for state in held}) == len(distinct)
+        assert len(distinct) < len(held)
 
     @pytest.mark.parametrize("case", [*corpus.CASES, corpus.LINEAR_FIVE_WEB],
                              ids=lambda c: c.name)
@@ -275,8 +289,8 @@ class TestSharedSamples:
         seen = []
         valid = calculus._point_is_valid
 
-        def counting(web, point, precision):
-            ok = valid(web, point, precision)
+        def counting(web, point, *args):
+            ok = valid(web, point, *args)
             if ok:
                 seen.append((point.x, point.y,
                              tuple(sorted(point.params.items()))))
