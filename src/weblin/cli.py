@@ -30,6 +30,9 @@ EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
+# a bound on the linearizer's memory: at 513 nodes per axis the seven
+# coefficient arrays on the substep-refined lattice take about 235 MB
+MAX_GRID = 513
 
 _VERDICT_EXIT = {YES: EXIT_YES, NO: EXIT_NO, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
@@ -127,6 +130,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--samples must be positive")
     if not 24 <= cfg.precision <= MAX_PRECISION:
         raise UsageError(f"--precision must be 24 to {MAX_PRECISION} bits")
+    if cfg.grid > MAX_GRID:
+        raise UsageError(f"--grid must be at most {MAX_GRID} nodes per axis")
     return cfg
 
 
@@ -323,7 +328,7 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("linearize", help="construct flat coordinates")
     common(p)
     p.add_argument("--grid", type=int, default=lin.DEFAULT_GRID_N,
-                   help="grid nodes per axis (default 41)")
+                   help="grid nodes per axis, 5..513 (default 41)")
     p.add_argument("--base", help="base point x,y (default: domain center)")
     p.add_argument("--lambda0", help="initial deformation a,b (default 0,0)")
     p.add_argument("--param", action="append",

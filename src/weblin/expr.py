@@ -959,8 +959,12 @@ def evaluate_scaled(e: Expr, ctx: EvalContext, store: Store | None = None):
     return _evaluate(e, ctx, store, True)
 
 
-def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Callable:
-    """Compile to a vectorized double-precision function of (x, y) arrays.
+def grid_function(*roots: Expr,
+                  params: Mapping[str, Fraction] | None = None) -> Callable:
+    """Compile roots to one vectorized double-precision function of (x, y)
+    arrays: the roots share one `Program`, so a node common to several is
+    computed once per call.  With one root the function returns its array,
+    with several a list of arrays in root order.
 
     Singularities surface as nan/inf entries, which callers must check for;
     the numeric layer uses this for whole-grid coefficient evaluation.
@@ -969,21 +973,26 @@ def grid_function(e: Expr, params: Mapping[str, Fraction] | None = None) -> Call
 
     arith = _GridArithmetic(np)
     params = {k: arith.num(v) for k, v in (params or {}).items()}
-    missing = free_symbols(e) - {"x", "y"} - set(params)
+    missing = (frozenset().union(*map(free_symbols, roots))
+               - {"x", "y"} - set(params))
     if missing:
         raise MissingBindingError(f"no binding for {', '.join(sorted(missing))}")
-    code = Program().code(e)  # one slot per instruction
-    if any(k == UNDEF for _, k, _, _ in code):
+    program = Program()
+    codes = [program.code(e) for e in roots]
+    if any(k == UNDEF for code in codes for _, k, _, _ in code):
         raise SingularSampleError("undefined value (division by constant zero)")
 
     def fn(xg, yg):
         xg = np.asarray(xg, dtype=float)
         yg = np.asarray(yg, dtype=float)
+        shape = np.broadcast_shapes(xg.shape, yg.shape)
+        vals = [None] * len(program.slots)
+        leaves = {**params, "x": xg, "y": yg}
         with np.errstate(all="ignore"):
-            out = _walk(code, arith, [None] * len(code),
-                        {**params, "x": xg, "y": yg})
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               np.broadcast_shapes(xg.shape, yg.shape)).copy()
+            outs = [np.broadcast_to(np.asarray(_walk(code, arith, vals, leaves),
+                                               dtype=float), shape).copy()
+                    for code in codes]
+        return outs[0] if len(outs) == 1 else outs
 
     return fn
 

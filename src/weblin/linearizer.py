@@ -7,19 +7,22 @@ connection satisfy a first-order Frobenius system whose coefficients are
 the symbolic scalars H, K, mu and the frame derivatives of mu; a parallel
 coframe and its potentials (u, v) satisfy a linear system along with them.
 The pipeline evaluates the coefficients once, integrates the whole system
-with classical 4th-order steps along grid lines in the x-first and then the
+with classical 4th-order steps along grid lines in the x-first and the
 y-first order, verifies flatness (finite-difference curvature of the
 x-first lambda), path independence (the two orders), and a nondegenerate,
-closed coframe, and returns (u, v).  A sweep integrates its base line, then
-every line of the other axis in one batch, the state held as arrays over
-the lines.  `straightness_report` then traces the leaves of every foliation
-once (their points lie on grid lines, where (u, v) is interpolated by cubic
-Hermite along the line) and measures how straight they become under
-(x, y) -> (u, v); `render_svg` draws those same leaves.
+closed coframe, and returns (u, v).  The two orders take three batched
+line integrations, the state held as one (8, lines) array: the base row,
+then every column, then every row from the column through the base node,
+which both orders share.  `straightness_report` then traces the leaves of
+every foliation once, bisecting all its levels together (their points lie
+on grid lines, where (u, v) is interpolated by cubic Hermite along the
+line, one call per field for all leaves) and measures how straight they
+become under (x, y) -> (u, v); `render_svg` draws those same leaves.
 
-Coefficients are always evaluated from their symbolic expressions on a
-refined lattice that contains every integrator substep point; only the
-unknowns (lambda, the coframe, the potentials) are discretized.
+Coefficients are always evaluated from their symbolic expressions, as one
+compiled program run block by block, on a refined lattice that contains
+every integrator substep point; only the unknowns (lambda, the coframe, the
+potentials) are discretized.
 """
 from __future__ import annotations
 
@@ -48,6 +51,8 @@ LAMBDA_BLOWUP_BOUND = 1e12
 COFRAME_DET_BOUND = 1e-8
 FLATNESS_FACTOR = 1e-4  # threshold = factor * grid diameter
 LEAVES_PER_FOLIATION = 5
+BLOCK_POINTS = 2 ** 14  # lattice points per coefficient evaluation block
+BISECTION_CAP = 80  # halvings per leaf crossing, at most
 
 
 class LinearizerError(RuntimeError):
@@ -163,7 +168,10 @@ class CoefficientGrid:
 
     With m substeps per grid interval the 4th-order stepper needs values at
     half-substep points, so the refinement factor is 2m; node (i, j) of the
-    main grid sits at refined index (i*r, j*r).
+    main grid sits at refined index (i*r, j*r).  The seven coefficients are
+    one compiled program, run over blocks of at most BLOCK_POINTS lattice
+    points into `stacked` (coefficient, x index, y index); `arrays` names
+    its planes.
     """
 
     def __init__(self, web: WebSpec, grid: GridSpec,
@@ -181,117 +189,121 @@ class CoefficientGrid:
         fr = WebFrame(web.f)
         m = web_mu(web, 4)
         exprs = (fr.fx, fr.fy, fr.H, fr.K, m, fr.d1(m), fr.d2(m))
+        fn = grid_function(*exprs, params=params)
         xlo, xhi, ylo, yhi = grid.rect.as_floats()
-        XX, YY = np.meshgrid(np.linspace(xlo, xhi, (grid.nx - 1) * self.r + 1),
-                             np.linspace(ylo, yhi, (grid.ny - 1) * self.r + 1),
-                             indexing="ij")
-        self.arrays: dict[str, np.ndarray] = {}
-        for name, e in zip(_COEFF_NAMES, exprs):
-            vals = grid_function(e, params)(XX, YY)
+        xs = np.linspace(xlo, xhi, (grid.nx - 1) * self.r + 1)
+        ys = np.linspace(ylo, yhi, (grid.ny - 1) * self.r + 1)
+        self.stacked = np.empty((len(exprs), len(xs), len(ys)))
+        rows = max(1, BLOCK_POINTS // len(ys))
+        for i in range(0, len(xs), rows):
+            XX, YY = np.meshgrid(xs[i:i + rows], ys, indexing="ij")
+            for plane, vals in zip(self.stacked, fn(XX, YY)):
+                plane[i:i + rows] = vals
+        for name, vals in zip(_COEFF_NAMES, self.stacked):
             if not np.all(np.isfinite(vals)):
                 raise LinearizerError(
                     f"coefficient {name} is singular inside the grid; "
                     "choose a smaller or shifted rectangle")
-            self.arrays[name] = vals
+        self.arrays = dict(zip(_COEFF_NAMES, self.stacked))
 
 
-def _rhs(coeffs: tuple[np.ndarray, ...], s: Sequence[np.ndarray],
-         along: str) -> list[np.ndarray]:
+def _rhs(c: np.ndarray, s: np.ndarray, along: str) -> np.ndarray:
     """Frame equations converted to x- or y-derivatives.
 
-    State: (l1, l2, p1, q1, p2, q2, u, v), each an array over a batch of
-    lines; two coframes theta = p w1 + q w2 = -p fx dx - q fy dy are
-    transported, and the potentials integrate du = theta1, dv = theta2.
+    c holds the coefficients (fx, fy, H, K, mu, mu1, mu2) and s the state
+    (l1, l2, p1, q1, p2, q2, u, v), one row each over a batch of lines; two
+    coframes theta = p w1 + q w2 = -p fx dx - q fy dy are transported, and
+    the potentials integrate du = theta1, dv = theta2.
     """
-    fx, fy, H, K, mu, mu1, mu2 = coeffs
+    fx, fy, H, K, mu, mu1, mu2 = c
     l1, l2, p1, q1, p2, q2 = s[:6]
     if along == "x":
         fac = -fx
         dl1 = l1 * (H + l1 + mu)
         dl2 = -K / 3 + H * (l2 - mu / 3) + l1 * l2 + (2.0 / 3) * mu1 - mu2 / 3
         c11 = 2 * l1 + mu + H
-        return [fac * dl1,
-                fac * dl2,
-                fac * p1 * c11,
-                fac * (p1 * l2 + q1 * (l1 + H)),
-                fac * p2 * c11,
-                fac * (p2 * l2 + q2 * (l1 + H)),
-                fac * p1,
-                fac * p2]
+        return np.array([fac * dl1,
+                         fac * dl2,
+                         fac * p1 * c11,
+                         fac * (p1 * l2 + q1 * (l1 + H)),
+                         fac * p2 * c11,
+                         fac * (p2 * l2 + q2 * (l1 + H)),
+                         fac * p1,
+                         fac * p2])
     fac = -fy
     dl1 = K / 3 + H * (l1 + mu / 3) + l1 * l2 + mu1 / 3 - (2.0 / 3) * mu2
     dl2 = l2 * (H + l2 - mu)
     c22 = 2 * l2 - mu + H
-    return [fac * dl1,
-            fac * dl2,
-            fac * (p1 * (l2 + H) + q1 * l1),
-            fac * q1 * c22,
-            fac * (p2 * (l2 + H) + q2 * l1),
-            fac * q2 * c22,
-            fac * q1,
-            fac * q2]
+    return np.array([fac * dl1,
+                     fac * dl2,
+                     fac * (p1 * (l2 + H) + q1 * l1),
+                     fac * q1 * c22,
+                     fac * (p2 * (l2 + H) + q2 * l1),
+                     fac * q2 * c22,
+                     fac * q1,
+                     fac * q2])
 
 
-def _rk4_step(arrays: Sequence[np.ndarray], s: list[np.ndarray], along: str,
-              t: int, fixed: slice, h: float, sign: int) -> list[np.ndarray]:
-    """One substep of size sign*h on a batch of parallel lines: `arrays`
-    holds the coefficients indexed [along, across], t is the refined start
-    index along the lines and `fixed` selects their refined indices across;
-    the stage points sit at refined offsets 0, sign, 2*sign."""
-    def f(offset: int, state: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return _rhs(tuple(a[t + offset, fixed] for a in arrays), state, along)
+def _rk4_step(C: np.ndarray, s: np.ndarray, along: str, t: int,
+              fixed: slice, h: float, sign: int) -> np.ndarray:
+    """One substep of size sign*h on a batch of parallel lines: C holds the
+    coefficients indexed [coefficient, along, across], s the (8, lines)
+    state, t is the refined start index along the lines and `fixed` selects
+    their refined indices across; the stage points sit at refined offsets
+    0, sign, 2*sign."""
+    def f(offset: int, state: np.ndarray) -> np.ndarray:
+        return _rhs(C[:, t + offset, fixed], state, along)
 
     hh = sign * h
     k1 = f(0, s)
-    k2 = f(sign, [si + hh / 2 * ki for si, ki in zip(s, k1)])
-    k3 = f(sign, [si + hh / 2 * ki for si, ki in zip(s, k2)])
-    k4 = f(2 * sign, [si + hh * ki for si, ki in zip(s, k3)])
-    out = [si + hh / 6 * (a + 2 * b + 2 * c + d)
-           for si, a, b, c, d in zip(s, k1, k2, k3, k4)]
-    lam = np.stack(out[:2])
+    k2 = f(sign, s + hh / 2 * k1)
+    k3 = f(sign, s + hh / 2 * k2)
+    k4 = f(2 * sign, s + hh * k3)
+    out = s + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    lam = out[:2]
     if not np.all(np.isfinite(lam)) or np.abs(lam).max() > LAMBDA_BLOWUP_BOUND:
         raise LinearizerError("Frobenius integration diverged; shrink grid")
     return out
 
 
-def _integrate_lines(cg: CoefficientGrid, s0: Sequence[np.ndarray],
-                     along: str, start: int, fixed: slice) -> np.ndarray:
+def _integrate_lines(cg: CoefficientGrid, s0: np.ndarray, along: str,
+                     start: int, fixed: slice) -> np.ndarray:
     """Integrate a batch of parallel grid lines from their node `start` to
-    both ends.  s0 holds the 8 state components at the start node, each an
-    array over the lines, and `fixed` selects the lines' refined indices
-    across them.  Returns the states as an (nodes along, lines, 8) array."""
+    both ends.  s0 is the (8, lines) state at the start node and `fixed`
+    selects the lines' refined indices across them.  Returns the states as
+    a (nodes along, 8, lines) array."""
     g = cg.grid
     n, h = (g.nx, g.hx) if along == "x" else (g.ny, g.hy)
-    arrays = [cg.arrays[name] if along == "x" else cg.arrays[name].T
-              for name in _COEFF_NAMES]
-    out = np.empty((n, len(s0[0]), len(s0)))
-    out[start] = np.stack(s0, axis=1)
+    C = cg.stacked if along == "x" else cg.stacked.transpose(0, 2, 1)
+    out = np.empty((n,) + s0.shape)
+    out[start] = s0
     for sign, stop in ((1, n - 1), (-1, 0)):
-        s = list(s0)
+        s = s0
         for node in range(start, stop, sign):
             for k in range(cg.substeps):
-                s = _rk4_step(arrays, s, along, node * cg.r + 2 * sign * k,
+                s = _rk4_step(C, s, along, node * cg.r + 2 * sign * k,
                               fixed, h / cg.substeps, sign)
-            out[node + sign] = np.stack(s, axis=1)
+            out[node + sign] = s
     return out
 
 
 def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
-                     s0: Sequence[float], first: str) -> np.ndarray:
-    """Integrate the Frobenius system over the whole grid from the base node:
-    the base line of axis `first` ("x" or "y") as a batch of one, then every
-    line of the other axis at once, each from its node on the base line.
-    The state is (l1, l2, p1, q1, p2, q2, u, v) as in `_rhs`; returns the
-    states as an (nx, ny, 8) array."""
-    r = cg.r
+                     s0: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the Frobenius system over the whole grid from the base node
+    in both sweep orders.  The x-first order integrates the base row, then
+    every column at once from its node on the row; the y-first order the
+    base column, then every row.  The y-first base column is the x-first
+    sweep's column through the base node (same start state, coefficients
+    and operations, so the same bits), so three batched integrations make
+    the two orders.  The state is (l1, l2, p1, q1, p2, q2, u, v) as in
+    `_rhs`; returns the x-first and y-first states as (nx, ny, 8) arrays."""
+    r, every = cg.r, slice(None, None, cg.r)
     ib, jb = base_node
-    start, across = (ib, jb) if first == "x" else (jb, ib)
-    second = "y" if first == "x" else "x"
-    line = _integrate_lines(cg, [np.array([float(v)]) for v in s0], first,
-                            start, slice(across * r, across * r + 1))
-    states = _integrate_lines(cg, list(line[:, 0, :].T), second, across,
-                              slice(None, None, r))
-    return states.transpose(1, 0, 2) if first == "x" else states
+    start = np.array(s0, dtype=float)[:, None]
+    row = _integrate_lines(cg, start, "x", ib, slice(jb * r, jb * r + 1))
+    cols = _integrate_lines(cg, row[:, :, 0].T, "y", jb, every)
+    rows = _integrate_lines(cg, cols[:, :, ib].T, "x", ib, every)
+    return cols.transpose(2, 0, 1), rows.transpose(0, 2, 1)
 
 
 def _diff4(A: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -400,14 +412,13 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
     s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
           0.0, 0.0]
-    state = integrate_lambda(cg, (ib, jb), s0, "x")
+    state, state_t = integrate_lambda(cg, (ib, jb), s0)
     flat = flatness_residual(cg, state[:, :, 0], state[:, :, 1])
     threshold = FLATNESS_FACTOR * g.diameter
     if flat > threshold and not force:
         raise LinearizerError(
             f"connection is not flat (residual {flat:.3e} > {threshold:.3e}); "
             "linearization refused")
-    state_t = integrate_lambda(cg, (ib, jb), s0, "y")
     path_resid = float(np.abs(state[:, :, :2] - state_t[:, :, :2]).max())
     p1, q1 = state[:, :, 2], state[:, :, 3]
     p2, q2 = state[:, :, 4], state[:, :, 5]
@@ -447,34 +458,46 @@ def _tls_line_residual(points: np.ndarray) -> float:
     return res / extent if extent > 0 else 0.0
 
 
-def _first_crossings(fn: Callable, W: np.ndarray, level: float,
+def _first_crossings(fn: Callable, W: np.ndarray, levels: np.ndarray,
                      across: np.ndarray, along_nodes: np.ndarray, along: str
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """First crossing of `level` on every line of W, bisected 80 times for
-    all lines at once.  W[k] samples fn on the line at across[k], at
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """First crossing of each level on every line of W, bisected for all
+    levels and lines at once.  W[k] samples fn on the line at across[k], at
     along_nodes in direction `along`; a line whose bracket fails (non-finite
-    or same-signed ends, non-finite midpoints) is dropped.  Returns the
-    across coordinates and the roots of the lines kept."""
-    D = W - level
-    change = D[:, :-1] * D[:, 1:] <= 0
-    k = np.nonzero(change.any(axis=1))[0]
-    j = change[k].argmax(axis=1)
+    or same-signed ends, non-finite midpoints) is dropped.  The halving
+    stops after BISECTION_CAP steps, or at the first step that leaves the
+    whole state (lo, hi, f(lo), keep) unchanged: the step is deterministic,
+    so that state is a fixed point and the roots are those of BISECTION_CAP
+    halvings.  Returns, per level, the across coordinates and the roots of
+    the lines kept."""
+    D = W - levels[:, None, None]
+    change = D[:, :, :-1] * D[:, :, 1:] <= 0
+    lvl, k = np.nonzero(change.any(axis=2))
+    j = change[lvl, k].argmax(axis=1)
     fixed, lo, hi = across[k], along_nodes[j], along_nodes[j + 1]
+    c = levels[lvl]
 
     def val(t: np.ndarray) -> np.ndarray:
-        return (fn(t, fixed) if along == "x" else fn(fixed, t)) - level
+        return (fn(t, fixed) if along == "x" else fn(fixed, t)) - c
 
     with np.errstate(all="ignore"):
         flo, fhi = val(lo), val(hi)
         keep = np.isfinite(flo) & np.isfinite(fhi) & ~(flo * fhi > 0)
-        for _ in range(80):
+        state = None
+        for _ in range(BISECTION_CAP):
             mid = 0.5 * (lo + hi)
             fm = val(mid)
             keep &= np.isfinite(fm)
             left = flo * fm <= 0
             hi = np.where(left, mid, hi)
             lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
-    return fixed[keep], (0.5 * (lo + hi))[keep]
+            last, state = state, (lo.tobytes(), hi.tobytes(), flo.tobytes(),
+                                  keep.tobytes())
+            if state == last:
+                break
+    roots = 0.5 * (lo + hi)
+    return [(fixed[sel], roots[sel])
+            for sel in (keep & (lvl == i) for i in range(len(levels)))]
 
 
 def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
@@ -484,8 +507,8 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
 
     Foliations are named "x", "y", "f", "g4".."gd".  A level curve of f/g
     is sampled where it first crosses each grid column and each grid row,
-    found by bisecting all crossings of a level together; every sample
-    point therefore lies on a grid line.  Pieces that leave the rectangle
+    found by bisecting the column crossings of all levels together, then
+    the row crossings; every sample point therefore lies on a grid line.  Pieces that leave the rectangle
     are simply absent from the returned samples.
     """
     xs, ys = grid.xs, grid.ys
@@ -503,16 +526,16 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
         e = web.g(int(foliation[1:]))
     else:
         raise LinearizerError(f"unknown foliation {foliation!r}")
-    fn = grid_function(e, params)
+    fn = grid_function(e, params=params)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
     W = fn(XX, YY)
     if not np.all(np.isfinite(W)):
         raise LinearizerError(f"foliation {foliation} is singular on the grid")
     levels = np.quantile(W, np.linspace(0.25, 0.75, leaves))
     out = []
-    for c in levels:
-        col_x, col_y = _first_crossings(fn, W, c, xs, ys, "y")
-        row_y, row_x = _first_crossings(fn, W.T, c, ys, xs, "x")
+    for (col_x, col_y), (row_y, row_x) in zip(
+            _first_crossings(fn, W, levels, xs, ys, "y"),
+            _first_crossings(fn, W.T, levels, ys, xs, "x")):
         pts = (list(zip(col_x.tolist(), col_y.tolist()))
                + list(zip(row_x.tolist(), row_y.tolist())))
         if pts:
@@ -526,26 +549,29 @@ def straightness_report(result: LinearizationResult, web: WebSpec, *,
     """Per-foliation max normalized line-fit residual of the mapped leaves.
 
     Traces LEAVES_PER_FOLIATION leaves of every foliation and keeps them,
-    with their images under (u, v), in result.leaves.  Leaves with fewer
-    than 5 usable sample points are skipped and counted in
-    result.skipped_leaves.
+    with their images under (u, v), in result.leaves; the points of all
+    leaves go through one Hermite map per field.  Leaves with fewer than 5
+    usable sample points are skipped and counted in result.skipped_leaves.
     """
     g = result.u.grid
-    report: dict[str, float] = {}
+    names = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
+    traced = [(idx, leaf) for idx, name in enumerate(names)
+              for leaf in trace_leaves(web, g, name, LEAVES_PER_FOLIATION,
+                                       params)]
+    points = np.concatenate([leaf for _, leaf in traced])
+    u, v = result.u.on_grid_lines(points), result.v.on_grid_lines(points)
+    report = dict.fromkeys(names, 0.0)
     leaves: list[tuple[int, np.ndarray, np.ndarray]] = []
-    skipped = 0
-    foliations = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
-    for idx, name in enumerate(foliations):
-        worst = 0.0
-        for leaf in trace_leaves(web, g, name, LEAVES_PER_FOLIATION, params):
-            mapped = np.stack([result.u.on_grid_lines(leaf),
-                               result.v.on_grid_lines(leaf)], axis=1)
-            leaves.append((idx, leaf, mapped))
-            if len(leaf) < 5:
-                skipped += 1
-                continue
-            worst = max(worst, _tls_line_residual(mapped))
-        report[name] = worst
+    skipped = end = 0
+    for idx, leaf in traced:
+        start, end = end, end + len(leaf)
+        mapped = np.stack([u[start:end], v[start:end]], axis=1)
+        leaves.append((idx, leaf, mapped))
+        if len(leaf) < 5:
+            skipped += 1
+            continue
+        report[names[idx]] = max(report[names[idx]],
+                                 _tls_line_residual(mapped))
     result.straightness = report
     result.skipped_leaves = skipped
     result.leaves = leaves

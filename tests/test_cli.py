@@ -8,8 +8,9 @@ import time
 
 import pytest
 
+from weblin import linearizer as lin
 from weblin.cli import (main, build_parser, _build_config, EXIT_YES, EXIT_NO,
-                        EXIT_INCONCLUSIVE, EXIT_USAGE)
+                        EXIT_INCONCLUSIVE, EXIT_USAGE, MAX_GRID)
 
 
 def run(capsys, *argv):
@@ -212,6 +213,25 @@ class TestLinearizeCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nodes", [514, 10 ** 9])
+    def test_grid_above_bound(self, capsys, nodes, monkeypatch):
+        # refused before any lattice is allocated: a wrapped CoefficientGrid
+        # must never run
+        def no_grid(*args, **kwargs):
+            raise AssertionError("coefficient grid built")
+
+        monkeypatch.setattr(lin, "CoefficientGrid", no_grid)
+        code, out, err = run(capsys, "linearize", "--f", "x/y",
+                             "--g", "x+y", "--grid", str(nodes))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --grid") and err.count("\n") == 1
+
+    def test_grid_bound_accepted(self):
+        args = build_parser().parse_args(["linearize", "--f", "x/y",
+                                          "--g", "x+y", "--grid", "513"])
+        assert _build_config(args).grid == MAX_GRID == 513
 
     def test_param_flag(self, capsys):
         code, out, _ = run(capsys, "linearize", "--f", "x/y",

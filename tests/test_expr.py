@@ -437,7 +437,7 @@ class TestOneEvaluator:
             with mpmath.workprec(256):
                 err = abs(v - mpmath.mpf(exact.numerator) / exact.denominator)
             assert err <= 2.0 ** -200 * scale
-            fn = grid_function(e, {"n": pt["n"]})
+            fn = grid_function(e, params={"n": pt["n"]})
             got = fn(float(pt["x"]), float(pt["y"]))
             assert got.shape == ()
             assert abs(float(got) - exact) <= 2.0 ** -30 * scale
@@ -509,6 +509,45 @@ class TestSlotProgram:
         assert len(E._table) == size
         assert len(store.program.slots) == len(
             {n.uid for r in (e, d) for n in E.topo_order(r)})
+
+
+class TestGridProgram:
+    """Roots compiled together into one grid program share its slots, yet
+    every root's array is, bit for bit, what the root compiled alone
+    gives."""
+
+    XX, YY = np.meshgrid(np.linspace(-2, 5, 15), np.linspace(-1, 3, 9),
+                         indexing="ij")
+
+    @given(st.lists(_expr_strategy(), min_size=2, max_size=4),
+           st.sampled_from(POINTS))
+    @settings(max_examples=60, deadline=None)
+    def test_multi_root_equals_single_roots(self, base, pt):
+        roots = base + [mul(base[0], base[1]), E.sub(base[1], base[0]),
+                        pow_(add(base[0], 1), -1), const(3)]
+        params = {"n": pt["n"]}
+        alone = []
+        for e in roots:
+            try:
+                alone.append(grid_function(e, params=params)(self.XX, self.YY))
+            except SingularSampleError:  # a constant 1/0 in the root
+                with pytest.raises(SingularSampleError):
+                    grid_function(*roots, params=params)
+                return
+        together = grid_function(*roots, params=params)(self.XX, self.YY)
+        assert len(together) == len(roots)
+        for got, want in zip(together, alone):
+            assert got.shape == want.shape == self.XX.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_bindings_and_constants_checked_over_all_roots(self):
+        with pytest.raises(MissingBindingError, match="q"):
+            grid_function(X, add(Y, param("q")))
+        with pytest.raises(SingularSampleError):
+            grid_function(X, parse("y + 1/0"))
+        fn = grid_function(X, add(Y, param("q")), params={"q": F(1, 2)})
+        x, y = fn(np.array([1.0, 2.0]), 3.0)
+        assert x.tolist() == [1.0, 2.0] and y.tolist() == [3.5, 3.5]
 
 
 def _hp_value(e, pt, xval):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +41,7 @@ def _lambda(web, grid, lam0=(0.0, 0.0)):
     cg = lin.CoefficientGrid(web, grid)
     cx, cy = grid.rect.center
     node = grid.nearest_index(float(cx), float(cy))
-    state = lin.integrate_lambda(cg, node, [*lam0, 0, 0, 0, 0, 0, 0], "x")
+    state, _ = lin.integrate_lambda(cg, node, [*lam0, 0, 0, 0, 0, 0, 0])
     return cg, state[:, :, 0], state[:, :, 1]
 
 
@@ -125,14 +126,22 @@ class TestBatchedSweep:
         cg = lin.CoefficientGrid(WEB2, g)
         ib, jb = 7, 15
         s0 = [0.3, -0.2, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-        states = [lin.integrate_lambda(cg, (ib, jb), s0, first)
-                  for first in ("x", "y")]
+        states = lin.integrate_lambda(cg, (ib, jb), s0)
         for state in states:
             assert state.shape == (31, 21, 8)
             assert state[ib, jb].tolist() == s0
         assert np.abs(states[0][:, :, :2]).max() > 0.1
-        # the criterion-6 tolerance
+        # the criterion-6 tolerance, between two distinct orders
         assert np.abs(states[0][:, :, :2] - states[1][:, :, :2]).max() < 1e-8
+        assert not np.array_equal(states[0], states[1])
+        # the y-first order integrated on its own, base column then rows,
+        # is bit for bit the one that reuses the x-first sweep's column
+        r = cg.r
+        col = lin._integrate_lines(cg, np.array(s0)[:, None], "y", jb,
+                                   slice(ib * r, ib * r + 1))
+        rows = lin._integrate_lines(cg, col[:, :, 0].T, "x", ib,
+                                    slice(None, None, r))
+        assert rows.transpose(0, 2, 1).tobytes() == states[1].tobytes()
         res = lin.flat_coordinates(WEB2, g, base=(g.xs[ib], g.ys[jb]))
         assert res.base == (g.xs[ib], g.ys[jb])
         assert res.u.values[ib, jb] == res.v.values[ib, jb] == 0
@@ -274,6 +283,132 @@ class TestPipeline:
     def test_verdict_and_reports_on_result(self, web2_result):
         assert web2_result.verdict == "YES"
         assert [r.verdict for r in web2_result.reports] == ["ZERO", "ZERO"]
+
+
+def _halving_oracle(fn, W, level, across, along_nodes, along):
+    """First crossing of one level on every line of W by a plain loop of 80
+    halvings: the across coordinates and roots of the lines kept."""
+    D = W - level
+    change = D[:, :-1] * D[:, 1:] <= 0
+    k = np.nonzero(change.any(axis=1))[0]
+    j = change[k].argmax(axis=1)
+    fixed, lo, hi = across[k], along_nodes[j], along_nodes[j + 1]
+
+    def val(t):
+        return (fn(t, fixed) if along == "x" else fn(fixed, t)) - level
+
+    with np.errstate(all="ignore"):
+        flo, fhi = val(lo), val(hi)
+        keep = np.isfinite(flo) & np.isfinite(fhi) & ~(flo * fhi > 0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = val(mid)
+            keep &= np.isfinite(fm)
+            left = flo * fm <= 0
+            hi = np.where(left, mid, hi)
+            lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+    return fixed[keep], (0.5 * (lo + hi))[keep]
+
+
+def _same_bits(a, b):
+    return all(p.tobytes() == q.tobytes() for p, q in zip(a, b))
+
+
+class TestBisection:
+    """One bisection per foliation and direction gives the roots of 80
+    plain halvings per level, bit for bit."""
+
+    XS, YS = np.linspace(0, 1, 9), np.linspace(0, 1, 5)
+
+    @staticmethod
+    def _fn(x, y):
+        # exact at the nodes; nan exactly at x = 3/16, the first midpoint
+        # of the row bracket [1/8, 1/4]
+        return np.where(x == 0.1875, np.nan, x + y / 4)
+
+    def test_edge_cases_match_plain_halvings(self):
+        XX, YY = np.meshgrid(self.XS, self.YS, indexing="ij")
+        W = self._fn(XX, YY)
+        # a level on grid nodes, one whose row brackets meet the nan
+        # midpoint, one never crossed, and an ordinary one
+        levels = np.array([0.5, 0.2, 10.0, 0.3])
+        fn, xs, ys = self._fn, self.XS, self.YS
+        got = list(zip(lin._first_crossings(fn, W, levels, xs, ys, "y"),
+                       lin._first_crossings(fn, W.T, levels, ys, xs, "x")))
+        want = [(_halving_oracle(fn, W, c, xs, ys, "y"),
+                 _halving_oracle(fn, W.T, c, ys, xs, "x")) for c in levels]
+        for (gc, gr), (wc, wr) in zip(got, want):
+            assert _same_bits(gc, wc) and _same_bits(gr, wr)
+        (col_x, col_y), _ = got[0]
+        # column x = 1/2 starts on the level: f(lo) == 0 halves toward lo
+        assert 0 < col_y[col_x.tolist().index(0.5)] < 1e-20
+        kept_rows = got[1][1][0]
+        assert 0 < len(kept_rows) < len(self.YS)  # some rows dropped
+        assert all(len(a) == 0 for a in got[2][0] + got[2][1])
+
+    def test_stops_at_a_fixed_point(self):
+        calls = []
+
+        def fn(x, y):
+            calls.append(1)
+            return x + y / 4
+
+        XX, YY = np.meshgrid(self.XS, self.YS, indexing="ij")
+        W = XX + YY / 4
+        got = lin._first_crossings(fn, W, np.array([0.3, 0.45]),
+                                   self.XS, self.YS, "y")
+        halvings = len(calls) - 2  # two calls for the bracket ends
+        want = [_halving_oracle(fn, W, c, self.XS, self.YS, "y")
+                for c in (0.3, 0.45)]
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert len(got[0][0]) == len(got[1][0]) == 2
+        # brackets a quarter wide reach adjacent doubles in about 54
+        assert 50 < halvings < 80
+
+    @pytest.mark.parametrize("web, foliation", [
+        (WEB2, "f"), (WEB2, "g4"), (WEB3, "f"), (WEB3, "g4")])
+    def test_trace_leaves_match_plain_halvings(self, web, foliation):
+        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
+        e = web.f if foliation == "f" else web.g(4)
+        fn = grid_function(e)
+        XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
+        W = fn(XX, YY)
+        levels = np.quantile(W, np.linspace(0.25, 0.75, 5))
+        want = []
+        for c in levels:
+            (col_x, col_y), (row_y, row_x) = (
+                _halving_oracle(fn, W, c, g.xs, g.ys, "y"),
+                _halving_oracle(fn, W.T, c, g.ys, g.xs, "x"))
+            want.append(np.array(sorted(set(
+                list(zip(col_x.tolist(), col_y.tolist()))
+                + list(zip(row_x.tolist(), row_y.tolist()))))))
+        got = lin.trace_leaves(web, g, foliation, 5)
+        assert len(got) == len(want) == 5
+        assert _same_bits(got, want)
+
+
+class TestCoefficientMemory:
+    def test_peak_grows_with_the_lattice_by_a_few_arrays(self):
+        # the seven coefficients are filled block by block: refining the
+        # lattice adds at most 16 doubles of peak memory per lattice point
+        web = corpus.linearization_web(corpus.case_by_name("bol-four-subweb"))
+
+        def peak(n):
+            g = lin.GridSpec(rect=web.domain, nx=n, ny=n)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cg = lin.CoefficientGrid(web, g)
+                top = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            points = ((n - 1) * cg.r + 1) ** 2
+            assert cg.stacked.shape[1] * cg.stacked.shape[2] == points
+            return top, points
+
+        peak(21)  # builds the symbolic coefficients once
+        (small, n41), (large, n81) = peak(41), peak(81)
+        assert large - small <= 16 * 8 * (n81 - n41)
 
 
 class TestLeafTracing:
