@@ -10,8 +10,8 @@ is a straight line.
 """
 from .expr import (Expr, EvalContext, parse, format_expr, simplify, derive,
                    substitute, evaluate, dag_size)
-from .calculus import (WebSpec, Rect, WebFrame, partial, d1, d2, web_H,
-                       web_K, basic_invariant, mu, sample_points)
+from .calculus import (WebSpec, Rect, WebFrame, web_K, basic_invariant, mu,
+                       sample_points)
 from .invariants import (InvariantReport, ZeroTestPolicy, zero_test,
                          I1_of_mu, I2_of_mu, I_fp, J_alpha, check_dweb)
 from .covariant import (WeightedScalar, delta, commutator_residual,

@@ -20,16 +20,16 @@ from typing import Mapping
 from . import expr as ex
 from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, Store,
                    derive, div, mul, pow_, sub, log_, evaluate,
-                   is_exactly_evaluable, free_symbols)
+                   is_exactly_evaluable, topo_order)
 
 __all__ = [
-    "Rect", "WebSpec", "WebFrame", "DomainTooSingularError", "partial",
-    "d1", "d2", "web_H", "web_K", "basic_invariant", "mu", "SamplePoint",
-    "sample_points", "random_rational", "reparameterized",
+    "Rect", "WebSpec", "WebFrame", "DomainTooSingularError", "web_K",
+    "basic_invariant", "mu", "SamplePoint", "sample_points",
+    "random_rational", "reparameterized",
 ]
 
 DEFAULT_DOMAIN = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
-DEFAULT_PARAM_RANGE = (Fraction(2), Fraction(7))
+PARAM_RANGE = (Fraction(2), Fraction(7))  # every parameter is drawn from it
 MAX_REJECTIONS = 100
 RATIONAL_DENOMINATOR_BOUND = 10 ** 4
 # float-mode guard band for the "not 0, not 1, pairwise distinct" checks
@@ -75,29 +75,22 @@ class WebSpec:
     f: Expr
     gs: tuple[Expr, ...]
     domain: Rect = Rect(*DEFAULT_DOMAIN)
-    param_ranges: Mapping[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
     seed: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "gs", tuple(self.gs))
         if not self.gs:
             raise ex.ExprError("a d-web needs at least one g (d >= 4)")
-        ranges = {k: (Fraction(lo), Fraction(hi))
-                  for k, (lo, hi) in dict(self.param_ranges).items()}
-        for name in self.params:
-            ranges.setdefault(name, DEFAULT_PARAM_RANGE)
-        object.__setattr__(self, "param_ranges", ranges)
 
     @property
     def d(self) -> int:
         return 3 + len(self.gs)
 
-    @property
+    @cached_property
     def params(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for e in (self.f, *self.gs):
-            names |= {s for s in free_symbols(e) if s not in ("x", "y")}
-        return tuple(sorted(names))
+        """The free parameter names of the web functions, sorted."""
+        return tuple(sorted(n.name for n in topo_order(self.f, *self.gs)
+                            if n.kind == ex.PARAM))
 
     def g(self, alpha: int) -> Expr:
         """Web function of foliation alpha, 4 <= alpha <= d."""
@@ -140,40 +133,21 @@ class WebFrame:
         self._fy_inv = pow_(self.fy, -1)
 
     def d1(self, e: Expr) -> Expr:
+        """First frame operator: -e_x / f_x."""
         return mul(-1, derive(e, "x"), self._fx_inv)
 
     def d2(self, e: Expr) -> Expr:
+        """Second frame operator: -e_y / f_y."""
         return mul(-1, derive(e, "y"), self._fy_inv)
 
     @property
     def H(self) -> Expr:
+        """H = f_xy / (f_x f_y), the connection scalar of the 3-subweb."""
         return div(derive(self.fx, "y"), mul(self.fx, self.fy))
 
     @property
     def K(self) -> Expr:
         return sub(self.d1(self.H), self.d2(self.H))
-
-
-def partial(e: Expr, v: str) -> Expr:
-    """Plain partial derivative by 'x' or 'y'; parameters are constants."""
-    if v not in ("x", "y"):
-        raise ex.ExprError(f"partial expects 'x' or 'y', got {v!r}")
-    return derive(e, v)
-
-
-def d1(e: Expr, web: WebSpec) -> Expr:
-    """First frame operator: -partial(e, x) / partial(f, x)."""
-    return WebFrame(web.f).d1(e)
-
-
-def d2(e: Expr, web: WebSpec) -> Expr:
-    """Second frame operator: -partial(e, y) / partial(f, y)."""
-    return WebFrame(web.f).d2(e)
-
-
-def web_H(web: WebSpec) -> Expr:
-    """H = f_xy / (f_x f_y), the single connection scalar of the 3-subweb."""
-    return WebFrame(web.f).H
 
 
 def web_K(web: WebSpec, mode: str = "structure") -> Expr:
@@ -277,7 +251,7 @@ def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
     """
     rng = rng if rng is not None else random.Random(web.seed)
     if params is None:
-        params = {name: random_rational(rng, *web.param_ranges[name])
+        params = {name: random_rational(rng, *PARAM_RANGE)
                   for name in web.params}
     out: list[SamplePoint] = []
     rejects = 0
@@ -312,6 +286,5 @@ def reparameterized(web: WebSpec, p_of_x: Expr, q_of_y: Expr,
         f=ex.substitute(web.f, mapping),
         gs=tuple(ex.substitute(g, mapping) for g in web.gs),
         domain=domain,
-        param_ranges=web.param_ranges,
         seed=web.seed,
     )

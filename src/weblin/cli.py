@@ -15,11 +15,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .expr import ExprError, ParseError, parse, format_expr
-from .calculus import Rect, WebSpec, DomainTooSingularError
+from .calculus import Rect, WebSpec
 from .invariants import (ZeroTestPolicy, check_dweb, InvariantReport,
                          YES, NO, INCONCLUSIVE)
 from . import linearizer as lin
@@ -46,39 +45,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    f: str | None = None
-    g: list[str] = field(default_factory=list)
-    domain: tuple[str, str, str, str] | None = None
-    seed: int = 1
-    samples: int = 8
-    precision: int = 256
-    grid: int = lin.DEFAULT_GRID_N
-    base: tuple[str, str] | None = None
-    lambda0: tuple[str, str] = ("0", "0")
-    params: dict[str, str] = field(default_factory=dict)
-    json_output: bool = False
-    svg: str | None = None
-    force: bool = False
-    equivalence: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "domain": list(self.domain) if self.domain else None,
-            "seed": self.seed,
-            "samples": self.samples,
-            "precision": self.precision,
-            "grid": self.grid,
-            "base": list(self.base) if self.base else None,
-            "lambda0": list(self.lambda0),
-            "params": dict(sorted(self.params.items())),
-            "force": self.force,
-        }
-
-
 def _split_csv(text: str, n: int, what: str) -> list[str]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
@@ -100,66 +66,71 @@ def _floats(texts: tuple[str, ...], what: str) -> tuple[float, ...]:
         raise UsageError(f"{what} value beyond double range") from None
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.json_output = getattr(args, "json", False)
-    cfg.seed = getattr(args, "seed", 1)
-    cfg.samples = getattr(args, "samples", 8)
-    cfg.precision = getattr(args, "precision", 256)
-    cfg.grid = getattr(args, "grid", lin.DEFAULT_GRID_N)
-    cfg.force = getattr(args, "force", False)
-    cfg.svg = getattr(args, "svg", None)
-    cfg.equivalence = getattr(args, "equivalence", False)
-    if getattr(args, "f", None) is not None:
-        cfg.f = args.f
-    cfg.g = list(getattr(args, "g", None) or [])
-    if getattr(args, "domain", None):
-        cfg.domain = tuple(_split_csv(args.domain, 4, "--domain"))
-    if getattr(args, "base", None):
-        cfg.base = tuple(_split_csv(args.base, 2, "--base"))
-    if getattr(args, "lambda0", None):
-        cfg.lambda0 = tuple(_split_csv(args.lambda0, 2, "--lambda0"))
-    for item in getattr(args, "param", None) or []:
+def _build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed flags and split them in place: `domain`, `base` and
+    `lambda0` become tuples of strings (an empty `domain` or `base` is
+    unset) and the `param` items become the dict `params`."""
+    args.domain = (tuple(_split_csv(args.domain, 4, "--domain"))
+                   if args.domain else None)
+    args.base = tuple(_split_csv(args.base, 2, "--base")) if args.base else None
+    args.lambda0 = tuple(_split_csv(args.lambda0, 2, "--lambda0"))
+    args.params = {}
+    for item in args.param or []:
         if "=" not in item:
             raise UsageError(f"--param expects name=value, got {item!r}")
         name, _, value = (t.strip() for t in item.partition("="))
-        if name in cfg.params:
+        if name in args.params:
             raise UsageError(f"--param {name} given twice")
-        cfg.params[name] = value
-    if cfg.samples < 1:
+        args.params[name] = value
+    if args.samples < 1:
         raise UsageError("--samples must be positive")
-    if not 24 <= cfg.precision <= MAX_PRECISION:
+    if not 24 <= args.precision <= MAX_PRECISION:
         raise UsageError(f"--precision must be 24 to {MAX_PRECISION} bits")
-    if cfg.grid > MAX_GRID:
+    if args.grid > MAX_GRID:
         raise UsageError(f"--grid must be at most {MAX_GRID} nodes per axis")
-    return cfg
+    return args
 
 
-def _web_from_config(cfg: RunConfig) -> WebSpec:
-    if cfg.f is None or not cfg.g:
+def _config_json(args: argparse.Namespace) -> dict:
+    return {
+        "command": args.command,
+        "domain": list(args.domain) if args.domain else None,
+        "seed": args.seed,
+        "samples": args.samples,
+        "precision": args.precision,
+        "grid": args.grid,
+        "base": list(args.base) if args.base else None,
+        "lambda0": list(args.lambda0),
+        "params": dict(sorted(args.params.items())),
+        "force": args.force,
+    }
+
+
+def _web_from_config(args: argparse.Namespace) -> WebSpec:
+    if args.f is None or not args.g:
         raise UsageError("need --f and at least one --g (two web functions)")
     try:
-        f = parse(cfg.f)
-        gs = tuple(parse(s) for s in cfg.g)
+        f = parse(args.f)
+        gs = tuple(parse(s) for s in args.g)
     except ParseError as err:
         raise UsageError(f"expression error: {err}") from None
     kw = {}
-    if cfg.domain:
-        vals = [_fraction(v, "--domain") for v in cfg.domain]
+    if args.domain:
+        vals = [_fraction(v, "--domain") for v in args.domain]
         kw["domain"] = Rect(*vals)
-    return WebSpec(f=f, gs=gs, seed=cfg.seed, **kw)
+    return WebSpec(f=f, gs=gs, seed=args.seed, **kw)
 
 
-def _policy(cfg: RunConfig) -> ZeroTestPolicy:
-    return ZeroTestPolicy(points=cfg.samples, precision=cfg.precision)
+def _policy(args: argparse.Namespace) -> ZeroTestPolicy:
+    return ZeroTestPolicy(points=args.samples, precision=args.precision)
 
 
-def _report_json(cfg: RunConfig, web: WebSpec, verdict: str,
+def _report_json(args: argparse.Namespace, web: WebSpec, verdict: str,
                  reports: list[InvariantReport],
                  linearization: dict | None = None) -> dict:
     return {
         "web": {"f": format_expr(web.f), "g": [format_expr(g) for g in web.gs]},
-        "config": cfg.to_json(),
+        "config": _config_json(args),
         "invariants": [r.to_json() for r in reports],
         "verdict": verdict,
         "linearization": linearization,
@@ -189,15 +160,11 @@ def _echo_web(web: WebSpec) -> None:
     print(f"domain: [{d.x_lo}, {d.x_hi}] x [{d.y_lo}, {d.y_hi}], seed {web.seed}")
 
 
-def cmd_check(cfg: RunConfig, verbose_evidence: bool = False) -> int:
-    web = _web_from_config(cfg)
-    try:
-        verdict, reports = check_dweb(web, _policy(cfg))
-    except DomainTooSingularError as err:
-        print(f"INCONCLUSIVE: {err}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    if cfg.json_output:
-        print(json.dumps(_report_json(cfg, web, verdict, reports), indent=2))
+def cmd_check(args: argparse.Namespace, verbose_evidence: bool = False) -> int:
+    web = _web_from_config(args)
+    verdict, reports = check_dweb(web, _policy(args))
+    if args.json:
+        print(json.dumps(_report_json(args, web, verdict, reports), indent=2))
     else:
         _echo_web(web)
         for r in reports:
@@ -206,33 +173,33 @@ def cmd_check(cfg: RunConfig, verbose_evidence: bool = False) -> int:
     return _VERDICT_EXIT[verdict]
 
 
-def cmd_invariants(cfg: RunConfig) -> int:
-    return cmd_check(cfg, verbose_evidence=True)
+def cmd_invariants(args: argparse.Namespace) -> int:
+    return cmd_check(args, verbose_evidence=True)
 
 
-def cmd_linearize(cfg: RunConfig) -> int:
-    web = _web_from_config(cfg)
-    unknown = sorted(set(cfg.params) - set(web.params))
+def cmd_linearize(args: argparse.Namespace) -> int:
+    web = _web_from_config(args)
+    unknown = sorted(set(args.params) - set(web.params))
     if unknown:
         raise UsageError(f"--param {', '.join(unknown)}: not a parameter "
                          "of the web")
-    params = {k: _fraction(v, "--param") for k, v in cfg.params.items()}
+    params = {k: _fraction(v, "--param") for k, v in args.params.items()}
     try:
-        grid = lin.GridSpec(rect=web.domain, nx=cfg.grid, ny=cfg.grid)
+        grid = lin.GridSpec(rect=web.domain, nx=args.grid, ny=args.grid)
     except lin.LinearizerError as err:
         raise UsageError(str(err)) from None
-    base = _floats(cfg.base, "--base") if cfg.base else None
-    lam0 = _floats(cfg.lambda0, "--lambda0")
+    base = _floats(args.base, "--base") if args.base else None
+    lam0 = _floats(args.lambda0, "--lambda0")
     try:
         result = lin.flat_coordinates(web, grid, base=base, lam0=lam0,
-                                      params=params, force=cfg.force,
-                                      policy=_policy(cfg))
-        lin.straightness_report(result, web, params=params)
+                                      params=params, force=args.force,
+                                      policy=_policy(args))
+        lin.straightness_report(result)
     except lin.NotLinearizableError as err:
         msg = (f"web verdict is {err.verdict}; linearization refused "
                "(--force to run it anyway as a negative control)")
-        if cfg.json_output:
-            print(json.dumps(_report_json(cfg, web, err.verdict, err.reports,
+        if args.json:
+            print(json.dumps(_report_json(args, web, err.verdict, err.reports,
                                           {"refused": msg}), indent=2))
         else:
             _echo_web(web)
@@ -241,15 +208,15 @@ def cmd_linearize(cfg: RunConfig) -> int:
     except lin.LinearizerError as err:
         print(f"linearization failed: {err}", file=sys.stderr)
         return EXIT_NO
-    if cfg.svg:
-        lin.render_svg(result, cfg.svg)
-    if cfg.json_output:
-        print(json.dumps(_report_json(cfg, web, result.verdict, result.reports,
+    if args.svg:
+        lin.render_svg(result, args.svg)
+    if args.json:
+        print(json.dumps(_report_json(args, web, result.verdict, result.reports,
                                       result.to_json()), indent=2))
     else:
         _echo_web(web)
         print(f"verdict: {result.verdict}")
-        print(f"grid: {cfg.grid}x{cfg.grid}, base {result.base}, "
+        print(f"grid: {args.grid}x{args.grid}, base {result.base}, "
               f"lambda0 {result.lam0}")
         print(f"flatness residual:          {result.flatness_residual:.3e}")
         print(f"path independence residual: "
@@ -259,36 +226,36 @@ def cmd_linearize(cfg: RunConfig) -> int:
             print(f"    {k:4s} {v:.3e}")
         if result.skipped_leaves:
             print(f"skipped leaves: {result.skipped_leaves}")
-        if cfg.svg:
-            print(f"svg written to {cfg.svg}")
+        if args.svg:
+            print(f"svg written to {args.svg}")
     return EXIT_YES
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args: argparse.Namespace) -> int:
     rows = []
     failures = 0
     t0 = time.perf_counter()
     cases = list(corpus.CASES) + [corpus.LINEAR_FIVE_WEB]
     for case in cases:
-        web = corpus.web_for(case, seed=cfg.seed)
-        verdict, _ = check_dweb(web, _policy(cfg))
+        web = corpus.web_for(case, seed=args.seed)
+        verdict, _ = check_dweb(web, _policy(args))
         ok = verdict == case.expected
         failures += 0 if ok else 1
         rows.append({"case": case.name, "variant": "plain",
                      "expected": case.expected, "verdict": verdict,
                      "ok": ok})
-    if cfg.equivalence:
+    if args.equivalence:
         for case in corpus.CASES:
-            web = corpus.substituted_web(case, seed=cfg.seed)
-            verdict, _ = check_dweb(web, _policy(cfg))
+            web = corpus.substituted_web(case, seed=args.seed)
+            verdict, _ = check_dweb(web, _policy(args))
             ok = verdict == case.expected
             failures += 0 if ok else 1
             rows.append({"case": case.name, "variant": "substituted",
                          "expected": case.expected, "verdict": verdict,
                          "ok": ok})
     elapsed = time.perf_counter() - t0
-    if cfg.json_output:
-        print(json.dumps({"config": cfg.to_json(), "cases": rows,
+    if args.json:
+        print(json.dumps({"config": _config_json(args), "cases": rows,
                           "failures": failures,
                           "elapsed_seconds": repr(elapsed)}, indent=2))
     else:
@@ -302,42 +269,51 @@ def cmd_selftest(cfg: RunConfig) -> int:
 
 
 def build_parser() -> _ArgumentParser:
+    """The four commands.  Every default is declared once, here on the top
+    parser, so a command without a flag still reads its default; the
+    commands' own flags default to unset (argparse.SUPPRESS)."""
     ap = _ArgumentParser(prog="weblin", description=__doc__,
                          formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.set_defaults(f=None, g=None, domain=None, seed=1, samples=8,
+                    precision=256, json=False, grid=lin.DEFAULT_GRID_N,
+                    base=None, lambda0="0,0", param=None, svg=None,
+                    force=False, equivalence=False)
+    default = ap.get_default
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, functions=True):
+    def command(name, help, functions=True):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         if functions:
             p.add_argument("--f", help="web function of the third foliation")
             p.add_argument("--g", action="append",
                            help="web function g4 (repeat for g5..gd)")
             p.add_argument("--domain",
                            help="sampling rectangle xlo,xhi,ylo,yhi")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--samples", type=int, default=8,
-                       help="sample points per vanishing test (default 8)")
-        p.add_argument("--precision", type=int, default=256,
-                       help="float precision in bits, 24..65536 (default 256)")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int,
+                       help="sample points per vanishing test "
+                            f"(default {default('samples')})")
+        p.add_argument("--precision", type=int,
+                       help="float precision in bits, 24..65536 "
+                            f"(default {default('precision')})")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
+        return p
 
-    p = sub.add_parser("check", help="decide linearizability")
-    common(p)
-    p = sub.add_parser("invariants", help="verdicts with full evidence")
-    common(p)
-    p = sub.add_parser("linearize", help="construct flat coordinates")
-    common(p)
-    p.add_argument("--grid", type=int, default=lin.DEFAULT_GRID_N,
-                   help="grid nodes per axis, 5..513 (default 41)")
+    command("check", "decide linearizability")
+    command("invariants", "verdicts with full evidence")
+    p = command("linearize", "construct flat coordinates")
+    p.add_argument("--grid", type=int,
+                   help=f"grid nodes per axis, 5..513 (default {default('grid')})")
     p.add_argument("--base", help="base point x,y (default: domain center)")
-    p.add_argument("--lambda0", help="initial deformation a,b (default 0,0)")
+    p.add_argument("--lambda0", help="initial deformation a,b "
+                   f"(default {default('lambda0')})")
     p.add_argument("--param", action="append",
                    help="free parameter value name=value (repeatable)")
     p.add_argument("--svg", help="write a before/after leaf plot to PATH")
     p.add_argument("--force", action="store_true",
                    help="run the pipeline even for a non-YES web")
-    p = sub.add_parser("selftest", help="run the built-in corpus")
-    common(p, functions=False)
+    p = command("selftest", "run the built-in corpus", functions=False)
     p.add_argument("--equivalence", action="store_true",
                    help="also run every case under x->x^3+x, y->exp(y)")
     return ap
@@ -346,11 +322,10 @@ def build_parser() -> _ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        cfg = _build_config(args)
+        args = _build_config(ap.parse_args(argv))
         handler = {"check": cmd_check, "invariants": cmd_invariants,
                    "linearize": cmd_linearize, "selftest": cmd_selftest}
-        return handler[cfg.command](cfg)
+        return handler[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

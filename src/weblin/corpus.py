@@ -39,10 +39,6 @@ class CorpusCase:
     lin_domain: Rect | None = None
     note: str = ""
 
-    @property
-    def d(self) -> int:
-        return 2 + len(self.functions)
-
 
 CASES: tuple[CorpusCase, ...] = (
     CorpusCase(

@@ -43,7 +43,7 @@ __all__ = [
     "param", "add", "sub", "mul", "div", "neg", "pow_", "sqrt", "exp_",
     "log_", "X", "Y", "parse", "format_expr", "simplify", "derive",
     "substitute", "evaluate", "evaluate_scaled", "Program", "Store",
-    "dag_size", "free_symbols", "is_exactly_evaluable", "grid_function",
+    "dag_size", "is_exactly_evaluable", "grid_function",
 ]
 
 CONST = "const"
@@ -124,37 +124,6 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"<Expr {format_expr(self)}>"
-
-    # arithmetic sugar so formulas read like formulas
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __rsub__(self, other):
-        return add(other, neg(self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, other):
-        return pow_(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     @property
     def is_zero(self) -> bool:
@@ -531,11 +500,11 @@ def sqrt(a) -> Expr:
     return pow_(a, _HALF)
 
 
-def topo_order(e: Expr) -> list[Expr]:
-    """Reachable nodes, children strictly before parents."""
+def topo_order(*roots: Expr) -> list[Expr]:
+    """Nodes reachable from the roots, children strictly before parents."""
     order: list[Expr] = []
     done: set[int] = set()
-    stack = [e]
+    stack = list(reversed(roots))
     while stack:
         node = stack[-1]
         if node.uid in done:
@@ -553,28 +522,6 @@ def topo_order(e: Expr) -> list[Expr]:
 
 def dag_size(e: Expr) -> int:
     return len(topo_order(e))
-
-
-_symbols_cache: dict[int, frozenset] = {}
-
-
-def free_symbols(e: Expr) -> frozenset[str]:
-    with _lock:
-        hit = _symbols_cache.get(e.uid)
-    if hit is not None:
-        return hit
-    for n in topo_order(e):
-        if n.uid in _symbols_cache:
-            continue
-        if n.kind in (VAR, PARAM):
-            s = frozenset((n.name,))
-        elif n.children:
-            s = frozenset().union(*(_symbols_cache[c.uid] for c in n.children))
-        else:
-            s = frozenset()
-        with _lock:
-            _symbols_cache[n.uid] = s
-    return _symbols_cache[e.uid]
 
 
 def is_exactly_evaluable(e: Expr) -> bool:
@@ -717,23 +664,32 @@ class Program:
     it, one slot per distinct node.  A root is compiled when first
     evaluated: its children-first order becomes instructions (slot, kind,
     constant, name or constant exponent, child slots), and nodes shared with
-    earlier roots keep their slots.  Compiling interns no node."""
+    earlier roots keep their slots; the root's variable and parameter names
+    are recorded with them.  Compiling interns no node."""
 
     def __init__(self):
-        self.slots: dict[int, int] = {}   # node uid -> slot
-        self.codes: dict[int, list] = {}  # root uid -> instructions
+        self.slots: dict[int, int] = {}    # node uid -> slot
+        self.codes: dict[int, tuple] = {}  # root uid -> (instructions, names)
 
-    def code(self, root: Expr) -> list[tuple]:
-        code = self.codes.get(root.uid)
-        if code is None:
-            code = self.codes[root.uid] = []
-            slots = self.slots
+    def code(self, root: Expr) -> tuple[list[tuple], frozenset[str]]:
+        hit = self.codes.get(root.uid)
+        if hit is None:
+            code, slots = [], self.slots
             for n in topo_order(root):
                 arg = (n.value if n.kind == CONST else n.name if n.kind != POW
                        else n.children[1].value)
                 code.append((slots.setdefault(n.uid, len(slots)), n.kind, arg,
                              tuple(slots[c.uid] for c in n.children)))
-        return code
+            names = frozenset(a for _, k, a, _ in code if k in (VAR, PARAM))
+            hit = self.codes[root.uid] = code, names
+        return hit
+
+
+def _check_bindings(names: frozenset[str], bound) -> None:
+    missing = names - set(bound)
+    if missing:
+        raise MissingBindingError(
+            f"no binding for {', '.join(sorted(missing))}")
 
 
 class Store(dict):
@@ -922,12 +878,9 @@ class _GridArithmetic:
 
 
 def _evaluate(e: Expr, ctx: EvalContext, store: Store | None, scaled: bool):
-    missing = free_symbols(e) - set(ctx.bindings)
-    if missing:
-        raise MissingBindingError(
-            f"no binding for {', '.join(sorted(missing))}")
     store = Store() if store is None else store
-    code = store.program.code(e)
+    code, names = store.program.code(e)
+    _check_bindings(names, ctx.bindings)
     key = ctx.precision if ctx.mode == "float" else ctx.mode
     if key not in store:
         arith = _EXACT if key == "exact" else _MpfArithmetic(key)
@@ -973,12 +926,9 @@ def grid_function(*roots: Expr,
 
     arith = _GridArithmetic(np)
     params = {k: arith.num(v) for k, v in (params or {}).items()}
-    missing = (frozenset().union(*map(free_symbols, roots))
-               - {"x", "y"} - set(params))
-    if missing:
-        raise MissingBindingError(f"no binding for {', '.join(sorted(missing))}")
     program = Program()
-    codes = [program.code(e) for e in roots]
+    codes, names = zip(*map(program.code, roots))
+    _check_bindings(frozenset().union(*names), {"x", "y", *params})
     if any(k == UNDEF for code in codes for _, k, _, _ in code):
         raise SingularSampleError("undefined value (division by constant zero)")
 

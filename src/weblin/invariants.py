@@ -22,7 +22,7 @@ from . import expr as ex
 from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, add, div,
                    mul, neg, pow_, sub, evaluate, evaluate_scaled,
                    is_exactly_evaluable, dag_size)
-from .calculus import (WebSpec, WebFrame, SamplePoint,
+from .calculus import (WebSpec, WebFrame, SamplePoint, PARAM_RANGE,
                        DomainTooSingularError, mu as web_mu, random_rational,
                        sample_points)
 
@@ -242,7 +242,7 @@ def zero_test(e: Expr, web: WebSpec,
 
     try:
         for _ in range(draws):
-            params = {name: random_rational(rng, *web.param_ranges[name])
+            params = {name: random_rational(rng, *PARAM_RANGE)
                       for name in web.params}
             passes = 0
             budget = policy.points * 3
@@ -277,9 +277,10 @@ def zero_test(e: Expr, web: WebSpec,
                         return (INCONCLUSIVE, evidence, mode,
                                 "too many singular samples")
             if passes < policy.points:
+                # 3*points samples with at most 2*points failures and fewer
+                # than `points` passes: one was an unconfirmed outlier
                 return (INCONCLUSIVE, evidence, mode,
-                        "sampling budget exhausted with an unconfirmed outlier"
-                        if hits else "could not complete the sample schedule")
+                        "sampling budget exhausted with an unconfirmed outlier")
     except (DomainTooSingularError, ExactBudgetError) as err:
         return INCONCLUSIVE, evidence, mode, str(err)
     if hits:

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_N = 41
-DEFAULT_SUBSTEPS = 2
+DEFAULT_SUBSTEPS = 2  # RK4 substeps per grid interval
 LAMBDA_BLOWUP_BOUND = 1e12
 COFRAME_DET_BOUND = 1e-8
 FLATNESS_FACTOR = 1e-4  # threshold = factor * grid diameter
@@ -166,22 +166,18 @@ _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")
 class CoefficientGrid:
     """Symbolic coefficients evaluated on the substep-refined lattice.
 
-    With m substeps per grid interval the 4th-order stepper needs values at
-    half-substep points, so the refinement factor is 2m; node (i, j) of the
-    main grid sits at refined index (i*r, j*r).  The seven coefficients are
-    one compiled program, run over blocks of at most BLOCK_POINTS lattice
-    points into `stacked` (coefficient, x index, y index); `arrays` names
-    its planes.
+    With m = DEFAULT_SUBSTEPS substeps per grid interval the 4th-order
+    stepper needs values at half-substep points, so the refinement factor is
+    r = 2m; node (i, j) of the main grid sits at refined index (i*r, j*r).
+    The seven coefficients are one compiled program, run over blocks of at
+    most BLOCK_POINTS lattice points into `stacked` (coefficient, x index,
+    y index); `arrays` names its planes.
     """
 
     def __init__(self, web: WebSpec, grid: GridSpec,
-                 params: Mapping[str, Fraction] | None = None,
-                 substeps: int = DEFAULT_SUBSTEPS):
-        if substeps < 1:
-            raise LinearizerError("substeps must be >= 1")
+                 params: Mapping[str, Fraction] | None = None):
         self.grid = grid
-        self.substeps = substeps
-        self.r = 2 * substeps
+        self.r = 2 * DEFAULT_SUBSTEPS
         missing = set(web.params) - set(params or {})
         if missing:
             raise LinearizerError(
@@ -280,9 +276,9 @@ def _integrate_lines(cg: CoefficientGrid, s0: np.ndarray, along: str,
     for sign, stop in ((1, n - 1), (-1, 0)):
         s = s0
         for node in range(start, stop, sign):
-            for k in range(cg.substeps):
+            for k in range(DEFAULT_SUBSTEPS):
                 s = _rk4_step(C, s, along, node * cg.r + 2 * sign * k,
-                              fixed, h / cg.substeps, sign)
+                              fixed, h / DEFAULT_SUBSTEPS, sign)
             out[node + sign] = s
     return out
 
@@ -350,13 +346,16 @@ def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
 
 @dataclass
 class LinearizationResult:
-    """Flat coordinates, the residuals that certify them, the web's verdict
-    and invariant reports, and (after `straightness_report`) the traced
-    leaves as (foliation index, points, mapped points)."""
+    """Flat coordinates of `web` at parameter values `params`, the residuals
+    that certify them, the web's verdict and invariant reports, and (after
+    `straightness_report`) the traced leaves as (foliation index, points,
+    mapped points)."""
     u: ScalarField
     v: ScalarField
     flatness_residual: float
     path_independence_residual: float
+    web: WebSpec
+    params: Mapping[str, Fraction] = field(default_factory=dict)
     straightness: dict[str, float] = field(default_factory=dict)
     base: tuple[float, float] = (0.0, 0.0)
     lam0: tuple[float, float] = (0.0, 0.0)
@@ -385,7 +384,7 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
                      base: tuple[float, float] | None = None,
                      lam0: tuple[float, float] = (0.0, 0.0),
                      params: Mapping[str, Fraction] | None = None,
-                     substeps: int = DEFAULT_SUBSTEPS, force: bool = False,
+                     force: bool = False,
                      policy: ZeroTestPolicy | None = None
                      ) -> LinearizationResult:
     """The linearization pipeline: flat coordinates (u, v) of the web.
@@ -407,7 +406,7 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
         base = g.rect.center
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
-    cg = CoefficientGrid(web, g, params, substeps)
+    cg = CoefficientGrid(web, g, params)
     fx, fy = (cg.arrays[name][::cg.r, ::cg.r] for name in ("fx", "fy"))
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
     s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
@@ -438,6 +437,7 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     return LinearizationResult(
         u=ScalarField(g, state[:, :, 6]), v=ScalarField(g, state[:, :, 7]),
         flatness_residual=flat, path_independence_residual=path_resid,
+        web=web, params=dict(params or {}),
         base=(float(g.xs[ib]), float(g.ys[jb])), lam0=lam0,
         verdict=verdict, reports=reports)
 
@@ -543,21 +543,20 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
     return out
 
 
-def straightness_report(result: LinearizationResult, web: WebSpec, *,
-                        params: Mapping[str, Fraction] | None = None
-                        ) -> dict[str, float]:
+def straightness_report(result: LinearizationResult) -> dict[str, float]:
     """Per-foliation max normalized line-fit residual of the mapped leaves.
 
-    Traces LEAVES_PER_FOLIATION leaves of every foliation and keeps them,
-    with their images under (u, v), in result.leaves; the points of all
-    leaves go through one Hermite map per field.  Leaves with fewer than 5
-    usable sample points are skipped and counted in result.skipped_leaves.
+    Traces LEAVES_PER_FOLIATION leaves of every foliation of result.web at
+    result.params and keeps them, with their images under (u, v), in
+    result.leaves; the points of all leaves go through one Hermite map per
+    field.  Leaves with fewer than 5 usable sample points are skipped and
+    counted in result.skipped_leaves.
     """
-    g = result.u.grid
+    web, g = result.web, result.u.grid
     names = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
     traced = [(idx, leaf) for idx, name in enumerate(names)
               for leaf in trace_leaves(web, g, name, LEAVES_PER_FOLIATION,
-                                       params)]
+                                       result.params)]
     points = np.concatenate([leaf for _, leaf in traced])
     u, v = result.u.on_grid_lines(points), result.v.on_grid_lines(points)
     report = dict.fromkeys(names, 0.0)

@@ -176,13 +176,13 @@ def test_criterion_7_end_to_end_linearization():
             web = corpus.linearization_web(corpus.case_by_name(name))
             g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
             res = lin.flat_coordinates(web, g)
-            rep = lin.straightness_report(res, web)
+            rep = lin.straightness_report(res)
             assert max(rep.values()) < STRAIGHTNESS_BOUND, (name, rep)
         control = corpus.linearization_web(
             corpus.case_by_name("exponential-twist"))
         g = lin.GridSpec(rect=control.domain, nx=41, ny=41)
         res = lin.flat_coordinates(control, g, force=True)
-        rep = lin.straightness_report(res, control)
+        rep = lin.straightness_report(res)
         assert max(rep.values()) > NEGATIVE_CONTROL_BOUND, rep
 
 

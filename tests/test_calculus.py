@@ -11,10 +11,11 @@ from weblin import expr as E
 from weblin.expr import (X, Y, parse, derive, evaluate, evaluate_scaled,
                          EvalContext, const, mul, add, pow_, div, neg, sub,
                          format_expr, is_exactly_evaluable)
-from weblin.calculus import (Rect, WebSpec, WebFrame, partial, d1, d2, web_H,
-                             web_K, basic_invariant, mu, sample_points,
-                             random_rational, reparameterized,
-                             DomainTooSingularError)
+from weblin.calculus import (Rect, WebSpec, WebFrame, web_K, basic_invariant,
+                             mu, sample_points, random_rational,
+                             reparameterized, DomainTooSingularError,
+                             PARAM_RANGE)
+from weblin.invariants import check_dweb
 from weblin import corpus
 
 F = Fraction
@@ -39,7 +40,9 @@ class TestWebSpec:
     def test_default_param_range(self):
         web = _web("x/y", "x^n + y^n")
         assert web.params == ("n",)
-        assert web.param_ranges["n"] == (F(2), F(7))
+        assert PARAM_RANGE == (F(2), F(7))
+        for pt in sample_points(web, 8):
+            assert F(2) <= pt.params["n"] <= F(7)
 
     def test_g_index_bounds(self):
         with pytest.raises(E.ExprError):
@@ -49,11 +52,11 @@ class TestWebSpec:
 
 class TestPartial:
     def test_quotient_rule(self):
-        assert partial(parse("x/y"), "x") is parse("1/y")
-        assert partial(parse("x/y"), "y") is parse("-x/y^2")
+        assert derive(parse("x/y"), "x") is parse("1/y")
+        assert derive(parse("x/y"), "y") is parse("-x/y^2")
 
     def test_parameter_power_rule(self):
-        d = partial(parse("x^n"), "x")
+        d = derive(parse("x^n"), "x")
         assert d is parse("n*x^(n - 1)")
 
 
@@ -62,32 +65,34 @@ class TestFrameOperators:
         # f = x/y sends a = -x/y to 1 (the frame divides by f_x = 1/y)
         a = basic_invariant(WEB1)
         assert a is parse("-x/y")
-        assert d1(a, WEB1) is const(1)
-        assert d2(a, WEB1) is const(1)
+        fr = WebFrame(WEB1.f)
+        assert fr.d1(a) is const(1)
+        assert fr.d2(a) is const(1)
 
     def test_sum_web_frame_is_negated_gradient(self):
-        web = _web("x+y", "x-y")
+        fr = WebFrame(parse("x+y"))
         e = parse("x^2*y")
-        assert d1(e, web) is neg(partial(e, "x"))
-        assert d2(e, web) is neg(partial(e, "y"))
+        assert fr.d1(e) is neg(derive(e, "x"))
+        assert fr.d2(e) is neg(derive(e, "y"))
 
     def test_d_of_constant(self):
-        assert d1(const(7), WEB1).is_zero
-        assert d2(const(-3), WEB1).is_zero
+        fr = WebFrame(WEB1.f)
+        assert fr.d1(const(7)).is_zero
+        assert fr.d2(const(-3)).is_zero
 
 
 class TestH:
     def test_additive_f_flat(self):
-        assert web_H(_web("x+y", "x-y")).is_zero
+        assert WebFrame(parse("x+y")).H.is_zero
 
     def test_product_f(self):
-        H = web_H(_web("x*y", "x+y"))
+        H = WebFrame(parse("x*y")).H
         assert evaluate(H, EvalContext({"x": F(3, 2), "y": F(5, 7)})) == F(14, 15)
 
     def test_matches_defining_quotient_by_finite_differences(self):
         # independent oracle: f_xy by central differences at 300 bits
         web = WEB1
-        H = web_H(web)
+        H = WebFrame(web.f).H
         f = web.f
         with mpmath.workprec(300):
             h = mpmath.mpf(2) ** -60
@@ -197,22 +202,22 @@ class TestCommutator:
 
     def test_rational_web_exact(self):
         web = WEB1
-        H = web_H(web)
+        fr = WebFrame(web.f)
         for s in self.SCALARS[:2]:
             e = parse(s)
-            resid = sub(sub(d1(d2(e, web), web), d2(d1(e, web), web)),
-                        mul(H, sub(d2(e, web), d1(e, web))))
+            resid = sub(sub(fr.d1(fr.d2(e)), fr.d2(fr.d1(e))),
+                        mul(fr.H, sub(fr.d2(e), fr.d1(e))))
             for pt in sample_points(web, 8):
                 assert evaluate(resid, EvalContext(pt.bindings())) == 0
 
     def test_radical_web_float(self):
         web = _web("x + sqrt(x^2 - y)", "x+y",
                    domain=Rect(F(5, 4), F(7, 4), F(1, 8), F(3, 8)))
-        H = web_H(web)
+        fr = WebFrame(web.f)
         for s in self.SCALARS:
             e = parse(s)
-            resid = sub(sub(d1(d2(e, web), web), d2(d1(e, web), web)),
-                        mul(H, sub(d2(e, web), d1(e, web))))
+            resid = sub(sub(fr.d1(fr.d2(e)), fr.d2(fr.d1(e))),
+                        mul(fr.H, sub(fr.d2(e), fr.d1(e))))
             for pt in sample_points(web, 8):
                 v, scale = evaluate_scaled(
                     e=resid, ctx=EvalContext(pt.bindings(), mode="float",
@@ -241,6 +246,18 @@ class TestSampling:
         assert len(pts) == 10
         for pt in pts:
             assert pt.x + pt.y != 1
+
+    def test_validity_check_error_rejects_point(self):
+        # g_x = 1/(2 sqrt(x - 1/2)) has no real value for x < 1/2 and is
+        # singular at x = 1/2: those candidates fail evaluation, are
+        # rejected, and the web still gets a verdict
+        web = _web("x/y", "sqrt(x - 1/2) + y")
+        pts = sample_points(web, 8)
+        assert len(pts) == 8
+        assert all(pt.x > F(1, 2) for pt in pts)
+        verdict, reports = check_dweb(web)
+        assert verdict == "NO"
+        assert [r.verdict for r in reports] == ["NONZERO"] * 2
 
     def test_degenerate_web_reported(self):
         # g = x duplicates the first coordinate foliation: g_y == 0 everywhere

@@ -97,6 +97,16 @@ class TestExitCodes:
                                           "--precision", str(bits)])
         assert _build_config(args).precision == bits
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--domain", "1,2,3"), ("--domain", "1/0,1,0,1"), ("--param", "n"),
+        ("--samples", "0"), ("--f", "x$y")])
+    def test_malformed_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "linearize", "--f", "x/y", "--g", "x+y",
+                             "--grid", "21", flag, value)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "check", "--nope")
         assert code == EXIT_USAGE
@@ -120,6 +130,10 @@ class TestJsonReport:
         assert doc["web"]["g"] == ["x + y"]
         assert doc["verdict"] == "YES"
         assert doc["linearization"] is None
+        assert doc["config"] == {
+            "command": "check", "domain": None, "seed": 1, "samples": 8,
+            "precision": 256, "grid": lin.DEFAULT_GRID_N, "base": None,
+            "lambda0": ["0", "0"], "params": {}, "force": False}
         for inv in doc["invariants"]:
             assert set(inv) == {"name", "verdict", "dag_size", "evidence"}
             assert isinstance(inv["dag_size"], int)
@@ -160,6 +174,23 @@ class TestLinearizeCommand:
                            "--g", "(x+y)*exp(-x)")
         assert code == EXIT_NO
         assert "refused" in out
+
+    def test_refused_json_report(self, capsys):
+        code, out, _ = run(capsys, "linearize", "--json", "--f", "x/y",
+                           "--g", "(x+y)*exp(-x)", "--seed", "2",
+                           "--domain", "1/4,3/4,1/4,3/4", "--grid", "21",
+                           "--base", "0.5,0.5", "--lambda0", "0.1,-0.2")
+        assert code == EXIT_NO
+        doc = json.loads(out)
+        assert doc["verdict"] == "NO"
+        assert doc["linearization"] == {
+            "refused": "web verdict is NO; linearization refused (--force "
+                       "to run it anyway as a negative control)"}
+        assert doc["config"] == {
+            "command": "linearize", "domain": ["1/4", "3/4", "1/4", "3/4"],
+            "seed": 2, "samples": 8, "precision": 256, "grid": 21,
+            "base": ["0.5", "0.5"], "lambda0": ["0.1", "-0.2"], "params": {},
+            "force": False}
 
     def test_linearizes_two_pencils(self, capsys, tmp_path):
         svg = tmp_path / "out.svg"

@@ -5,10 +5,12 @@ import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from weblin.expr import (X, Y, parse, evaluate, EvalContext, const, sub, mul,
-                         add, div, param, derive, is_exactly_evaluable)
+                         add, div, param, derive, is_exactly_evaluable,
+                         SingularSampleError)
 from weblin.calculus import (Rect, WebSpec, WebFrame, sample_points, mu,
                              basic_invariant, random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
@@ -215,6 +217,34 @@ class TestZeroTest:
         # the budget also stops sampling; evaluation never falls back
         verdict, _, _, reason = zero_test(sub(X, X), web)
         assert verdict == "INCONCLUSIVE" and "262144 bits" in reason
+
+    @pytest.mark.parametrize("script, reason", [
+        ("E" * 17, "too many singular samples"),
+        ("E" * 16 + "1" + "0" * 7,
+         "sampling budget exhausted with an unconfirmed outlier"),
+        ("1" + "0" * 8,
+         "a single sample exceeded the threshold without confirmation"),
+    ])
+    def test_scripted_inconclusive_exits(self, monkeypatch, script, reason):
+        # evaluation outcomes in order: E a singular sample, 1 a value above
+        # the threshold, 0 a vanishing one (8 points, budget 24, cap 16)
+        outcomes = iter(script)
+
+        def scripted(e, ctx, store=None):
+            step = next(outcomes)
+            if step == "E":
+                raise SingularSampleError("scripted")
+            return mpmath.mpf(int(step)), mpmath.mpf(1)
+
+        def exact(*args, **kwargs):
+            raise AssertionError("exact evaluation of a float-mode expression")
+
+        monkeypatch.setattr(invariants, "evaluate_scaled", scripted)
+        monkeypatch.setattr(invariants, "evaluate", exact)
+        verdict, evidence, mode, got = zero_test(parse("exp(x)"), WEB5)
+        assert (verdict, mode, got) == ("INCONCLUSIVE", "float", reason)
+        assert len(evidence) == len(script.replace("E", ""))
+        assert next(outcomes, None) is None  # every scripted step was used
 
     def test_inconclusive_propagates_to_verdict(self):
         # with shared draws, every invariant still meets the singular domain

@@ -53,7 +53,7 @@ def web2_grid():
 @pytest.fixture(scope="module")
 def web2_result(web2_grid):
     result = lin.flat_coordinates(WEB2, web2_grid)
-    lin.straightness_report(result, WEB2)
+    lin.straightness_report(result)
     return result
 
 
@@ -83,7 +83,7 @@ class TestTrivialGauge:
 
     def test_straightness_at_rounding_level(self):
         res = _linearize(ZERO_GAUGE_WEB, 21)
-        rep = lin.straightness_report(res, ZERO_GAUGE_WEB)
+        rep = lin.straightness_report(res)
         assert max(rep.values()) < 1e-12
 
 
@@ -195,7 +195,7 @@ class TestFlatCoordinates:
 
     def test_example_three_straightness(self):
         res = _linearize(WEB3)
-        rep = lin.straightness_report(res, WEB3)
+        rep = lin.straightness_report(res)
         # the f-leaves are tangent lines of a parabola, straight already;
         # everything here measures numerical error only
         assert max(rep.values()) < 1e-6
@@ -204,7 +204,8 @@ class TestFlatCoordinates:
         web = corpus.linearization_web(corpus.case_by_name("power-web"))
         params = {"n": F(2)}
         res = _linearize(web, params=params)
-        rep = lin.straightness_report(res, web, params=params)
+        assert res.web is web and res.params == params
+        rep = lin.straightness_report(res)
         assert max(rep.values()) < 1e-5
 
     def test_gauge_freedom(self, web2_grid):
@@ -214,7 +215,7 @@ class TestFlatCoordinates:
         assert np.abs(lam1).max() > 0.01
         res = lin.flat_coordinates(WEB2, web2_grid, lam0=(0.3, -0.2))
         assert res.lam0 == (0.3, -0.2)
-        rep = lin.straightness_report(res, WEB2)
+        rep = lin.straightness_report(res)
         assert max(rep.values()) < 1e-5
 
     def test_affine_invariance_of_straightness(self, web2_result):
@@ -229,20 +230,20 @@ class TestFlatCoordinates:
             v=lin.ScalarField(result.v.grid, v2),
             flatness_residual=result.flatness_residual,
             path_independence_residual=result.path_independence_residual,
-            base=result.base, lam0=result.lam0)
-        rep2 = lin.straightness_report(res2, WEB2)
+            web=WEB2, base=result.base, lam0=result.lam0)
+        rep2 = lin.straightness_report(res2)
         for k, v in result.straightness.items():
             assert rep2[k] < 1e-5
 
     def test_negative_control(self):
         res = _linearize(WEB5, force=True)
         assert res.verdict == "NO"
-        rep = lin.straightness_report(res, WEB5)
+        rep = lin.straightness_report(res)
         assert max(rep.values()) > 1e-2
 
     def test_non_square_grid(self):
         res = _linearize(WEB2, 31, 21)
-        rep = lin.straightness_report(res, WEB2)
+        rep = lin.straightness_report(res)
         assert max(rep.values()) < 1e-5
 
     def test_every_linearizable_corpus_web_straightens(self):
@@ -254,7 +255,7 @@ class TestFlatCoordinates:
             web = corpus.linearization_web(case)
             params = {"n": F(2)} if case.name == "power-web" else None
             res = _linearize(web, params=params)
-            rep = lin.straightness_report(res, web, params=params)
+            rep = lin.straightness_report(res)
             assert max(rep.values()) < 1e-5, (case.name, rep)
 
 
@@ -275,7 +276,7 @@ class TestPipeline:
         monkeypatch.setattr(lin, "CoefficientGrid", counting_grid)
         monkeypatch.setattr(lin, "trace_leaves", counting_trace)
         res = _linearize(WEB2, 21)
-        lin.straightness_report(res, WEB2)
+        lin.straightness_report(res)
         lin.render_svg(res, str(tmp_path / "web.svg"))
         assert len(grids) == 1
         assert traced == ["x", "y", "f", "g4"]
