@@ -10,13 +10,13 @@ is a straight line.
 """
 from .expr import (Expr, EvalContext, parse, format_expr, simplify, derive,
                    substitute, evaluate, dag_size)
-from .calculus import (WebSpec, Rect, WebFrame, web_K, basic_invariant, mu,
+from .calculus import (WebSpec, Rect, web_K, basic_invariant, mu,
                        sample_points)
 from .invariants import (InvariantReport, ZeroTestPolicy, zero_test,
                          I1_of_mu, I2_of_mu, I_fp, J_alpha, check_dweb)
 from .covariant import (WeightedScalar, delta, commutator_residual,
                         prolong_a, K1_closed_residual, K2_closed_residual)
-from .linearizer import (GridSpec, ScalarField, LinearizationResult,
+from .linearizer import (GridSpec, LinearizationResult,
                          NotLinearizableError, flat_coordinates,
                          straightness_report, render_svg)
 

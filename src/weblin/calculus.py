@@ -1,4 +1,4 @@
-"""Web frame operators and the fundamental scalars of a planar d-web.
+"""A planar d-web, its frame operators and fundamental scalars, and sampling.
 
 The first two foliations are the coordinate lines, the third is the level
 family of the web function f.  The frame vector fields dual to the
@@ -7,7 +7,8 @@ normalized coframe act on scalars as
     d1(e) = -e_x / f_x,        d2(e) = -e_y / f_y,
 
 and everything else here (H, K, the basic invariants a_alpha and the
-deformation scalar mu) is built from them.
+deformation scalar mu) is built from them.  `WebSpec` holds the frame:
+f_x, f_y, d1, d2, H and K are read from the web, each built once per web.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, Store,
                    is_exactly_evaluable, topo_order)
 
 __all__ = [
-    "Rect", "WebSpec", "WebFrame", "DomainTooSingularError", "web_K",
+    "Rect", "WebSpec", "DomainTooSingularError", "web_K",
     "basic_invariant", "mu", "SamplePoint", "sample_points",
     "random_rational", "reparameterized",
 ]
@@ -107,8 +108,7 @@ class WebSpec:
         """What must not vanish at a valid sample point: the first partials
         of every web function, each a_alpha and a_alpha - 1, and the
         pairwise differences of the a_alpha."""
-        fr = WebFrame(self.f)
-        checks = [fr.fx, fr.fy]
+        checks = [self.fx, self.fy]
         for g in self.gs:
             checks += [derive(g, "x"), derive(g, "y")]
         a_list = [basic_invariant(self, alpha) for alpha in range(4, self.d + 1)]
@@ -118,35 +118,43 @@ class WebSpec:
             checks += [sub(a, b) for b in a_list[i + 1:]]
         return tuple(checks)
 
+    # -- the frame --------------------------------------------------------
 
-class WebFrame:
-    """The frame operators of a fixed f.
+    @cached_property
+    def _frame(self) -> tuple[Expr, Expr, Expr, Expr]:
+        """f_x, f_y, 1/f_x and 1/f_y, interned together and in this order
+        the first time the frame is needed: node uids follow creation order
+        and `add`/`mul` order their operands by uid, so this order fixes
+        every expression built from the frame."""
+        fx, fy = derive(self.f, "x"), derive(self.f, "y")
+        return fx, fy, pow_(fx, -1), pow_(fy, -1)
 
-    Holds no cache: `derive` is memoized and interning returns the same
-    node, so a fresh frame gives the same expressions as an old one.
-    """
+    @property
+    def fx(self) -> Expr:
+        return self._frame[0]
 
-    def __init__(self, f: Expr):
-        self.fx = derive(f, "x")
-        self.fy = derive(f, "y")
-        self._fx_inv = pow_(self.fx, -1)
-        self._fy_inv = pow_(self.fy, -1)
+    @property
+    def fy(self) -> Expr:
+        return self._frame[1]
 
     def d1(self, e: Expr) -> Expr:
         """First frame operator: -e_x / f_x."""
-        return mul(-1, derive(e, "x"), self._fx_inv)
+        fx_inv = self._frame[2]  # interns the frame before any node of e_x
+        return mul(-1, derive(e, "x"), fx_inv)
 
     def d2(self, e: Expr) -> Expr:
         """Second frame operator: -e_y / f_y."""
-        return mul(-1, derive(e, "y"), self._fy_inv)
+        fy_inv = self._frame[3]
+        return mul(-1, derive(e, "y"), fy_inv)
 
-    @property
+    @cached_property
     def H(self) -> Expr:
         """H = f_xy / (f_x f_y), the connection scalar of the 3-subweb."""
         return div(derive(self.fx, "y"), mul(self.fx, self.fy))
 
-    @property
+    @cached_property
     def K(self) -> Expr:
+        """K = d1(H) - d2(H), the curvature of the 3-subweb."""
         return sub(self.d1(self.H), self.d2(self.H))
 
 
@@ -157,12 +165,11 @@ def web_K(web: WebSpec, mode: str = "structure") -> Expr:
     mode "log":       K = -(log(f_x/f_y))_xy / (f_x f_y).
     The two agree as functions; keeping both gives a cross-formula oracle.
     """
-    fr = WebFrame(web.f)
     if mode == "structure":
-        return fr.K
+        return web.K
     if mode == "log":
-        inner = log_(div(fr.fx, fr.fy))
-        return mul(-1, pow_(mul(fr.fx, fr.fy), -1),
+        inner = log_(div(web.fx, web.fy))
+        return mul(-1, pow_(mul(web.fx, web.fy), -1),
                    derive(derive(inner, "x"), "y"))
     raise ex.ExprError(f"unknown curvature mode {mode!r}")
 
@@ -172,9 +179,8 @@ def basic_invariant(web: WebSpec, alpha: int = 4) -> Expr:
 
     Identical (already at DAG level) to d1(g_alpha)/d2(g_alpha).
     """
-    fr = WebFrame(web.f)
     g = web.g(alpha)
-    return div(mul(fr.fy, derive(g, "x")), mul(fr.fx, derive(g, "y")))
+    return div(mul(web.fy, derive(g, "x")), mul(web.fx, derive(g, "y")))
 
 
 def mu(web: WebSpec, alpha: int = 4) -> Expr:
@@ -185,9 +191,8 @@ def mu(web: WebSpec, alpha: int = 4) -> Expr:
     The denominator is fixed as (a - a^2); flipping it to (a^2 - a) negates
     the value but not any vanishing verdict.
     """
-    fr = WebFrame(web.f)
     a = basic_invariant(web, alpha)
-    num = sub(fr.d1(a), mul(a, fr.d2(a)))
+    num = sub(web.d1(a), mul(a, web.d2(a)))
     return div(num, sub(a, pow_(a, 2)))
 
 

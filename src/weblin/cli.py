@@ -183,6 +183,10 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     if unknown:
         raise UsageError(f"--param {', '.join(unknown)}: not a parameter "
                          "of the web")
+    missing = sorted(set(web.params) - set(args.params))
+    if missing:
+        raise UsageError(f"no value for parameter(s) {', '.join(missing)}; "
+                         "give each with --param name=value")
     params = {k: _fraction(v, "--param") for k, v in args.params.items()}
     try:
         grid = lin.GridSpec(rect=web.domain, nx=args.grid, ny=args.grid)
@@ -194,7 +198,6 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         result = lin.flat_coordinates(web, grid, base=base, lam0=lam0,
                                       params=params, force=args.force,
                                       policy=_policy(args))
-        lin.straightness_report(result)
     except lin.NotLinearizableError as err:
         msg = (f"web verdict is {err.verdict}; linearization refused "
                "(--force to run it anyway as a negative control)")

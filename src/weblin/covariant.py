@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import expr as ex
 from .expr import Expr, add, div, mul, neg, pow_, sub
-from .calculus import WebSpec, WebFrame, basic_invariant
+from .calculus import WebSpec, basic_invariant
 
 __all__ = [
     "WeightedScalar", "delta", "commutator_residual", "prolong_a",
@@ -49,9 +49,8 @@ def delta(u: WeightedScalar, i: int, web: WebSpec) -> WeightedScalar:
     """Covariant derivative delta_i^(k): d_i(u) - k H u, weight k+1."""
     if i not in (1, 2):
         raise ex.ExprError("frame index must be 1 or 2")
-    fr = WebFrame(web.f)
-    du = fr.d1(u.expr) if i == 1 else fr.d2(u.expr)
-    e = du if u.weight == 0 else sub(du, mul(u.weight, fr.H, u.expr))
+    du = web.d1(u.expr) if i == 1 else web.d2(u.expr)
+    e = du if u.weight == 0 else sub(du, mul(u.weight, web.H, u.expr))
     return WeightedScalar(e, u.weight + 1)
 
 
@@ -65,20 +64,21 @@ def commutator_residual(u: WeightedScalar, web: WebSpec) -> Expr:
               delta(delta(u, 2, web), 1, web).expr)
     if s == 0:
         return lhs
-    fr = WebFrame(web.f)
-    return sub(lhs, mul(s, fr.K, u.expr))
+    return sub(lhs, mul(s, web.K, u.expr))
 
 
-def tilde_a(web: WebSpec, alpha: int = 4) -> dict[str, Expr]:
-    """Unsymmetrized third covariant derivatives of the basic invariant,
-    delta_k^(2) delta_j^(1) delta_i^(0) a, keyed 't111'..'t222'."""
+def _prolongation(web: WebSpec, alpha: int
+                  ) -> tuple[list[WeightedScalar], dict[str, Expr]]:
+    """The basic invariant and its covariant derivatives up to second order
+    (a, a1, a2, a11, a12, a22), each built once, and the unsymmetrized third
+    derivatives keyed as in `tilde_a`."""
     a0 = WeightedScalar(basic_invariant(web, alpha), 0)
     a1 = delta(a0, 1, web)
     a2 = delta(a0, 2, web)
     a11 = delta(a1, 1, web)
     a12 = delta(a1, 2, web)  # equals delta(a2, 1): weight-0 commutator
     a22 = delta(a2, 2, web)
-    return {
+    t = {
         "t111": delta(a11, 1, web).expr,
         "t112": delta(a11, 2, web).expr,
         "t121": delta(a12, 1, web).expr,
@@ -86,36 +86,33 @@ def tilde_a(web: WebSpec, alpha: int = 4) -> dict[str, Expr]:
         "t221": delta(a22, 1, web).expr,
         "t222": delta(a22, 2, web).expr,
     }
+    return [a0, a1, a2, a11, a12, a22], t
+
+
+def tilde_a(web: WebSpec, alpha: int = 4) -> dict[str, Expr]:
+    """Unsymmetrized third covariant derivatives of the basic invariant,
+    delta_k^(2) delta_j^(1) delta_i^(0) a, keyed 't111'..'t222'."""
+    return _prolongation(web, alpha)[1]
 
 
 def prolong_a(web: WebSpec, alpha: int = 4) -> dict[str, Expr]:
     """Covariant derivatives of the basic invariant up to symmetrized third
     order: a1, a2, a11, a12, a22, a111, a112, a122, a222."""
-    a0 = WeightedScalar(basic_invariant(web, alpha), 0)
-    a1 = delta(a0, 1, web)
-    a2 = delta(a0, 2, web)
-    a11 = delta(a1, 1, web)
-    a12 = delta(a1, 2, web)
-    a22 = delta(a2, 2, web)
-    t = tilde_a(web, alpha)
-    return {
-        "a": a0.expr,
-        "a1": a1.expr,
-        "a2": a2.expr,
-        "a11": a11.expr,
-        "a12": a12.expr,
-        "a22": a22.expr,
+    lower, t = _prolongation(web, alpha)
+    out = {key: u.expr for key, u in
+           zip(("a", "a1", "a2", "a11", "a12", "a22"), lower)}
+    out.update({
         "a111": t["t111"],
         "a112": div(add(t["t112"], mul(2, t["t121"])), 3),
         "a122": div(add(mul(2, t["t122"]), t["t221"]), 3),
         "a222": t["t222"],
-    }
+    })
+    return out
 
 
 def curvature_derivatives(web: WebSpec) -> tuple[Expr, Expr]:
     """K1 = d1(K) - 2HK and K2 = d2(K) - 2HK (K has weight two)."""
-    fr = WebFrame(web.f)
-    Kw = WeightedScalar(fr.K, 2)
+    Kw = WeightedScalar(web.K, 2)
     return delta(Kw, 1, web).expr, delta(Kw, 2, web).expr
 
 
@@ -125,7 +122,7 @@ def _closed_rhs(web: WebSpec, alpha: int, which: int) -> Expr:
     a1, a2 = p["a1"], p["a2"]
     a11, a12, a22 = p["a11"], p["a12"], p["a22"]
     a111, a112, a122, a222 = p["a111"], p["a112"], p["a122"], p["a222"]
-    K = WebFrame(web.f).K
+    K = web.K
     den = sub(a, pow_(a, 2))
     inv1 = pow_(den, -1)
     inv2 = pow_(den, -2)

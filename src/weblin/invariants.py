@@ -22,7 +22,7 @@ from . import expr as ex
 from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, add, div,
                    mul, neg, pow_, sub, evaluate, evaluate_scaled,
                    is_exactly_evaluable, dag_size)
-from .calculus import (WebSpec, WebFrame, SamplePoint, PARAM_RANGE,
+from .calculus import (WebSpec, SamplePoint, PARAM_RANGE,
                        DomainTooSingularError, mu as web_mu, random_rational,
                        sample_points)
 
@@ -100,34 +100,32 @@ class InvariantReport:
 
 def I1_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
     """First compatibility operator applied to mu (mixed term d1atop d2)."""
-    fr = WebFrame(web.f)
-    H, K = fr.H, fr.K
-    m1, m2 = fr.d1(mu_expr), fr.d2(mu_expr)
+    H, K = web.H, web.K
+    m1, m2 = web.d1(mu_expr), web.d2(mu_expr)
     return add(
-        neg(fr.d1(m1)),
-        mul(2, fr.d1(m2)),
+        neg(web.d1(m1)),
+        mul(2, web.d1(m2)),
         mul(add(mu_expr, H), m1),
         mul(-2, add(mul(2, H), mu_expr), m2),
         mul(H, pow_(mu_expr, 2)),
-        mul(add(mul(2, pow_(H, 2)), neg(fr.d2(H))), mu_expr),
-        neg(fr.d1(K)),
+        mul(add(mul(2, pow_(H, 2)), neg(web.d2(H))), mu_expr),
+        neg(web.d1(K)),
         mul(2, H, K),
     )
 
 
 def I2_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
     """Second compatibility operator applied to mu (same mixed term)."""
-    fr = WebFrame(web.f)
-    H, K = fr.H, fr.K
-    m1, m2 = fr.d1(mu_expr), fr.d2(mu_expr)
+    H, K = web.H, web.K
+    m1, m2 = web.d1(mu_expr), web.d2(mu_expr)
     return add(
-        neg(fr.d2(m2)),
-        mul(2, fr.d1(m2)),
+        neg(web.d2(m2)),
+        mul(2, web.d1(m2)),
         mul(2, sub(mu_expr, H), m1),
         neg(mul(add(H, mu_expr), m2)),
         neg(mul(H, pow_(mu_expr, 2))),
-        mul(add(mul(2, pow_(H, 2)), neg(fr.d1(H))), mu_expr),
-        neg(fr.d2(K)),
+        mul(add(mul(2, pow_(H, 2)), neg(web.d1(H))), mu_expr),
+        neg(web.d2(K)),
         mul(2, H, K),
     )
 
@@ -150,15 +148,14 @@ def I_fp(web: WebSpec, p: Expr) -> Expr:
     differences of I values coincide with differences of mu values with
     constant +1 (no extra sign or factor).
     """
-    fr = WebFrame(web.f)
-    p1, p2 = fr.d1(p), fr.d2(p)
+    p1, p2 = web.d1(p), web.d2(p)
     if p1 is p2:
         raise DegenerateDirectionError(
             "p has the same foliation direction as f (d1(p) == d2(p))")
-    m = div(add(fr.d1(p2), fr.d2(p1)), 2)
-    num = add(mul(pow_(p1, 2), fr.d2(p2)),
+    m = div(add(web.d1(p2), web.d2(p1)), 2)
+    num = add(mul(pow_(p1, 2), web.d2(p2)),
               mul(-2, p1, p2, m),
-              mul(pow_(p2, 2), fr.d1(p1)))
+              mul(pow_(p2, 2), web.d1(p1)))
     den = mul(p1, p2, sub(p2, p1))
     return div(num, den)
 

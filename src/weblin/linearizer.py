@@ -1,23 +1,25 @@
 """Numerical linearization: flat coordinates of a linearizable web.
 
-`flat_coordinates(web, grid)` is the whole pipeline.  It runs the
-linearizability test once and refuses a web whose verdict is not YES.  For
-a YES web the deformation components lambda1, lambda2 of the flat
-connection satisfy a first-order Frobenius system whose coefficients are
-the symbolic scalars H, K, mu and the frame derivatives of mu; a parallel
-coframe and its potentials (u, v) satisfy a linear system along with them.
-The pipeline evaluates the coefficients once, integrates the whole system
-with classical 4th-order steps along grid lines in the x-first and the
-y-first order, verifies flatness (finite-difference curvature of the
-x-first lambda), path independence (the two orders), and a nondegenerate,
-closed coframe, and returns (u, v).  The two orders take three batched
-line integrations, the state held as one (8, lines) array: the base row,
-then every column, then every row from the column through the base node,
-which both orders share.  `straightness_report` then traces the leaves of
-every foliation once, bisecting all its levels together (their points lie
-on grid lines, where (u, v) is interpolated by cubic Hermite along the
-line, one call per field for all leaves) and measures how straight they
-become under (x, y) -> (u, v); `render_svg` draws those same leaves.
+`flat_coordinates(web, grid)` is the whole pipeline, and its result is the
+whole answer.  It runs the linearizability test once and refuses a web
+whose verdict is not YES.  For a YES web the deformation components
+lambda1, lambda2 of the flat connection satisfy a first-order Frobenius
+system whose coefficients are the symbolic scalars H, K, mu and the frame
+derivatives of mu; a parallel coframe and its potentials (u, v) satisfy a
+linear system along with them.  The pipeline evaluates the coefficients
+once, integrates the whole system with classical 4th-order steps along grid
+lines in the x-first and the y-first order, verifies flatness
+(finite-difference curvature of the x-first lambda), path independence (the
+two orders), and a nondegenerate, closed coframe.  The two orders take
+three batched line integrations, the state held as one (8, lines) array:
+the base row, then every column, then every row from the column through
+the base node, which both orders share.  `straightness_report` then traces
+the leaves of every foliation once, bisecting all its levels together
+(their points lie on grid lines, where u and v are interpolated together by
+cubic Hermite along the line) and measures how straight they become under
+(x, y) -> (u, v).  The result holds u and v as node arrays, the
+certificates, the straightness and the traced leaves, which `render_svg`
+draws.
 
 Coefficients are always evaluated from their symbolic expressions, as one
 compiled program run block by block, on a refined lattice that contains
@@ -27,18 +29,18 @@ potentials) are discretized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .expr import grid_function
-from .calculus import WebSpec, WebFrame, Rect, mu as web_mu
+from .calculus import WebSpec, Rect, mu as web_mu
 from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
 
 __all__ = [
-    "GridSpec", "ScalarField", "CoefficientGrid", "LinearizationResult",
+    "GridSpec", "CoefficientGrid", "LinearizationResult",
     "LinearizerError", "NotLinearizableError", "integrate_lambda",
     "flatness_residual", "flat_coordinates", "straightness_report",
     "trace_leaves", "render_svg", "DEFAULT_GRID_N", "LAMBDA_BLOWUP_BOUND",
@@ -121,45 +123,6 @@ class GridSpec:
         return i, j
 
 
-@dataclass
-class ScalarField:
-    """A scalar sampled at the grid nodes (values[i, j] at (xs[i], ys[j]))."""
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.nx, self.grid.ny):
-            raise LinearizerError("field shape does not match grid")
-
-    def on_grid_lines(self, points: np.ndarray) -> np.ndarray:
-        """Values at points on grid lines (x equal to some xs[i] or y to
-        some ys[j], bit for bit) by cubic Hermite interpolation along the
-        line, with slopes from 4th-order finite differences of the nodes."""
-        g = self.grid
-        on_col = np.isin(points[:, 0], g.xs)
-        on_row = ~on_col & np.isin(points[:, 1], g.ys)
-        if not np.all(on_col | on_row):
-            raise LinearizerError("point on no grid line; cannot interpolate")
-        out = np.empty(len(points))
-        # a column is interpolated in y (axis 1), a row in x (axis 0)
-        for sel, axis, nodes, across, h in ((on_col, 1, g.ys, g.xs, g.hy),
-                                            (on_row, 0, g.xs, g.ys, g.hx)):
-            vals = np.moveaxis(self.values, axis, 1)
-            slopes = np.moveaxis(_diff4(self.values, h, axis), axis, 1)
-            t, fixed = points[sel, axis], points[sel, 1 - axis]
-            line = np.searchsorted(across, fixed)
-            k = np.clip(np.searchsorted(nodes, t, side="right") - 1,
-                        0, len(nodes) - 2)
-            dt = nodes[k + 1] - nodes[k]
-            s = (t - nodes[k]) / dt
-            out[sel] = ((1 + 2 * s) * (1 - s) ** 2 * vals[line, k]
-                        + s * (1 - s) ** 2 * dt * slopes[line, k]
-                        + s * s * (3 - 2 * s) * vals[line, k + 1]
-                        + s * s * (s - 1) * dt * slopes[line, k + 1])
-        return out
-
-
 _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")
 
 
@@ -171,7 +134,7 @@ class CoefficientGrid:
     r = 2m; node (i, j) of the main grid sits at refined index (i*r, j*r).
     The seven coefficients are one compiled program, run over blocks of at
     most BLOCK_POINTS lattice points into `stacked` (coefficient, x index,
-    y index); `arrays` names its planes.
+    y index), in the order of _COEFF_NAMES.
     """
 
     def __init__(self, web: WebSpec, grid: GridSpec,
@@ -182,9 +145,8 @@ class CoefficientGrid:
         if missing:
             raise LinearizerError(
                 f"no value for parameter(s) {', '.join(sorted(missing))}")
-        fr = WebFrame(web.f)
         m = web_mu(web, 4)
-        exprs = (fr.fx, fr.fy, fr.H, fr.K, m, fr.d1(m), fr.d2(m))
+        exprs = (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m))
         fn = grid_function(*exprs, params=params)
         xlo, xhi, ylo, yhi = grid.rect.as_floats()
         xs = np.linspace(xlo, xhi, (grid.nx - 1) * self.r + 1)
@@ -200,7 +162,6 @@ class CoefficientGrid:
                 raise LinearizerError(
                     f"coefficient {name} is singular inside the grid; "
                     "choose a smaller or shifted rectangle")
-        self.arrays = dict(zip(_COEFF_NAMES, self.stacked))
 
 
 def _rhs(c: np.ndarray, s: np.ndarray, along: str) -> np.ndarray:
@@ -315,6 +276,36 @@ def _diff4(A: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+def _on_grid_lines(g: GridSpec, fields: np.ndarray,
+                   points: np.ndarray) -> np.ndarray:
+    """Values of node fields (fields[k, i, j] at (xs[i], ys[j])) at points
+    on grid lines (x equal to some xs[i] or y to some ys[j], bit for bit),
+    by cubic Hermite interpolation along the line with slopes from
+    4th-order finite differences of the nodes; one row per point, one
+    column per field."""
+    on_col = np.isin(points[:, 0], g.xs)
+    on_row = ~on_col & np.isin(points[:, 1], g.ys)
+    if not np.all(on_col | on_row):
+        raise LinearizerError("point on no grid line; cannot interpolate")
+    out = np.empty((len(points), len(fields)))
+    # a column is interpolated in y (axis 1), a row in x (axis 0)
+    for sel, axis, nodes, across, h in ((on_col, 1, g.ys, g.xs, g.hy),
+                                        (on_row, 0, g.xs, g.ys, g.hx)):
+        vals = np.moveaxis(fields, axis + 1, 2)
+        slopes = np.moveaxis(_diff4(fields, h, axis + 1), axis + 1, 2)
+        t, fixed = points[sel, axis], points[sel, 1 - axis]
+        line = np.searchsorted(across, fixed)
+        k = np.clip(np.searchsorted(nodes, t, side="right") - 1,
+                    0, len(nodes) - 2)
+        dt = nodes[k + 1] - nodes[k]
+        s = (t - nodes[k]) / dt
+        out[sel] = ((1 + 2 * s) * (1 - s) ** 2 * vals[:, line, k]
+                    + s * (1 - s) ** 2 * dt * slopes[:, line, k]
+                    + s * s * (3 - 2 * s) * vals[:, line, k + 1]
+                    + s * s * (s - 1) * dt * slopes[:, line, k + 1]).T
+    return out
+
+
 def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
                       l2: np.ndarray) -> float:
     """Max curvature-coefficient magnitude of the connection deformed by
@@ -324,8 +315,7 @@ def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
     the interior); the symbolic coefficients are exact at the nodes.
     """
     g = cg.grid
-    fx, fy, H, K, mu, mu1, mu2 = (cg.arrays[name][::cg.r, ::cg.r]
-                                  for name in _COEFF_NAMES)
+    fx, fy, H, K, mu, mu1, mu2 = cg.stacked[:, ::cg.r, ::cg.r]
 
     def d1(A):
         return -_diff4(A, g.hx, 0) / fx
@@ -346,30 +336,31 @@ def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
 
 @dataclass
 class LinearizationResult:
-    """Flat coordinates of `web` at parameter values `params`, the residuals
-    that certify them, the web's verdict and invariant reports, and (after
-    `straightness_report`) the traced leaves as (foliation index, points,
-    mapped points)."""
-    u: ScalarField
-    v: ScalarField
+    """Flat coordinates of `web` at parameter values `params`: u and v at
+    the nodes of `grid` (u[i, j] at (xs[i], ys[j])), lambda starting at lam0
+    on the `base` node; the residuals that certify them; the per-foliation
+    straightness of the mapped leaves, the number of leaves skipped, and
+    the traced leaves as (foliation index, points, mapped points); the
+    web's verdict and invariant reports."""
+    web: WebSpec
+    params: Mapping[str, Fraction]
+    grid: GridSpec
+    u: np.ndarray
+    v: np.ndarray
+    base: tuple[float, float]
+    lam0: tuple[float, float]
     flatness_residual: float
     path_independence_residual: float
-    web: WebSpec
-    params: Mapping[str, Fraction] = field(default_factory=dict)
-    straightness: dict[str, float] = field(default_factory=dict)
-    base: tuple[float, float] = (0.0, 0.0)
-    lam0: tuple[float, float] = (0.0, 0.0)
-    skipped_leaves: int = 0
-    verdict: str | None = None
-    reports: list[InvariantReport] = field(default_factory=list)
-    leaves: list[tuple[int, np.ndarray, np.ndarray]] = field(
-        default_factory=list)
+    straightness: dict[str, float]
+    skipped_leaves: int
+    leaves: list[tuple[int, np.ndarray, np.ndarray]]
+    verdict: str
+    reports: list[InvariantReport]
 
     def to_json(self) -> dict:
         return {
-            "grid": {"nx": self.u.grid.nx, "ny": self.u.grid.ny,
-                     "rect": [repr(v) for v in
-                              self.u.grid.rect.as_floats()]},
+            "grid": {"nx": self.grid.nx, "ny": self.grid.ny,
+                     "rect": [repr(v) for v in self.grid.rect.as_floats()]},
             "base": [repr(self.base[0]), repr(self.base[1])],
             "lambda0": [repr(self.lam0[0]), repr(self.lam0[1])],
             "flatness_residual": repr(self.flatness_residual),
@@ -396,7 +387,8 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     connection; the y-first sweep measures path independence; the coframes
     must stay nondegenerate and closed (finite-difference curl), and their
     potentials are u, v.  With force=True the flatness and closedness
-    refusals are skipped too.
+    refusals are skipped too.  The leaves of every foliation are traced and
+    measured under (u, v) by `straightness_report`.
     """
     verdict, reports = check_dweb(web, policy)
     if verdict != YES and not force:
@@ -407,7 +399,7 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
     cg = CoefficientGrid(web, g, params)
-    fx, fy = (cg.arrays[name][::cg.r, ::cg.r] for name in ("fx", "fy"))
+    fx, fy = cg.stacked[:2, ::cg.r, ::cg.r]
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
     s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
           0.0, 0.0]
@@ -434,11 +426,14 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
         raise LinearizerError(
             f"transported coframe is not closed (curl {curl:.3e}); "
             "linearization refused")
+    u, v = state[:, :, 6].copy(), state[:, :, 7].copy()  # not views of state
+    params = dict(params or {})
+    straightness, skipped, leaves = straightness_report(web, g, u, v, params)
     return LinearizationResult(
-        u=ScalarField(g, state[:, :, 6]), v=ScalarField(g, state[:, :, 7]),
-        flatness_residual=flat, path_independence_residual=path_resid,
-        web=web, params=dict(params or {}),
+        web=web, params=params, grid=g, u=u, v=v,
         base=(float(g.xs[ib]), float(g.ys[jb])), lam0=lam0,
+        flatness_residual=flat, path_independence_residual=path_resid,
+        straightness=straightness, skipped_leaves=skipped, leaves=leaves,
         verdict=verdict, reports=reports)
 
 
@@ -543,38 +538,39 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
     return out
 
 
-def straightness_report(result: LinearizationResult) -> dict[str, float]:
-    """Per-foliation max normalized line-fit residual of the mapped leaves.
+def straightness_report(web: WebSpec, grid: GridSpec, u: np.ndarray,
+                        v: np.ndarray, params: Mapping[str, Fraction]
+                        ) -> tuple[dict[str, float], int,
+                                   list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Per-foliation max normalized line-fit residual of the leaves of `web`
+    at `params` under (x, y) -> (u, v), with u and v given at the nodes of
+    `grid`.
 
-    Traces LEAVES_PER_FOLIATION leaves of every foliation of result.web at
-    result.params and keeps them, with their images under (u, v), in
-    result.leaves; the points of all leaves go through one Hermite map per
-    field.  Leaves with fewer than 5 usable sample points are skipped and
-    counted in result.skipped_leaves.
+    Traces LEAVES_PER_FOLIATION leaves of every foliation; the points of
+    all leaves go through one Hermite map for u and v together.  Leaves
+    with fewer than 5 usable sample points are skipped.  Returns the
+    report, the number of skipped leaves, and the leaves as (foliation
+    index, points, mapped points).
     """
-    web, g = result.web, result.u.grid
     names = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
     traced = [(idx, leaf) for idx, name in enumerate(names)
-              for leaf in trace_leaves(web, g, name, LEAVES_PER_FOLIATION,
-                                       result.params)]
+              for leaf in trace_leaves(web, grid, name, LEAVES_PER_FOLIATION,
+                                       params)]
     points = np.concatenate([leaf for _, leaf in traced])
-    u, v = result.u.on_grid_lines(points), result.v.on_grid_lines(points)
+    uv = _on_grid_lines(grid, np.stack([u, v]), points)
     report = dict.fromkeys(names, 0.0)
     leaves: list[tuple[int, np.ndarray, np.ndarray]] = []
     skipped = end = 0
     for idx, leaf in traced:
         start, end = end, end + len(leaf)
-        mapped = np.stack([u[start:end], v[start:end]], axis=1)
+        mapped = uv[start:end]
         leaves.append((idx, leaf, mapped))
         if len(leaf) < 5:
             skipped += 1
             continue
         report[names[idx]] = max(report[names[idx]],
                                  _tls_line_residual(mapped))
-    result.straightness = report
-    result.skipped_leaves = skipped
-    result.leaves = leaves
-    return report
+    return report, skipped, leaves
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +601,8 @@ def _svg_panel(polylines: list[tuple[int, np.ndarray]], origin_x: float,
 
 
 def render_svg(result: LinearizationResult, path: str) -> None:
-    """Two panels: the leaves that `straightness_report` traced, in the
+    """Two panels: the leaves traced for the straightness report, in the
     original chart and in flat coordinates, one stroke color per foliation."""
-    if not result.leaves:
-        raise LinearizerError("no traced leaves to draw; run "
-                              "straightness_report on the result first")
     original = [(idx, leaf) for idx, leaf, _ in result.leaves
                 if len(leaf) >= 2]
     mapped = [(idx, pts) for idx, _, pts in result.leaves if len(pts) >= 2]

@@ -24,13 +24,9 @@ from __future__ import annotations
 import contextlib
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from weblin.expr import (evaluate, evaluate_scaled, EvalContext, sub,
                          is_exactly_evaluable)
-from weblin.calculus import (WebSpec, WebFrame, web_K, basic_invariant,
-                             sample_points)
+from weblin.calculus import web_K, basic_invariant, sample_points
 from weblin.covariant import (WeightedScalar, delta, commutator_residual,
                               K1_closed_residual, K2_closed_residual)
 from weblin.invariants import zero_test, build_compatibility_pair, J_alpha
@@ -175,14 +171,12 @@ def test_criterion_7_end_to_end_linearization():
         for name in ("two-pencils", "parabola-tangents"):
             web = corpus.linearization_web(corpus.case_by_name(name))
             g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
-            res = lin.flat_coordinates(web, g)
-            rep = lin.straightness_report(res)
+            rep = lin.flat_coordinates(web, g).straightness
             assert max(rep.values()) < STRAIGHTNESS_BOUND, (name, rep)
         control = corpus.linearization_web(
             corpus.case_by_name("exponential-twist"))
         g = lin.GridSpec(rect=control.domain, nx=41, ny=41)
-        res = lin.flat_coordinates(control, g, force=True)
-        rep = lin.straightness_report(res)
+        rep = lin.flat_coordinates(control, g, force=True).straightness
         assert max(rep.values()) > NEGATIVE_CONTROL_BOUND, rep
 
 

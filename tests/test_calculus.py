@@ -8,10 +8,10 @@ import mpmath
 import pytest
 
 from weblin import expr as E
-from weblin.expr import (X, Y, parse, derive, evaluate, evaluate_scaled,
-                         EvalContext, const, mul, add, pow_, div, neg, sub,
-                         format_expr, is_exactly_evaluable)
-from weblin.calculus import (Rect, WebSpec, WebFrame, web_K, basic_invariant,
+from weblin.expr import (parse, derive, evaluate, evaluate_scaled,
+                         EvalContext, const, mul, div, neg, sub, pow_,
+                         is_exactly_evaluable)
+from weblin.calculus import (Rect, WebSpec, web_K, basic_invariant,
                              mu, sample_points, random_rational,
                              reparameterized, DomainTooSingularError,
                              PARAM_RANGE)
@@ -65,34 +65,53 @@ class TestFrameOperators:
         # f = x/y sends a = -x/y to 1 (the frame divides by f_x = 1/y)
         a = basic_invariant(WEB1)
         assert a is parse("-x/y")
-        fr = WebFrame(WEB1.f)
-        assert fr.d1(a) is const(1)
-        assert fr.d2(a) is const(1)
+        assert WEB1.d1(a) is const(1)
+        assert WEB1.d2(a) is const(1)
 
     def test_sum_web_frame_is_negated_gradient(self):
-        fr = WebFrame(parse("x+y"))
+        web = _web("x+y", "x-y")
         e = parse("x^2*y")
-        assert fr.d1(e) is neg(derive(e, "x"))
-        assert fr.d2(e) is neg(derive(e, "y"))
+        assert web.d1(e) is neg(derive(e, "x"))
+        assert web.d2(e) is neg(derive(e, "y"))
 
     def test_d_of_constant(self):
-        fr = WebFrame(WEB1.f)
-        assert fr.d1(const(7)).is_zero
-        assert fr.d2(const(-3)).is_zero
+        assert WEB1.d1(const(7)).is_zero
+        assert WEB1.d2(const(-3)).is_zero
+
+    def test_frame_is_held_by_the_web(self):
+        web = _web("x*y", "x+y")
+        assert (web.fx, web.fy) == (derive(web.f, "x"), derive(web.f, "y"))
+        assert web.H is web.H and web.K is web.K
+        # a second web with the same f holds the same interned frame
+        other = _web("x*y", "x-y")
+        assert other.H is web.H and other.K is web.K
+
+    def test_frame_interned_before_the_operand(self):
+        # uids follow creation order and add/mul sort operands by uid, so
+        # the first frame operator of a new web interns f_x, f_y, 1/f_x and
+        # 1/f_y, in this order, before any node of the operand's derivative
+        # (f and e appear nowhere else in the suite)
+        web = _web("x^7*y^2 + 131/17*x + 23/19*y^5", "x+y")
+        e = parse("x^11*y^3 + 97/13*y")
+        d = web.d1(e)
+        uids = [web.fx.uid, web.fy.uid, pow_(web.fx, -1).uid,
+                pow_(web.fy, -1).uid, derive(e, "x").uid]
+        assert uids == sorted(uids)
+        assert d is mul(-1, derive(e, "x"), pow_(web.fx, -1))
 
 
 class TestH:
     def test_additive_f_flat(self):
-        assert WebFrame(parse("x+y")).H.is_zero
+        assert _web("x+y", "x-y").H.is_zero
 
     def test_product_f(self):
-        H = WebFrame(parse("x*y")).H
+        H = _web("x*y", "x+y").H
         assert evaluate(H, EvalContext({"x": F(3, 2), "y": F(5, 7)})) == F(14, 15)
 
     def test_matches_defining_quotient_by_finite_differences(self):
         # independent oracle: f_xy by central differences at 300 bits
         web = WEB1
-        H = WebFrame(web.f).H
+        H = web.H
         f = web.f
         with mpmath.workprec(300):
             h = mpmath.mpf(2) ** -60
@@ -119,8 +138,7 @@ class TestK:
 
     def test_product_f_hexagonal(self):
         web = _web("x*y", "x+y")
-        fr = WebFrame(web.f)
-        d1H, d2H = fr.d1(fr.H), fr.d2(fr.H)
+        d1H, d2H = web.d1(web.H), web.d2(web.H)
         ctx = EvalContext({"x": F(2, 5), "y": F(3, 7)})
         want = F(1, (F(2, 5) * F(3, 7)) ** 2)
         assert evaluate(d1H, ctx) == want
@@ -161,17 +179,15 @@ class TestBasicInvariant:
         # f_y g_x / (f_x g_y) and d1(g)/d2(g) canonicalize to one DAG
         for case in corpus.CASES:
             web = corpus.web_for(case)
-            fr = WebFrame(web.f)
             for alpha in range(4, web.d + 1):
                 g = web.g(alpha)
-                assert basic_invariant(web, alpha) is div(fr.d1(g), fr.d2(g))
+                assert basic_invariant(web, alpha) is div(web.d1(g), web.d2(g))
 
     def test_two_formulas_agree_at_points(self):
         for case in corpus.CASES:
             web = corpus.web_for(case)
-            fr = WebFrame(web.f)
             a = basic_invariant(web, 4)
-            alt = div(fr.d1(web.g(4)), fr.d2(web.g(4)))
+            alt = div(web.d1(web.g(4)), web.d2(web.g(4)))
             diff = sub(a, alt)
             for pt in sample_points(web, 8):
                 mode = "exact" if is_exactly_evaluable(diff) else "float"
@@ -202,22 +218,20 @@ class TestCommutator:
 
     def test_rational_web_exact(self):
         web = WEB1
-        fr = WebFrame(web.f)
         for s in self.SCALARS[:2]:
             e = parse(s)
-            resid = sub(sub(fr.d1(fr.d2(e)), fr.d2(fr.d1(e))),
-                        mul(fr.H, sub(fr.d2(e), fr.d1(e))))
+            resid = sub(sub(web.d1(web.d2(e)), web.d2(web.d1(e))),
+                        mul(web.H, sub(web.d2(e), web.d1(e))))
             for pt in sample_points(web, 8):
                 assert evaluate(resid, EvalContext(pt.bindings())) == 0
 
     def test_radical_web_float(self):
         web = _web("x + sqrt(x^2 - y)", "x+y",
                    domain=Rect(F(5, 4), F(7, 4), F(1, 8), F(3, 8)))
-        fr = WebFrame(web.f)
         for s in self.SCALARS:
             e = parse(s)
-            resid = sub(sub(fr.d1(fr.d2(e)), fr.d2(fr.d1(e))),
-                        mul(fr.H, sub(fr.d2(e), fr.d1(e))))
+            resid = sub(sub(web.d1(web.d2(e)), web.d2(web.d1(e))),
+                        mul(web.H, sub(web.d2(e), web.d1(e))))
             for pt in sample_points(web, 8):
                 v, scale = evaluate_scaled(
                     e=resid, ctx=EvalContext(pt.bindings(), mode="float",

@@ -284,6 +284,24 @@ class TestLinearizeCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("g", ["x^n + y^n", "x^n + y^m"])
+    def test_missing_param_refused_before_the_verdict(self, capsys, g,
+                                                       monkeypatch):
+        # exit 1 would read as NO; the verdict must not even be computed
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("check_dweb called")
+
+        monkeypatch.setattr(lin, "check_dweb", no_verdict)
+        argv = ["linearize", "--f", "x/y", "--g", g, "--grid", "21"]
+        if "m" in g:
+            argv += ["--param", "n=2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: no value for parameter(s) ")
+        assert err.split(";")[0].endswith("m" if "m" in g else "n")
+        assert err.count("\n") == 1
+
 
 class TestSelftest:
     def test_plain_corpus(self, capsys):

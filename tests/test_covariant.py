@@ -7,12 +7,12 @@ import pytest
 
 from weblin.expr import (parse, evaluate, evaluate_scaled, EvalContext, sub,
                          mul, add, is_exactly_evaluable, ExprError)
-from weblin.calculus import (Rect, WebSpec, WebFrame, sample_points, web_K,
+from weblin.calculus import (Rect, WebSpec, sample_points, web_K,
                              basic_invariant)
 from weblin.covariant import (WeightedScalar, delta, commutator_residual,
                               prolong_a, tilde_a, curvature_derivatives,
                               K1_closed_residual, K2_closed_residual)
-from weblin.invariants import zero_test, build_compatibility_pair
+from weblin.invariants import zero_test
 from weblin import corpus
 
 F = Fraction
@@ -39,10 +39,9 @@ def _assert_vanishes(e, web, points=8):
 
 class TestDelta:
     def test_weight_zero_is_plain_frame_derivative(self):
-        fr = WebFrame(WEB2.f)
         a = WeightedScalar(basic_invariant(WEB2), 0)
-        assert delta(a, 1, WEB2).expr is fr.d1(a.expr)
-        assert delta(a, 2, WEB2).expr is fr.d2(a.expr)
+        assert delta(a, 1, WEB2).expr is WEB2.d1(a.expr)
+        assert delta(a, 2, WEB2).expr is WEB2.d2(a.expr)
 
     def test_weight_increments(self):
         a = WeightedScalar(basic_invariant(WEB2), 0)
@@ -52,16 +51,14 @@ class TestDelta:
         assert out.weight == 4
 
     def test_curvature_derivative_formula(self):
-        fr = WebFrame(WEB2.f)
         K1, K2 = curvature_derivatives(WEB2)
-        assert K1 is sub(fr.d1(fr.K), mul(2, fr.H, fr.K))
-        assert K2 is sub(fr.d2(fr.K), mul(2, fr.H, fr.K))
+        assert K1 is sub(WEB2.d1(WEB2.K), mul(2, WEB2.H, WEB2.K))
+        assert K2 is sub(WEB2.d2(WEB2.K), mul(2, WEB2.H, WEB2.K))
 
     def test_flat_frame_reduces_to_plain_derivative(self):
         web = _web("x+y", "x-y")
-        fr = WebFrame(web.f)
         u = WeightedScalar(parse("x^2*y"), 3)
-        assert delta(u, 1, web).expr is fr.d1(u.expr)
+        assert delta(u, 1, web).expr is web.d1(u.expr)
 
     def test_invalid_index(self):
         with pytest.raises(ExprError):
@@ -118,10 +115,9 @@ class TestProlongations:
         _assert_vanishes(sub(a12, a21), WEB2)
 
     def test_a11_explicit_expansion(self):
-        fr = WebFrame(WEB2.f)
         a = basic_invariant(WEB2)
         p = prolong_a(WEB2)
-        direct = sub(fr.d1(fr.d1(a)), mul(fr.H, fr.d1(a)))
+        direct = sub(WEB2.d1(WEB2.d1(a)), mul(WEB2.H, WEB2.d1(a)))
         _assert_vanishes(sub(p["a11"], direct), WEB2)
 
     def test_cartan_coefficient_of_second_prolongation(self):

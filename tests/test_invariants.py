@@ -9,10 +9,9 @@ import mpmath
 import pytest
 
 from weblin.expr import (X, Y, parse, evaluate, EvalContext, const, sub, mul,
-                         add, div, param, derive, is_exactly_evaluable,
-                         SingularSampleError)
-from weblin.calculus import (Rect, WebSpec, WebFrame, sample_points, mu,
-                             basic_invariant, random_rational)
+                         add, param, derive, SingularSampleError)
+from weblin.calculus import (Rect, WebSpec, sample_points, mu,
+                             random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
                                I_fp, J_alpha, build_compatibility_pair,
                                check_dweb, DegenerateDirectionError)
@@ -65,10 +64,9 @@ def _derived_compatibility(web):
     with l1, l2 as free parameters and the chain rule supplying their
     derivatives.
     """
-    fr = WebFrame(web.f)
-    H, K = fr.H, fr.K
+    H, K = web.H, web.K
     m = mu(web)
-    mu1, mu2 = fr.d1(m), fr.d2(m)
+    mu1, mu2 = web.d1(m), web.d2(m)
     l1, l2 = param("l1"), param("l2")
     A = mul(l1, add(H, l1, m))
     B = add(mul(F(1, 3), K), mul(H, add(l1, mul(F(1, 3), m))), mul(l1, l2),
@@ -78,10 +76,10 @@ def _derived_compatibility(web):
     D = mul(l2, add(H, sub(l2, m)))
 
     def d1_total(e):
-        return add(fr.d1(e), mul(derive(e, "l1"), A), mul(derive(e, "l2"), C))
+        return add(web.d1(e), mul(derive(e, "l1"), A), mul(derive(e, "l2"), C))
 
     def d2_total(e):
-        return add(fr.d2(e), mul(derive(e, "l1"), B), mul(derive(e, "l2"), D))
+        return add(web.d2(e), mul(derive(e, "l1"), B), mul(derive(e, "l2"), D))
 
     E1 = sub(sub(d1_total(B), d2_total(A)), mul(H, sub(B, A)))
     E2 = sub(sub(d1_total(D), d2_total(C)), mul(H, sub(D, C)))

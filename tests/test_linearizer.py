@@ -52,9 +52,7 @@ def web2_grid():
 
 @pytest.fixture(scope="module")
 def web2_result(web2_grid):
-    result = lin.flat_coordinates(WEB2, web2_grid)
-    lin.straightness_report(result)
-    return result
+    return lin.flat_coordinates(WEB2, web2_grid)
 
 
 class TestTrivialGauge:
@@ -69,7 +67,8 @@ class TestTrivialGauge:
         # lambda1, lambda2, mu and H terms
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
         cg, lam1, lam2 = _lambda(ZERO_GAUGE_WEB, g)
-        for arr in (lam1, lam2, cg.arrays["mu"], cg.arrays["H"]):
+        _, _, H, _, mu, _, _ = cg.stacked
+        for arr in (lam1, lam2, mu, H):
             assert np.abs(arr).max() == 0
         assert lin.flatness_residual(cg, lam1, lam2) < 1e-14
         assert _linearize(ZERO_GAUGE_WEB, 21).flatness_residual < 1e-14
@@ -78,12 +77,13 @@ class TestTrivialGauge:
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
         res = lin.flat_coordinates(ZERO_GAUGE_WEB, g)
         XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
-        assert np.abs(res.u.values - (XX - res.base[0])).max() < 1e-12
-        assert np.abs(res.v.values - (YY - res.base[1])).max() < 1e-12
+        assert res.u.shape == res.v.shape == (21, 21)
+        assert res.u.flags.c_contiguous and res.v.flags.c_contiguous
+        assert np.abs(res.u - (XX - res.base[0])).max() < 1e-12
+        assert np.abs(res.v - (YY - res.base[1])).max() < 1e-12
 
     def test_straightness_at_rounding_level(self):
-        res = _linearize(ZERO_GAUGE_WEB, 21)
-        rep = lin.straightness_report(res)
+        rep = _linearize(ZERO_GAUGE_WEB, 21).straightness
         assert max(rep.values()) < 1e-12
 
 
@@ -144,7 +144,7 @@ class TestBatchedSweep:
         assert rows.transpose(0, 2, 1).tobytes() == states[1].tobytes()
         res = lin.flat_coordinates(WEB2, g, base=(g.xs[ib], g.ys[jb]))
         assert res.base == (g.xs[ib], g.ys[jb])
-        assert res.u.values[ib, jb] == res.v.values[ib, jb] == 0
+        assert res.u[ib, jb] == res.v[ib, jb] == 0
 
 
 class TestFlatness:
@@ -194,8 +194,7 @@ class TestFlatCoordinates:
         assert max(web2_result.straightness.values()) < 1e-5
 
     def test_example_three_straightness(self):
-        res = _linearize(WEB3)
-        rep = lin.straightness_report(res)
+        rep = _linearize(WEB3).straightness
         # the f-leaves are tangent lines of a parabola, straight already;
         # everything here measures numerical error only
         assert max(rep.values()) < 1e-6
@@ -205,8 +204,7 @@ class TestFlatCoordinates:
         params = {"n": F(2)}
         res = _linearize(web, params=params)
         assert res.web is web and res.params == params
-        rep = lin.straightness_report(res)
-        assert max(rep.values()) < 1e-5
+        assert max(res.straightness.values()) < 1e-5
 
     def test_gauge_freedom(self, web2_grid):
         # different initial deformation values give different coordinates
@@ -215,35 +213,42 @@ class TestFlatCoordinates:
         assert np.abs(lam1).max() > 0.01
         res = lin.flat_coordinates(WEB2, web2_grid, lam0=(0.3, -0.2))
         assert res.lam0 == (0.3, -0.2)
-        rep = lin.straightness_report(res)
-        assert max(rep.values()) < 1e-5
+        assert max(res.straightness.values()) < 1e-5
 
     def test_affine_invariance_of_straightness(self, web2_result):
         result = web2_result
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(2, 2)) + 2 * np.eye(2)
         off = rng.normal(size=2)
-        u2 = mat[0, 0] * result.u.values + mat[0, 1] * result.v.values + off[0]
-        v2 = mat[1, 0] * result.u.values + mat[1, 1] * result.v.values + off[1]
-        res2 = lin.LinearizationResult(
-            u=lin.ScalarField(result.u.grid, u2),
-            v=lin.ScalarField(result.v.grid, v2),
-            flatness_residual=result.flatness_residual,
-            path_independence_residual=result.path_independence_residual,
-            web=WEB2, base=result.base, lam0=result.lam0)
-        rep2 = lin.straightness_report(res2)
+        u2 = mat[0, 0] * result.u + mat[0, 1] * result.v + off[0]
+        v2 = mat[1, 0] * result.u + mat[1, 1] * result.v + off[1]
+        rep2, _, _ = lin.straightness_report(WEB2, result.grid, u2, v2,
+                                             result.params)
+        assert set(rep2) == set(result.straightness)
         for k, v in result.straightness.items():
             assert rep2[k] < 1e-5
+
+    def test_result_holds_the_straightness_report(self, web2_result):
+        # the pipeline's report is the pure function of its (u, v), and
+        # recomputing it leaves the result as it was
+        res = web2_result
+        before = [(i, p.tobytes(), q.tobytes()) for i, p, q in res.leaves]
+        rep, skipped, leaves = lin.straightness_report(
+            res.web, res.grid, res.u, res.v, res.params)
+        assert rep == res.straightness and skipped == res.skipped_leaves
+        assert [(i, p.tobytes(), q.tobytes()) for i, p, q in leaves] == before
+        assert [(i, p.tobytes(), q.tobytes())
+                for i, p, q in res.leaves] == before
+        for _, _, mapped in leaves:
+            assert mapped.shape[1] == 2 and mapped.flags.c_contiguous
 
     def test_negative_control(self):
         res = _linearize(WEB5, force=True)
         assert res.verdict == "NO"
-        rep = lin.straightness_report(res)
-        assert max(rep.values()) > 1e-2
+        assert max(res.straightness.values()) > 1e-2
 
     def test_non_square_grid(self):
-        res = _linearize(WEB2, 31, 21)
-        rep = lin.straightness_report(res)
+        rep = _linearize(WEB2, 31, 21).straightness
         assert max(rep.values()) < 1e-5
 
     def test_every_linearizable_corpus_web_straightens(self):
@@ -254,8 +259,7 @@ class TestFlatCoordinates:
                 continue
             web = corpus.linearization_web(case)
             params = {"n": F(2)} if case.name == "power-web" else None
-            res = _linearize(web, params=params)
-            rep = lin.straightness_report(res)
+            rep = _linearize(web, params=params).straightness
             assert max(rep.values()) < 1e-5, (case.name, rep)
 
 
@@ -276,7 +280,6 @@ class TestPipeline:
         monkeypatch.setattr(lin, "CoefficientGrid", counting_grid)
         monkeypatch.setattr(lin, "trace_leaves", counting_trace)
         res = _linearize(WEB2, 21)
-        lin.straightness_report(res)
         lin.render_svg(res, str(tmp_path / "web.svg"))
         assert len(grids) == 1
         assert traced == ["x", "y", "f", "g4"]
@@ -412,6 +415,21 @@ class TestCoefficientMemory:
         assert large - small <= 16 * 8 * (n81 - n41)
 
 
+class TestCoefficientBlocks:
+    def test_values_do_not_depend_on_block_shape(self, monkeypatch):
+        # at 21 nodes the 81 x 81 lattice is one block by default; one row
+        # per block and blocks of 7 rows (the last one short) must give the
+        # same bits
+        g = lin.GridSpec(rect=WEB2.domain, nx=21, ny=21)
+        whole = lin.CoefficientGrid(WEB2, g).stacked
+        m = whole.shape[2]
+        assert lin.BLOCK_POINTS >= whole.shape[1] * m
+        for block in (1, 7 * m + 3):
+            monkeypatch.setattr(lin, "BLOCK_POINTS", block)
+            split = lin.CoefficientGrid(WEB2, g).stacked
+            assert split.tobytes() == whole.tobytes()
+
+
 class TestLeafTracing:
     def test_coordinate_foliations_are_grid_lines(self, web2_grid):
         leaves = lin.trace_leaves(WEB2, web2_grid, "x", 5)
@@ -437,10 +455,10 @@ class TestHermite:
     GRID = lin.GridSpec(rect=Rect(F(-1), F(1), F(0), F(2)), nx=21, ny=21)
     CUBIC = parse("x^3 - 2*x*y^2 + y")
 
-    def _field(self):
+    def _fields(self):
         g = self.GRID
         XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
-        return lin.ScalarField(g, grid_function(self.CUBIC)(XX, YY))
+        return np.stack([grid_function(self.CUBIC)(XX, YY), XX * YY])
 
     def test_cubic_reproduced_on_grid_lines(self):
         g = self.GRID
@@ -449,15 +467,21 @@ class TestHermite:
         rows = np.stack([rng.uniform(-1, 1, 50), rng.choice(g.ys, 50)], axis=1)
         nodes = np.stack([g.xs[[0, 3, 20]], g.ys[[20, 0, 9]]], axis=1)
         pts = np.vstack([cols, rows, nodes])
-        got = self._field().on_grid_lines(pts)
+        got = lin._on_grid_lines(g, self._fields(), pts)
+        assert got.shape == (len(pts), 2)
         want = grid_function(self.CUBIC)(pts[:, 0], pts[:, 1])
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got[:, 0] - want).max() < 1e-12
+        assert np.abs(got[:, 1] - pts[:, 0] * pts[:, 1]).max() < 1e-12
+        # mapped together, each field gets the bits it gets alone
+        for k, field in enumerate(self._fields()):
+            alone = lin._on_grid_lines(g, field[None], pts)[:, 0]
+            assert alone.tobytes() == got[:, k].copy().tobytes()
 
     def test_point_on_no_grid_line(self):
         g = self.GRID
         pts = np.array([[g.xs[3], 0.5], [g.xs[3] + 1e-9, g.ys[2] + 1e-9]])
         with pytest.raises(lin.LinearizerError, match="no grid line"):
-            self._field().on_grid_lines(pts)
+            lin._on_grid_lines(g, self._fields(), pts)
 
 
 class TestDependencies:
@@ -503,11 +527,6 @@ class TestSvg:
         lin.render_svg(web2_result, str(a))
         lin.render_svg(web2_result, str(b))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_svg_needs_traced_leaves(self, tmp_path):
-        res = _linearize(ZERO_GAUGE_WEB, 21)
-        with pytest.raises(lin.LinearizerError, match="straightness_report"):
-            lin.render_svg(res, str(tmp_path / "web.svg"))
 
 
 class TestJson:
