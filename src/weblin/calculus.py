@@ -55,6 +55,9 @@ class Rect:
         if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
             raise ex.ExprError("rectangle must have positive extent")
 
+    def __str__(self) -> str:
+        return f"[{self.x_lo}, {self.x_hi}] × [{self.y_lo}, {self.y_hi}]"
+
     @property
     def center(self) -> tuple[Fraction, Fraction]:
         return ((self.x_lo + self.x_hi) / 2, (self.y_lo + self.y_hi) / 2)

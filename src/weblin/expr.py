@@ -17,9 +17,11 @@ One interpreter, `_walk`, runs a `Program`: roots compiled lazily into
 slot orders over their union DAG (interning nothing), with values kept in
 one `Store` per point so a node shared by several roots is computed once
 per point.  Three arithmetics supply the number operations: exact
-rationals (`Fraction`, capped at EXACT_BITS), p-bit floats as raw mpmath
-tuples, and numpy doubles over whole grids (`grid_function`).  The two
-scalar ones share the real-domain rules; grids keep singular entries nan/inf.
+rationals as reduced (numerator, denominator) int pairs, capped at
+EXACT_BITS (`Fraction` only where bindings enter and results leave), p-bit
+floats as raw mpmath tuples, and numpy doubles over whole grids
+(`grid_function`).  The two scalar ones share the real-domain rules; grids
+keep singular entries nan/inf.
 """
 from __future__ import annotations
 
@@ -127,7 +129,7 @@ class Expr:
 
     @property
     def is_zero(self) -> bool:
-        return self.kind == CONST and self.value == 0
+        return self.kind == CONST and not self.value
 
 
 _lock = threading.RLock()
@@ -138,7 +140,9 @@ _derivative_cache: dict[tuple[int, str], Expr] = {}
 
 def _intern(kind: str, children: tuple[Expr, ...] = (),
             value: Fraction | None = None, name: str | None = None) -> Expr:
-    key = (kind, name, value, tuple(c.uid for c in children))
+    # a constant is keyed by its ints: a Fraction hash costs a modular pow
+    key = ((kind, name, tuple([c.uid for c in children])) if value is None
+           else (kind, value.numerator, value.denominator))
     with _lock:
         node = _table.get(key)
         if node is None:
@@ -184,14 +188,14 @@ def const(v) -> Expr:
     return _intern(CONST, value=v)
 
 
-def _pow_bits(b: Fraction, n: int) -> int:
-    """A lower bound on the bit length of b^n's numerator or denominator:
-    |b^n| has at least |n| * (bits - 1) bits."""
-    return abs(n) * (max(abs(b.numerator), b.denominator).bit_length() - 1)
+def _pow_bits(p: int, q: int, n: int) -> int:
+    """A lower bound on the bit length of the numerator or denominator of
+    (p/q)^n: |(p/q)^n| has at least |n| * (bits - 1) bits."""
+    return abs(n) * (max(abs(p), q).bit_length() - 1)
 
 
 def _const_pow(c: Fraction, n: int) -> Expr:
-    if _pow_bits(c, n) > _STR_BITS:
+    if _pow_bits(c.numerator, c.denominator, n) > _STR_BITS:
         raise ExprError(f"constant exceeds {_STR_BITS} bits")
     return const(c ** n)
 
@@ -214,7 +218,7 @@ Y = var("y")
 
 _ZERO = const(0)
 _ONE = const(1)
-_HALF = Fraction(1, 2)
+_Q0, _Q1, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 
 
 def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
@@ -223,7 +227,7 @@ def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
         rest = t.children[1:]
         core = rest[0] if len(rest) == 1 else _intern(MUL, rest)
         return t.children[0].value, core
-    return Fraction(1), t
+    return _Q1, t
 
 
 def _scaled(core: Expr, c: Fraction) -> Expr:
@@ -256,7 +260,7 @@ def _strip_factor(t: Expr, f: Expr) -> Expr:
 
 def add(*terms) -> Expr:
     """n-ary sum; flattens, folds constants and collects like terms."""
-    const_acc = Fraction(0)
+    const_acc = _Q0
     coeffs: dict[int, Fraction] = {}
     cores: dict[int, Expr] = {}
 
@@ -272,7 +276,8 @@ def add(*terms) -> Expr:
                     c2, core2 = _coeff_core(kk)
                     accumulate(c * c2, core2)
             return
-        coeffs[core.uid] = coeffs.get(core.uid, Fraction(0)) + c
+        prev = coeffs.get(core.uid)
+        coeffs[core.uid] = c if prev is None else prev + c
         cores[core.uid] = core
 
     stack = [as_expr(t) for t in terms]
@@ -288,14 +293,14 @@ def add(*terms) -> Expr:
                 const_acc += k.value
                 continue
             accumulate(*_coeff_core(k))
-    parts = [(uid, c) for uid, c in coeffs.items() if c != 0]
+    parts = [(uid, c) for uid, c in coeffs.items() if c]
     parts.sort()
     if not parts:
         return const(const_acc)
     # factor out a transcendental factor common to every term (exp never
     # vanishes, so this is unconditionally value-preserving); it lets the
     # quotient layer cancel exp factors and keep such webs exactly evaluable
-    if const_acc == 0 and len(parts) > 1:
+    if not const_acc and len(parts) > 1:
         common = _term_exp_factor(cores[parts[0][0]])
         if common is not None and all(
                 _term_exp_factor(cores[uid]) is common for uid, _ in parts[1:]):
@@ -303,7 +308,7 @@ def add(*terms) -> Expr:
                         for uid, c in parts]
             return mul(common, add(*stripped))
     out = [_scaled(cores[uid], c) for uid, c in parts]
-    if const_acc != 0:
+    if const_acc:
         out.append(const(const_acc))
     if len(out) == 1:
         return out[0]
@@ -312,7 +317,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """n-ary product; flattens, folds constants, merges identical bases."""
-    coeff = Fraction(1)
+    coeff = _Q1
     bases: dict[int, Expr] = {}
     rat_exps: dict[int, Fraction] = {}
     sym_exps: dict[int, list[Expr]] = {}
@@ -336,23 +341,24 @@ def mul(*factors) -> Expr:
             elif k.kind == POW:
                 base, e = k.children[0], k.children[1]
             else:
-                base, e = k, Fraction(1)
+                base, e = k, _Q1
             bases[base.uid] = base
             if isinstance(e, Fraction):
-                rat_exps[base.uid] = rat_exps.get(base.uid, Fraction(0)) + e
+                prev = rat_exps.get(base.uid)
+                rat_exps[base.uid] = e if prev is None else prev + e
             else:
                 sym_exps.setdefault(base.uid, []).append(e)
     out: list[Expr] = []
     reflatten = False
     for uid in sorted(bases):
         base = bases[uid]
-        rq = rat_exps.get(uid, Fraction(0))
+        rq = rat_exps.get(uid, _Q0)
         syms = sym_exps.get(uid, [])
         if syms:
             total = add(const(rq), *syms) if rq else (
                 syms[0] if len(syms) == 1 else add(*syms))
             f = pow_(base, total)
-        elif rq == 0:
+        elif not rq:
             continue
         elif rq == 1:
             f = base
@@ -376,7 +382,7 @@ def mul(*factors) -> Expr:
             out.append(f)
     if reflatten:
         return mul(const(coeff), *out)
-    if coeff == 0 or not out:
+    if not coeff or not out:
         return const(coeff)
     out.sort(key=lambda n: n.uid)
     if coeff != 1:
@@ -402,15 +408,16 @@ def _integer_root(n: int, q: int) -> int | None:
     return x if x ** q == n else None
 
 
-def _exact_root(v: Fraction, q: int) -> Fraction | None:
-    """Exact q-th root of a non-negative rational, or None."""
-    num = _integer_root(v.numerator, q)
+def _exact_root(p: int, q: int, k: int) -> tuple[int, int] | None:
+    """Exact k-th root of the reduced rational p/q >= 0 as a reduced
+    (numerator, denominator) pair, or None."""
+    num = _integer_root(p, k)
     if num is None:
         return None
-    den = _integer_root(v.denominator, q)
+    den = _integer_root(q, k)
     if den is None:
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 def pow_(base, exponent) -> Expr:
@@ -422,23 +429,23 @@ def pow_(base, exponent) -> Expr:
         return _UNDEF
     if exponent.kind == CONST:
         r = exponent.value
-        if r == 0:
+        if not r:
             return _ONE
         if r == 1:
             return base
         if base.kind == CONST:
             c = base.value
             if r.denominator == 1:
-                if c == 0 and r < 0:
+                if not c and r.numerator < 0:
                     return _UNDEF
-                return _const_pow(c, int(r))
-            if c == 0:
-                return _ZERO if r > 0 else _UNDEF
-            if c < 0:
+                return _const_pow(c, r.numerator)
+            if not c:
+                return _ZERO if r.numerator > 0 else _UNDEF
+            if c.numerator < 0:
                 return _UNDEF  # real-valued: negative base, fractional power
-            root = _exact_root(c, r.denominator)
+            root = _exact_root(c.numerator, c.denominator, r.denominator)
             if root is not None:
-                return _const_pow(root, r.numerator)
+                return _const_pow(Fraction(*root), r.numerator)
             return _intern(POW, (base, exponent))
         if base.kind == EXP:
             return exp_(mul(exponent, base.children[0]))
@@ -463,7 +470,7 @@ def exp_(u) -> Expr:
     u = as_expr(u)
     if u.kind == UNDEF:
         return _UNDEF
-    if u.kind == CONST and u.value == 0:
+    if u.kind == CONST and not u.value:
         return _ONE
     if u.kind == LOG:
         return u.children[0]
@@ -477,7 +484,7 @@ def log_(u) -> Expr:
     if u.kind == CONST:
         if u.value == 1:
             return _ZERO
-        if u.value <= 0:
+        if u.value.numerator <= 0:
             return _UNDEF
     if u.kind == EXP:
         return u.children[0]
@@ -637,7 +644,7 @@ class EvalContext:
 
     Every variable and parameter occurring in the expression must be bound;
     a missing binding raises, never defaults.  ``mode`` is ``"exact"``
-    (Fraction arithmetic, bounded by EXACT_BITS) or ``"float"`` (mpmath
+    (rational arithmetic, bounded by EXACT_BITS) or ``"float"`` (mpmath
     binary floats with a ``precision``-bit mantissa, whatever the
     precision).
     """
@@ -744,9 +751,9 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object]):
 
 class _RealArithmetic:
     """Real-domain rules shared by the two scalar arithmetics.  An exponent
-    counts as an integer by its value; subclasses supply `num`, `integer`
-    (the int value, or None), `sign`, `int_pow`, `root` (positive base,
-    non-integer exponent), `exp`, `ln` and `check`."""
+    counts as an integer by its value; subclasses supply `num`, `zero`,
+    `integer` (the int value, or None), `sign`, `int_pow`, `root` (positive
+    base, non-integer exponent), `exp`, `ln` and `check`."""
 
     def pow(self, b, ex, _const_ex):
         n, sign = self.integer(ex), self.sign(b)
@@ -756,7 +763,7 @@ class _RealArithmetic:
             return self.int_pow(b, n)
         if sign < 0:
             raise DomainEvalError("negative base with fractional power")
-        return self.num(Fraction(0)) if sign == 0 else self.root(b, ex)
+        return self.zero if sign == 0 else self.root(b, ex)
 
     def log(self, u):
         if self.sign(u) <= 0:
@@ -764,43 +771,82 @@ class _RealArithmetic:
         return self.ln(u)
 
 
-class _ExactArithmetic(_RealArithmetic):
-    """Fractions; refuses irrational values and sizes above EXACT_BITS."""
+def _qadd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a + b on reduced (numerator, denominator > 0) pairs, reduced: the gcd
+    steps of `Fraction._add` (Knuth, TAOCP Vol. 2, 4.5.1) on bare ints."""
+    na, da = a
+    nb, db = b
+    g = math.gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
 
-    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
-    num = staticmethod(lambda q: q)
-    integer = staticmethod(
-        lambda q: q.numerator if q.denominator == 1 else None)
-    sign = staticmethod(lambda q: (q > 0) - (q < 0))
+
+def _qmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a * b on reduced pairs, reduced: the steps of `Fraction._mul`."""
+    na, da = a
+    nb, db = b
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, da * db
+
+
+class _ExactArithmetic(_RealArithmetic):
+    """Rationals as reduced (numerator, denominator > 0) int pairs, so that
+    every slot value is the one `Fraction` arithmetic would give; refuses
+    irrational values and sizes above EXACT_BITS."""
+
+    add, mul = staticmethod(_qadd), staticmethod(_qmul)
+    num = staticmethod(lambda q: (q.numerator, q.denominator))
+    zero = (0, 1)
+    integer = staticmethod(lambda q: q[0] if q[1] == 1 else None)
+    sign = staticmethod(lambda q: (q[0] > 0) - (q[0] < 0))
 
     @staticmethod
-    def check(v: Fraction) -> None:
-        if (v.numerator.bit_length() > EXACT_BITS
-                or v.denominator.bit_length() > EXACT_BITS):
+    def check(v: tuple[int, int]) -> None:
+        if (v[0].bit_length() > EXACT_BITS
+                or v[1].bit_length() > EXACT_BITS):
             raise ExactBudgetError()
 
-    def int_pow(self, b: Fraction, n: int) -> Fraction:
-        if _pow_bits(b, n) > EXACT_BITS:  # refuse before computing it
+    @staticmethod
+    def int_pow(b: tuple[int, int], n: int) -> tuple[int, int]:
+        p, q = b
+        if _pow_bits(p, q, n) > EXACT_BITS:  # refuse before computing it
             raise ExactBudgetError()
-        return b ** n
+        if n >= 0:
+            return p ** n, q ** n
+        if p < 0:
+            p, q = -p, -q
+        return q ** -n, p ** -n
 
-    def root(self, b: Fraction, ex: Fraction) -> Fraction:
-        r = _exact_root(b, ex.denominator)
+    def root(self, b: tuple[int, int], ex: tuple[int, int]) -> tuple[int, int]:
+        r = _exact_root(*b, ex[1])
         if r is None:
             raise ExactnessError("irrational root; exact mode refused")
-        return self.int_pow(r, ex.numerator)
+        return self.int_pow(r, ex[0])
 
     @staticmethod
-    def exp(u: Fraction) -> Fraction:
-        if u != 0:
+    def exp(u: tuple[int, int]) -> tuple[int, int]:
+        if u[0]:
             raise ExactnessError("exp of nonzero value; exact mode refused")
-        return Fraction(1)
+        return 1, 1
 
     @staticmethod
-    def ln(u: Fraction) -> Fraction:
-        if u != 1:
+    def ln(u: tuple[int, int]) -> tuple[int, int]:
+        if u != (1, 1):
             raise ExactnessError("log of value != 1; exact mode refused")
-        return Fraction(0)
+        return 0, 1
 
 
 _EXACT = _ExactArithmetic()
@@ -829,6 +875,7 @@ class _MpfArithmetic(_RealArithmetic):
         return libmp.mpf_div(libmp.from_int(q.numerator, p, rnd),
                              libmp.from_int(q.denominator), p, rnd)
 
+    zero = libmp.fzero
     integer = staticmethod(lambda v: libmp.to_int(v) if v[2] >= 0 else None)
     sign = staticmethod(lambda v: 0 if not v[1] else -1 if v[0] else 1)
 
@@ -890,7 +937,7 @@ def _evaluate(e: Expr, ctx: EvalContext, store: Store | None, scaled: bool):
     vals.extend([None] * (len(store.program.slots) - len(vals)))
     v = _walk(code, arith, vals, leaves)
     if arith is _EXACT:
-        return v, None
+        return Fraction(*v), None
     return mpmath.mp.make_mpf(v), (mpmath.mp.make_mpf(_scale(code, vals))
                                    if scaled else None)
 

@@ -278,6 +278,10 @@ class TestSampling:
         web = _web("x/y", "x")
         with pytest.raises(DomainTooSingularError, match="too singular"):
             sample_points(web, 1)
+        with pytest.raises(DomainTooSingularError) as err:
+            sample_points(web, 1)
+        assert str(err.value).endswith(
+            "rejected samples in [1/4, 3/4] × [1/4, 3/4]")
 
     def test_random_rational_bounds(self):
         rng = random.Random(7)

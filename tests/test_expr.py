@@ -1,6 +1,7 @@
 """Expression kernel: parsing, printing, canonicalization, evaluation."""
 from __future__ import annotations
 
+import math
 import threading
 import time
 from fractions import Fraction
@@ -509,6 +510,97 @@ class TestSlotProgram:
         assert len(E._table) == size
         assert len(store.program.slots) == len(
             {n.uid for r in (e, d) for n in E.topo_order(r)})
+
+
+_BIG = 10 ** 40
+_NUMERATORS = (st.integers(-50, 50) | st.integers(-3 * _BIG, 3 * _BIG)
+               | st.sampled_from([0, 1, -1, _BIG + 1, -_BIG - 7]))
+_DENOMINATORS = (st.integers(1, 50) | st.integers(1, 3 * _BIG)
+                 | st.sampled_from([1, _BIG, 2 * _BIG + 2]))
+
+
+def _pair(q: Fraction) -> tuple[int, int]:
+    return q.numerator, q.denominator
+
+
+def _fraction_walk(e, bindings, memo=None):
+    """The exact value of e by recursion over its tree in `Fraction`
+    arithmetic, independent of the slot program."""
+    memo = {} if memo is None else memo
+    if e.uid not in memo:
+        kids = [_fraction_walk(c, bindings, memo) for c in e.children]
+        if e.kind == E.CONST:
+            v = e.value
+        elif e.kind in (E.VAR, E.PARAM):
+            v = bindings[e.name]
+        elif e.kind == E.ADD:
+            v = sum(kids, F(0))
+        elif e.kind == E.MUL:
+            v = F(1)
+            for k in kids:
+                v *= k
+        elif e.kind == E.POW and kids[1].denominator == 1:
+            v = kids[0] ** kids[1]
+        else:
+            raise AssertionError(f"not a rational node: {e.kind}")
+        memo[e.uid] = v
+    return memo[e.uid]
+
+
+class TestPairArithmetic:
+    """Exact evaluation runs on reduced (numerator, denominator > 0) int
+    pairs; every operation gives the pair of the `Fraction` result."""
+
+    @given(_NUMERATORS, _DENOMINATORS, _NUMERATORS, _DENOMINATORS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_add_and_mul_equal_fraction_arithmetic(self, n1, d1, n2, d2):
+        a = F(n1, d1)
+        # the second operand once on its own denominator, once on a's
+        for b in (F(n2, d2), F(n2, a.denominator), -a, F(0)):
+            for x, y in ((a, b), (b, a)):
+                assert E._qadd(_pair(x), _pair(y)) == _pair(x + y)
+                assert E._qmul(_pair(x), _pair(y)) == _pair(x * y)
+
+    @given(_NUMERATORS, _DENOMINATORS, st.integers(-7, 7))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_int_pow_equals_fraction_power(self, n, d, k):
+        a = F(n, d)
+        assume(a or k >= 0)  # a zero base with a negative power is singular
+        assert E._EXACT.int_pow(_pair(a), k) == _pair(a ** k)
+
+    @given(st.integers(1, 3 * _BIG), _DENOMINATORS, st.integers(2, 5),
+           st.integers(-4, 4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_root_equals_fraction_power(self, n, d, k, m):
+        assume(m and math.gcd(m, k) == 1)
+        a = F(n, d)
+        # (a^k)^(m/k) is a^m for a > 0; 2*a^k has no rational k-th root
+        assert E._EXACT.root(_pair(a ** k), (m, k)) == _pair(a ** m)
+        with pytest.raises(ExactnessError):
+            E._EXACT.root(_pair(2 * a ** k), (m, k))
+
+    def test_corpus_invariants_equal_a_fraction_walk(self):
+        from weblin import corpus
+        from weblin.calculus import sample_points
+        from weblin.invariants import J_alpha, build_compatibility_pair
+
+        values = nonzero = 0
+        for case in (*corpus.CASES, corpus.LINEAR_FIVE_WEB):
+            web = corpus.web_for(case)
+            invariants = [*build_compatibility_pair(web),
+                          *(J_alpha(web, a) for a in range(5, web.d + 1))]
+            invariants = [e for e in invariants if E.is_exactly_evaluable(e)]
+            for pt in sample_points(web, 8):
+                c = EvalContext(pt.bindings())
+                store, memo = E.Store(), {}
+                for e in invariants:
+                    want = _fraction_walk(e, pt.bindings(), memo)
+                    got = evaluate(e, c, store)
+                    assert type(got) is Fraction and got == want
+                    values += 1
+                    nonzero += bool(want)
+        # 21 invariants of 7 webs at 8 points, of YES and NO webs both
+        assert values == 21 * 8 and 0 < nonzero < values
 
 
 class TestGridProgram:

@@ -242,6 +242,16 @@ class TestFlatCoordinates:
         for _, _, mapped in leaves:
             assert mapped.shape[1] == 2 and mapped.flags.c_contiguous
 
+    def test_short_leaves_skipped(self):
+        # on a 5x5 grid one level curve of f = x*y crosses the grid lines
+        # at 4 points only: it is skipped, and kept for the picture
+        web = _web("x*y", "x+y")
+        grid = lin.GridSpec(rect=web.domain, nx=5, ny=5)
+        u, v = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+        _, skipped, leaves = lin.straightness_report(web, grid, u, v, {})
+        assert skipped == 1
+        assert [len(p) for i, p, _ in leaves if i == 2].count(4) == 1
+
     def test_negative_control(self):
         res = _linearize(WEB5, force=True)
         assert res.verdict == "NO"
