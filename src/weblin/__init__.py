@@ -8,8 +8,8 @@ vanishing at random sample points, then (for linearizable webs) integrates
 the flat connection numerically and produces coordinates in which every leaf
 is a straight line.
 """
-from .expr import (Expr, EvalContext, parse, format_expr, simplify, derive,
-                   substitute, evaluate, dag_size)
+from .expr import (Expr, parse, format_expr, simplify, derive, substitute,
+                   evaluate, dag_size)
 from .calculus import (WebSpec, Rect, web_K, basic_invariant, mu,
                        sample_points)
 from .invariants import (InvariantReport, ZeroTestPolicy, zero_test,

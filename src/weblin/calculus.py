@@ -19,9 +19,9 @@ from functools import cached_property
 from typing import Mapping
 
 from . import expr as ex
-from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, Store,
-                   derive, div, mul, pow_, sub, log_, evaluate,
-                   is_exactly_evaluable, topo_order)
+from .expr import (Expr, EvalError, ExactBudgetError, Store, derive, div,
+                   mul, pow_, sub, log_, evaluate, is_exactly_evaluable,
+                   topo_order)
 
 __all__ = [
     "Rect", "WebSpec", "DomainTooSingularError", "web_K",
@@ -56,7 +56,7 @@ class Rect:
             raise ex.ExprError("rectangle must have positive extent")
 
     def __str__(self) -> str:
-        return f"[{self.x_lo}, {self.x_hi}] × [{self.y_lo}, {self.y_hi}]"
+        return f"[{self.x_lo}, {self.x_hi}] x [{self.y_lo}, {self.y_hi}]"
 
     @property
     def center(self) -> tuple[Fraction, Fraction]:
@@ -230,13 +230,12 @@ def random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 
 def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int,
                     store: Store | None = None) -> bool:
-    exact = web.is_rational
-    ctx = EvalContext(point.bindings(), mode="exact" if exact else "float",
-                      precision=precision)
-    eps = 0 if exact else _DISTINCT_EPS
+    precision, eps = ((None, 0) if web.is_rational
+                      else (precision, _DISTINCT_EPS))
+    bindings = point.bindings()
     for chk in web.validity_checks:
         try:
-            v = evaluate(chk, ctx, store)
+            v = evaluate(chk, bindings, precision, store=store)
         except ExactBudgetError:
             raise  # not a property of the point: the zero test reports it
         except EvalError:

@@ -156,8 +156,7 @@ def _echo_web(web: WebSpec) -> None:
     gtxt = "; ".join(f"g{alpha} = {format_expr(g)}"
                      for alpha, g in zip(range(4, web.d + 1), web.gs))
     print(f"web (d={web.d}): f = {format_expr(web.f)}; {gtxt}")
-    d = web.domain
-    print(f"domain: [{d.x_lo}, {d.x_hi}] x [{d.y_lo}, {d.y_hi}], seed {web.seed}")
+    print(f"domain: {web.domain}, seed {web.seed}")
 
 
 def cmd_check(args: argparse.Namespace, verbose_evidence: bool = False) -> int:
@@ -188,11 +187,13 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         raise UsageError(f"no value for parameter(s) {', '.join(missing)}; "
                          "give each with --param name=value")
     params = {k: _fraction(v, "--param") for k, v in args.params.items()}
+    base = _floats(args.base, "--base") if args.base else None
     try:
         grid = lin.GridSpec(rect=web.domain, nx=args.grid, ny=args.grid)
+        if base is not None:
+            grid.nearest_index(*base)  # refused before the verdict runs
     except lin.LinearizerError as err:
         raise UsageError(str(err)) from None
-    base = _floats(args.base, "--base") if args.base else None
     lam0 = _floats(args.lambda0, "--lambda0")
     try:
         result = lin.flat_coordinates(web, grid, base=base, lam0=lam0,
@@ -236,26 +237,17 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     rows = []
-    failures = 0
     t0 = time.perf_counter()
-    cases = list(corpus.CASES) + [corpus.LINEAR_FIVE_WEB]
-    for case in cases:
-        web = corpus.web_for(case, seed=args.seed)
-        verdict, _ = check_dweb(web, _policy(args))
-        ok = verdict == case.expected
-        failures += 0 if ok else 1
-        rows.append({"case": case.name, "variant": "plain",
-                     "expected": case.expected, "verdict": verdict,
-                     "ok": ok})
+    runs = [("plain", corpus.web_for, [*corpus.CASES, corpus.LINEAR_FIVE_WEB])]
     if args.equivalence:
-        for case in corpus.CASES:
-            web = corpus.substituted_web(case, seed=args.seed)
-            verdict, _ = check_dweb(web, _policy(args))
-            ok = verdict == case.expected
-            failures += 0 if ok else 1
-            rows.append({"case": case.name, "variant": "substituted",
+        runs.append(("substituted", corpus.substituted_web, corpus.CASES))
+    for variant, build, cases in runs:
+        for case in cases:
+            verdict, _ = check_dweb(build(case, seed=args.seed), _policy(args))
+            rows.append({"case": case.name, "variant": variant,
                          "expected": case.expected, "verdict": verdict,
-                         "ok": ok})
+                         "ok": verdict == case.expected})
+    failures = sum(not r["ok"] for r in rows)
     elapsed = time.perf_counter() - t0
     if args.json:
         print(json.dumps({"config": _config_json(args), "cases": rows,
@@ -329,10 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         handler = {"check": cmd_check, "invariants": cmd_invariants,
                    "linearize": cmd_linearize, "selftest": cmd_selftest}
         return handler[args.command](args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExprError as err:
+    except (UsageError, ExprError) as err:
         # malformed domain rectangles, bad parameter names, and similar
         # input-shaped problems are usage errors, not crashes
         print(f"error: {err}", file=sys.stderr)

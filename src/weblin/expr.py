@@ -16,12 +16,13 @@ rests on evaluation, not on the simplifier.
 One interpreter, `_walk`, runs a `Program`: roots compiled lazily into
 slot orders over their union DAG (interning nothing), with values kept in
 one `Store` per point so a node shared by several roots is computed once
-per point.  Three arithmetics supply the number operations: exact
-rationals as reduced (numerator, denominator) int pairs, capped at
-EXACT_BITS (`Fraction` only where bindings enter and results leave), p-bit
-floats as raw mpmath tuples, and numpy doubles over whole grids
-(`grid_function`).  The two scalar ones share the real-domain rules; grids
-keep singular entries nan/inf.
+per point.  `evaluate` chooses the arithmetic by one argument, `precision`:
+None for exact, else the mantissa bits.  Three arithmetics supply the
+number operations: exact rationals as reduced (numerator, denominator) int
+pairs, capped at EXACT_BITS (`Fraction` only where bindings enter and
+results leave), p-bit floats as raw mpmath tuples, and numpy doubles over
+whole grids (`grid_function`).  The two scalar ones share the real-domain
+rules; grids keep singular entries nan/inf.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import mpmath
 from mpmath import libmp
 
 __all__ = [
-    "Expr", "EvalContext", "ExprError", "ParseError", "EvalError",
+    "Expr", "ExprError", "ParseError", "EvalError",
     "MissingBindingError", "SingularSampleError", "DomainEvalError",
     "ExactnessError", "ExactBudgetError", "EXACT_BITS", "const", "var",
     "param", "add", "sub", "mul", "div", "neg", "pow_", "sqrt", "exp_",
@@ -638,34 +639,6 @@ def derive(e: Expr, v: str) -> Expr:
 # evaluation
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """Bindings plus arithmetic mode.
-
-    Every variable and parameter occurring in the expression must be bound;
-    a missing binding raises, never defaults.  ``mode`` is ``"exact"``
-    (rational arithmetic, bounded by EXACT_BITS) or ``"float"`` (mpmath
-    binary floats with a ``precision``-bit mantissa, whatever the
-    precision).
-    """
-    bindings: Mapping[str, Fraction]
-    mode: str = "exact"
-    precision: int = 256
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise ExprError(f"unknown arithmetic mode {self.mode!r}")
-        clean = {}
-        for k, bv in dict(self.bindings).items():
-            if isinstance(bv, (float, mpmath.mpf)):
-                if self.mode == "exact":
-                    raise ExprError("exact mode requires rational bindings")
-                clean[k] = bv
-            else:
-                clean[k] = Fraction(bv)
-        object.__setattr__(self, "bindings", clean)
-
-
 class Program:
     """A straight-line program over the DAGs of the roots evaluated through
     it, one slot per distinct node.  A root is compiled when first
@@ -700,9 +673,10 @@ def _check_bindings(names: frozenset[str], bound) -> None:
 
 
 class Store(dict):
-    """One program's slot values at one point: per arithmetic ("exact" or a
-    precision), a list holding each node's value, the EvalError it raised,
-    or None while no root has reached it; then the leaves and arithmetic."""
+    """One program's slot values at one point, keyed by the `precision`
+    argument of `evaluate` (None for exact): a list holding each node's
+    value, the EvalError it raised, or None while no root has reached it;
+    then the leaves and arithmetic."""
 
     def __init__(self, program: Program | None = None):
         super().__init__()
@@ -924,16 +898,23 @@ class _GridArithmetic:
         return self.power(b, n) if n >= 0 else 1.0 / self.power(b, -n)
 
 
-def _evaluate(e: Expr, ctx: EvalContext, store: Store | None, scaled: bool):
+def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
+              store: Store | None, scaled: bool):
     store = Store() if store is None else store
     code, names = store.program.code(e)
-    _check_bindings(names, ctx.bindings)
-    key = ctx.precision if ctx.mode == "float" else ctx.mode
-    if key not in store:
-        arith = _EXACT if key == "exact" else _MpfArithmetic(key)
-        leaves = {k: arith.num(v) for k, v in ctx.bindings.items()}
-        store[key] = [], leaves, arith
-    vals, leaves, arith = store[key]
+    _check_bindings(names, bindings)
+    if precision not in store:
+        if precision is None:
+            if not all(isinstance(v, (int, Fraction))
+                       for v in bindings.values()):
+                raise ExprError("exact mode requires rational bindings")
+            arith = _EXACT
+        else:
+            arith = _MpfArithmetic(precision)
+        leaves = {k: arith.num(Fraction(v) if isinstance(v, int) else v)
+                  for k, v in bindings.items()}
+        store[precision] = [], leaves, arith
+    vals, leaves, arith = store[precision]
     vals.extend([None] * (len(store.program.slots) - len(vals)))
     v = _walk(code, arith, vals, leaves)
     if arith is _EXACT:
@@ -942,21 +923,30 @@ def _evaluate(e: Expr, ctx: EvalContext, store: Store | None, scaled: bool):
                                    if scaled else None)
 
 
-def evaluate(e: Expr, ctx: EvalContext, store: Store | None = None):
-    """Evaluate at the context bindings: a Fraction in exact mode, an mpf
-    in float mode.  Nodes a `store` already holds are read, not computed."""
-    return _evaluate(e, ctx, store, False)[0]
+def evaluate(e: Expr, bindings: Mapping[str, object],
+             precision: int | None = None, *, store: Store | None = None):
+    """The value of `e` at `bindings`, which must bind every variable and
+    parameter of `e` (a missing one raises, never defaults).  With
+    `precision` None the arithmetic is exact: the bindings must be rational
+    (int or Fraction), values are bounded by EXACT_BITS and the result is a
+    Fraction.  An int `precision` evaluates in mpmath binary floats with
+    that many mantissa bits; bindings may then also be floats or mpfs, and
+    the result is an mpf.  Nodes a `store` already holds are read, not
+    computed."""
+    return _evaluate(e, bindings, precision, store, False)[0]
 
 
-def evaluate_scaled(e: Expr, ctx: EvalContext, store: Store | None = None):
-    """Evaluate and report the magnitude scale max(1, |intermediates|).
+def evaluate_scaled(e: Expr, bindings: Mapping[str, object],
+                    precision: int | None = None, *,
+                    store: Store | None = None):
+    """`evaluate`, paired with the magnitude scale max(1, |intermediates|).
 
     The scale is what a sound vanishing test compares the final value
     against: a tiny result reached through huge intermediates carries fewer
     trustworthy bits.  It spans the nodes of `e` alone, whatever else a
-    shared `store` holds.  Exact mode reports no scale (None).
+    shared `store` holds.  Exact evaluation reports no scale (None).
     """
-    return _evaluate(e, ctx, store, True)
+    return _evaluate(e, bindings, precision, store, True)
 
 
 def grid_function(*roots: Expr,

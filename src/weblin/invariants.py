@@ -19,9 +19,8 @@ from fractions import Fraction
 import mpmath
 
 from . import expr as ex
-from .expr import (Expr, EvalContext, EvalError, ExactBudgetError, add, div,
-                   mul, neg, pow_, sub, evaluate, evaluate_scaled,
-                   is_exactly_evaluable)
+from .expr import (Expr, EvalError, ExactBudgetError, add, div, mul, neg,
+                   pow_, sub, evaluate, evaluate_scaled, is_exactly_evaluable)
 from .calculus import (WebSpec, SamplePoint, PARAM_RANGE,
                        DomainTooSingularError, mu as web_mu, random_rational,
                        sample_points)
@@ -52,6 +51,10 @@ class ZeroTestPolicy:
     """Sampling schedule and thresholds for the vanishing test."""
     points: int = 8
     precision: int = 256
+
+    def __post_init__(self):
+        if self.points < 1:  # with no points every expression would pass
+            raise ValueError("a vanishing test needs at least one point")
 
     @property
     def threshold_scale(self) -> float:
@@ -233,6 +236,7 @@ def zero_test(e: Expr, web: WebSpec,
     rng = random.Random(web.seed)
     exact = is_exactly_evaluable(e)
     mode = "exact" if exact else "float"
+    witnesses = 1 if exact else NONZERO_CONFIRMATIONS
     draws = PARAM_DRAWS if web.params else 1
     evidence: list[Evidence] = []
     hits = 0
@@ -241,39 +245,38 @@ def zero_test(e: Expr, web: WebSpec,
         for _ in range(draws):
             params = {name: random_rational(rng, *PARAM_RANGE)
                       for name in web.params}
-            passes = 0
-            budget = policy.points * 3
-            failure_cap = policy.points * 2
-            failures = 0
-            while passes < policy.points and budget > 0:
-                budget -= 1
+            passes = failures = 0
+            for _ in range(3 * policy.points):
                 pt, store = _draw(web, rng, params, policy.precision, memo)
-                ctx = EvalContext(pt.bindings(), mode, policy.precision)
                 try:
                     if exact:
-                        v = evaluate(e, ctx, store)
-                        evidence.append(Evidence(pt, _fmt_residual(v), "exact"))
-                        if v != 0:
-                            return NONZERO, evidence, mode, None
-                        passes += 1
+                        v = evaluate(e, pt.bindings(), store=store)
+                        vanishes = not v
                     else:
-                        v, scale = evaluate_scaled(e, ctx, store)
-                        evidence.append(Evidence(pt, _fmt_residual(v), "float"))
+                        v, scale = evaluate_scaled(e, pt.bindings(),
+                                                   policy.precision,
+                                                   store=store)
                         # in mpf: a scale past the double range stays finite
-                        if abs(v) < policy.threshold_scale * max(1, scale):
-                            passes += 1
-                        else:
-                            hits += 1
-                            if hits >= NONZERO_CONFIRMATIONS:
-                                return NONZERO, evidence, mode, None
+                        vanishes = (abs(v) < policy.threshold_scale
+                                    * max(1, scale))
                 except ExactBudgetError:
                     raise  # not a singular sample: INCONCLUSIVE below
                 except EvalError:
                     failures += 1
-                    if failures > failure_cap:
+                    if failures > 2 * policy.points:
                         return (INCONCLUSIVE, evidence, mode,
                                 "too many singular samples")
-            if passes < policy.points:
+                    continue
+                evidence.append(Evidence(pt, _fmt_residual(v), mode))
+                if vanishes:
+                    passes += 1
+                    if passes == policy.points:
+                        break
+                else:
+                    hits += 1
+                    if hits >= witnesses:
+                        return NONZERO, evidence, mode, None
+            else:
                 # 3*points samples with at most 2*points failures and fewer
                 # than `points` passes: one was an unconfirmed outlier
                 return (INCONCLUSIVE, evidence, mode,

@@ -257,9 +257,12 @@ def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
     r, every = cg.r, slice(None, None, cg.r)
     ib, jb = base_node
     start = np.array(s0, dtype=float)[:, None]
-    row = _integrate_lines(cg, start, "x", ib, slice(jb * r, jb * r + 1))
-    cols = _integrate_lines(cg, row[:, :, 0].T, "y", jb, every)
-    rows = _integrate_lines(cg, cols[:, :, ib].T, "x", ib, every)
+    # a diverging state overflows before `_rk4_step` refuses it; the
+    # refusal is the one report of that
+    with np.errstate(all="ignore"):
+        row = _integrate_lines(cg, start, "x", ib, slice(jb * r, jb * r + 1))
+        cols = _integrate_lines(cg, row[:, :, 0].T, "y", jb, every)
+        rows = _integrate_lines(cg, cols[:, :, ib].T, "x", ib, every)
     return cols.transpose(2, 0, 1), rows.transpose(0, 2, 1)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from weblin import corpus
 from weblin.calculus import WebSpec, sample_points
-from weblin.expr import X, Y, EvalContext, add, evaluate, mul, pow_, sub
+from weblin.expr import X, Y, add, evaluate, mul, pow_, sub
 from weblin.invariants import check_dweb
 
 
@@ -43,10 +43,8 @@ def _jet_changes(web, invariants, k):
     (x0, y0) changed.
     """
     pt = sample_points(web, 1)[0]
-    ctx = EvalContext(pt.bindings())
-
     def at_point(w):
-        return [evaluate(e, ctx) for e in invariants(w)]
+        return [evaluate(e, pt.bindings()) for e in invariants(w)]
 
     base = at_point(web)
     funcs = (web.f, *web.gs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 from fractions import Fraction
 
-from weblin.expr import (evaluate, evaluate_scaled, EvalContext, sub,
+from weblin.expr import (evaluate, evaluate_scaled, sub,
                          is_exactly_evaluable)
 from weblin.calculus import web_K, basic_invariant, sample_points
 from weblin.covariant import (WeightedScalar, delta, commutator_residual,
@@ -74,11 +74,10 @@ def criterion(number: int, text: str):
 def _assert_vanishes_at_points(e, web, points=8):
     if is_exactly_evaluable(e):
         for pt in sample_points(web, points):
-            assert evaluate(e, EvalContext(pt.bindings())) == 0
+            assert evaluate(e, pt.bindings()) == 0
     else:
         for pt in sample_points(web, points):
-            v, scale = evaluate_scaled(e, EvalContext(
-                pt.bindings(), mode="float", precision=256))
+            v, scale = evaluate_scaled(e, pt.bindings(), 256)
             assert abs(v) < REL_THRESHOLD * max(1, float(scale))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from weblin import expr as E
 from weblin.expr import (parse, derive, evaluate, evaluate_scaled,
-                         EvalContext, const, mul, div, neg, sub, pow_,
+                         const, mul, div, neg, sub, pow_,
                          is_exactly_evaluable)
 from weblin.calculus import (Rect, WebSpec, web_K, basic_invariant,
                              mu, sample_points, random_rational,
@@ -106,7 +106,7 @@ class TestH:
 
     def test_product_f(self):
         H = _web("x*y", "x+y").H
-        assert evaluate(H, EvalContext({"x": F(3, 2), "y": F(5, 7)})) == F(14, 15)
+        assert evaluate(H, {"x": F(3, 2), "y": F(5, 7)}) == F(14, 15)
 
     def test_matches_defining_quotient_by_finite_differences(self):
         # independent oracle: f_xy by central differences at 300 bits
@@ -120,8 +120,7 @@ class TestH:
                 yv = mpmath.mpf(pt.y.numerator) / pt.y.denominator
 
                 def val(e, xx, yy):
-                    return evaluate(e, EvalContext({"x": xx, "y": yy},
-                                                   mode="float", precision=300))
+                    return evaluate(e, {"x": xx, "y": yy}, 300)
 
                 fxy = (val(f, xv + h, yv + h) - val(f, xv + h, yv - h)
                        - val(f, xv - h, yv + h) + val(f, xv - h, yv - h)) / (4 * h * h)
@@ -139,20 +138,18 @@ class TestK:
     def test_product_f_hexagonal(self):
         web = _web("x*y", "x+y")
         d1H, d2H = web.d1(web.H), web.d2(web.H)
-        ctx = EvalContext({"x": F(2, 5), "y": F(3, 7)})
+        bindings = {"x": F(2, 5), "y": F(3, 7)}
         want = F(1, (F(2, 5) * F(3, 7)) ** 2)
-        assert evaluate(d1H, ctx) == want
-        assert evaluate(d2H, ctx) == want
-        assert evaluate(web_K(web), ctx) == 0
+        assert evaluate(d1H, bindings) == want
+        assert evaluate(d2H, bindings) == want
+        assert evaluate(web_K(web), bindings) == 0
 
     def test_modes_agree_for_radical_web(self):
         web = _web("x + sqrt(x^2 - y)", "x+y",
                    domain=Rect(F(5, 4), F(7, 4), F(1, 8), F(3, 8)))
         diff = sub(web_K(web, "structure"), web_K(web, "log"))
         for pt in sample_points(web, 8):
-            v, scale = evaluate_scaled(diff, EvalContext(pt.bindings(),
-                                                         mode="float",
-                                                         precision=256))
+            v, scale = evaluate_scaled(diff, pt.bindings(), 256)
             assert abs(v) < 2.0 ** -128 * max(1, float(scale))
 
     def test_modes_agree_exactly_for_rational_webs(self):
@@ -161,7 +158,7 @@ class TestK:
             diff = sub(web_K(web, "structure"), web_K(web, "log"))
             assert is_exactly_evaluable(diff)
             for pt in sample_points(web, 8):
-                assert evaluate(diff, EvalContext(pt.bindings())) == 0
+                assert evaluate(diff, pt.bindings()) == 0
 
     def test_unknown_mode(self):
         with pytest.raises(E.ExprError):
@@ -190,9 +187,8 @@ class TestBasicInvariant:
             alt = div(web.d1(web.g(4)), web.d2(web.g(4)))
             diff = sub(a, alt)
             for pt in sample_points(web, 8):
-                mode = "exact" if is_exactly_evaluable(diff) else "float"
-                v = evaluate(diff, EvalContext(pt.bindings(), mode=mode,
-                                               precision=256))
+                precision = None if is_exactly_evaluable(diff) else 256
+                v = evaluate(diff, pt.bindings(), precision)
                 assert abs(v) == 0
 
 
@@ -200,7 +196,7 @@ class TestMu:
     def test_pencil_with_parallels_value(self):
         m = mu(WEB1)
         for pt in sample_points(WEB1, 8):
-            assert evaluate(m, EvalContext(pt.bindings())) == -pt.y / pt.x
+            assert evaluate(m, pt.bindings()) == -pt.y / pt.x
 
     def test_constant_invariant_gives_zero(self):
         assert mu(_web("x+y", "x-y")).is_zero
@@ -210,7 +206,7 @@ class TestMu:
         m4, m5 = mu(web, 4), mu(web, 5)
         diff = sub(m4, m5)
         for pt in sample_points(web, 8):
-            assert evaluate(diff, EvalContext(pt.bindings())) == 0
+            assert evaluate(diff, pt.bindings()) == 0
 
 
 class TestCommutator:
@@ -223,7 +219,7 @@ class TestCommutator:
             resid = sub(sub(web.d1(web.d2(e)), web.d2(web.d1(e))),
                         mul(web.H, sub(web.d2(e), web.d1(e))))
             for pt in sample_points(web, 8):
-                assert evaluate(resid, EvalContext(pt.bindings())) == 0
+                assert evaluate(resid, pt.bindings()) == 0
 
     def test_radical_web_float(self):
         web = _web("x + sqrt(x^2 - y)", "x+y",
@@ -233,9 +229,8 @@ class TestCommutator:
             resid = sub(sub(web.d1(web.d2(e)), web.d2(web.d1(e))),
                         mul(web.H, sub(web.d2(e), web.d1(e))))
             for pt in sample_points(web, 8):
-                v, scale = evaluate_scaled(
-                    e=resid, ctx=EvalContext(pt.bindings(), mode="float",
-                                             precision=256))
+                v, scale = evaluate_scaled(e=resid, bindings=pt.bindings(),
+                                           precision=256)
                 assert abs(v) < 2.0 ** -128 * max(1, float(scale))
 
 
@@ -281,7 +276,7 @@ class TestSampling:
         with pytest.raises(DomainTooSingularError) as err:
             sample_points(web, 1)
         assert str(err.value).endswith(
-            "rejected samples in [1/4, 3/4] × [1/4, 3/4]")
+            "rejected samples in [1/4, 3/4] x [1/4, 3/4]")
 
     def test_random_rational_bounds(self):
         rng = random.Random(7)

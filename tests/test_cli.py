@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -302,6 +303,27 @@ class TestLinearizeCommand:
         assert err.split(";")[0].endswith("m" if "m" in g else "n")
         assert err.count("\n") == 1
 
+    def test_base_off_the_grid_refused_before_the_verdict(self, capsys,
+                                                          monkeypatch):
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("check_dweb called")
+
+        monkeypatch.setattr(lin, "check_dweb", no_verdict)
+        code, out, err = run(capsys, "linearize", "--f", "x/y", "--g", "x+y",
+                             "--grid", "21", "--base", "100,100")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: base point outside the grid\n"
+
+    @pytest.mark.filterwarnings("error")  # a warning would print to stderr
+    def test_diverging_integration_is_one_line(self, capsys):
+        code, out, err = run(capsys, "linearize", "--f", "x/y", "--g", "x+y",
+                             "--grid", "21", "--lambda0", "1e300,0")
+        assert code == EXIT_NO
+        assert out == ""
+        assert err == ("linearization failed: Frobenius integration "
+                       "diverged; shrink grid\n")
+
 
 class TestSelftest:
     def test_plain_corpus(self, capsys):
@@ -329,3 +351,14 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "verdict: YES" in proc.stdout
+
+    def test_ascii_stdout(self):
+        # every line the human report prints encodes as ASCII
+        proc = subprocess.run(
+            [sys.executable, "-m", "weblin.cli", "check", "--f", "x",
+             "--g", "y"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONIOENCODING": "ascii"})
+        assert proc.returncode == EXIT_INCONCLUSIVE
+        assert "    reason: domain too singular" in proc.stdout
+        assert "Traceback" not in proc.stderr

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weblin.expr import (parse, evaluate, evaluate_scaled, EvalContext, sub,
+from weblin.expr import (parse, evaluate, evaluate_scaled, sub,
                          mul, add, is_exactly_evaluable, ExprError)
 from weblin.calculus import (Rect, WebSpec, sample_points, web_K,
                              basic_invariant)
@@ -29,11 +29,9 @@ def _assert_vanishes(e, web, points=8):
     exact = is_exactly_evaluable(e)
     for pt in sample_points(web, points):
         if exact:
-            assert evaluate(e, EvalContext(pt.bindings())) == 0
+            assert evaluate(e, pt.bindings()) == 0
         else:
-            v, scale = evaluate_scaled(e, EvalContext(pt.bindings(),
-                                                      mode="float",
-                                                      precision=256))
+            v, scale = evaluate_scaled(e, pt.bindings(), 256)
             assert abs(v) < 2.0 ** -128 * max(1, float(scale))
 
 

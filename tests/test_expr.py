@@ -15,7 +15,7 @@ from weblin import expr as E
 from weblin.expr import (X, Y, add, const, div, mul, neg, parse, pow_, sqrt,
                          sub, exp_, log_, param, derive, evaluate,
                          evaluate_scaled, format_expr, simplify, substitute,
-                         dag_size, grid_function, EvalContext, ExprError,
+                         dag_size, grid_function, ExprError,
                          ParseError, EvalError, MissingBindingError,
                          SingularSampleError, DomainEvalError, ExactnessError,
                          ExactBudgetError, EXACT_BITS)
@@ -23,9 +23,9 @@ from weblin.expr import (X, Y, add, const, div, mul, neg, parse, pow_, sqrt,
 F = Fraction
 
 
-def ctx(x=F(1, 3), y=F(5, 7), mode="exact", precision=256, **params):
-    return EvalContext({"x": F(x), "y": F(y), **{k: F(v) for k, v in params.items()}},
-                       mode=mode, precision=precision)
+def ctx(x=F(1, 3), y=F(5, 7), precision=None, **params):
+    return ({"x": F(x), "y": F(y), **{k: F(v) for k, v in params.items()}},
+            precision)
 
 
 class TestParsing:
@@ -126,11 +126,11 @@ class TestHashConsing:
 
     def test_threaded_evaluation_is_pure(self):
         e = parse("x^3*y - sqrt(x + 2)/y + exp(x - y)")
-        c = ctx(F(1, 3), F(5, 7), mode="float", precision=256)
+        c = ctx(F(1, 3), F(5, 7), precision=256)
         results = []
 
         def worker():
-            results.append(evaluate(e, c))
+            results.append(evaluate(e, *c))
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
         for t in threads:
@@ -163,7 +163,7 @@ class TestSimplification:
         assert u.kind == "undef"
         assert parse("x/0").kind == "undef"
         with pytest.raises(SingularSampleError):
-            evaluate(u, ctx())
+            evaluate(u, *ctx())
 
     def test_simplify_idempotent_and_non_growing(self):
         for s in ("x/y", "x + sqrt(x^2 - y)", "(x + y)^3/(x - y) - exp(x*y)",
@@ -180,62 +180,68 @@ class TestSimplification:
         g = mul(add(X, Y), exp_(neg(X)))
         ratio = div(derive(g, "x"), derive(g, "y"))
         assert E.is_exactly_evaluable(ratio)
-        assert evaluate(ratio, ctx(F(1, 3), F(5, 7))) == 1 - F(1, 3) - F(5, 7)
+        assert evaluate(ratio, *ctx(F(1, 3), F(5, 7))) == 1 - F(1, 3) - F(5, 7)
 
 
 class TestEvaluation:
     def test_exact_division(self):
-        assert evaluate(parse("x/y"), ctx(1, 2)) == F(1, 2)
+        assert evaluate(parse("x/y"), *ctx(1, 2)) == F(1, 2)
 
     def test_exact_difference_is_zero(self):
-        assert evaluate(sub(X, X), ctx(123456, 7)) == 0
+        assert evaluate(sub(X, X), *ctx(123456, 7)) == 0
 
     def test_singular_sample(self):
         with pytest.raises(SingularSampleError):
-            evaluate(parse("x/y"), ctx(1, 0))
+            evaluate(parse("x/y"), *ctx(1, 0))
 
     def test_missing_binding(self):
         with pytest.raises(MissingBindingError, match="n"):
-            evaluate(parse("x^n"), ctx())
+            evaluate(parse("x^n"), *ctx())
 
     def test_exact_mode_refused_for_irrational(self):
         with pytest.raises(ExactnessError):
-            evaluate(sqrt(const(2)), ctx())
+            evaluate(sqrt(const(2)), *ctx())
         with pytest.raises(ExactnessError):
-            evaluate(exp_(X), ctx())
+            evaluate(exp_(X), *ctx())
 
     def test_exact_perfect_roots_allowed(self):
-        assert evaluate(sqrt(parse("x^2")), ctx(F(3, 5), 1)) == F(3, 5)
+        assert evaluate(sqrt(parse("x^2")), *ctx(F(3, 5), 1)) == F(3, 5)
 
     def test_negative_radicand(self):
         with pytest.raises(DomainEvalError):
-            evaluate(sqrt(Y), ctx(1, -1))
+            evaluate(sqrt(Y), *ctx(1, -1))
         with pytest.raises(DomainEvalError):
-            evaluate(log_(Y), ctx(1, -1))
+            evaluate(log_(Y), *ctx(1, -1))
 
     def test_float_monotone_precision(self):
         e = parse("x + sqrt(x^2 - y)")
-        lo = evaluate(e, ctx(2, F(5, 7), mode="float", precision=53))
-        hi = evaluate(e, ctx(2, F(5, 7), mode="float", precision=256))
+        lo = evaluate(e, *ctx(2, F(5, 7), precision=53))
+        hi = evaluate(e, *ctx(2, F(5, 7), precision=256))
         assert abs(float(hi) - lo) < 1e-15
 
     def test_scale_tracks_cancellation(self):
         # huge intermediates, tiny result
         e = parse("(x + 10^12)*(x - 10^12) - x^2 + 10^24")
-        v, scale = evaluate_scaled(e, ctx(F(1, 3), 1, mode="float",
-                                          precision=256))
+        v, scale = evaluate_scaled(e, *ctx(F(1, 3), 1, precision=256))
         assert float(scale) >= 1e24
 
     def test_float_mode_accepts_float_bindings(self):
         e = parse("x*y")
-        out = evaluate(e, EvalContext({"x": 0.5, "y": 0.25}, mode="float",
-                                      precision=53))
+        out = evaluate(e, {"x": 0.5, "y": 0.25}, 53)
         assert out == 0.125
 
+    def test_binding_types(self):
+        # exact evaluation refuses a float binding; float evaluation reads
+        # an int binding as the Fraction it equals, bit for bit
+        with pytest.raises(ExprError, match="rational bindings"):
+            evaluate(parse("x*y"), {"x": 0.5, "y": F(1, 4)})
+        e = parse("x/3 + y")
+        assert evaluate(e, {"x": 3 ** 50, "y": 2}) == 3 ** 49 + 2
+        assert (evaluate(e, {"x": 3 ** 50, "y": 2}, 40)._mpf_
+                == evaluate(e, {"x": F(3 ** 50), "y": F(2)}, 40)._mpf_)
+
     def test_precision_means_mantissa_bits(self):
-        third = {p: evaluate(const(F(1, 3)), EvalContext({}, mode="float",
-                                                         precision=p))
-                 for p in (24, 40, 53)}
+        third = {p: evaluate(const(F(1, 3)), {}, p) for p in (24, 40, 53)}
         assert third[40] != third[53] and third[24] != third[40]
         for p, v in third.items():
             with mpmath.workprec(p):
@@ -244,19 +250,19 @@ class TestEvaluation:
 
     def test_exact_budget(self):
         e = parse("x^100 + y")
-        assert evaluate(e, ctx(F(9999, 10000), 1)) == F(9999, 10000) ** 100 + 1
+        assert evaluate(e, *ctx(F(9999, 10000), 1)) == F(9999, 10000) ** 100 + 1
         with pytest.raises(ExactBudgetError, match=f"{EXACT_BITS} bits"):
-            evaluate(parse("x^100000 + y"), ctx(F(9999, 10000), 1))
+            evaluate(parse("x^100000 + y"), *ctx(F(9999, 10000), 1))
         # refused before the power is formed
         with pytest.raises(ExactBudgetError):
-            evaluate(parse("x^1000000000"), ctx(3, 1))
+            evaluate(parse("x^1000000000"), *ctx(3, 1))
         # products of in-budget values are caught one node later
         big = parse("x^20000 * y^20000")
         with pytest.raises(ExactBudgetError):
-            evaluate(big, ctx(F(9999, 10000), F(9998, 9999)))
+            evaluate(big, *ctx(F(9999, 10000), F(9998, 9999)))
         assert issubclass(ExactBudgetError, ExactnessError)
         # float mode has no such cap
-        v = evaluate(parse("x^100000"), ctx(F(9999, 10000), 1, mode="float"))
+        v = evaluate(parse("x^100000"), *ctx(F(9999, 10000), 1, precision=256))
         assert 0 < v < 1
 
 
@@ -276,21 +282,18 @@ DOMAIN_RULES = [
     ("log(x)", {"x": 1}, 0),
     ("exp(x)", {"x": 0}, 1),
 ]
-ARITHMETICS = {"exact": {"mode": "exact"},
-               "mpf256": {"mode": "float", "precision": 256},
-               "mpf40": {"mode": "float", "precision": 40}}
+ARITHMETICS = {"exact": None, "mpf256": 256, "mpf40": 40}
 
 
 @pytest.mark.parametrize("arith", list(ARITHMETICS))
 @pytest.mark.parametrize("text, bindings, want", DOMAIN_RULES)
 def test_domain_rules(text, bindings, want, arith):
-    c = EvalContext({k: F(v) for k, v in bindings.items()},
-                    **ARITHMETICS[arith])
+    c = {k: F(v) for k, v in bindings.items()}, ARITHMETICS[arith]
     if isinstance(want, type):
         with pytest.raises(want):
-            evaluate(parse(text), c)
+            evaluate(parse(text), *c)
     else:
-        assert evaluate(parse(text), c) == want
+        assert evaluate(parse(text), *c) == want
 
 
 class TestFormatting:
@@ -330,7 +333,7 @@ def _expr_strategy():
 
 
 def _float_value(e, point):
-    return evaluate(e, EvalContext(point, mode="float", precision=256))
+    return evaluate(e, point, 256)
 
 
 POINTS = [
@@ -431,10 +434,10 @@ class TestOneEvaluator:
         checked = 0
         for pt in POINTS:
             try:
-                exact = evaluate(e, EvalContext(pt))
+                exact = evaluate(e, pt)
             except EvalError:
                 continue
-            v, scale = evaluate_scaled(e, EvalContext(pt, mode="float"))
+            v, scale = evaluate_scaled(e, pt, 256)
             with mpmath.workprec(256):
                 err = abs(v - mpmath.mpf(exact.numerator) / exact.denominator)
             assert err <= 2.0 ** -200 * scale
@@ -449,13 +452,14 @@ class TestOneEvaluator:
 
 
 def _outcome(e, c, store):
-    """What evaluating e gives, bit for bit: (value, scale) as exact
-    Fractions or raw mpf tuples, or the class of the error raised."""
+    """What evaluating e under c = (bindings, precision) gives, bit for bit:
+    (value, scale) as exact Fractions or raw mpf tuples, or the class of the
+    error raised."""
     try:
-        v, scale = evaluate_scaled(e, c, store)
+        v, scale = evaluate_scaled(e, *c, store=store)
     except EvalError as err:
         return type(err)
-    if c.mode == "exact":
+    if c[1] is None:
         return v, scale
     return v._mpf_, scale._mpf_
 
@@ -470,9 +474,8 @@ class TestSlotProgram:
     def test_shared_store_equals_lone_walk(self, base, pt):
         roots = base + [mul(base[0], base[1]), E.sub(base[1], base[0]),
                         pow_(add(base[0], 1), -1)]
-        for mode, precision in (("exact", 256), ("float", 24),
-                                ("float", 40), ("float", 256)):
-            c = EvalContext(pt, mode=mode, precision=precision)
+        for precision in (None, 24, 40, 256):
+            c = pt, precision
             store = E.Store(E.Program())
             for e in roots + roots[::-1]:
                 assert _outcome(e, c, store) == _outcome(e, c, None)
@@ -506,7 +509,7 @@ class TestSlotProgram:
         size = len(E._table)
         store = E.Store()
         for root in (e, d, e):
-            evaluate(root, ctx(F(1, 3), F(1, 2), mode="float"), store)
+            evaluate(root, *ctx(F(1, 3), F(1, 2), precision=256), store=store)
         assert len(E._table) == size
         assert len(store.program.slots) == len(
             {n.uid for r in (e, d) for n in E.topo_order(r)})
@@ -591,11 +594,10 @@ class TestPairArithmetic:
                           *(J_alpha(web, a) for a in range(5, web.d + 1))]
             invariants = [e for e in invariants if E.is_exactly_evaluable(e)]
             for pt in sample_points(web, 8):
-                c = EvalContext(pt.bindings())
                 store, memo = E.Store(), {}
                 for e in invariants:
                     want = _fraction_walk(e, pt.bindings(), memo)
-                    got = evaluate(e, c, store)
+                    got = evaluate(e, pt.bindings(), store=store)
                     assert type(got) is Fraction and got == want
                     values += 1
                     nonzero += bool(want)
@@ -645,7 +647,7 @@ class TestGridProgram:
 def _hp_value(e, pt, xval):
     bindings = {k: v for k, v in pt.items() if v is not None}
     bindings["x"] = xval
-    return evaluate(e, EvalContext(bindings, mode="float", precision=300))
+    return evaluate(e, bindings, 300)
 
 
 class TestSubstitution:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from weblin.expr import (X, Y, parse, evaluate, EvalContext, const, sub, mul,
+from weblin.expr import (X, Y, parse, evaluate, const, sub, mul,
                          add, param, derive, SingularSampleError)
 from weblin.calculus import (Rect, WebSpec, sample_points, mu,
                              random_rational)
@@ -101,9 +101,9 @@ class TestDerivationOracle:
             for pt in sample_points(web, 6):
                 lam = {"l1": random_rational(rng, F(-2), F(2)),
                        "l2": random_rational(rng, F(-2), F(2))}
-                ctx = EvalContext({**pt.bindings(), **lam})
-                assert evaluate(resid1, ctx) == 0
-                assert evaluate(resid2, ctx) == 0
+                bindings = {**pt.bindings(), **lam}
+                assert evaluate(resid1, bindings) == 0
+                assert evaluate(resid2, bindings) == 0
 
     def test_obstructions_are_lambda_free(self):
         E1, E2 = _derived_compatibility(WEB5)
@@ -112,9 +112,9 @@ class TestDerivationOracle:
             for lam in ({"l1": F(0), "l2": F(0)},
                         {"l1": F(1, 3), "l2": F(-2, 5)},
                         {"l1": F(-7, 4), "l2": F(9, 2)}):
-                ctx = EvalContext({**pt.bindings(), **lam})
-                vals1.add(evaluate(E1, ctx))
-                vals2.add(evaluate(E2, ctx))
+                bindings = {**pt.bindings(), **lam}
+                vals1.add(evaluate(E1, bindings))
+                vals2.add(evaluate(E2, bindings))
             assert len(vals1) == 1 and len(vals2) == 1
 
 
@@ -141,7 +141,7 @@ class TestIfp:
         nu_diff = sub(mu(web, 5), mu(web, 4))
         resid = sub(j, nu_diff)
         for pt in sample_points(web, 8):
-            assert evaluate(resid, EvalContext(pt.bindings())) == 0
+            assert evaluate(resid, pt.bindings()) == 0
 
     def test_swap_antisymmetry(self):
         web = corpus.web_for(corpus.case_by_name("bol-five-web"))
@@ -151,7 +151,7 @@ class TestIfp:
         js = J_alpha(swapped, 5)
         total = sub(j, mul(-1, js))
         for pt in sample_points(web, 8):
-            assert evaluate(total, EvalContext(pt.bindings())) == 0
+            assert evaluate(total, pt.bindings()) == 0
 
 
 class TestZeroTest:
@@ -160,6 +160,12 @@ class TestZeroTest:
         assert verdict == "ZERO" and mode == "exact"
         assert len(evidence) == 8 and reason is None
         assert all(e.residual == "0" for e in evidence)
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_policy_needs_a_point(self, points):
+        # with no points every expression, a nonzero one too, would pass
+        with pytest.raises(ValueError, match="at least one point"):
+            ZeroTestPolicy(points=points)
 
     def test_trivial_nonzero_first_sample(self):
         verdict, evidence, mode, _ = zero_test(sub(mul(X, Y), const(1)), WEB1)
@@ -228,7 +234,7 @@ class TestZeroTest:
         # the threshold, 0 a vanishing one (8 points, budget 24, cap 16)
         outcomes = iter(script)
 
-        def scripted(e, ctx, store=None):
+        def scripted(e, bindings, precision=None, store=None):
             step = next(outcomes)
             if step == "E":
                 raise SingularSampleError("scripted")

@@ -38,3 +38,16 @@ def test_fingerprint_matches_reference(key, args, seed):
     with contextlib.redirect_stdout(buf):
         cli.main(["check", "--json", *args, "--seed", str(seed)])
     assert fingerprint(json.loads(buf.getvalue())) == REFERENCE[key][str(seed)]
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the tracer wraps these module attributes by name; a refactor that
+    # drops one must fail here, not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # tracing imports `layers`
+    tracing = _load("tracing")
+    names = [(module, attr) for module, attr, _, _
+             in tracing.SPANNED + tracing.COUNTED]
+    names.append(("weblin.linearizer", "DEFAULT_SUBSTEPS"))  # worker.py
+    missing = [(module, attr) for module, attr in names
+               if not hasattr(importlib.import_module(module), attr)]
+    assert len(names) > 1 and not missing, missing
