@@ -124,31 +124,25 @@ class WebSpec:
     # -- the frame --------------------------------------------------------
 
     @cached_property
-    def _frame(self) -> tuple[Expr, Expr, Expr, Expr]:
-        """f_x, f_y, 1/f_x and 1/f_y, interned together and in this order
-        the first time the frame is needed: node uids follow creation order
-        and `add`/`mul` order their operands by uid, so this order fixes
-        every expression built from the frame."""
-        fx, fy = derive(self.f, "x"), derive(self.f, "y")
-        return fx, fy, pow_(fx, -1), pow_(fy, -1)
-
-    @property
     def fx(self) -> Expr:
-        return self._frame[0]
+        return derive(self.f, "x")
 
-    @property
+    @cached_property
     def fy(self) -> Expr:
-        return self._frame[1]
+        return derive(self.f, "y")
+
+    @cached_property
+    def _inverses(self) -> tuple[Expr, Expr]:
+        """1/f_x and 1/f_y, built once: each `pow_` call distributes anew."""
+        return pow_(self.fx, -1), pow_(self.fy, -1)
 
     def d1(self, e: Expr) -> Expr:
         """First frame operator: -e_x / f_x."""
-        fx_inv = self._frame[2]  # interns the frame before any node of e_x
-        return mul(-1, derive(e, "x"), fx_inv)
+        return mul(-1, derive(e, "x"), self._inverses[0])
 
     def d2(self, e: Expr) -> Expr:
         """Second frame operator: -e_y / f_y."""
-        fy_inv = self._frame[3]
-        return mul(-1, derive(e, "y"), fy_inv)
+        return mul(-1, derive(e, "y"), self._inverses[1])
 
     @cached_property
     def H(self) -> Expr:

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .expr import ExprError, ParseError, parse, format_expr
 from .calculus import Rect, WebSpec
-from .invariants import (ZeroTestPolicy, check_dweb, InvariantReport,
-                         YES, NO, INCONCLUSIVE)
+from .invariants import (MIN_PRECISION, MAX_PRECISION, ZeroTestPolicy,
+                         check_dweb, InvariantReport, YES, NO, INCONCLUSIVE)
 from . import linearizer as lin
 from . import corpus
 
@@ -28,10 +28,6 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
-MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
-# a bound on the linearizer's memory: at 513 nodes per axis the seven
-# coefficient arrays on the substep-refined lattice take about 235 MB
-MAX_GRID = 513
 
 _VERDICT_EXIT = {YES: EXIT_YES, NO: EXIT_NO, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
@@ -84,10 +80,11 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
         args.params[name] = value
     if args.samples < 1:
         raise UsageError("--samples must be positive")
-    if not 24 <= args.precision <= MAX_PRECISION:
-        raise UsageError(f"--precision must be 24 to {MAX_PRECISION} bits")
-    if args.grid > MAX_GRID:
-        raise UsageError(f"--grid must be at most {MAX_GRID} nodes per axis")
+    if not MIN_PRECISION <= args.precision <= MAX_PRECISION:
+        raise UsageError(
+            f"--precision must be {MIN_PRECISION} to {MAX_PRECISION} bits")
+    if args.grid > lin.MAX_GRID:
+        raise UsageError(f"--grid must be at most {lin.MAX_GRID} nodes per axis")
     return args
 
 
@@ -289,7 +286,8 @@ def build_parser() -> _ArgumentParser:
                        help="sample points per vanishing test "
                             f"(default {default('samples')})")
         p.add_argument("--precision", type=int,
-                       help="float precision in bits, 24..65536 "
+                       help="float precision in bits, "
+                            f"{MIN_PRECISION}..{MAX_PRECISION} "
                             f"(default {default('precision')})")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")

@@ -11,7 +11,8 @@ The smart constructors perform light, value-preserving canonicalization
 (constant folding, 0/1 identities, flattening, collection of rational
 coefficients and of identical factors).  They deliberately do not factor or
 cancel symbolic rational functions; correctness of downstream zero tests
-rests on evaluation, not on the simplifier.
+rests on evaluation, not on the simplifier.  Operand order is structural
+(`_compare`), never by creation: no output depends on what was built before.
 
 One interpreter, `_walk`, runs a `Program`: roots compiled lazily into
 slot orders over their union DAG (interning nothing), with values kept in
@@ -26,14 +27,13 @@ rules; grids keep singular entries nan/inf.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from typing import Callable, Mapping
 
 import mpmath
@@ -114,15 +114,14 @@ class ExactBudgetError(ExactnessError):
 class Expr:
     """One interned DAG node.  Compare with `is`/`==` (same thing here)."""
 
-    __slots__ = ("kind", "children", "value", "name", "uid", "mask")
+    __slots__ = ("kind", "children", "value", "name", "mask")
 
     def __init__(self, kind: str, children: tuple["Expr", ...],
-                 value: Fraction | None, name: str | None, uid: int, mask: int):
+                 value: Fraction | None, name: str | None, mask: int):
         self.kind = kind
         self.children = children
         self.value = value
         self.name = name
-        self.uid = uid
         self.mask = mask
 
     def __repr__(self) -> str:
@@ -135,14 +134,13 @@ class Expr:
 
 _lock = threading.RLock()
 _table: dict[tuple, Expr] = {}
-_uid_counter = itertools.count()
-_derivative_cache: dict[tuple[int, str], Expr] = {}
+_derivative_cache: dict[tuple[Expr, str], Expr] = {}
 
 
 def _intern(kind: str, children: tuple[Expr, ...] = (),
             value: Fraction | None = None, name: str | None = None) -> Expr:
     # a constant is keyed by its ints: a Fraction hash costs a modular pow
-    key = ((kind, name, tuple([c.uid for c in children])) if value is None
+    key = ((kind, name, children) if value is None
            else (kind, value.numerator, value.denominator))
     with _lock:
         node = _table.get(key)
@@ -160,7 +158,7 @@ def _intern(kind: str, children: tuple[Expr, ...] = (),
                 e = children[1]
                 if not (e.kind == CONST and e.value.denominator == 1):
                     mask |= _MASK_TRANSCENDENTAL
-            node = Expr(kind, children, value, name, next(_uid_counter), mask)
+            node = Expr(kind, children, value, name, mask)
             _table[key] = node
         return node
 
@@ -259,11 +257,34 @@ def _strip_factor(t: Expr, f: Expr) -> Expr:
     return _intern(MUL, rest)
 
 
+def _compare(a: Expr, b: Expr) -> int:
+    """Operand order of sums and products: kind, then constant value or name,
+    then children lexicographically; hash-consing makes one descent decide."""
+    while a is not b:
+        if a.kind != b.kind:
+            return -1 if a.kind < b.kind else 1
+        if a.kind == CONST:  # cross-multiplied: a Fraction `<` costs more
+            p, q = a.value, b.value
+            p, q = p.numerator * q.denominator, q.numerator * p.denominator
+            return -1 if p < q else 1
+        if a.name is not None:
+            return -1 if a.name < b.name else 1
+        ac, bc, i = a.children, b.children, 0
+        while ac[i] is bc[i]:
+            i += 1
+            if i == len(ac) or i == len(bc):
+                return -1 if len(ac) < len(bc) else 1
+        a, b = ac[i], bc[i]
+    return 0
+
+
+_order = cmp_to_key(_compare)
+
+
 def add(*terms) -> Expr:
     """n-ary sum; flattens, folds constants and collects like terms."""
     const_acc = _Q0
-    coeffs: dict[int, Fraction] = {}
-    cores: dict[int, Expr] = {}
+    coeffs: dict[Expr, Fraction] = {}
 
     def accumulate(c: Fraction, core: Expr) -> None:
         nonlocal const_acc
@@ -277,9 +298,8 @@ def add(*terms) -> Expr:
                     c2, core2 = _coeff_core(kk)
                     accumulate(c * c2, core2)
             return
-        prev = coeffs.get(core.uid)
-        coeffs[core.uid] = c if prev is None else prev + c
-        cores[core.uid] = core
+        prev = coeffs.get(core)
+        coeffs[core] = c if prev is None else prev + c
 
     stack = [as_expr(t) for t in terms]
     for t in stack:
@@ -294,21 +314,20 @@ def add(*terms) -> Expr:
                 const_acc += k.value
                 continue
             accumulate(*_coeff_core(k))
-    parts = [(uid, c) for uid, c in coeffs.items() if c]
-    parts.sort()
+    parts = sorted((core for core, c in coeffs.items() if c), key=_order)
     if not parts:
         return const(const_acc)
     # factor out a transcendental factor common to every term (exp never
     # vanishes, so this is unconditionally value-preserving); it lets the
     # quotient layer cancel exp factors and keep such webs exactly evaluable
     if not const_acc and len(parts) > 1:
-        common = _term_exp_factor(cores[parts[0][0]])
+        common = _term_exp_factor(parts[0])
         if common is not None and all(
-                _term_exp_factor(cores[uid]) is common for uid, _ in parts[1:]):
-            stripped = [mul(const(c), _strip_factor(cores[uid], common))
-                        for uid, c in parts]
+                _term_exp_factor(core) is common for core in parts[1:]):
+            stripped = [mul(const(coeffs[core]), _strip_factor(core, common))
+                        for core in parts]
             return mul(common, add(*stripped))
-    out = [_scaled(cores[uid], c) for uid, c in parts]
+    out = [_scaled(core, coeffs[core]) for core in parts]
     if const_acc:
         out.append(const(const_acc))
     if len(out) == 1:
@@ -319,9 +338,7 @@ def add(*terms) -> Expr:
 def mul(*factors) -> Expr:
     """n-ary product; flattens, folds constants, merges identical bases."""
     coeff = _Q1
-    bases: dict[int, Expr] = {}
-    rat_exps: dict[int, Fraction] = {}
-    sym_exps: dict[int, list[Expr]] = {}
+    exps: dict[Expr, list] = {}  # base -> [rational sum or None, *symbolic]
     exp_args: list[Expr] = []
     stack = [as_expr(f) for f in factors]
     for f in stack:
@@ -343,18 +360,14 @@ def mul(*factors) -> Expr:
                 base, e = k.children[0], k.children[1]
             else:
                 base, e = k, _Q1
-            bases[base.uid] = base
+            acc = exps.setdefault(base, [None])
             if isinstance(e, Fraction):
-                prev = rat_exps.get(base.uid)
-                rat_exps[base.uid] = e if prev is None else prev + e
+                acc[0] = e if acc[0] is None else acc[0] + e
             else:
-                sym_exps.setdefault(base.uid, []).append(e)
+                acc.append(e)
     out: list[Expr] = []
     reflatten = False
-    for uid in sorted(bases):
-        base = bases[uid]
-        rq = rat_exps.get(uid, _Q0)
-        syms = sym_exps.get(uid, [])
+    for base, (rq, *syms) in exps.items():
         if syms:
             total = add(const(rq), *syms) if rq else (
                 syms[0] if len(syms) == 1 else add(*syms))
@@ -385,7 +398,7 @@ def mul(*factors) -> Expr:
         return mul(const(coeff), *out)
     if not coeff or not out:
         return const(coeff)
-    out.sort(key=lambda n: n.uid)
+    out.sort(key=_order)
     if coeff != 1:
         out.insert(0, const(coeff))
     if len(out) == 1:
@@ -511,18 +524,18 @@ def sqrt(a) -> Expr:
 def topo_order(*roots: Expr) -> list[Expr]:
     """Nodes reachable from the roots, children strictly before parents."""
     order: list[Expr] = []
-    done: set[int] = set()
+    done: set[Expr] = set()
     stack = list(reversed(roots))
     while stack:
         node = stack[-1]
-        if node.uid in done:
+        if node in done:
             stack.pop()
             continue
-        pending = [c for c in node.children if c.uid not in done]
+        pending = [c for c in node.children if c not in done]
         if pending:
             stack.extend(pending)
         else:
-            done.add(node.uid)
+            done.add(node)
             order.append(node)
             stack.pop()
     return order
@@ -544,11 +557,11 @@ _REBUILD = {ADD: add, MUL: mul, POW: pow_, EXP: exp_, LOG: log_}
 def _rebuild(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
     """Rebuild bottom-up through the canonicalizing constructors, with
     `leaf(n)` standing in for every childless node n."""
-    out: dict[int, Expr] = {}
+    out: dict[Expr, Expr] = {}
     for n in topo_order(e):
-        out[n.uid] = (_REBUILD[n.kind](*(out[c.uid] for c in n.children))
-                      if n.children else leaf(n))
-    return out[e.uid]
+        out[n] = (_REBUILD[n.kind](*(out[c] for c in n.children))
+                  if n.children else leaf(n))
+    return out[e]
 
 
 def simplify(e: Expr) -> Expr:
@@ -580,7 +593,7 @@ def derive(e: Expr, v: str) -> Expr:
     subterms stays polynomial in the DAG size.
     """
     with _lock:
-        hit = _derivative_cache.get((e.uid, v))
+        hit = _derivative_cache.get((e, v))
     if hit is not None:
         return hit
     if v == "x":
@@ -593,7 +606,7 @@ def derive(e: Expr, v: str) -> Expr:
         raise ExprError(f"cannot differentiate by {v!r}")
     order = topo_order(e)
     for n in order:
-        key = (n.uid, v)
+        key = (n, v)
         with _lock:
             if key in _derivative_cache:
                 continue
@@ -604,35 +617,35 @@ def derive(e: Expr, v: str) -> Expr:
         elif n.kind in (VAR, PARAM):
             d = _ONE if n.name == v else _ZERO
         elif n.kind == ADD:
-            d = add(*(_derivative_cache[(c.uid, v)] for c in n.children))
+            d = add(*(_derivative_cache[(c, v)] for c in n.children))
         elif n.kind == MUL:
             terms = []
             kids = n.children
             for i, c in enumerate(kids):
-                dc = _derivative_cache[(c.uid, v)]
+                dc = _derivative_cache[(c, v)]
                 if dc.is_zero:
                     continue
                 terms.append(mul(dc, *(k for j, k in enumerate(kids) if j != i)))
             d = add(*terms) if terms else _ZERO
         elif n.kind == POW:
             b, ex = n.children
-            db = _derivative_cache[(b.uid, v)]
+            db = _derivative_cache[(b, v)]
             if not (ex.mask & vmask):
                 # exponent constant with respect to v: power rule
                 d = mul(ex, pow_(b, sub(ex, _ONE)), db)
             else:
-                dex = _derivative_cache[(ex.uid, v)]
+                dex = _derivative_cache[(ex, v)]
                 d = mul(n, add(mul(dex, log_(b)), mul(ex, div(db, b))))
         elif n.kind == EXP:
-            d = mul(n, _derivative_cache[(n.children[0].uid, v)])
+            d = mul(n, _derivative_cache[(n.children[0], v)])
         elif n.kind == LOG:
             u = n.children[0]
-            d = div(_derivative_cache[(u.uid, v)], u)
+            d = div(_derivative_cache[(u, v)], u)
         else:  # const, param, var of the other name
             d = _ZERO
         with _lock:
             _derivative_cache[key] = d
-    return _derivative_cache[(e.uid, v)]
+    return _derivative_cache[(e, v)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,20 +661,20 @@ class Program:
     are recorded with them.  Compiling interns no node."""
 
     def __init__(self):
-        self.slots: dict[int, int] = {}    # node uid -> slot
-        self.codes: dict[int, tuple] = {}  # root uid -> (instructions, names)
+        self.slots: dict[Expr, int] = {}    # node -> slot
+        self.codes: dict[Expr, tuple] = {}  # root -> (instructions, names)
 
     def code(self, root: Expr) -> tuple[list[tuple], frozenset[str]]:
-        hit = self.codes.get(root.uid)
+        hit = self.codes.get(root)
         if hit is None:
             code, slots = [], self.slots
             for n in topo_order(root):
                 arg = (n.value if n.kind == CONST else n.name if n.kind != POW
                        else n.children[1].value)
-                code.append((slots.setdefault(n.uid, len(slots)), n.kind, arg,
-                             tuple(slots[c.uid] for c in n.children)))
+                code.append((slots.setdefault(n, len(slots)), n.kind, arg,
+                             tuple(slots[c] for c in n.children)))
             names = frozenset(a for _, k, a, _ in code if k in (VAR, PARAM))
-            hit = self.codes[root.uid] = code, names
+            hit = self.codes[root] = code, names
         return hit
 
 
@@ -1152,10 +1165,10 @@ def _wrap(s: str, prec: int, need: int) -> str:
 
 def format_expr(e: Expr) -> str:
     """Deterministic text form; `parse(format_expr(e))` evaluates equal to e."""
-    strs: dict[int, tuple[str, int]] = {}
+    strs: dict[Expr, tuple[str, int]] = {}
     for n in topo_order(e):
-        strs[n.uid] = _fmt_node(n, strs)
-    return strs[e.uid][0]
+        strs[n] = _fmt_node(n, strs)
+    return strs[e][0]
 
 
 def _fmt_const(v: Fraction) -> tuple[str, int]:
@@ -1173,13 +1186,13 @@ def _fmt_node(n: Expr, strs) -> tuple[str, int]:
     if k == UNDEF:
         return "1/0", _PREC_MUL
     if k == EXP:
-        return f"exp({strs[n.children[0].uid][0]})", _PREC_ATOM
+        return f"exp({strs[n.children[0]][0]})", _PREC_ATOM
     if k == LOG:
-        return f"log({strs[n.children[0].uid][0]})", _PREC_ATOM
+        return f"log({strs[n.children[0]][0]})", _PREC_ATOM
     if k == ADD:
         out = ""
         for i, c in enumerate(n.children):
-            s, p = strs[c.uid]
+            s, p = strs[c]
             s = _wrap(s, p, _PREC_ADD)
             if i == 0:
                 out = s
@@ -1197,7 +1210,7 @@ def _fmt_node(n: Expr, strs) -> tuple[str, int]:
 
 def _fmt_pow(n: Expr, strs) -> tuple[str, int]:
     base, ex = n.children
-    bs, bp = strs[base.uid]
+    bs, bp = strs[base]
     if ex.kind == CONST:
         r = ex.value
         if r == _HALF:
@@ -1207,13 +1220,13 @@ def _fmt_pow(n: Expr, strs) -> tuple[str, int]:
             return f"1/{inner}", _PREC_MUL
         return _fmt_pow_positive(base, r, strs)
     bs = _wrap(bs, bp, _PREC_ATOM)
-    es, ep = strs[ex.uid]
+    es, ep = strs[ex]
     es = es if ep == _PREC_ATOM else f"({es})"
     return f"{bs}^{es}", _PREC_POW
 
 
 def _fmt_pow_positive(base: Expr, r: Fraction, strs) -> tuple[str, int]:
-    bs, bp = strs[base.uid]
+    bs, bp = strs[base]
     if r == _HALF:
         return f"sqrt({bs})", _PREC_ATOM
     bs = _wrap(bs, bp, _PREC_ATOM)
@@ -1235,7 +1248,7 @@ def _fmt_mul(n: Expr, strs) -> tuple[str, int]:
             s, _ = _fmt_pow_positive(c.children[0], -c.children[1].value, strs)
             den_parts.append(s)
             continue
-        s, p = strs[c.uid]
+        s, p = strs[c]
         num_parts.append(_wrap(s, p, _PREC_MUL))
     sign = "-" if coeff < 0 else ""
     coeff = abs(coeff)

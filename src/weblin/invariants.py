@@ -40,6 +40,8 @@ NO = "NO"
 
 PARAM_DRAWS = 3            # parameter draws per test of a web with parameters
 NONZERO_CONFIRMATIONS = 2  # float-mode witnesses required for NONZERO
+MIN_PRECISION = 24       # float bits; at 2 bits a YES web was answered NO
+MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
 
 
 class DegenerateDirectionError(ex.ExprError):
@@ -55,6 +57,8 @@ class ZeroTestPolicy:
     def __post_init__(self):
         if self.points < 1:  # with no points every expression would pass
             raise ValueError("a vanishing test needs at least one point")
+        if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
+            raise ValueError(f"precision outside {MIN_PRECISION}..{MAX_PRECISION}")
 
     @property
     def threshold_scale(self) -> float:

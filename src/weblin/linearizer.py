@@ -44,10 +44,11 @@ __all__ = [
     "LinearizerError", "NotLinearizableError", "integrate_lambda",
     "flatness_residual", "flat_coordinates", "straightness_report",
     "trace_leaves", "render_svg", "DEFAULT_GRID_N", "LAMBDA_BLOWUP_BOUND",
-    "LEAVES_PER_FOLIATION",
+    "LEAVES_PER_FOLIATION", "MAX_GRID",
 ]
 
 DEFAULT_GRID_N = 41
+MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~235 MB
 DEFAULT_SUBSTEPS = 2  # RK4 substeps per grid interval
 LAMBDA_BLOWUP_BOUND = 1e12
 COFRAME_DET_BOUND = 1e-8
@@ -81,8 +82,8 @@ class GridSpec:
     ny: int = DEFAULT_GRID_N
 
     def __post_init__(self):
-        if self.nx < 5 or self.ny < 5:
-            raise LinearizerError("grid needs at least 5x5 nodes")
+        if not (5 <= self.nx <= MAX_GRID and 5 <= self.ny <= MAX_GRID):
+            raise LinearizerError(f"grid needs 5 to {MAX_GRID} nodes per axis")
         try:
             xlo, xhi, ylo, yhi = self.rect.as_floats()
         except OverflowError:

@@ -9,7 +9,7 @@ import pytest
 
 from weblin import expr as E
 from weblin.expr import (parse, derive, evaluate, evaluate_scaled,
-                         const, mul, div, neg, sub, pow_,
+                         const, mul, div, neg, sub,
                          is_exactly_evaluable)
 from weblin.calculus import (Rect, WebSpec, web_K, basic_invariant,
                              mu, sample_points, random_rational,
@@ -85,19 +85,6 @@ class TestFrameOperators:
         # a second web with the same f holds the same interned frame
         other = _web("x*y", "x-y")
         assert other.H is web.H and other.K is web.K
-
-    def test_frame_interned_before_the_operand(self):
-        # uids follow creation order and add/mul sort operands by uid, so
-        # the first frame operator of a new web interns f_x, f_y, 1/f_x and
-        # 1/f_y, in this order, before any node of the operand's derivative
-        # (f and e appear nowhere else in the suite)
-        web = _web("x^7*y^2 + 131/17*x + 23/19*y^5", "x+y")
-        e = parse("x^11*y^3 + 97/13*y")
-        d = web.d1(e)
-        uids = [web.fx.uid, web.fy.uid, pow_(web.fx, -1).uid,
-                pow_(web.fy, -1).uid, derive(e, "x").uid]
-        assert uids == sorted(uids)
-        assert d is mul(-1, derive(e, "x"), pow_(web.fx, -1))
 
 
 class TestH:

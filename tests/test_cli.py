@@ -11,7 +11,7 @@ import pytest
 
 from weblin import linearizer as lin
 from weblin.cli import (main, build_parser, _build_config, EXIT_YES, EXIT_NO,
-                        EXIT_INCONCLUSIVE, EXIT_USAGE, MAX_GRID)
+                        EXIT_INCONCLUSIVE, EXIT_USAGE)
 
 
 def run(capsys, *argv):
@@ -263,7 +263,7 @@ class TestLinearizeCommand:
     def test_grid_bound_accepted(self):
         args = build_parser().parse_args(["linearize", "--f", "x/y",
                                           "--g", "x+y", "--grid", "513"])
-        assert _build_config(args).grid == MAX_GRID == 513
+        assert _build_config(args).grid == lin.MAX_GRID == 513
 
     def test_param_flag(self, capsys):
         code, out, _ = run(capsys, "linearize", "--f", "x/y",

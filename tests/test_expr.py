@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -309,6 +311,22 @@ class TestFormatting:
             e = parse(s)
             assert parse(format_expr(e)) is e
 
+    def test_operand_order_ignores_what_was_built_before(self):
+        # operands are ordered by structure, not by when they were interned:
+        # a fresh interpreter and one that built y^3 and y^3*x first give
+        # the same node the same text
+        script = ("from weblin.expr import parse, format_expr\n{}"
+                  "print(format_expr(parse('x^2*y + y^3')))")
+        outs = [subprocess.run([sys.executable, "-c", script.format(pre)],
+                               capture_output=True, text=True,
+                               check=True).stdout
+                for pre in ("", "parse('y^3'); parse('y^3*x')\n")]
+        assert outs == ["x^2*y + y^3\n"] * 2
+        built_first = [parse("y^3"), parse("y^3*x")]
+        e = parse("x^2*y + y^3")
+        assert e is add(mul(pow_(X, 2), Y), built_first[0])
+        assert format_expr(e) == "x^2*y + y^3"
+
 
 def _leaf():
     return st.sampled_from([X, Y, const(2), const(F(1, 3)), const(-1),
@@ -349,6 +367,15 @@ POINTS = [
 
 
 class TestProperties:
+    @given(st.lists(_expr_strategy(), min_size=3, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_sums_and_products_ignore_argument_order(self, es):
+        # the structural operand order is total: every argument order
+        # gives the same node
+        a, b, c = es
+        assert add(a, b, c) is add(c, a, b) is add(b, c, a)
+        assert mul(a, b, c) is mul(c, a, b) is mul(b, c, a)
+
     @given(_expr_strategy())
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_value_equality(self, e):
@@ -484,7 +511,8 @@ class TestSlotProgram:
         # at x = 1/3, s is singular and b outgrows EXACT_BITS; whichever the
         # root's own order reaches first raises, also when another root
         # already left the other node's error in the shared store
-        # (interned after b, so add(s, b) walks s first)
+        # (s sorts before b and the walk takes the last operand first, so
+        # add(s, b) reaches b first and add(s, b*y) reaches s first)
         b = pow_(X, 300001)
         s = pow_(sub(mul(27, X), 9), -5)
         c = ctx(F(1, 3), 1)
@@ -512,7 +540,7 @@ class TestSlotProgram:
             evaluate(root, *ctx(F(1, 3), F(1, 2), precision=256), store=store)
         assert len(E._table) == size
         assert len(store.program.slots) == len(
-            {n.uid for r in (e, d) for n in E.topo_order(r)})
+            {n for r in (e, d) for n in E.topo_order(r)})
 
 
 _BIG = 10 ** 40
@@ -530,7 +558,7 @@ def _fraction_walk(e, bindings, memo=None):
     """The exact value of e by recursion over its tree in `Fraction`
     arithmetic, independent of the slot program."""
     memo = {} if memo is None else memo
-    if e.uid not in memo:
+    if e not in memo:
         kids = [_fraction_walk(c, bindings, memo) for c in e.children]
         if e.kind == E.CONST:
             v = e.value
@@ -546,8 +574,8 @@ def _fraction_walk(e, bindings, memo=None):
             v = kids[0] ** kids[1]
         else:
             raise AssertionError(f"not a rational node: {e.kind}")
-        memo[e.uid] = v
-    return memo[e.uid]
+        memo[e] = v
+    return memo[e]
 
 
 class TestPairArithmetic:

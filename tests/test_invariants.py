@@ -167,6 +167,15 @@ class TestZeroTest:
         with pytest.raises(ValueError, match="at least one point"):
             ZeroTestPolicy(points=points)
 
+    @pytest.mark.parametrize("bits", [2, invariants.MIN_PRECISION - 1,
+                                      invariants.MAX_PRECISION + 1])
+    def test_policy_precision_in_range(self, bits):
+        # at 2 bits power-web, a YES web, was answered NO
+        with pytest.raises(ValueError, match="precision outside"):
+            ZeroTestPolicy(precision=bits)
+        for ok in (invariants.MIN_PRECISION, invariants.MAX_PRECISION):
+            assert ZeroTestPolicy(precision=ok).precision == ok
+
     def test_trivial_nonzero_first_sample(self):
         verdict, evidence, mode, _ = zero_test(sub(mul(X, Y), const(1)), WEB1)
         assert verdict == "NONZERO" and len(evidence) == 1

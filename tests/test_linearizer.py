@@ -45,6 +45,18 @@ def _lambda(web, grid, lam0=(0.0, 0.0)):
     return cg, state[:, :, 0], state[:, :, 1]
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("nx, ny", [(4, 41), (41, 4), (514, 41),
+                                        (41, 514), (100000, 100000)])
+    def test_node_count_out_of_range(self, nx, ny):
+        with pytest.raises(lin.LinearizerError, match="grid"):
+            lin.GridSpec(rect=WEB2.domain, nx=nx, ny=ny)
+
+    def test_node_count_bounds_accepted(self):
+        for n in (5, lin.MAX_GRID):
+            assert lin.GridSpec(rect=WEB2.domain, nx=n, ny=n).nx == n
+
+
 @pytest.fixture(scope="module")
 def web2_grid():
     return lin.GridSpec(rect=WEB2.domain, nx=41, ny=41)

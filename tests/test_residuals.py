@@ -3,10 +3,12 @@ benchmark webs, and the `linearize --json` stdout and SVG of the benchmark's
 linearize operations, all at `--seed 1`, float strings included.
 
 `perfbench/reference.json` fingerprints drop float residuals, which move
-when the interning order (and so the mpf fold order) moves.  Here one fresh
-interpreter with `PYTHONHASHSEED=0` runs the operations in a fixed order and
-prints a sha256 of each output; `residuals_seed1.json` and
-`linearize_seed1.json` hold the digests.
+with the operand order of sums and products (and so the mpf fold order).
+That order is structural, so an output does not depend on what the process
+computed before: a fresh interpreter runs the operations, prints a sha256 of
+each output, and a second one runs them in reverse order under another
+`PYTHONHASHSEED`; `residuals_seed1.json` and `linearize_seed1.json` hold the
+digests both runs must give.
 """
 from __future__ import annotations
 
@@ -26,13 +28,14 @@ spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
 workloads = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)
 from weblin import cli
+runs = workloads.corpus_webs()
 out = {}
-for key, _, args in workloads.corpus_webs():
+for key, _, args in runs[::int(sys.argv[2])]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         cli.main(["check", "--json", *args, "--seed", "1"])
     out[key] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-print(json.dumps(out, indent=1))
+print(json.dumps({key: out[key] for key, _, _ in runs}, indent=1))
 """
 
 
@@ -54,7 +57,7 @@ runs.append(("linearize/bol-four-subweb@31/off-centre",
 out = {}
 with tempfile.TemporaryDirectory() as tmp:
     svg = os.path.join(tmp, "leaves.svg")
-    for key, args in runs:
+    for key, args in runs[::int(sys.argv[2])]:
         args = list(args)
         args[args.index("--svg") + 1] = svg
         buf = io.StringIO()
@@ -66,35 +69,43 @@ with tempfile.TemporaryDirectory() as tmp:
         out[key] = {"exit": rc,
                     "stdout": hashlib.sha256(buf.getvalue().encode()).hexdigest(),
                     "svg": hashlib.sha256(picture).hexdigest()}
-print(json.dumps(out, indent=1))
+print(json.dumps({key: out[key] for key, _ in runs}, indent=1))
 """
 
+# (operation order, PYTHONHASHSEED) of the two runs
+RUNS = (("1", "0"), ("-1", "12345"))
 
-def digests(script: str) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED="0",
+
+def digests(script: str, step: str = "1", hashseed: str = "0") -> dict:
+    """The digests by operation key, the operations run in order (step 1)
+    or in reverse (step -1)."""
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
                PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", script,
-         str(ROOT / "perfbench" / "workloads.py")],
+         str(ROOT / "perfbench" / "workloads.py"), step],
         env=env, capture_output=True, text=True, check=True, timeout=600)
     return json.loads(done.stdout)
 
 
 def test_check_stdout_matches_recorded_digests():
     recorded = json.loads(RECORDED.read_text())
-    got = digests(SCRIPT)
-    assert list(got) == list(recorded)
-    changed = [key for key in recorded if got[key] != recorded[key]]
-    assert not changed, f"check --json stdout changed for {changed}"
+    for run in RUNS:
+        got = digests(SCRIPT, *run)
+        assert list(got) == list(recorded)
+        changed = [key for key in recorded if got[key] != recorded[key]]
+        assert not changed, f"check --json stdout changed for {changed} {run}"
 
 
 def test_linearize_outputs_match_recorded_digests():
     recorded = json.loads(RECORDED_LINEARIZE.read_text())
-    got = digests(LINEARIZE_SCRIPT)
     assert len(recorded) == 9
-    assert list(got) == list(recorded)
-    changed = [key for key in recorded if got[key] != recorded[key]]
-    assert not changed, f"linearize stdout or SVG changed for {changed}"
+    for run in RUNS:
+        got = digests(LINEARIZE_SCRIPT, *run)
+        assert list(got) == list(recorded)
+        changed = [key for key in recorded if got[key] != recorded[key]]
+        assert not changed, (f"linearize stdout or SVG changed for {changed} "
+                             f"{run}")
 
 
 if __name__ == "__main__":
