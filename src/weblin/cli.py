@@ -83,8 +83,9 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
     if not MIN_PRECISION <= args.precision <= MAX_PRECISION:
         raise UsageError(
             f"--precision must be {MIN_PRECISION} to {MAX_PRECISION} bits")
-    if args.grid > lin.MAX_GRID:
-        raise UsageError(f"--grid must be at most {lin.MAX_GRID} nodes per axis")
+    if not lin.MIN_GRID <= args.grid <= lin.MAX_GRID:
+        raise UsageError(f"--grid must be {lin.MIN_GRID} to {lin.MAX_GRID} "
+                         "nodes per axis")
     return args
 
 
@@ -297,7 +298,8 @@ def build_parser() -> _ArgumentParser:
     command("invariants", "verdicts with full evidence")
     p = command("linearize", "construct flat coordinates")
     p.add_argument("--grid", type=int,
-                   help=f"grid nodes per axis, 5..513 (default {default('grid')})")
+                   help=f"grid nodes per axis, {lin.MIN_GRID}..{lin.MAX_GRID} "
+                        f"(default {default('grid')})")
     p.add_argument("--base", help="base point x,y (default: domain center)")
     p.add_argument("--lambda0", help="initial deformation a,b "
                    f"(default {default('lambda0')})")

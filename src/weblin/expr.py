@@ -13,30 +13,32 @@ coefficients and of identical factors).  They deliberately do not factor or
 cancel symbolic rational functions; correctness of downstream zero tests
 rests on evaluation, not on the simplifier.  Operand order is structural
 (`_compare`), never by creation: no output depends on what was built before.
+The intern table and the derivative cache take no lock: each write is one
+dict operation on a key hashed in C, so threads racing on a key get one node.
 
 One interpreter, `_walk`, runs a `Program`: roots compiled lazily into
 slot orders over their union DAG (interning nothing), with values kept in
 one `Store` per point so a node shared by several roots is computed once
 per point.  `evaluate` chooses the arithmetic by one argument, `precision`:
-None for exact, else the mantissa bits.  Three arithmetics supply the
-number operations: exact rationals as reduced (numerator, denominator) int
-pairs, capped at EXACT_BITS (`Fraction` only where bindings enter and
-results leave), p-bit floats as raw mpmath tuples, and numpy doubles over
-whole grids (`grid_function`).  The two scalar ones share the real-domain
-rules; grids keep singular entries nan/inf.
+None for exact, else the mantissa bits.  Exact is rational-only, decided by
+the node mask alone: a DAG with exp, log or a non-integer power is refused
+before any slot is computed.  Three arithmetics: reduced (numerator,
+denominator) int pairs capped at EXACT_BITS, p-bit floats as raw mpmath
+tuples, which alone keep the real-domain rules, and numpy doubles over
+whole grids (`grid_function`), which keep singular entries nan/inf.
 """
 from __future__ import annotations
 
 import math
 import operator
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from typing import Callable, Mapping
 
 import mpmath
+import numpy as np
 from mpmath import libmp
 
 __all__ = [
@@ -73,6 +75,9 @@ EXACT_BITS = 2 ** 18
 _STR_DIGITS = 4300
 _STR_BITS = 14284
 
+# a parameter name, and every identifier the parser accepts
+_IDENT = re.compile(r"[a-z][a-z0-9_]*")
+
 
 class ExprError(ValueError):
     pass
@@ -101,7 +106,7 @@ class DomainEvalError(EvalError):
 
 
 class ExactnessError(EvalError):
-    """Exact mode refused: the value is not representable as a rational."""
+    """Exact mode refused: the DAG has exp, log or a non-integer power."""
 
 
 class ExactBudgetError(ExactnessError):
@@ -132,7 +137,6 @@ class Expr:
         return self.kind == CONST and not self.value
 
 
-_lock = threading.RLock()
 _table: dict[tuple, Expr] = {}
 _derivative_cache: dict[tuple[Expr, str], Expr] = {}
 
@@ -142,25 +146,24 @@ def _intern(kind: str, children: tuple[Expr, ...] = (),
     # a constant is keyed by its ints: a Fraction hash costs a modular pow
     key = ((kind, name, children) if value is None
            else (kind, value.numerator, value.denominator))
-    with _lock:
-        node = _table.get(key)
-        if node is None:
-            mask = 0
-            for c in children:
-                mask |= c.mask
-            if kind == VAR:
-                mask |= _MASK_X if name == "x" else _MASK_Y
-            elif kind == PARAM:
-                mask |= _MASK_PARAM
-            elif kind in (EXP, LOG):
+    node = _table.get(key)
+    if node is None:
+        mask = 0
+        for c in children:
+            mask |= c.mask
+        if kind == VAR:
+            mask |= _MASK_X if name == "x" else _MASK_Y
+        elif kind == PARAM:
+            mask |= _MASK_PARAM
+        elif kind in (EXP, LOG):
+            mask |= _MASK_TRANSCENDENTAL
+        elif kind == POW:
+            e = children[1]
+            if not (e.kind == CONST and e.value.denominator == 1):
                 mask |= _MASK_TRANSCENDENTAL
-            elif kind == POW:
-                e = children[1]
-                if not (e.kind == CONST and e.value.denominator == 1):
-                    mask |= _MASK_TRANSCENDENTAL
-            node = Expr(kind, children, value, name, mask)
-            _table[key] = node
-        return node
+        # a thread that loses the race gets the node the winner stored
+        node = _table.setdefault(key, Expr(kind, children, value, name, mask))
+    return node
 
 
 _UNDEF = _intern(UNDEF)
@@ -206,7 +209,7 @@ def var(name: str) -> Expr:
 
 
 def param(name: str) -> Expr:
-    if (not re.fullmatch(r"[a-z][a-z0-9_]*", name) or name in _RESERVED
+    if (not _IDENT.fullmatch(name) or name in _RESERVED
             or name in ("x", "y")):
         raise ExprError(f"invalid parameter name {name!r}")
     return _intern(PARAM, name=name)
@@ -592,24 +595,22 @@ def derive(e: Expr, v: str) -> Expr:
     memoized per (node, symbol), so repeated differentiation of shared
     subterms stays polynomial in the DAG size.
     """
-    with _lock:
-        hit = _derivative_cache.get((e, v))
+    hit = _derivative_cache.get((e, v))
     if hit is not None:
         return hit
     if v == "x":
         vmask = _MASK_X
     elif v == "y":
         vmask = _MASK_Y
-    elif re.fullmatch(r"[a-z][a-z0-9_]*", v or ""):
+    elif _IDENT.fullmatch(v or ""):
         vmask = _MASK_PARAM
     else:
         raise ExprError(f"cannot differentiate by {v!r}")
     order = topo_order(e)
     for n in order:
         key = (n, v)
-        with _lock:
-            if key in _derivative_cache:
-                continue
+        if key in _derivative_cache:
+            continue
         if n.kind == UNDEF:
             d = _UNDEF
         elif not (n.mask & vmask):
@@ -643,8 +644,7 @@ def derive(e: Expr, v: str) -> Expr:
             d = div(_derivative_cache[(u, v)], u)
         else:  # const, param, var of the other name
             d = _ZERO
-        with _lock:
-            _derivative_cache[key] = d
+        _derivative_cache[key] = d
     return _derivative_cache[(e, v)]
 
 
@@ -700,8 +700,9 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object]):
     """The value of compiled root `code`: the one DAG interpreter.  A slot
     already holding a value is read, one holding an error raises it again,
     so the first failing node in the root's own order raises.  `arith`
-    supplies `add` and `mul` (folded left to right), `num`, `pow`, `exp`,
-    `log` and an optional per-node `check`; `leaves` maps names to values.
+    supplies `add` and `mul` (folded left to right), `num`, `pow`, `exp`
+    and `log` (None where the walk never meets them) and an optional
+    per-node `check`; `leaves` maps names to values.
     """
     add, mul, num, power = arith.add, arith.mul, arith.num, arith.pow
     exp, log, check = arith.exp, arith.log, arith.check
@@ -736,28 +737,6 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object]):
     return vals[s]
 
 
-class _RealArithmetic:
-    """Real-domain rules shared by the two scalar arithmetics.  An exponent
-    counts as an integer by its value; subclasses supply `num`, `zero`,
-    `integer` (the int value, or None), `sign`, `int_pow`, `root` (positive
-    base, non-integer exponent), `exp`, `ln` and `check`."""
-
-    def pow(self, b, ex, _const_ex):
-        n, sign = self.integer(ex), self.sign(b)
-        if sign == 0 and self.sign(ex) < 0:
-            raise SingularSampleError("zero base with negative power")
-        if n is not None:
-            return self.int_pow(b, n)
-        if sign < 0:
-            raise DomainEvalError("negative base with fractional power")
-        return self.zero if sign == 0 else self.root(b, ex)
-
-    def log(self, u):
-        if self.sign(u) <= 0:
-            raise DomainEvalError("log of non-positive value")
-        return self.ln(u)
-
-
 def _qadd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """a + b on reduced (numerator, denominator > 0) pairs, reduced: the gcd
     steps of `Fraction._add` (Knuth, TAOCP Vol. 2, 4.5.1) on bare ints."""
@@ -789,16 +768,16 @@ def _qmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return na * nb, da * db
 
 
-class _ExactArithmetic(_RealArithmetic):
+class _ExactArithmetic:
     """Rationals as reduced (numerator, denominator > 0) int pairs, so that
     every slot value is the one `Fraction` arithmetic would give; refuses
-    irrational values and sizes above EXACT_BITS."""
+    sizes above EXACT_BITS.  `_evaluate` hands it only DAGs without the
+    transcendental mask bit: no exp or log, and every power has an integer
+    constant exponent."""
 
     add, mul = staticmethod(_qadd), staticmethod(_qmul)
     num = staticmethod(lambda q: (q.numerator, q.denominator))
-    zero = (0, 1)
-    integer = staticmethod(lambda q: q[0] if q[1] == 1 else None)
-    sign = staticmethod(lambda q: (q[0] > 0) - (q[0] < 0))
+    exp = log = None
 
     @staticmethod
     def check(v: tuple[int, int]) -> None:
@@ -807,52 +786,39 @@ class _ExactArithmetic(_RealArithmetic):
             raise ExactBudgetError()
 
     @staticmethod
-    def int_pow(b: tuple[int, int], n: int) -> tuple[int, int]:
-        p, q = b
-        if _pow_bits(p, q, n) > EXACT_BITS:  # refuse before computing it
+    def pow(b: tuple[int, int], _ex, q: Fraction) -> tuple[int, int]:
+        """b to the power of the integer constant q."""
+        p, d = b
+        n = q.numerator
+        if not p and n < 0:
+            raise SingularSampleError("zero base with negative power")
+        if _pow_bits(p, d, n) > EXACT_BITS:  # refuse before computing it
             raise ExactBudgetError()
         if n >= 0:
-            return p ** n, q ** n
+            return p ** n, d ** n
         if p < 0:
-            p, q = -p, -q
-        return q ** -n, p ** -n
-
-    def root(self, b: tuple[int, int], ex: tuple[int, int]) -> tuple[int, int]:
-        r = _exact_root(*b, ex[1])
-        if r is None:
-            raise ExactnessError("irrational root; exact mode refused")
-        return self.int_pow(r, ex[0])
-
-    @staticmethod
-    def exp(u: tuple[int, int]) -> tuple[int, int]:
-        if u[0]:
-            raise ExactnessError("exp of nonzero value; exact mode refused")
-        return 1, 1
-
-    @staticmethod
-    def ln(u: tuple[int, int]) -> tuple[int, int]:
-        if u != (1, 1):
-            raise ExactnessError("log of value != 1; exact mode refused")
-        return 0, 1
+            p, d = -p, -d
+        return d ** -n, p ** -n
 
 
 _EXACT = _ExactArithmetic()
 
 
-class _MpfArithmetic(_RealArithmetic):
-    """p-bit floats as raw `mpmath.libmp` tuples: every operation is the
-    libmp call mpmath's mpf operators make (at `prec`, round to nearest), so
-    values are bit-identical to mpf arithmetic, minus the object wrappers.
-    Refuses non-finite values."""
+class _MpfArithmetic:
+    """p-bit floats as raw `mpmath.libmp` tuples (sign, mantissa, exponent,
+    bit count): every operation is the libmp call mpmath's mpf operators
+    make (at `prec`, round to nearest), so values are bit-identical to mpf
+    arithmetic, minus the object wrappers.  Refuses non-finite values, and
+    keeps the real-domain rules: an exponent counts as an integer by its
+    value, a zero base with a negative power is singular, and a negative
+    base with a non-integer power or the log of a non-positive value is a
+    domain error."""
 
     def __init__(self, prec: int):
         rnd = libmp.round_nearest
         self.add = lambda a, b: libmp.mpf_add(a, b, prec, rnd)
         self.mul = lambda a, b: libmp.mpf_mul(a, b, prec, rnd)
-        self.int_pow = lambda b, n: libmp.mpf_pow_int(b, n, prec, rnd)
-        self.root = lambda b, ex: libmp.mpf_pow(b, ex, prec, rnd)
         self.exp = lambda u: libmp.mpf_exp(u, prec, rnd)
-        self.ln = lambda u: libmp.mpf_log(u, prec, rnd)
         self.prec = prec
 
     def num(self, q) -> tuple:
@@ -862,9 +828,22 @@ class _MpfArithmetic(_RealArithmetic):
         return libmp.mpf_div(libmp.from_int(q.numerator, p, rnd),
                              libmp.from_int(q.denominator), p, rnd)
 
-    zero = libmp.fzero
-    integer = staticmethod(lambda v: libmp.to_int(v) if v[2] >= 0 else None)
-    sign = staticmethod(lambda v: 0 if not v[1] else -1 if v[0] else 1)
+    def pow(self, b: tuple, ex: tuple, _q) -> tuple:
+        if not b[1] and ex[0] and ex[1]:
+            raise SingularSampleError("zero base with negative power")
+        if ex[2] >= 0:  # a zero or integer value
+            return libmp.mpf_pow_int(b, libmp.to_int(ex), self.prec,
+                                     libmp.round_nearest)
+        if b[0] and b[1]:
+            raise DomainEvalError("negative base with fractional power")
+        if not b[1]:
+            return libmp.fzero
+        return libmp.mpf_pow(b, ex, self.prec, libmp.round_nearest)
+
+    def log(self, u: tuple) -> tuple:
+        if u[0] or not u[1]:
+            raise DomainEvalError("log of non-positive value")
+        return libmp.mpf_log(u, self.prec, libmp.round_nearest)
 
     @staticmethod
     def check(v: tuple) -> None:
@@ -890,10 +869,7 @@ class _GridArithmetic:
     """
 
     add, mul = staticmethod(operator.add), staticmethod(operator.mul)
-    check = None
-
-    def __init__(self, np):
-        self.power, self.exp, self.log = np.power, np.exp, np.log
+    exp, log, check = np.exp, np.log, None
 
     @staticmethod
     def num(q: Fraction) -> float:
@@ -904,11 +880,15 @@ class _GridArithmetic:
         except OverflowError:
             return math.inf if q > 0 else -math.inf
 
-    def pow(self, b, ex, q):
+    @staticmethod
+    def pow(b, ex, q):
         if q is None or q.denominator != 1:
-            return self.power(b, ex)
+            return np.power(b, ex)
         n = int(q)
-        return self.power(b, n) if n >= 0 else 1.0 / self.power(b, -n)
+        return np.power(b, n) if n >= 0 else 1.0 / np.power(b, -n)
+
+
+_GRID = _GridArithmetic()
 
 
 def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
@@ -916,6 +896,9 @@ def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
     store = Store() if store is None else store
     code, names = store.program.code(e)
     _check_bindings(names, bindings)
+    if precision is None and not is_exactly_evaluable(e):
+        raise ExactnessError("exp, log or a non-integer power; "
+                             "exact mode refused")
     if precision not in store:
         if precision is None:
             if not all(isinstance(v, (int, Fraction))
@@ -940,8 +923,10 @@ def evaluate(e: Expr, bindings: Mapping[str, object],
              precision: int | None = None, *, store: Store | None = None):
     """The value of `e` at `bindings`, which must bind every variable and
     parameter of `e` (a missing one raises, never defaults).  With
-    `precision` None the arithmetic is exact: the bindings must be rational
-    (int or Fraction), values are bounded by EXACT_BITS and the result is a
+    `precision` None the arithmetic is exact: `e` must be free of exp, log
+    and non-integer powers (else ExactnessError, see
+    `is_exactly_evaluable`), the bindings must be rational (int or
+    Fraction), values are bounded by EXACT_BITS and the result is a
     Fraction.  An int `precision` evaluates in mpmath binary floats with
     that many mantissa bits; bindings may then also be floats or mpfs, and
     the result is an mpf.  Nodes a `store` already holds are read, not
@@ -972,10 +957,7 @@ def grid_function(*roots: Expr,
     Singularities surface as nan/inf entries, which callers must check for;
     the numeric layer uses this for whole-grid coefficient evaluation.
     """
-    import numpy as np
-
-    arith = _GridArithmetic(np)
-    params = {k: arith.num(v) for k, v in (params or {}).items()}
+    params = {k: _GRID.num(v) for k, v in (params or {}).items()}
     program = Program()
     codes, names = zip(*map(program.code, roots))
     _check_bindings(frozenset().union(*names), {"x", "y", *params})
@@ -989,7 +971,7 @@ def grid_function(*roots: Expr,
         vals = [None] * len(program.slots)
         leaves = {**params, "x": xg, "y": yg}
         with np.errstate(all="ignore"):
-            outs = [np.broadcast_to(np.asarray(_walk(code, arith, vals, leaves),
+            outs = [np.broadcast_to(np.asarray(_walk(code, _GRID, vals, leaves),
                                                dtype=float), shape).copy()
                     for code in codes]
         return outs[0] if len(outs) == 1 else outs
@@ -1117,7 +1099,7 @@ class _Parser:
             return const(Fraction(t.text))
         if t.kind == "ident":
             name = t.text
-            if not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+            if not _IDENT.fullmatch(name):
                 raise ParseError(f"invalid identifier {name!r} "
                                  "(lowercase letters, digits, underscore)", t.pos)
             nxt = self.peek()

@@ -84,7 +84,6 @@ class Evidence:
 @dataclass
 class InvariantReport:
     name: str
-    expr: Expr
     dag_size: int
     verdict: str
     evidence: list[Evidence]
@@ -312,7 +311,7 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
         verdict, evidence, mode, reason = zero_test(e, web, policy, memo)
         # the compiled root holds one instruction per node of its DAG
         return InvariantReport(
-            name=name, expr=e, dag_size=len(memo.program.code(e)[0]),
+            name=name, dag_size=len(memo.program.code(e)[0]),
             verdict=verdict, evidence=evidence,
             elapsed=time.perf_counter() - t0, mode=mode, reason=reason)
 

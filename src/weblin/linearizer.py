@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import grid_function
+from .expr import format_expr, grid_function
 from .calculus import WebSpec, Rect, mu as web_mu
 from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
 
@@ -44,10 +44,11 @@ __all__ = [
     "LinearizerError", "NotLinearizableError", "integrate_lambda",
     "flatness_residual", "flat_coordinates", "straightness_report",
     "trace_leaves", "render_svg", "DEFAULT_GRID_N", "LAMBDA_BLOWUP_BOUND",
-    "LEAVES_PER_FOLIATION", "MAX_GRID",
+    "LEAVES_PER_FOLIATION", "MIN_GRID", "MAX_GRID",
 ]
 
 DEFAULT_GRID_N = 41
+MIN_GRID = 5  # the 5-point finite-difference stencils need 5 nodes
 MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~235 MB
 DEFAULT_SUBSTEPS = 2  # RK4 substeps per grid interval
 LAMBDA_BLOWUP_BOUND = 1e12
@@ -82,8 +83,10 @@ class GridSpec:
     ny: int = DEFAULT_GRID_N
 
     def __post_init__(self):
-        if not (5 <= self.nx <= MAX_GRID and 5 <= self.ny <= MAX_GRID):
-            raise LinearizerError(f"grid needs 5 to {MAX_GRID} nodes per axis")
+        if not (MIN_GRID <= min(self.nx, self.ny)
+                and max(self.nx, self.ny) <= MAX_GRID):
+            raise LinearizerError(
+                f"grid needs {MIN_GRID} to {MAX_GRID} nodes per axis")
         try:
             xlo, xhi, ylo, yhi = self.rect.as_floats()
         except OverflowError:
@@ -390,9 +393,11 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     coframes start there as dx and dy.  The x-first sweep must give a flat
     connection; the y-first sweep measures path independence; the coframes
     must stay nondegenerate and closed (finite-difference curl), and their
-    potentials are u, v.  With force=True the flatness and closedness
-    refusals are skipped too.  The leaves of every foliation are traced and
-    measured under (u, v) by `straightness_report`.
+    potentials are u, v.  A web whose validity checks (first partials,
+    a_alpha, a_alpha - 1, a_alpha - a_beta) are 0 or not finite at a grid
+    node at `params` is refused even with force=True, which skips only the
+    flatness and closedness refusals.  The leaves of every foliation are
+    traced and measured under (u, v) by `straightness_report`.
     """
     verdict, reports = check_dweb(web, policy)
     if verdict != YES and not force:
@@ -403,6 +408,16 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
     cg = CoefficientGrid(web, g, params)
+    # the verdict samples its own points and parameter values; the grid
+    # nodes at `params` must be valid points too
+    XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
+    checks = web.validity_checks
+    values = grid_function(*checks, params=params)(XX, YY)
+    for chk, vals in zip(checks, values):
+        if not np.all(np.isfinite(vals) & (vals != 0)):
+            raise LinearizerError(
+                f"web is degenerate on the grid: {format_expr(chk)} is 0 "
+                "or not finite at a node")
     fx, fy = cg.stacked[:2, ::cg.r, ::cg.r]
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
     s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import pathlib
 import time
 from fractions import Fraction
 
@@ -9,6 +11,12 @@ from weblin import corpus
 from weblin.calculus import WebSpec, sample_points
 from weblin.expr import X, Y, add, evaluate, mul, pow_, sub
 from weblin.invariants import check_dweb
+
+# the tests that start an interpreter import weblin from this checkout too
+# (the `pythonpath` setting of pyproject.toml covers this process only)
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

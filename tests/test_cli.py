@@ -260,6 +260,38 @@ class TestLinearizeCommand:
         assert out == ""
         assert err.startswith("error: --grid") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("nodes", [4, 0, -3])
+    def test_grid_below_bound(self, capsys, nodes, monkeypatch):
+        # the same one line and exit code as above the bound
+        def no_grid(*args, **kwargs):
+            raise AssertionError("coefficient grid built")
+
+        monkeypatch.setattr(lin, "CoefficientGrid", no_grid)
+        code, out, err = run(capsys, "linearize", "--f", "x/y",
+                             "--g", "x+y", "--grid", str(nodes))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"error: --grid must be {lin.MIN_GRID} to "
+                       f"{lin.MAX_GRID} nodes per axis\n")
+
+    def test_grid_help_reads_the_bounds(self, capsys, monkeypatch):
+        monkeypatch.setattr(lin, "MIN_GRID", 7)
+        monkeypatch.setattr(lin, "MAX_GRID", 301)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["linearize", "--help"])
+        assert "grid nodes per axis, 7..301" in capsys.readouterr().out
+
+    def test_degenerate_parameter_value_refused(self, capsys):
+        # at n = 0, g4 = x^0 + y^0 is constant: g_x vanishes at every node,
+        # while the verdict, drawn at its own parameter values, is YES
+        code, out, err = run(capsys, "linearize", "--f", "x/y",
+                             "--g", "x^n + y^n", "--param", "n=0",
+                             "--grid", "21")
+        assert code == EXIT_NO
+        assert out == ""
+        assert err.startswith("linearization failed: web is degenerate")
+        assert err.count("\n") == 1
+
     def test_grid_bound_accepted(self):
         args = build_parser().parse_args(["linearize", "--f", "x/y",
                                           "--g", "x+y", "--grid", "513"])

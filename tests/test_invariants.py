@@ -322,9 +322,13 @@ class TestSharedSamples:
         web = corpus.web_for(case)
         policy = ZeroTestPolicy()
         _, reports = check_dweb(web, policy)
-        for r in reports:
+        exprs = [*build_compatibility_pair(web),
+                 *(J_alpha(web, alpha) for alpha in range(5, web.d + 1))]
+        assert [r.name for r in reports] == [
+            "I1", "I2", *(f"J{alpha}" for alpha in range(5, web.d + 1))]
+        for r, e in zip(reports, exprs, strict=True):
             assert (r.verdict, r.evidence, r.mode, r.reason) == \
-                zero_test(r.expr, web, policy)
+                zero_test(e, web, policy)
 
     @pytest.mark.parametrize("name", ["two-pencils", "bol-five-web",
                                       "power-web"])

@@ -57,6 +57,28 @@ class TestGridSpec:
             assert lin.GridSpec(rect=WEB2.domain, nx=n, ny=n).nx == n
 
 
+class TestDegenerateParameters:
+    POWER = _web("x/y", "x^n + y^n")
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_degenerate_at_the_given_values_refused(self, force):
+        # n = 0 makes g4 constant; mu and the other coefficients stay
+        # finite (n/n cancels symbolically), so only the validity checks
+        # on the grid see it
+        g = lin.GridSpec(rect=self.POWER.domain, nx=21, ny=21)
+        cg = lin.CoefficientGrid(self.POWER, g, {"n": F(0)})
+        assert np.isfinite(cg.stacked).all()
+        with pytest.raises(lin.LinearizerError, match=re.escape(
+                "degenerate on the grid: n*x^(n - 1) is 0")):
+            lin.flat_coordinates(self.POWER, g, params={"n": F(0)},
+                                 force=force)
+
+    def test_valid_values_pass(self):
+        g = lin.GridSpec(rect=self.POWER.domain, nx=21, ny=21)
+        res = lin.flat_coordinates(self.POWER, g, params={"n": F(2)})
+        assert res.verdict == "YES"
+
+
 @pytest.fixture(scope="module")
 def web2_grid():
     return lin.GridSpec(rect=WEB2.domain, nx=41, ny=41)
