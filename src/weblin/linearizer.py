@@ -10,16 +10,17 @@ linear system along with them.  The pipeline evaluates the coefficients
 once, integrates the whole system with classical 4th-order steps along grid
 lines in the x-first and the y-first order, verifies flatness
 (finite-difference curvature of the x-first lambda), path independence (the
-two orders), and a nondegenerate, closed coframe.  The two orders take
-three batched line integrations, the state held as one (8, lines) array:
-the base row, then every column, then every row from the column through
-the base node, which both orders share.  `straightness_report` then traces
-the leaves of every foliation once, bisecting all its levels together
-(their points lie on grid lines, where u and v are interpolated together by
-cubic Hermite along the line) and measures how straight they become under
-(x, y) -> (u, v).  The result holds u and v as node arrays, the
-certificates, the straightness and the traced leaves, which `render_svg`
-draws.
+two orders), and a nondegenerate, closed coframe.  One RK4 kernel serves
+both directions (the y-system is the x-system with l1 <-> l2 and p <-> q
+swapped), and every line splits at its start node into a forward and a
+backward half-line, all run as one batch.  So the two orders take two
+stages: the base row and column, then every column and every row.
+`straightness_report` then traces the leaves of every foliation once,
+bisecting all its levels together (their points lie on grid lines, where u
+and v are interpolated together by cubic Hermite along the line) and
+measures how straight they become under (x, y) -> (u, v).  The result
+holds u and v as node arrays, the certificates, the straightness and the
+traced leaves, which `render_svg` draws.
 
 Coefficients are always evaluated from their symbolic expressions, as one
 compiled program run block by block, on a refined lattice that contains
@@ -168,106 +169,133 @@ class CoefficientGrid:
                     "choose a smaller or shifted rectangle")
 
 
-def _rhs(c: np.ndarray, s: np.ndarray, along: str) -> np.ndarray:
-    """Frame equations converted to x- or y-derivatives.
+# the y-system's state order (l1 <-> l2, p <-> q) and back: an involution
+_SWAP = [1, 0, 3, 2, 5, 4, 6, 7]
 
-    c holds the coefficients (fx, fy, H, K, mu, mu1, mu2) and s the state
-    (l1, l2, p1, q1, p2, q2, u, v), one row each over a batch of lines; two
-    coframes theta = p w1 + q w2 = -p fx dx - q fy dy are transported, and
-    the potentials integrate du = theta1, dv = theta2.
-    """
+
+def _line_coefficients(c: np.ndarray, along: str, h: float) -> np.ndarray:
+    """The coefficients (F, A, B, FH) of `_frame_step` along x- or y-lines,
+    times the substep h, from c = (fx, fy, H, K, mu, mu1, mu2)."""
     fx, fy, H, K, mu, mu1, mu2 = c
-    l1, l2, p1, q1, p2, q2 = s[:6]
     if along == "x":
-        fac = -fx
-        dl1 = l1 * (H + l1 + mu)
-        dl2 = -K / 3 + H * (l2 - mu / 3) + l1 * l2 + (2.0 / 3) * mu1 - mu2 / 3
-        c11 = 2 * l1 + mu + H
-        return np.array([fac * dl1,
-                         fac * dl2,
-                         fac * p1 * c11,
-                         fac * (p1 * l2 + q1 * (l1 + H)),
-                         fac * p2 * c11,
-                         fac * (p2 * l2 + q2 * (l1 + H)),
-                         fac * p1,
-                         fac * p2])
-    fac = -fy
-    dl1 = K / 3 + H * (l1 + mu / 3) + l1 * l2 + mu1 / 3 - (2.0 / 3) * mu2
-    dl2 = l2 * (H + l2 - mu)
-    c22 = 2 * l2 - mu + H
-    return np.array([fac * dl1,
-                     fac * dl2,
-                     fac * (p1 * (l2 + H) + q1 * l1),
-                     fac * q1 * c22,
-                     fac * (p2 * (l2 + H) + q2 * l1),
-                     fac * q2 * c22,
-                     fac * q1,
-                     fac * q2])
+        F, A, B = -fx, H + mu, -K / 3 - H * mu / 3 + (2.0 / 3) * mu1 - mu2 / 3
+    else:
+        F, A, B = -fy, H - mu, K / 3 + H * mu / 3 + mu1 / 3 - (2.0 / 3) * mu2
+    return h * np.stack((F, F * A, F * B, F * H))
 
 
-def _rk4_step(C: np.ndarray, s: np.ndarray, along: str, t: int,
-              fixed: slice, h: float, sign: int) -> np.ndarray:
-    """One substep of size sign*h on a batch of parallel lines: C holds the
-    coefficients indexed [coefficient, along, across], s the (8, lines)
-    state, t is the refined start index along the lines and `fixed` selects
-    their refined indices across; the stage points sit at refined offsets
-    0, sign, 2*sign."""
-    def f(offset: int, state: np.ndarray) -> np.ndarray:
-        return _rhs(C[:, t + offset, fixed], state, along)
+def _frame_step(c: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+    """The frame equations along a line times the signed substep, written
+    into `out`: s is the state (a, b, P1, Q1, P2, Q2, u, v) over a batch of
+    half-lines and c its coefficients from `_line_coefficients`.
 
-    hh = sign * h
-    k1 = f(0, s)
-    k2 = f(sign, s + hh / 2 * k1)
-    k3 = f(sign, s + hh / 2 * k2)
-    k4 = f(2 * sign, s + hh * k3)
-    out = s + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    lam = out[:2]
-    if not np.all(np.isfinite(lam)) or np.abs(lam).max() > LAMBDA_BLOWUP_BOUND:
-        raise LinearizerError("Frobenius integration diverged; shrink grid")
-    return out
+    Along x the state is (l1, l2, p1, q1, p2, q2, u, v); along y it is in
+    _SWAP order, which makes the y-system the x-system with its own F, A
+    and B.  Two coframes theta = p w1 + q w2 = -p fx dx - q fy dy are
+    transported, and the potentials integrate du = theta1, dv = theta2.
+    """
+    F, A, B, FH = c
+    a, b, P, Q = s[0], s[1], s[2:6:2], s[3:6:2]
+    Fa = F * a
+    t = A + Fa
+    np.multiply(a, t, out=out[0])  # F a (H +- mu + a)
+    t += Fa
+    np.multiply(P, t, out=out[2:6:2])  # F P (H +- mu + 2 a)
+    Fa += FH
+    np.multiply(b, Fa, out=out[1])
+    out[1] += B  # F b (H + a) + B
+    np.multiply(Q, Fa, out=out[3:6:2])
+    np.multiply(F, b, out=t)
+    out[3:6:2] += P * t  # F (Q (H + a) + P b)
+    np.multiply(P, F, out=out[6:])
 
 
-def _integrate_lines(cg: CoefficientGrid, s0: np.ndarray, along: str,
-                     start: int, fixed: slice) -> np.ndarray:
-    """Integrate a batch of parallel grid lines from their node `start` to
-    both ends.  s0 is the (8, lines) state at the start node and `fixed`
-    selects the lines' refined indices across them.  Returns the states as
-    a (nodes along, 8, lines) array."""
-    g = cg.grid
-    n, h = (g.nx, g.hx) if along == "x" else (g.ny, g.hy)
-    C = cg.stacked if along == "x" else cg.stacked.transpose(0, 2, 1)
-    out = np.empty((n,) + s0.shape)
-    out[start] = s0
-    for sign, stop in ((1, n - 1), (-1, 0)):
-        s = s0
-        for node in range(start, stop, sign):
-            for k in range(DEFAULT_SUBSTEPS):
-                s = _rk4_step(C, s, along, node * cg.r + 2 * sign * k,
-                              fixed, h / DEFAULT_SUBSTEPS, sign)
-            out[node + sign] = s
-    return out
+def _sweep(families: list[tuple[np.ndarray, str, float, int, np.ndarray]]
+           ) -> list[np.ndarray]:
+    """Integrate families of parallel grid lines from a start node to both
+    ends, all their forward and backward half-lines in one batch.
+
+    A family is (c, along, h, start, s0): the coefficients indexed
+    [coefficient, refined index along, line], the direction, the node
+    spacing, the start node and the (8, lines) start state in the order of
+    `_frame_step`.  Block by block of nodes, each half-line's coefficients
+    are gathered by substep and stage point (refined offsets 0, 1, 2 in its
+    direction), scaled by the signed substep and zero past its end, so a
+    finished half-line stays constant.  Returns each family's states as a
+    (nodes along, 8, lines) array.
+    """
+    m, r = DEFAULT_SUBSTEPS, 2 * DEFAULT_SUBSTEPS
+    outs = []
+    for c, _, _, start, s0 in families:
+        outs.append(np.empty(((c.shape[1] - 1) // r + 1,) + s0.shape))
+        outs[-1][start] = s0
+    # a base node on the grid's edge leaves a half-line without steps
+    halves = [(c, along, sign * h / m, start, sign, n, out)
+              for (c, along, h, start, _), out in zip(families, outs)
+              for sign, n in ((1, len(out) - 1 - start), (-1, start)) if n]
+    s = np.concatenate([out[start] for *_, start, _, _, out in halves], 1)
+    ends = np.cumsum([0] + [h[-1].shape[2] for h in halves])
+    k, t = np.empty((4,) + s.shape), np.empty(s.shape)
+    nodes = max(h[5] for h in halves)
+    block = max(1, BLOCK_POINTS // (r * s.shape[1]))
+    for first in range(0, nodes, block):
+        steps = np.arange(first * m, min(first + block, nodes) * m)
+        offsets = 2 * steps[:, None] + np.arange(3)
+        slab = np.empty((len(steps), 3, 4, s.shape[1]))
+        for (c, along, hs, start, sign, n, _), lo, hi in zip(halves, ends,
+                                                             ends[1:]):
+            idx = start * r + sign * np.minimum(offsets, n * r)
+            slab[..., lo:hi] = np.moveaxis(
+                _line_coefficients(c[:, idx], along, hs), 0, 2)
+            slab[max(0, m * (n - first)):, ..., lo:hi] = 0
+        for node, substeps in enumerate(
+                slab.reshape((-1, m) + slab.shape[1:]), first + 1):
+            for c1, c2, c3 in substeps:
+                _frame_step(c1, s, k[0])
+                np.multiply(k[0], 0.5, out=t)
+                t += s
+                _frame_step(c2, t, k[1])
+                np.multiply(k[1], 0.5, out=t)
+                t += s
+                _frame_step(c2, t, k[2])
+                np.add(s, k[2], out=t)
+                _frame_step(c3, t, k[3])
+                s += (k[0] + k[3] + 2 * (k[1] + k[2])) / 6
+                if not np.abs(s[:2]).max() <= LAMBDA_BLOWUP_BOUND:
+                    raise LinearizerError(
+                        "Frobenius integration diverged; shrink grid")
+            for (*_, start, sign, n, out), lo, hi in zip(halves, ends,
+                                                         ends[1:]):
+                if node <= n:
+                    out[start + sign * node] = s[:, lo:hi]
+    return outs
 
 
 def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
                      s0: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the Frobenius system over the whole grid from the base node
     in both sweep orders.  The x-first order integrates the base row, then
-    every column at once from its node on the row; the y-first order the
-    base column, then every row.  The y-first base column is the x-first
-    sweep's column through the base node (same start state, coefficients
-    and operations, so the same bits), so three batched integrations make
-    the two orders.  The state is (l1, l2, p1, q1, p2, q2, u, v) as in
-    `_rhs`; returns the x-first and y-first states as (nx, ny, 8) arrays."""
-    r, every = cg.r, slice(None, None, cg.r)
+    every column from its node on the row; the y-first order the base
+    column, then every row.  Both orders run as two batched stages of one
+    RK4 kernel (`_frame_step`, the y-system mapped onto the x-system by
+    _SWAP), forward and backward half-lines together: the base row and
+    column, then every column and every row.  The state is
+    (l1, l2, p1, q1, p2, q2, u, v); returns the x-first and y-first states
+    as (nx, ny, 8) arrays."""
+    g, every = cg.grid, slice(None, None, cg.r)
     ib, jb = base_node
+    xlines = cg.stacked[:, :, every]  # [coefficient, refined x, y node]
+    ylines = cg.stacked[:, every, :].transpose(0, 2, 1)
     start = np.array(s0, dtype=float)[:, None]
-    # a diverging state overflows before `_rk4_step` refuses it; the
-    # refusal is the one report of that
+    # a diverging state overflows before `_sweep` refuses it; the refusal
+    # is the one report of that
     with np.errstate(all="ignore"):
-        row = _integrate_lines(cg, start, "x", ib, slice(jb * r, jb * r + 1))
-        cols = _integrate_lines(cg, row[:, :, 0].T, "y", jb, every)
-        rows = _integrate_lines(cg, cols[:, :, ib].T, "x", ib, every)
-    return cols.transpose(2, 0, 1), rows.transpose(0, 2, 1)
+        row, col = _sweep([(xlines[:, :, jb:jb + 1], "x", g.hx, ib, start),
+                           (ylines[:, :, ib:ib + 1], "y", g.hy, jb,
+                            start[_SWAP])])
+        cols, rows = _sweep([(ylines, "y", g.hy, jb, row[:, _SWAP, 0].T),
+                             (xlines, "x", g.hx, ib, col[:, _SWAP, 0].T)])
+    return cols[:, _SWAP].transpose(2, 0, 1), rows.transpose(0, 2, 1)
 
 
 def _diff4(A: np.ndarray, h: float, axis: int) -> np.ndarray:

@@ -219,6 +219,18 @@ class TestLinearizeCommand:
         worst = max(float(v) for v in doc["linearization"]["straightness"].values())
         assert worst > 1e-2
 
+    def test_base_at_the_domain_corner(self, capsys):
+        # from the lower-left corner every line has a backward half-line
+        # without steps
+        code, out, _ = run(capsys, "linearize", "--f", "x/y",
+                           "--g", "(1-y)/(1-x)",
+                           "--domain", "1/4,3/8,1/2,3/4",
+                           "--grid", "21", "--base", "0.25,0.5", "--json")
+        assert code == EXIT_YES
+        doc = json.loads(out)["linearization"]
+        assert doc["base"] == ["0.25", "0.5"]
+        assert float(doc["path_independence_residual"]) < 1e-8
+
     def test_lambda0_flag(self, capsys):
         code, out, _ = run(capsys, "linearize", "--f", "x/y",
                            "--g", "(1-y)/(1-x)",

@@ -133,11 +133,22 @@ class TestIntegrateLambda:
             "pencil-with-parallels"))
         assert _linearize(web).path_independence_residual < 1e-8
 
-    def test_blowup_guard(self):
+    @pytest.mark.parametrize("corner", [None, (0, 0), (0, 1), (1, 0),
+                                        (1, 1)],
+                             ids=["centre", "lower-left", "upper-left",
+                                  "lower-right", "upper-right"])
+    def test_blowup_guard(self, corner):
+        # from a corner every line has a half-line without steps, batched
+        # beside the full-length other half, whose divergence must still
+        # be reported
         web = corpus.linearization_web(corpus.case_by_name(
             "pencil-with-parallels"))
+        base = None
+        if corner is not None:
+            xlo, xhi, ylo, yhi = web.domain.as_floats()
+            base = ((xlo, xhi)[corner[0]], (ylo, yhi)[corner[1]])
         with pytest.raises(lin.LinearizerError, match="diverged"):
-            _linearize(web, 21, lam0=(1e9, 1e9))
+            _linearize(web, 21, 15, base=base, lam0=(1e9, 1e9))
 
     def test_missing_parameter_value(self):
         web = corpus.web_for(corpus.case_by_name("power-web"))
@@ -150,6 +161,64 @@ class TestIntegrateLambda:
                    domain=Rect(F(1, 4), F(3, 4), F(1, 4), F(3, 4)))
         with pytest.raises(lin.LinearizerError, match="singular"):
             _linearize(web, 21, force=True)
+
+
+def _rhs(c, s, along):
+    """The frame equations along x or y: c holds the coefficients
+    (fx, fy, H, K, mu, mu1, mu2) and s the state (l1, l2, p1, q1, p2, q2,
+    u, v)."""
+    fx, fy, H, K, mu, mu1, mu2 = c
+    l1, l2, p1, q1, p2, q2 = s[:6]
+    if along == "x":
+        fac = -fx
+        dl1 = l1 * (H + l1 + mu)
+        dl2 = -K / 3 + H * (l2 - mu / 3) + l1 * l2 + (2.0 / 3) * mu1 - mu2 / 3
+        c11 = 2 * l1 + mu + H
+        return np.array([fac * dl1,
+                         fac * dl2,
+                         fac * p1 * c11,
+                         fac * (p1 * l2 + q1 * (l1 + H)),
+                         fac * p2 * c11,
+                         fac * (p2 * l2 + q2 * (l1 + H)),
+                         fac * p1,
+                         fac * p2])
+    fac = -fy
+    dl1 = K / 3 + H * (l1 + mu / 3) + l1 * l2 + mu1 / 3 - (2.0 / 3) * mu2
+    dl2 = l2 * (H + l2 - mu)
+    c22 = 2 * l2 - mu + H
+    return np.array([fac * dl1,
+                     fac * dl2,
+                     fac * (p1 * (l2 + H) + q1 * l1),
+                     fac * q1 * c22,
+                     fac * (p2 * (l2 + H) + q2 * l1),
+                     fac * q2 * c22,
+                     fac * q1,
+                     fac * q2])
+
+
+def _literal_line(cg, s0, along, line, start):
+    """The states at every node of one grid line (node `line` across it)
+    from node `start` on, by classical RK4 substeps of `_rhs` taken one at
+    a time, as an (nodes, 8) array."""
+    g, r, m = cg.grid, cg.r, lin.DEFAULT_SUBSTEPS
+    if along == "x":
+        n, h, C = g.nx, g.hx, cg.stacked[:, :, line * r]
+    else:
+        n, h, C = g.ny, g.hy, cg.stacked[:, line * r, :]
+    out = np.empty((n, 8))
+    out[start] = s0
+    for sign, stop in ((1, n - 1), (-1, 0)):
+        s, hh = np.array(s0, dtype=float), sign * h / m
+        for node in range(start, stop, sign):
+            for k in range(m):
+                t = node * r + 2 * sign * k
+                k1 = _rhs(C[:, t], s, along)
+                k2 = _rhs(C[:, t + sign], s + hh / 2 * k1, along)
+                k3 = _rhs(C[:, t + sign], s + hh / 2 * k2, along)
+                k4 = _rhs(C[:, t + 2 * sign], s + hh * k3, along)
+                s = s + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            out[node + sign] = s
+    return out
 
 
 class TestBatchedSweep:
@@ -168,17 +237,47 @@ class TestBatchedSweep:
         # the criterion-6 tolerance, between two distinct orders
         assert np.abs(states[0][:, :, :2] - states[1][:, :, :2]).max() < 1e-8
         assert not np.array_equal(states[0], states[1])
-        # the y-first order integrated on its own, base column then rows,
-        # is bit for bit the one that reuses the x-first sweep's column
-        r = cg.r
-        col = lin._integrate_lines(cg, np.array(s0)[:, None], "y", jb,
-                                   slice(ib * r, ib * r + 1))
-        rows = lin._integrate_lines(cg, col[:, :, 0].T, "x", ib,
-                                    slice(None, None, r))
-        assert rows.transpose(0, 2, 1).tobytes() == states[1].tobytes()
+        # both orders against one line at a time: the base row, then every
+        # column; the base column, then every row
+        row = _literal_line(cg, s0, "x", jb, ib)
+        x_first = np.stack([_literal_line(cg, row[i], "y", i, jb)
+                            for i in range(31)])
+        col = _literal_line(cg, s0, "y", ib, jb)
+        y_first = np.stack([_literal_line(cg, col[j], "x", j, ib)
+                            for j in range(21)], axis=1)
+        assert np.abs(states[0] - x_first).max() < 1e-12
+        assert np.abs(states[1] - y_first).max() < 1e-12
         res = lin.flat_coordinates(WEB2, g, base=(g.xs[ib], g.ys[jb]))
         assert res.base == (g.xs[ib], g.ys[jb])
         assert res.u[ib, jb] == res.v[ib, jb] == 0
+
+    def test_finished_half_line_stays_put(self):
+        # H = K = mu = 0 and fx = 1, so l1' = -l1^2 along x: from l1 = -5 at
+        # the base, l1 = 1/(x - x0 - 1/5) has its pole 1/5 past the base,
+        # beyond the short forward half-lines (one node) but within the
+        # reach of the long backward ones they are batched with
+        g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
+        cg = lin.CoefficientGrid(ZERO_GAUGE_WEB, g)
+        ib, jb = 19, 10
+        exact = 1 / (g.xs - g.xs[ib] - 0.2)
+        for state in lin.integrate_lambda(cg, (ib, jb),
+                                          [-5, 0, 1, 0, 0, 1, 0, 0]):
+            assert np.abs(state[:, :, 0] - exact[:, None]).max() < 1e-6
+
+    @pytest.mark.parametrize("along", ["x", "y"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_kernel_is_the_frame_equations(self, along, sign):
+        # the y-system runs as the x-system on the swapped state; a wrong
+        # sign of mu, K, mu1 or mu2 in either mapping moves a derivative
+        rng = np.random.default_rng(7)
+        c = rng.uniform(-2, 2, size=(7, 50))
+        s = rng.uniform(-2, 2, size=(8, 50))
+        h = sign * 0.0125
+        order = list(range(8)) if along == "x" else lin._SWAP
+        out = np.empty((8, 50))
+        lin._frame_step(lin._line_coefficients(c, along, h), s[order], out)
+        expected = h * _rhs(c, s, along)
+        assert np.allclose(out[order], expected, rtol=1e-13, atol=0)
 
 
 class TestFlatness:
