@@ -947,8 +947,7 @@ def evaluate_scaled(e: Expr, bindings: Mapping[str, object],
     return _evaluate(e, bindings, precision, store, True)
 
 
-def grid_function(*roots: Expr,
-                  params: Mapping[str, Fraction] | None = None) -> Callable:
+def grid_function(*roots: Expr) -> Callable:
     """Compile roots to one vectorized double-precision function of (x, y)
     arrays: the roots share one `Program`, so a node common to several is
     computed once per call.  With one root the function returns its array,
@@ -957,10 +956,9 @@ def grid_function(*roots: Expr,
     Singularities surface as nan/inf entries, which callers must check for;
     the numeric layer uses this for whole-grid coefficient evaluation.
     """
-    params = {k: _GRID.num(v) for k, v in (params or {}).items()}
     program = Program()
     codes, names = zip(*map(program.code, roots))
-    _check_bindings(frozenset().union(*names), {"x", "y", *params})
+    _check_bindings(frozenset().union(*names), {"x", "y"})
     if any(k == UNDEF for code in codes for _, k, _, _ in code):
         raise SingularSampleError("undefined value (division by constant zero)")
 
@@ -969,7 +967,7 @@ def grid_function(*roots: Expr,
         yg = np.asarray(yg, dtype=float)
         shape = np.broadcast_shapes(xg.shape, yg.shape)
         vals = [None] * len(program.slots)
-        leaves = {**params, "x": xg, "y": yg}
+        leaves = {"x": xg, "y": yg}
         with np.errstate(all="ignore"):
             outs = [np.broadcast_to(np.asarray(_walk(code, _GRID, vals, leaves),
                                                dtype=float), shape).copy()

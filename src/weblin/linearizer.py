@@ -1,8 +1,8 @@
 """Numerical linearization: flat coordinates of a linearizable web.
 
 `flat_coordinates(web, grid)` is the whole pipeline, and its result is the
-whole answer.  It runs the linearizability test once and refuses a web
-whose verdict is not YES.  For a YES web the deformation components
+whole answer.  It tests the web at the given parameter values once and
+refuses it unless the verdict is YES.  For a YES web the deformation components
 lambda1, lambda2 of the flat connection satisfy a first-order Frobenius
 system whose coefficients are the symbolic scalars H, K, mu and the frame
 derivatives of mu; a parallel coframe and its potentials (u, v) satisfy a
@@ -30,13 +30,13 @@ potentials) are discretized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import format_expr, grid_function
+from .expr import SingularSampleError, format_expr, grid_function, substitute
 from .calculus import WebSpec, Rect, mu as web_mu
 from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
 
@@ -142,17 +142,12 @@ class CoefficientGrid:
     y index), in the order of _COEFF_NAMES.
     """
 
-    def __init__(self, web: WebSpec, grid: GridSpec,
-                 params: Mapping[str, Fraction] | None = None):
+    def __init__(self, web: WebSpec, grid: GridSpec):
         self.grid = grid
         self.r = 2 * DEFAULT_SUBSTEPS
-        missing = set(web.params) - set(params or {})
-        if missing:
-            raise LinearizerError(
-                f"no value for parameter(s) {', '.join(sorted(missing))}")
         m = web_mu(web, 4)
         exprs = (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m))
-        fn = grid_function(*exprs, params=params)
+        fn = grid_function(*exprs)
         xlo, xhi, ylo, yhi = grid.rect.as_floats()
         xs = np.linspace(xlo, xhi, (grid.nx - 1) * self.r + 1)
         ys = np.linspace(ylo, yhi, (grid.ny - 1) * self.r + 1)
@@ -371,14 +366,13 @@ def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
 
 @dataclass
 class LinearizationResult:
-    """Flat coordinates of `web` at parameter values `params`: u and v at
-    the nodes of `grid` (u[i, j] at (xs[i], ys[j])), lambda starting at lam0
-    on the `base` node; the residuals that certify them; the per-foliation
+    """Flat coordinates of the parameter-free `web`: u and v at the nodes of
+    `grid` (u[i, j] at (xs[i], ys[j])), lambda starting at lam0 on the
+    `base` node; the residuals that certify them; the per-foliation
     straightness of the mapped leaves, the number of leaves skipped, and
     the traced leaves as (foliation index, points, mapped points); the
     web's verdict and invariant reports."""
     web: WebSpec
-    params: Mapping[str, Fraction]
     grid: GridSpec
     u: np.ndarray
     v: np.ndarray
@@ -415,6 +409,8 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
                      ) -> LinearizationResult:
     """The linearization pipeline: flat coordinates (u, v) of the web.
 
+    Substitutes `params`, a value for each web parameter and no other name,
+    first: every later step, the verdict included, sees that web.
     Decides the verdict with `check_dweb` and refuses a web that is not YES
     with `NotLinearizableError`, unless force=True.  Lambda starts at lam0
     at the grid node nearest to `base` (default: the grid center), and two
@@ -422,11 +418,17 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     connection; the y-first sweep measures path independence; the coframes
     must stay nondegenerate and closed (finite-difference curl), and their
     potentials are u, v.  A web whose validity checks (first partials,
-    a_alpha, a_alpha - 1, a_alpha - a_beta) are 0 or not finite at a grid
-    node at `params` is refused even with force=True, which skips only the
+    a_alpha, a_alpha - 1, a_alpha - a_beta) are undefined, 0 or not finite
+    at a grid node is refused even with force=True, which skips only the
     flatness and closedness refusals.  The leaves of every foliation are
     traced and measured under (u, v) by `straightness_report`.
     """
+    if sorted(params or ()) != list(web.params):
+        raise LinearizerError(f"the web has parameters {list(web.params)}, "
+                              f"values are given for {sorted(params or ())}")
+    if params:
+        web = replace(web, f=substitute(web.f, params),
+                      gs=tuple(substitute(e, params) for e in web.gs))
     verdict, reports = check_dweb(web, policy)
     if verdict != YES and not force:
         raise NotLinearizableError(verdict, reports)
@@ -435,17 +437,19 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
         base = g.rect.center
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
-    cg = CoefficientGrid(web, g, params)
-    # the verdict samples its own points and parameter values; the grid
-    # nodes at `params` must be valid points too
+    # the verdict samples its own points; the grid nodes must be valid too
     XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
     checks = web.validity_checks
-    values = grid_function(*checks, params=params)(XX, YY)
+    try:
+        values = grid_function(*checks)(XX, YY)
+    except SingularSampleError:  # a check divides by a constant zero
+        raise LinearizerError("web is degenerate on the grid") from None
     for chk, vals in zip(checks, values):
         if not np.all(np.isfinite(vals) & (vals != 0)):
             raise LinearizerError(
                 f"web is degenerate on the grid: {format_expr(chk)} is 0 "
                 "or not finite at a node")
+    cg = CoefficientGrid(web, g)
     fx, fy = cg.stacked[:2, ::cg.r, ::cg.r]
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
     s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
@@ -474,10 +478,9 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
             f"transported coframe is not closed (curl {curl:.3e}); "
             "linearization refused")
     u, v = state[:, :, 6].copy(), state[:, :, 7].copy()  # not views of state
-    params = dict(params or {})
-    straightness, skipped, leaves = straightness_report(web, g, u, v, params)
+    straightness, skipped, leaves = straightness_report(web, g, u, v)
     return LinearizationResult(
-        web=web, params=params, grid=g, u=u, v=v,
+        web=web, grid=g, u=u, v=v,
         base=(float(g.xs[ib]), float(g.ys[jb])), lam0=lam0,
         flatness_residual=flat, path_independence_residual=path_resid,
         straightness=straightness, skipped_leaves=skipped, leaves=leaves,
@@ -543,15 +546,14 @@ def _first_crossings(fn: Callable, W: np.ndarray, levels: np.ndarray,
 
 
 def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
-                 leaves: int, params: Mapping[str, Fraction] | None = None
-                 ) -> list[np.ndarray]:
-    """Polyline samples of `leaves` level curves of one foliation.
+                 leaves: int) -> list[np.ndarray]:
+    """Polyline samples of `leaves` level curves of one foliation of `web`.
 
     Foliations are named "x", "y", "f", "g4".."gd".  A level curve of f/g
     is sampled where it first crosses each grid column and each grid row,
     found by bisecting the column crossings of all levels together, then
-    the row crossings; every sample point therefore lies on a grid line.  Pieces that leave the rectangle
-    are simply absent from the returned samples.
+    the row crossings; every sample point therefore lies on a grid line.
+    Pieces that leave the rectangle are absent from the samples.
     """
     xs, ys = grid.xs, grid.ys
     if foliation == "x":
@@ -568,7 +570,7 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
         e = web.g(int(foliation[1:]))
     else:
         raise LinearizerError(f"unknown foliation {foliation!r}")
-    fn = grid_function(e, params=params)
+    fn = grid_function(e)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
     W = fn(XX, YY)
     if not np.all(np.isfinite(W)):
@@ -586,12 +588,12 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
 
 
 def straightness_report(web: WebSpec, grid: GridSpec, u: np.ndarray,
-                        v: np.ndarray, params: Mapping[str, Fraction]
+                        v: np.ndarray
                         ) -> tuple[dict[str, float], int,
                                    list[tuple[int, np.ndarray, np.ndarray]]]:
-    """Per-foliation max normalized line-fit residual of the leaves of `web`
-    at `params` under (x, y) -> (u, v), with u and v given at the nodes of
-    `grid`.
+    """Per-foliation max normalized line-fit residual of the leaves of the
+    parameter-free `web` under (x, y) -> (u, v), with u and v given at the
+    nodes of `grid`.
 
     Traces LEAVES_PER_FOLIATION leaves of every foliation; the points of
     all leaves go through one Hermite map for u and v together.  Leaves
@@ -601,8 +603,7 @@ def straightness_report(web: WebSpec, grid: GridSpec, u: np.ndarray,
     """
     names = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
     traced = [(idx, leaf) for idx, name in enumerate(names)
-              for leaf in trace_leaves(web, grid, name, LEAVES_PER_FOLIATION,
-                                       params)]
+              for leaf in trace_leaves(web, grid, name, LEAVES_PER_FOLIATION)]
     points = np.concatenate([leaf for _, leaf in traced])
     uv = _on_grid_lines(grid, np.stack([u, v]), points)
     report = dict.fromkeys(names, 0.0)

@@ -294,15 +294,34 @@ class TestLinearizeCommand:
         assert "grid nodes per axis, 7..301" in capsys.readouterr().out
 
     def test_degenerate_parameter_value_refused(self, capsys):
-        # at n = 0, g4 = x^0 + y^0 is constant: g_x vanishes at every node,
-        # while the verdict, drawn at its own parameter values, is YES
-        code, out, err = run(capsys, "linearize", "--f", "x/y",
-                             "--g", "x^n + y^n", "--param", "n=0",
-                             "--grid", "21")
+        # at n = 0, g4 = x^0 + y^0 = 2 is constant: the verdict at n = 0
+        # rejects every sample point, and under --force the grid checks
+        # refuse the web
+        argv = ["linearize", "--f", "x/y", "--g", "x^n + y^n",
+                "--param", "n=0", "--grid", "21"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INCONCLUSIVE
+        assert err == ""
+        assert [line for line in out.splitlines() if "refused" in line] == [
+            "web verdict is INCONCLUSIVE; linearization refused "
+            "(--force to run it anyway as a negative control)"]
+        code, out, err = run(capsys, *argv, "--force")
         assert code == EXIT_NO
         assert out == ""
         assert err.startswith("linearization failed: web is degenerate")
         assert err.count("\n") == 1
+
+    def test_verdict_decided_at_the_param_value(self, capsys):
+        # at n = 0 the web is x/y, x + y: YES, though NO for n in [2, 7]
+        code, out, err = run(capsys, "linearize", "--f", "x/y",
+                             "--g", "(x+y)*exp(-n*x)", "--param", "n=0",
+                             "--grid", "21", "--json")
+        assert code == EXIT_YES and err == ""
+        doc = json.loads(out)
+        assert doc["verdict"] == "YES"
+        assert doc["web"]["g"] == ["(x + y)*exp(-n*x)"]
+        evidence = [e for inv in doc["invariants"] for e in inv["evidence"]]
+        assert evidence and all(e["params"] == {} for e in evidence)
 
     def test_grid_bound_accepted(self):
         args = build_parser().parse_args(["linearize", "--f", "x/y",

@@ -535,7 +535,7 @@ class TestOneEvaluator:
             with mpmath.workprec(256):
                 err = abs(v - ref)
             assert err <= 2.0 ** -200 * scale
-            fn = grid_function(e, params={"n": pt["n"]})
+            fn = grid_function(substitute(e, {"n": pt["n"]}))
             got = fn(float(pt["x"]), float(pt["y"]))
             assert got.shape == ()
             with mpmath.workprec(256):
@@ -719,16 +719,16 @@ class TestGridProgram:
     def test_multi_root_equals_single_roots(self, base, pt):
         roots = base + [mul(base[0], base[1]), E.sub(base[1], base[0]),
                         pow_(add(base[0], 1), -1), const(3)]
-        params = {"n": pt["n"]}
+        roots = [substitute(e, {"n": pt["n"]}) for e in roots]
         alone = []
         for e in roots:
             try:
-                alone.append(grid_function(e, params=params)(self.XX, self.YY))
+                alone.append(grid_function(e)(self.XX, self.YY))
             except SingularSampleError:  # a constant 1/0 in the root
                 with pytest.raises(SingularSampleError):
-                    grid_function(*roots, params=params)
+                    grid_function(*roots)
                 return
-        together = grid_function(*roots, params=params)(self.XX, self.YY)
+        together = grid_function(*roots)(self.XX, self.YY)
         assert len(together) == len(roots)
         for got, want in zip(together, alone):
             assert got.shape == want.shape == self.XX.shape
@@ -739,7 +739,8 @@ class TestGridProgram:
             grid_function(X, add(Y, param("q")))
         with pytest.raises(SingularSampleError):
             grid_function(X, parse("y + 1/0"))
-        fn = grid_function(X, add(Y, param("q")), params={"q": F(1, 2)})
+        fn = grid_function(X, substitute(add(Y, param("q")),
+                                         {"q": F(1, 2)}))
         x, y = fn(np.array([1.0, 2.0]), 3.0)
         assert x.tolist() == [1.0, 2.0] and y.tolist() == [3.5, 3.5]
 

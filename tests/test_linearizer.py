@@ -62,21 +62,46 @@ class TestDegenerateParameters:
 
     @pytest.mark.parametrize("force", [False, True])
     def test_degenerate_at_the_given_values_refused(self, force):
-        # n = 0 makes g4 constant; mu and the other coefficients stay
-        # finite (n/n cancels symbolically), so only the validity checks
-        # on the grid see it
+        # n = 0 makes g4 = 2 constant: the verdict at n = 0 rejects every
+        # sample point, and under force the validity checks of g4, which
+        # divide by a constant zero, cannot be compiled
         g = lin.GridSpec(rect=self.POWER.domain, nx=21, ny=21)
-        cg = lin.CoefficientGrid(self.POWER, g, {"n": F(0)})
-        assert np.isfinite(cg.stacked).all()
-        with pytest.raises(lin.LinearizerError, match=re.escape(
-                "degenerate on the grid: n*x^(n - 1) is 0")):
+        with pytest.raises(lin.LinearizerError) as info:
             lin.flat_coordinates(self.POWER, g, params={"n": F(0)},
                                  force=force)
+        if force:
+            assert str(info.value) == "web is degenerate on the grid"
+        else:
+            assert isinstance(info.value, lin.NotLinearizableError)
+            assert info.value.verdict == "INCONCLUSIVE"
 
     def test_valid_values_pass(self):
         g = lin.GridSpec(rect=self.POWER.domain, nx=21, ny=21)
         res = lin.flat_coordinates(self.POWER, g, params={"n": F(2)})
         assert res.verdict == "YES"
+
+    def test_verdict_decided_at_the_given_values(self):
+        # at n = 0 the web is x/y, x + y; drawn from its own parameter
+        # range the verdict would be NO
+        web = _web("x/y", "(x+y)*exp(-n*x)")
+        res = _linearize(web, params={"n": F(0)})
+        assert res.verdict == "YES"
+        assert res.web.g(4) is parse("x + y") and res.web.params == ()
+        assert max(res.straightness.values()) < 1e-5
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n": F(2), "q": F(1)}, "the web has parameters ['n'], values "
+                                 "are given for ['n', 'q']"),
+        ({}, "the web has parameters ['n'], values are given for []"),
+    ])
+    def test_bad_parameters_refused_before_the_verdict(
+            self, monkeypatch, params, message):
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("check_dweb called")
+
+        monkeypatch.setattr(lin, "check_dweb", no_verdict)
+        with pytest.raises(lin.LinearizerError, match=re.escape(message)):
+            lin.flat_coordinates(self.POWER, params=params)
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +181,17 @@ class TestIntegrateLambda:
             _linearize(web, 21, force=True)
 
     def test_singular_grid_reported(self):
-        # the exponential-twist web is singular on x + y = 1
+        # the exponential-twist web is singular on x + y = 1, which holds
+        # at grid nodes: the validity checks refuse it before the
+        # coefficients are evaluated, and the coefficients are singular too
         web = _web("x/y", "(x+y)*exp(-x)",
                    domain=Rect(F(1, 4), F(3, 4), F(1, 4), F(3, 4)))
-        with pytest.raises(lin.LinearizerError, match="singular"):
+        with pytest.raises(lin.LinearizerError, match=re.escape(
+                "degenerate on the grid: (-x - y + 1)*exp(-x) is 0")):
             _linearize(web, 21, force=True)
+        g = lin.GridSpec(rect=web.domain, nx=21, ny=21)
+        with pytest.raises(lin.LinearizerError, match="singular"):
+            lin.CoefficientGrid(web, g)
 
 
 def _rhs(c, s, along):
@@ -334,9 +365,10 @@ class TestFlatCoordinates:
 
     def test_power_web_with_concrete_exponent(self):
         web = corpus.linearization_web(corpus.case_by_name("power-web"))
-        params = {"n": F(2)}
-        res = _linearize(web, params=params)
-        assert res.web is web and res.params == params
+        res = _linearize(web, params={"n": F(2)})
+        assert res.web.params == () and res.web.g(4) is parse("x^2 + y^2")
+        assert ((res.web.f, res.web.domain, res.web.seed)
+                == (web.f, web.domain, web.seed))
         assert max(res.straightness.values()) < 1e-5
 
     def test_gauge_freedom(self, web2_grid):
@@ -355,8 +387,7 @@ class TestFlatCoordinates:
         off = rng.normal(size=2)
         u2 = mat[0, 0] * result.u + mat[0, 1] * result.v + off[0]
         v2 = mat[1, 0] * result.u + mat[1, 1] * result.v + off[1]
-        rep2, _, _ = lin.straightness_report(WEB2, result.grid, u2, v2,
-                                             result.params)
+        rep2, _, _ = lin.straightness_report(WEB2, result.grid, u2, v2)
         assert set(rep2) == set(result.straightness)
         for k, v in result.straightness.items():
             assert rep2[k] < 1e-5
@@ -367,7 +398,7 @@ class TestFlatCoordinates:
         res = web2_result
         before = [(i, p.tobytes(), q.tobytes()) for i, p, q in res.leaves]
         rep, skipped, leaves = lin.straightness_report(
-            res.web, res.grid, res.u, res.v, res.params)
+            res.web, res.grid, res.u, res.v)
         assert rep == res.straightness and skipped == res.skipped_leaves
         assert [(i, p.tobytes(), q.tobytes()) for i, p, q in leaves] == before
         assert [(i, p.tobytes(), q.tobytes())
@@ -381,7 +412,7 @@ class TestFlatCoordinates:
         web = _web("x*y", "x+y")
         grid = lin.GridSpec(rect=web.domain, nx=5, ny=5)
         u, v = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-        _, skipped, leaves = lin.straightness_report(web, grid, u, v, {})
+        _, skipped, leaves = lin.straightness_report(web, grid, u, v)
         assert skipped == 1
         assert [len(p) for i, p, _ in leaves if i == 2].count(4) == 1
 
