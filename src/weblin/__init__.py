@@ -13,7 +13,7 @@ from .expr import (Expr, parse, format_expr, simplify, derive, substitute,
 from .calculus import (WebSpec, Rect, web_K, basic_invariant, mu,
                        sample_points)
 from .invariants import (InvariantReport, ZeroTestPolicy, zero_test,
-                         I1_of_mu, I2_of_mu, I_fp, J_alpha, check_dweb)
+                         I1_of_mu, I2_of_mu, J_alpha, check_dweb)
 from .covariant import (WeightedScalar, delta, commutator_residual,
                         prolong_a, K1_closed_residual, K2_closed_residual)
 from .linearizer import (GridSpec, LinearizationResult,

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from .expr import ExprError, ParseError, parse, format_expr
 from .calculus import Rect, WebSpec
-from .invariants import (MIN_PRECISION, MAX_PRECISION, ZeroTestPolicy,
-                         check_dweb, InvariantReport, YES, NO, INCONCLUSIVE)
+from .invariants import (MIN_PRECISION, MAX_PRECISION, MAX_POINTS,
+                         ZeroTestPolicy, check_dweb, InvariantReport, YES, NO,
+                         INCONCLUSIVE)
 from . import linearizer as lin
 from . import corpus
 
@@ -78,8 +79,8 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
         if name in args.params:
             raise UsageError(f"--param {name} given twice")
         args.params[name] = value
-    if args.samples < 1:
-        raise UsageError("--samples must be positive")
+    if not 1 <= args.samples <= MAX_POINTS:
+        raise UsageError(f"--samples must be 1 to {MAX_POINTS}")
     if not MIN_PRECISION <= args.precision <= MAX_PRECISION:
         raise UsageError(
             f"--precision must be {MIN_PRECISION} to {MAX_PRECISION} bits")
@@ -284,8 +285,8 @@ def build_parser() -> _ArgumentParser:
                            help="sampling rectangle xlo,xhi,ylo,yhi")
         p.add_argument("--seed", type=int)
         p.add_argument("--samples", type=int,
-                       help="sample points per vanishing test "
-                            f"(default {default('samples')})")
+                       help="sample points per vanishing test, "
+                            f"1..{MAX_POINTS} (default {default('samples')})")
         p.add_argument("--precision", type=int,
                        help="float precision in bits, "
                             f"{MIN_PRECISION}..{MAX_PRECISION} "

@@ -413,6 +413,8 @@ def _integer_root(n: int, q: int) -> int | None:
     """Exact integer q-th root of n >= 0, or None (integer Newton)."""
     if n in (0, 1):
         return n
+    if q >= n.bit_length():  # 1 < n < 2^q, so 1 < root < 2
+        return None
     if q == 2:
         r = math.isqrt(n)
         return r if r * r == n else None

@@ -2,11 +2,13 @@
 
 A 4-web (x, y, f, g) is linearizable iff the two fourth-order compatibility
 operators applied to the deformation scalar mu vanish identically; a d-web
-additionally needs the d-4 second-order differences J_alpha between the
-deformation scalars of its 4-subwebs to vanish.  Vanishing is decided by
-random evaluation: exact rational arithmetic whenever the expression allows
-it, p-bit (default 256) floating arithmetic with a scale-aware threshold
-otherwise.  The invariants of one web share their sample points.
+additionally needs the d-4 second-order differences J_alpha = mu_alpha - mu_4
+between the deformation scalars of its 4-subwebs to vanish.  One formula,
+`calculus.mu`, gives every deformation scalar: that of I1 and I2, of the J
+and of the linearizer.  Vanishing is decided by random evaluation: exact
+rational arithmetic whenever the expression allows it, p-bit (default 256)
+floating arithmetic with a scale-aware threshold otherwise.  The invariants
+of one web share their sample points.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from fractions import Fraction
 import mpmath
 
 from . import expr as ex
-from .expr import (Expr, EvalError, ExactBudgetError, add, div, mul, neg,
+from .expr import (Expr, EvalError, ExactBudgetError, add, mul, neg,
                    pow_, sub, evaluate, evaluate_scaled, is_exactly_evaluable)
 from .calculus import (WebSpec, SamplePoint, PARAM_RANGE,
                        DomainTooSingularError, mu as web_mu, random_rational,
@@ -27,8 +29,8 @@ from .calculus import (WebSpec, SamplePoint, PARAM_RANGE,
 
 __all__ = [
     "ZeroTestPolicy", "Evidence", "InvariantReport", "SampleMemo",
-    "DegenerateDirectionError", "zero_test", "I1_of_mu", "I2_of_mu", "I_fp",
-    "J_alpha", "build_compatibility_pair", "check_dweb",
+    "zero_test", "I1_of_mu", "I2_of_mu", "J_alpha", "build_compatibility_pair",
+    "check_dweb",
 ]
 
 ZERO = "ZERO"
@@ -42,10 +44,7 @@ PARAM_DRAWS = 3            # parameter draws per test of a web with parameters
 NONZERO_CONFIRMATIONS = 2  # float-mode witnesses required for NONZERO
 MIN_PRECISION = 24       # float bits; at 2 bits a YES web was answered NO
 MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
-
-
-class DegenerateDirectionError(ex.ExprError):
-    """p defines the same foliation direction as the f-foliation."""
+MAX_POINTS = 2 ** 10     # the draw memo holds about 50 KB per point
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,8 @@ class ZeroTestPolicy:
     def __post_init__(self):
         if self.points < 1:  # with no points every expression would pass
             raise ValueError("a vanishing test needs at least one point")
+        if self.points > MAX_POINTS:
+            raise ValueError(f"more than {MAX_POINTS} points per test")
         if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
             raise ValueError(f"precision outside {MIN_PRECISION}..{MAX_PRECISION}")
 
@@ -136,41 +137,21 @@ def I2_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
     )
 
 
-def build_compatibility_pair(web: WebSpec, alpha: int = 4
-                             ) -> tuple[Expr, Expr]:
-    """I1, I2 for the 4-subweb (x, y, f, g_alpha)."""
-    m = web_mu(web, alpha)
+def build_compatibility_pair(web: WebSpec) -> tuple[Expr, Expr]:
+    """I1, I2 for the 4-subweb (x, y, f, g4)."""
+    m = web_mu(web, 4)
     return I1_of_mu(m, web), I2_of_mu(m, web)
 
 
-def I_fp(web: WebSpec, p: Expr) -> Expr:
-    """Second-order invariant of the direction field of p against the frame:
-
-        I(f, p) = [p1^2 d2(p2) - 2 p1 p2 m + p2^2 d1(p1)] / [p1 p2 (p2 - p1)]
-
-    with p_i the frame derivatives of p and m the symmetrized mixed
-    derivative (d1(p2) + d2(p1))/2.  With the symmetrized middle term this
-    equals the deformation scalar mu of the 4-subweb of p exactly, so
-    differences of I values coincide with differences of mu values with
-    constant +1 (no extra sign or factor).
-    """
-    p1, p2 = web.d1(p), web.d2(p)
-    if p1 is p2:
-        raise DegenerateDirectionError(
-            "p has the same foliation direction as f (d1(p) == d2(p))")
-    m = div(add(web.d1(p2), web.d2(p1)), 2)
-    num = add(mul(pow_(p1, 2), web.d2(p2)),
-              mul(-2, p1, p2, m),
-              mul(pow_(p2, 2), web.d1(p1)))
-    den = mul(p1, p2, sub(p2, p1))
-    return div(num, den)
-
-
 def J_alpha(web: WebSpec, alpha: int) -> Expr:
-    """Relative invariant J_alpha = I(f, g_alpha) - I(f, g4), alpha >= 5."""
+    """Relative invariant J_alpha = mu_alpha - mu_4, alpha >= 5: the
+    deformation scalar of the 4-subweb (x, y, f, g_alpha) less that of
+    (x, y, f, g4).  A g_alpha with the direction of f or of g4 makes every
+    sample point invalid (a_alpha = 1 or a_alpha = a_4), so the test of
+    such a web ends INCONCLUSIVE."""
     if alpha < 5:
         raise ex.ExprError("J_alpha is defined for alpha >= 5")
-    return sub(I_fp(web, web.g(alpha)), I_fp(web, web.g(4)))
+    return sub(web_mu(web, alpha), web_mu(web, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +241,7 @@ def zero_test(e: Expr, web: WebSpec,
                                                    policy.precision,
                                                    store=store)
                         # in mpf: a scale past the double range stays finite
-                        vanishes = (abs(v) < policy.threshold_scale
-                                    * max(1, scale))
+                        vanishes = abs(v) < policy.threshold_scale * scale
                 except ExactBudgetError:
                     raise  # not a singular sample: INCONCLUSIVE below
                 except EvalError:
@@ -315,7 +295,7 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
             verdict=verdict, evidence=evidence,
             elapsed=time.perf_counter() - t0, mode=mode, reason=reason)
 
-    I1, I2 = build_compatibility_pair(web, 4)
+    I1, I2 = build_compatibility_pair(web)
     reports = [report("I1", I1), report("I2", I2)]
     reports += [report(f"J{alpha}", J_alpha(web, alpha))
                 for alpha in range(5, web.d + 1)]

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from weblin import linearizer as lin
+from weblin.invariants import MAX_POINTS
 from weblin.cli import (main, build_parser, _build_config, EXIT_YES, EXIT_NO,
                         EXIT_INCONCLUSIVE, EXIT_USAGE)
 
@@ -97,6 +98,45 @@ class TestExitCodes:
         args = build_parser().parse_args(["check", "--f", "x/y", "--g", "x+y",
                                           "--precision", str(bits)])
         assert _build_config(args).precision == bits
+
+    @pytest.mark.parametrize("n", [MAX_POINTS + 1, 10 ** 9])
+    def test_samples_above_bound(self, capsys, n):
+        # the draw memo holds about 50 KB per point
+        code, out, err = run(capsys, "check", "--f", "x/y", "--g", "x+y",
+                             "--samples", str(n))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --samples must be 1 to {MAX_POINTS}\n"
+
+    @pytest.mark.parametrize("n", [1, MAX_POINTS])
+    def test_samples_bounds_accepted(self, n):
+        args = build_parser().parse_args(["check", "--f", "x/y", "--g", "x+y",
+                                          "--samples", str(n)])
+        assert _build_config(args).samples == n
+
+    def test_samples_help_reads_the_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["check", "--help"])
+        assert (f"sample points per vanishing test, 1..{MAX_POINTS}"
+                in capsys.readouterr().out)
+
+    def test_huge_root_index(self, capsys):
+        # 1 < 4^(1/10^30) < 2: no rational root, so the factor stays a power
+        t0 = time.perf_counter()
+        f = "4^(1/1" + "0" * 30 + ")*x"
+        code, out, err = run(capsys, "check", "--f", f, "--g", "x+y")
+        assert time.perf_counter() - t0 < 5
+        assert code in (EXIT_YES, EXIT_NO, EXIT_INCONCLUSIVE, EXIT_USAGE)
+        assert out.splitlines()[-1].startswith("verdict: ") and err == ""
+
+    @pytest.mark.parametrize("g5", ["2*x/y", "x+y+1"])
+    def test_repeated_foliation_inconclusive(self, capsys, g5):
+        # g5 with the direction of f, or of g4: no valid sample point
+        code, out, err = run(capsys, "check", "--f", "x/y", "--g", "x+y",
+                             "--g", g5)
+        assert code == EXIT_INCONCLUSIVE and err == ""
+        assert out.count("    reason: domain too singular") == 3
+        assert out.endswith("verdict: INCONCLUSIVE\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--domain", "1,2,3"), ("--domain", "1/0,1,0,1"), ("--param", "n"),

@@ -84,6 +84,18 @@ class TestParsing:
             with pytest.raises(ParseError, match="nested too deeply"):
                 parse(deep)
 
+    def test_root_index_beyond_the_bit_length(self):
+        # 1 < 4^(1/q) < 2 for q >= 3: no rational root, decided from the
+        # bit length alone (a Newton step from 2 would compute 2^(q-1))
+        for text in ("4^(1/10^30)", "(1/4)^(1/10^30)"):
+            t0 = time.perf_counter()
+            e = parse(text)
+            assert time.perf_counter() - t0 < 1, text
+            assert e.kind == E.POW
+        for q in range(2, 70):
+            assert E._integer_root(2 ** q, q) == 2
+            assert E._integer_root(2 ** q - 1, q) is None
+
     def test_uppercase_rejected(self):
         with pytest.raises(ParseError):
             parse("X + y")

@@ -8,13 +8,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from weblin.expr import (X, Y, parse, evaluate, const, sub, mul,
-                         add, param, derive, SingularSampleError)
+from weblin.expr import (X, Y, parse, evaluate, const, sub, mul, add, div,
+                         pow_, param, derive, SingularSampleError)
 from weblin.calculus import (Rect, WebSpec, sample_points, mu,
                              random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
-                               I_fp, J_alpha, build_compatibility_pair,
-                               check_dweb, DegenerateDirectionError)
+                               J_alpha, build_compatibility_pair, check_dweb)
 from weblin import calculus, corpus, invariants
 
 F = Fraction
@@ -118,14 +117,43 @@ class TestDerivationOracle:
             assert len(vals1) == 1 and len(vals2) == 1
 
 
-class TestIfp:
-    def test_same_function_gives_zero(self):
-        web = _web("y/x", "(1-y)/(1-x)", "(x - x*y)/(y - x*y)")
-        assert sub(I_fp(web, web.g(4)), I_fp(web, web.g(4))).is_zero
+def _I_fp(web, p):
+    """Independent oracle for the deformation scalar of the 4-subweb
+    (x, y, f, p), the second-order invariant of the direction field of p
+    against the frame:
 
-    def test_degenerate_direction(self):
-        with pytest.raises(DegenerateDirectionError):
-            I_fp(WEB1, WEB1.f)
+        I(f, p) = [p1^2 d2(p2) - 2 p1 p2 m + p2^2 d1(p1)] / [p1 p2 (p2 - p1)]
+
+    with p_i the frame derivatives of p and m the symmetrized mixed
+    derivative (d1(p2) + d2(p1))/2.  It is written in the derivatives of p
+    itself, not in the basic invariant a = p1/p2 that `calculus.mu` uses.
+    """
+    p1, p2 = web.d1(p), web.d2(p)
+    m = div(add(web.d1(p2), web.d2(p1)), 2)
+    num = add(mul(pow_(p1, 2), web.d2(p2)),
+              mul(-2, p1, p2, m),
+              mul(pow_(p2, 2), web.d1(p1)))
+    return div(num, mul(p1, p2, sub(p2, p1)))
+
+
+class TestIfp:
+    """J_alpha against the I(f, p) form of the paper's second-order
+    conditions."""
+
+    def test_same_function_gives_zero(self):
+        web = _web("y/x", "(1-y)/(1-x)", "(1-y)/(1-x)")
+        assert J_alpha(web, 5).is_zero
+
+    def test_repeated_direction_is_inconclusive(self):
+        # g5 with f's direction (a5 = 1) or g4's (a5 = a4): no valid sample
+        # point exists, as for a g4 with a coordinate direction
+        for g5 in ("2*x/y", "x+y+1"):
+            verdict, reports = check_dweb(_web("x/y", "x+y", g5))
+            assert verdict == "INCONCLUSIVE"
+            assert [r.name for r in reports] == ["I1", "I2", "J5"]
+            assert all(r.verdict == "INCONCLUSIVE" and not r.evidence
+                       and "domain too singular" in r.reason
+                       for r in reports)
 
     def test_bol_J5_nonzero(self, corpus_results):
         verdict, reports = corpus_results["bol-five-web"]
@@ -134,14 +162,19 @@ class TestIfp:
         assert j5.verdict == "NONZERO"
 
     def test_matches_mu_difference_exactly(self):
-        # cross-formulation oracle: I(f,g_a) - I(f,g4) == mu_a - mu_4 with
-        # proportionality constant exactly +1
-        web = corpus.web_for(corpus.case_by_name("bol-five-web"))
-        j = J_alpha(web, 5)
-        nu_diff = sub(mu(web, 5), mu(web, 4))
-        resid = sub(j, nu_diff)
-        for pt in sample_points(web, 8):
-            assert evaluate(resid, pt.bindings()) == 0
+        # cross-formulation oracle: J_alpha = mu_a - mu_4 equals
+        # I(f,g_a) - I(f,g4) with proportionality constant exactly +1, for
+        # every J of the two corpus webs whose J do not vanish
+        for name in ("bol-five-web", "spence-kummer-nine-web"):
+            web = corpus.web_for(corpus.case_by_name(name))
+            pts = sample_points(web, 8)
+            for alpha in range(5, web.d + 1):
+                j = J_alpha(web, alpha)
+                assert not j.is_zero
+                oracle = sub(_I_fp(web, web.g(alpha)), _I_fp(web, web.g(4)))
+                resid = sub(j, oracle)
+                for pt in pts:
+                    assert evaluate(resid, pt.bindings()) == 0
 
     def test_swap_antisymmetry(self):
         web = corpus.web_for(corpus.case_by_name("bol-five-web"))
@@ -166,6 +199,14 @@ class TestZeroTest:
         # with no points every expression, a nonzero one too, would pass
         with pytest.raises(ValueError, match="at least one point"):
             ZeroTestPolicy(points=points)
+
+    @pytest.mark.parametrize("points", [invariants.MAX_POINTS + 1, 10 ** 9])
+    def test_policy_points_in_range(self, points):
+        # the draw memo holds about 50 KB per point
+        with pytest.raises(ValueError, match="more than"):
+            ZeroTestPolicy(points=points)
+        for ok in (1, invariants.MAX_POINTS):
+            assert ZeroTestPolicy(points=ok).points == ok
 
     @pytest.mark.parametrize("bits", [2, invariants.MIN_PRECISION - 1,
                                       invariants.MAX_PRECISION + 1])
