@@ -212,7 +212,11 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         print(f"linearization failed: {err}", file=sys.stderr)
         return EXIT_NO
     if args.svg:
-        lin.render_svg(result, args.svg)
+        try:
+            lin.render_svg(result, args.svg)
+        except OSError as err:  # before stdout: the report is not printed
+            raise UsageError(f"--svg {args.svg}: cannot write "
+                             f"({err.strerror or err})") from None
     if args.json:
         print(json.dumps(_report_json(args, web, result.verdict, result.reports,
                                       result.to_json()), indent=2))

@@ -22,10 +22,10 @@ measures how straight they become under (x, y) -> (u, v).  The result
 holds u and v as node arrays, the certificates, the straightness and the
 traced leaves, which `render_svg` draws.
 
-Coefficients are always evaluated from their symbolic expressions, as one
-compiled program run block by block, on a refined lattice that contains
-every integrator substep point; only the unknowns (lambda, the coframe, the
-potentials) are discretized.
+Coefficients are always evaluated from their symbolic expressions, with the
+web's validity checks, as one compiled program run block by block on the
+grid lines, refined to contain every integrator substep point; only the
+unknowns (lambda, the coframe, the potentials) are discretized.
 """
 from __future__ import annotations
 
@@ -50,13 +50,13 @@ __all__ = [
 
 DEFAULT_GRID_N = 41
 MIN_GRID = 5  # the 5-point finite-difference stencils need 5 nodes
-MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~235 MB
+MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~118 MB
 DEFAULT_SUBSTEPS = 2  # RK4 substeps per grid interval
 LAMBDA_BLOWUP_BOUND = 1e12
 COFRAME_DET_BOUND = 1e-8
 FLATNESS_FACTOR = 1e-4  # threshold = factor * grid diameter
 LEAVES_PER_FOLIATION = 5
-BLOCK_POINTS = 2 ** 14  # lattice points per coefficient evaluation block
+BLOCK_POINTS = 2 ** 14  # line points per coefficient evaluation block
 BISECTION_CAP = 80  # halvings per leaf crossing, at most
 
 
@@ -132,33 +132,48 @@ _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")
 
 
 class CoefficientGrid:
-    """Symbolic coefficients evaluated on the substep-refined lattice.
-
-    With m = DEFAULT_SUBSTEPS substeps per grid interval the 4th-order
-    stepper needs values at half-substep points, so the refinement factor is
-    r = 2m; node (i, j) of the main grid sits at refined index (i*r, j*r).
-    The seven coefficients are one compiled program, run over blocks of at
-    most BLOCK_POINTS lattice points into `stacked` (coefficient, x index,
-    y index), in the order of _COEFF_NAMES.
-    """
+    """Symbolic coefficients on the grid lines the sweeps read, refined by
+    r = 2m for the half-substep points of m = DEFAULT_SUBSTEPS RK4 substeps
+    per interval.  The seven coefficients (_COEFF_NAMES) and the web's
+    validity checks are one compiled program, run in blocks of at most
+    BLOCK_POINTS points into `xlines` (coefficient, refined x, y node) and
+    `ylines` (coefficient, refined y, x node); node values are
+    `xlines[:, ::r]`.  A check that is 0 or not finite at a line point, or
+    divides by a constant zero, refuses the web before any coefficient is
+    tested for finiteness."""
 
     def __init__(self, web: WebSpec, grid: GridSpec):
         self.grid = grid
-        self.r = 2 * DEFAULT_SUBSTEPS
+        self.r = r = 2 * DEFAULT_SUBSTEPS
         m = web_mu(web, 4)
         exprs = (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m))
-        fn = grid_function(*exprs)
+        checks = web.validity_checks
+        try:
+            fn = grid_function(*exprs, *checks)
+        except SingularSampleError:  # it divides by a constant zero
+            raise LinearizerError("web is degenerate on the grid") from None
         xlo, xhi, ylo, yhi = grid.rect.as_floats()
-        xs = np.linspace(xlo, xhi, (grid.nx - 1) * self.r + 1)
-        ys = np.linspace(ylo, yhi, (grid.ny - 1) * self.r + 1)
-        self.stacked = np.empty((len(exprs), len(xs), len(ys)))
-        rows = max(1, BLOCK_POINTS // len(ys))
-        for i in range(0, len(xs), rows):
-            XX, YY = np.meshgrid(xs[i:i + rows], ys, indexing="ij")
-            for plane, vals in zip(self.stacked, fn(XX, YY)):
-                plane[i:i + rows] = vals
-        for name, vals in zip(_COEFF_NAMES, self.stacked):
-            if not np.all(np.isfinite(vals)):
+        xs = np.linspace(xlo, xhi, (grid.nx - 1) * r + 1)
+        ys = np.linspace(ylo, yhi, (grid.ny - 1) * r + 1)
+        self.xlines = np.empty((len(exprs), len(xs), grid.ny))
+        self.ylines = np.empty((len(exprs), len(ys), grid.nx))
+        valid = np.ones(len(checks), dtype=bool)
+        # (along, across) is (x, y) on the x-lines, (y, x) on the y-lines
+        for out, along, across, xy in ((self.xlines, xs, ys[::r], 1),
+                                       (self.ylines, ys, xs[::r], -1)):
+            rows = max(1, BLOCK_POINTS // len(across))
+            for i in range(0, len(along), rows):
+                vals = fn(*np.meshgrid(along[i:i + rows], across,
+                                       indexing="ij")[::xy])
+                out[:, i:i + rows] = vals[:len(exprs)]
+                valid &= [np.all(np.isfinite(v) & (v != 0))
+                          for v in vals[len(exprs):]]
+        if not valid.all():  # the first failing check, whatever the blocks
+            raise LinearizerError("web is degenerate on the grid: "
+                                  f"{format_expr(checks[valid.argmin()])} is "
+                                  "0 or not finite")
+        for name, xl, yl in zip(_COEFF_NAMES, self.xlines, self.ylines):
+            if not (np.isfinite(xl).all() and np.isfinite(yl).all()):
                 raise LinearizerError(
                     f"coefficient {name} is singular inside the grid; "
                     "choose a smaller or shifted rectangle")
@@ -277,10 +292,8 @@ def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
     column, then every column and every row.  The state is
     (l1, l2, p1, q1, p2, q2, u, v); returns the x-first and y-first states
     as (nx, ny, 8) arrays."""
-    g, every = cg.grid, slice(None, None, cg.r)
+    g, xlines, ylines = cg.grid, cg.xlines, cg.ylines
     ib, jb = base_node
-    xlines = cg.stacked[:, :, every]  # [coefficient, refined x, y node]
-    ylines = cg.stacked[:, every, :].transpose(0, 2, 1)
     start = np.array(s0, dtype=float)[:, None]
     # a diverging state overflows before `_sweep` refuses it; the refusal
     # is the one report of that
@@ -345,7 +358,7 @@ def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
     the interior); the symbolic coefficients are exact at the nodes.
     """
     g = cg.grid
-    fx, fy, H, K, mu, mu1, mu2 = cg.stacked[:, ::cg.r, ::cg.r]
+    fx, fy, H, K, mu, mu1, mu2 = cg.xlines[:, ::cg.r]
 
     def d1(A):
         return -_diff4(A, g.hx, 0) / fx
@@ -417,11 +430,10 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     coframes start there as dx and dy.  The x-first sweep must give a flat
     connection; the y-first sweep measures path independence; the coframes
     must stay nondegenerate and closed (finite-difference curl), and their
-    potentials are u, v.  A web whose validity checks (first partials,
-    a_alpha, a_alpha - 1, a_alpha - a_beta) are undefined, 0 or not finite
-    at a grid node is refused even with force=True, which skips only the
-    flatness and closedness refusals.  The leaves of every foliation are
-    traced and measured under (u, v) by `straightness_report`.
+    potentials are u, v.  force=True skips only the flatness and closedness
+    refusals: a web whose validity checks are 0 or not finite on the grid
+    lines is refused by `CoefficientGrid`.  The leaves of every foliation
+    are traced and measured under (u, v) by `straightness_report`.
     """
     if sorted(params or ()) != list(web.params):
         raise LinearizerError(f"the web has parameters {list(web.params)}, "
@@ -437,20 +449,8 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
         base = g.rect.center
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
-    # the verdict samples its own points; the grid nodes must be valid too
-    XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
-    checks = web.validity_checks
-    try:
-        values = grid_function(*checks)(XX, YY)
-    except SingularSampleError:  # a check divides by a constant zero
-        raise LinearizerError("web is degenerate on the grid") from None
-    for chk, vals in zip(checks, values):
-        if not np.all(np.isfinite(vals) & (vals != 0)):
-            raise LinearizerError(
-                f"web is degenerate on the grid: {format_expr(chk)} is 0 "
-                "or not finite at a node")
     cg = CoefficientGrid(web, g)
-    fx, fy = cg.stacked[:2, ::cg.r, ::cg.r]
+    fx, fy = cg.xlines[:2, ::cg.r]
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
     s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
           0.0, 0.0]

@@ -351,6 +351,36 @@ class TestLinearizeCommand:
         assert err.startswith("linearization failed: web is degenerate")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--g", "(x-33/128)^2+y", "--domain", "1/4,3/4,1/4,3/4",
+          "--grid", "17"],
+         "web is degenerate on the grid: 2*x - 33/64 is 0 or not finite"),
+        (["--g", "x^n+y^n", "--param", "n=0", "--grid", "21"],
+         "web is degenerate on the grid")], ids=["line-point", "constant"])
+    def test_degenerate_on_the_grid_lines_is_one_line(self, capsys, argv,
+                                                      message):
+        # the first check vanishes only between nodes (x = 33/128 is
+        # refined index 1); the second divides by a constant zero
+        code, out, err = run(capsys, "linearize", "--f", "x/y", *argv,
+                             "--force")
+        assert code == EXIT_NO
+        assert out == ""
+        assert err == f"linearization failed: {message}\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]],
+                             ids=["text", "json"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_svg_is_one_line(self, capsys, tmp_path, target,
+                                        json_flag):
+        path = {"missing-dir": tmp_path / "absent" / "a.svg",
+                "directory": tmp_path}[target]
+        code, out, err = run(capsys, "linearize", "--f", "x/y", "--g", "x+y",
+                             "--grid", "9", "--svg", str(path), *json_flag)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: --svg {path}: cannot write (")
+        assert err.count("\n") == 1
+
     def test_verdict_decided_at_the_param_value(self, capsys):
         # at n = 0 the web is x/y, x + y: YES, though NO for n in [2, 7]
         code, out, err = run(capsys, "linearize", "--f", "x/y",

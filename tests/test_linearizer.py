@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from weblin.expr import grid_function, parse
-from weblin.calculus import Rect, WebSpec
+from weblin.calculus import Rect, WebSpec, mu as web_mu
 from weblin import linearizer as lin
 from weblin import corpus
 
@@ -126,9 +126,8 @@ class TestTrivialGauge:
         # lambda1, lambda2, mu and H terms
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
         cg, lam1, lam2 = _lambda(ZERO_GAUGE_WEB, g)
-        _, _, H, _, mu, _, _ = cg.stacked
-        for arr in (lam1, lam2, mu, H):
-            assert np.abs(arr).max() == 0
+        for arr in (lam1, lam2, *cg.xlines[[2, 4]], *cg.ylines[[2, 4]]):
+            assert np.abs(arr).max() == 0  # lambda, then H and mu
         assert lin.flatness_residual(cg, lam1, lam2) < 1e-14
         assert _linearize(ZERO_GAUGE_WEB, 21).flatness_residual < 1e-14
 
@@ -182,16 +181,33 @@ class TestIntegrateLambda:
 
     def test_singular_grid_reported(self):
         # the exponential-twist web is singular on x + y = 1, which holds
-        # at grid nodes: the validity checks refuse it before the
-        # coefficients are evaluated, and the coefficients are singular too
+        # at grid nodes: the coefficients are singular there too, but the
+        # validity checks are tested first, in the same grid program
         web = _web("x/y", "(x+y)*exp(-x)",
                    domain=Rect(F(1, 4), F(3, 4), F(1, 4), F(3, 4)))
-        with pytest.raises(lin.LinearizerError, match=re.escape(
-                "degenerate on the grid: (-x - y + 1)*exp(-x) is 0")):
+        message = re.escape("web is degenerate on the grid: "
+                            "(-x - y + 1)*exp(-x) is 0 or not finite")
+        with pytest.raises(lin.LinearizerError, match=message):
             _linearize(web, 21, force=True)
         g = lin.GridSpec(rect=web.domain, nx=21, ny=21)
-        with pytest.raises(lin.LinearizerError, match="singular"):
+        with pytest.raises(lin.LinearizerError, match=message):
             lin.CoefficientGrid(web, g)
+
+    @pytest.mark.parametrize("g4, check", [("(x-33/128)^2+y", "2*x"),
+                                           ("x+(y-33/128)^2", "2*y")],
+                             ids=["x-lines", "y-lines"])
+    def test_checks_hold_between_the_nodes(self, g4, check):
+        # g4 has its critical line x = 33/128 (or y = 33/128) at refined
+        # index 1 of the x-lines (or the y-lines), between the first two
+        # nodes: that partial of g4 vanishes on no node, but on the lines
+        web = _web("x/y", g4, domain=Rect(F(1, 4), F(3, 4), F(1, 4), F(3, 4)))
+        g = lin.GridSpec(rect=web.domain, nx=17, ny=17)
+        assert 33 / 128 not in g.xs
+        assert np.linspace(0.25, 0.75, 16 * 4 + 1)[1] == 33 / 128
+        with pytest.raises(lin.LinearizerError, match=re.escape(
+                f"web is degenerate on the grid: {check} - 33/64 is 0 or not "
+                "finite")):
+            lin.flat_coordinates(web, g, force=True)
 
 
 def _rhs(c, s, along):
@@ -233,9 +249,9 @@ def _literal_line(cg, s0, along, line, start):
     a time, as an (nodes, 8) array."""
     g, r, m = cg.grid, cg.r, lin.DEFAULT_SUBSTEPS
     if along == "x":
-        n, h, C = g.nx, g.hx, cg.stacked[:, :, line * r]
+        n, h, C = g.nx, g.hx, cg.xlines[:, :, line]
     else:
-        n, h, C = g.ny, g.hy, cg.stacked[:, line * r, :]
+        n, h, C = g.ny, g.hy, cg.ylines[:, :, line]
     out = np.empty((n, 8))
     out[start] = s0
     for sign, stop in ((1, n - 1), (-1, 0)):
@@ -440,12 +456,17 @@ class TestFlatCoordinates:
 class TestPipeline:
     def test_one_coefficient_grid_and_one_trace_per_foliation(
             self, monkeypatch, tmp_path):
-        grids, traced = [], []
+        grids, traced, compiled = [], [], []
         real_grid, real_trace = lin.CoefficientGrid, lin.trace_leaves
+        real_compile = lin.grid_function
 
         def counting_grid(*args, **kwargs):
             grids.append(args)
             return real_grid(*args, **kwargs)
+
+        def counting_compile(*roots):
+            compiled.append(len(roots))
+            return real_compile(*roots)
 
         def counting_trace(web, grid, foliation, *args, **kwargs):
             traced.append(foliation)
@@ -453,10 +474,14 @@ class TestPipeline:
 
         monkeypatch.setattr(lin, "CoefficientGrid", counting_grid)
         monkeypatch.setattr(lin, "trace_leaves", counting_trace)
+        monkeypatch.setattr(lin, "grid_function", counting_compile)
         res = _linearize(WEB2, 21)
         lin.render_svg(res, str(tmp_path / "web.svg"))
         assert len(grids) == 1
         assert traced == ["x", "y", "f", "g4"]
+        # one program for the coefficients and the validity checks, one
+        # per traced level-curve foliation
+        assert compiled == [7 + len(WEB2.validity_checks), 1, 1]
 
     def test_verdict_and_reports_on_result(self, web2_result):
         assert web2_result.verdict == "YES"
@@ -567,8 +592,9 @@ class TestBisection:
 
 class TestCoefficientMemory:
     def test_peak_grows_with_the_lattice_by_a_few_arrays(self):
-        # the seven coefficients are filled block by block: refining the
-        # lattice adds at most 16 doubles of peak memory per lattice point
+        # the seven coefficients are filled block by block on the two line
+        # families: refining the grid adds at most 16 doubles of peak
+        # memory per line point (from 81 nodes on, the blocks are full)
         web = corpus.linearization_web(corpus.case_by_name("bol-four-subweb"))
 
         def peak(n):
@@ -580,28 +606,96 @@ class TestCoefficientMemory:
                 top = tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
-            points = ((n - 1) * cg.r + 1) ** 2
-            assert cg.stacked.shape[1] * cg.stacked.shape[2] == points
-            return top, points
+            refined = (n - 1) * cg.r + 1
+            assert cg.xlines.shape == cg.ylines.shape == (7, refined, n)
+            return top, 2 * refined * n
 
         peak(21)  # builds the symbolic coefficients once
-        (small, n41), (large, n81) = peak(41), peak(81)
-        assert large - small <= 16 * 8 * (n81 - n41)
+        (small, n81), (large, n161) = peak(81), peak(161)
+        assert large - small <= 16 * 8 * (n161 - n81)
+
+
+def _refined(lo, hi, n):
+    return np.linspace(lo, hi, (n - 1) * 2 * lin.DEFAULT_SUBSTEPS + 1)
 
 
 class TestCoefficientBlocks:
     def test_values_do_not_depend_on_block_shape(self, monkeypatch):
-        # at 21 nodes the 81 x 81 lattice is one block by default; one row
-        # per block and blocks of 7 rows (the last one short) must give the
-        # same bits
+        # at 21 nodes each family of 81 x 21 line points is one block by
+        # default; one refined point per block and blocks of 7 refined
+        # points (the last one short) must give the same bits
         g = lin.GridSpec(rect=WEB2.domain, nx=21, ny=21)
-        whole = lin.CoefficientGrid(WEB2, g).stacked
-        m = whole.shape[2]
-        assert lin.BLOCK_POINTS >= whole.shape[1] * m
+        cg = lin.CoefficientGrid(WEB2, g)
+        m = g.nx
+        for whole in (cg.xlines, cg.ylines):
+            assert whole.shape[2] == m
+            assert lin.BLOCK_POINTS >= whole.shape[1] * m
         for block in (1, 7 * m + 3):
             monkeypatch.setattr(lin, "BLOCK_POINTS", block)
-            split = lin.CoefficientGrid(WEB2, g).stacked
-            assert split.tobytes() == whole.tobytes()
+            split = lin.CoefficientGrid(WEB2, g)
+            assert split.xlines.tobytes() == cg.xlines.tobytes()
+            assert split.ylines.tobytes() == cg.ylines.tobytes()
+
+
+class TestLineFamilies:
+    GRID = lin.GridSpec(rect=WEB2.domain, nx=31, ny=21)
+
+    @pytest.fixture(scope="class")
+    def cg(self):
+        return lin.CoefficientGrid(WEB2, self.GRID)
+
+    def test_lines_are_the_coefficients_at_their_points(self, cg):
+        # the checks share the program, and change no coefficient bit
+        g, m = self.GRID, web_mu(WEB2, 4)
+        fn = grid_function(WEB2.fx, WEB2.fy, WEB2.H, WEB2.K, m,
+                           WEB2.d1(m), WEB2.d2(m))
+        xlo, xhi, ylo, yhi = g.rect.as_floats()
+        xs, ys = _refined(xlo, xhi, g.nx), _refined(ylo, yhi, g.ny)
+        assert cg.xlines.shape == (7, len(xs), g.ny)
+        assert cg.ylines.shape == (7, len(ys), g.nx)
+        for j, y in enumerate(g.ys):
+            want = np.stack(fn(xs, np.full_like(xs, y)))
+            assert cg.xlines[:, :, j].tobytes() == want.tobytes()
+        for i, x in enumerate(g.xs):
+            want = np.stack(fn(np.full_like(ys, x), ys))
+            assert cg.ylines[:, :, i].tobytes() == want.tobytes()
+
+    def test_families_agree_at_the_nodes(self, cg):
+        at_x = cg.xlines[:, ::cg.r]
+        at_y = cg.ylines[:, ::cg.r].transpose(0, 2, 1)
+        assert at_x.shape == (7, 31, 21)
+        assert at_x.tobytes() == at_y.tobytes()
+
+    @pytest.mark.parametrize("rect", [
+        Rect(F(1, 4), F(3, 4), F(-1, 2), F(5, 8)),
+        Rect(F(1, 3), F(5, 7), F(2, 9), F(10, 11))], ids=["dyadic", "other"])
+    def test_refined_nodes_are_the_grid_nodes(self, monkeypatch, rect):
+        # every line point goes through the one grid program; each node
+        # of GridSpec is among them, bit for bit, once per family
+        points = []
+        real = lin.grid_function
+
+        def recording(*roots):
+            fn = real(*roots)
+
+            def run(x, y):
+                points.extend(zip(x.ravel().tolist(), y.ravel().tolist()))
+                return fn(x, y)
+            return run
+
+        monkeypatch.setattr(lin, "grid_function", recording)
+        g = lin.GridSpec(rect=rect, nx=31, ny=21)
+        cg = lin.CoefficientGrid(ZERO_GAUGE_WEB, g)
+        xlo, xhi, ylo, yhi = rect.as_floats()
+        assert _refined(xlo, xhi, 31)[::cg.r].tobytes() == g.xs.tobytes()
+        assert _refined(ylo, yhi, 21)[::cg.r].tobytes() == g.ys.tobytes()
+        assert len(points) == 121 * 21 + 81 * 31
+        counts = {}
+        for p in points:
+            counts[p] = counts.get(p, 0) + 1
+        assert all(counts.get((x, y)) == 2 for x in g.xs.tolist()
+                   for y in g.ys.tolist())
+        assert sum(counts.values()) - 2 * 31 * 21 == len(counts) - 31 * 21
 
 
 class TestLeafTracing:
