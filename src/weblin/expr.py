@@ -25,7 +25,8 @@ the node mask alone: a DAG with exp, log or a non-integer power is refused
 before any slot is computed.  Three arithmetics: reduced (numerator,
 denominator) int pairs capped at EXACT_BITS, p-bit floats as raw mpmath
 tuples, which alone keep the real-domain rules, and numpy doubles over
-whole grids (`grid_function`), which keep singular entries nan/inf.
+whole grids (`grid_function`), which keep singular entries nan/inf and
+drop each array after its last reader.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
+from itertools import repeat
 from typing import Callable, Mapping
 
 import mpmath
@@ -698,18 +700,21 @@ class Store(dict):
         self.program = program or Program()
 
 
-def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object]):
+def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object],
+          dead=repeat(())):
     """The value of compiled root `code`: the one DAG interpreter.  A slot
     already holding a value is read, one holding an error raises it again,
     so the first failing node in the root's own order raises.  `arith`
     supplies `add` and `mul` (folded left to right), `num`, `pow`, `exp`
     and `log` (None where the walk never meets them) and an optional
-    per-node `check`; `leaves` maps names to values.
+    per-node `check`; `leaves` maps names to values.  `dead`, a release
+    plan, gives per instruction the slots it reads last: they are set back
+    to None once it has run (a `Store` keeps every slot).
     """
     add, mul, num, power = arith.add, arith.mul, arith.num, arith.pow
     exp, log, check = arith.exp, arith.log, arith.check
     try:
-        for s, k, arg, kids in code:
+        for (s, k, arg, kids), drop in zip(code, dead):
             v = vals[s]
             if v is not None:
                 if isinstance(v, EvalError):
@@ -733,6 +738,8 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object]):
             if check is not None:
                 check(v)
             vals[s] = v
+            for d in drop:
+                vals[d] = None
     except EvalError as err:
         vals[s] = err
         raise
@@ -953,28 +960,38 @@ def grid_function(*roots: Expr) -> Callable:
     """Compile roots to one vectorized double-precision function of (x, y)
     arrays: the roots share one `Program`, so a node common to several is
     computed once per call.  With one root the function returns its array,
-    with several a list of arrays in root order.
+    with several a list of new arrays in root order (none aliases another
+    or an input).
 
-    Singularities surface as nan/inf entries, which callers must check for;
-    the numeric layer uses this for whole-grid coefficient evaluation.
+    The roots' codes merge into one children-first order, each slot at its
+    first use, with a release plan: a slot that is not a root is dropped
+    after its last reader, so a call holds its live slots, not one array
+    per slot.  Singularities surface as nan/inf entries, which callers must
+    check for; the numeric layer uses this for coefficients on the grid.
     """
     program = Program()
     codes, names = zip(*map(program.code, roots))
     _check_bindings(frozenset().union(*names), {"x", "y"})
-    if any(k == UNDEF for code in codes for _, k, _, _ in code):
+    code = list({ins[0]: ins for c in codes for ins in c}.values())
+    if any(k == UNDEF for _, k, _, _ in code):
         raise SingularSampleError("undefined value (division by constant zero)")
+    outs = [program.slots[r] for r in roots]
+    last = {c: i for i, (_, _, _, kids) in enumerate(code) for c in kids}
+    dead = [[] for _ in code]
+    for s, i in last.items():
+        if s not in outs:
+            dead[i].append(s)
 
     def fn(xg, yg):
         xg = np.asarray(xg, dtype=float)
         yg = np.asarray(yg, dtype=float)
         shape = np.broadcast_shapes(xg.shape, yg.shape)
         vals = [None] * len(program.slots)
-        leaves = {"x": xg, "y": yg}
         with np.errstate(all="ignore"):
-            outs = [np.broadcast_to(np.asarray(_walk(code, _GRID, vals, leaves),
-                                               dtype=float), shape).copy()
-                    for code in codes]
-        return outs[0] if len(outs) == 1 else outs
+            _walk(code, _GRID, vals, {"x": xg, "y": yg}, dead)
+        arrays = [np.broadcast_to(np.asarray(vals[s], dtype=float),
+                                  shape).copy() for s in outs]
+        return arrays[0] if len(arrays) == 1 else arrays
 
     return fn
 

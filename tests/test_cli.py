@@ -485,6 +485,23 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "verdict: YES" in proc.stdout
 
+    def test_package_runs_as_a_module(self):
+        # `python -m weblin` from a checkout: the verdict's exit code, and a
+        # usage error as one `error:` line
+        def weblin(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "weblin", "check", "--f", "x/y",
+                 "--g", "x+y", *argv], capture_output=True, text=True)
+
+        proc = weblin()
+        assert proc.returncode == EXIT_YES
+        assert "verdict: YES" in proc.stdout
+        proc = weblin("--domain", "1,0,0,1")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: rectangle must have positive extent"]
+
     def test_ascii_stdout(self):
         # every line the human report prints encodes as ASCII
         proc = subprocess.run(

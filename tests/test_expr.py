@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -729,8 +730,13 @@ class TestGridProgram:
            st.sampled_from(POINTS))
     @settings(max_examples=60, deadline=None)
     def test_multi_root_equals_single_roots(self, base, pt):
+        # besides shared nodes: a root a later root reads (exp of the
+        # first), a repeated root, bare leaves and a constant, none of which
+        # the release plan may drop; no output shares memory with another
+        # output or with an input
         roots = base + [mul(base[0], base[1]), E.sub(base[1], base[0]),
-                        pow_(add(base[0], 1), -1), const(3)]
+                        pow_(add(base[0], 1), -1), const(3), exp_(base[0]),
+                        base[0], X, Y, X]
         roots = [substitute(e, {"n": pt["n"]}) for e in roots]
         alone = []
         for e in roots:
@@ -745,6 +751,27 @@ class TestGridProgram:
         for got, want in zip(together, alone):
             assert got.shape == want.shape == self.XX.shape
             assert got.tobytes() == want.tobytes()
+        for i, got in enumerate(together):
+            for other in (*together[i + 1:], self.XX, self.YY):
+                assert not np.shares_memory(got, other)
+
+    def test_a_call_holds_its_live_slots_not_its_program(self):
+        # a chain of 80 array slots, each read only by the next: the call
+        # holds two of them at a time, plus its output, whatever the length
+        e = X
+        for _ in range(40):
+            e = exp_(neg(e))
+        fn = grid_function(e)
+        x = np.linspace(0, 1, 2 ** 16)
+        want = fn(x, 0.0)
+        tracemalloc.start()
+        try:
+            got = fn(x, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 4 * x.nbytes
 
     def test_bindings_and_constants_checked_over_all_roots(self):
         with pytest.raises(MissingBindingError, match="q"):

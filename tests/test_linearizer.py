@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weblin.expr import grid_function, parse
+from weblin.expr import Program, grid_function, parse
 from weblin.calculus import Rect, WebSpec, mu as web_mu
 from weblin import linearizer as lin
 from weblin import corpus
@@ -613,6 +613,33 @@ class TestCoefficientMemory:
         peak(21)  # builds the symbolic coefficients once
         (small, n81), (large, n161) = peak(81), peak(161)
         assert large - small <= 16 * 8 * (n161 - n81)
+
+    @pytest.mark.parametrize("name, all_slots_mib", [
+        ("bol-four-subweb", 23.3), ("double-parabola-tangents", 26.4)])
+    def test_block_holds_its_live_slots_not_its_program(self, name,
+                                                        all_slots_mib):
+        # beyond the coefficient arrays, a full block at 81 x 81 needs less
+        # than half an array per program slot; `all_slots_mib` is the peak
+        # measured when every slot's array lived until the block ended
+        web = corpus.linearization_web(corpus.case_by_name(name))
+        m = web_mu(web, 4)
+        program = Program()
+        for root in (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m),
+                     *web.validity_checks):
+            program.code(root)
+        lin.CoefficientGrid(web, lin.GridSpec(rect=web.domain, nx=21, ny=21))
+        g = lin.GridSpec(rect=web.domain, nx=81, ny=81)  # full blocks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cg = lin.CoefficientGrid(web, g)
+            top = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cg.xlines.shape[1] * g.ny > lin.BLOCK_POINTS
+        assert top - cg.xlines.nbytes - cg.ylines.nbytes < (
+            len(program.slots) * 8 * lin.BLOCK_POINTS / 2)
+        assert top <= all_slots_mib * 2 ** 20 / 2
 
 
 def _refined(lo, hi, n):
