@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -225,7 +226,6 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         print(f"verdict: {result.verdict}")
         print(f"grid: {args.grid}x{args.grid}, base {result.base}, "
               f"lambda0 {result.lam0}")
-        print(f"flatness residual:          {result.flatness_residual:.3e}")
         print(f"path independence residual: "
               f"{result.path_independence_residual:.3e}")
         print("straightness (max normalized line-fit residual per foliation):")
@@ -319,8 +319,25 @@ def build_parser() -> _ArgumentParser:
     return ap
 
 
+_SIGNED_FLAGS = ("--domain", "--base", "--lambda0")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """`--lambda0 -0.1,0.1` as `--lambda0=-0.1,0.1`: argparse would take a
+    value with a leading minus for an option and find the flag's value
+    missing."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_config(ap.parse_args(argv))
         handler = {"check": cmd_check, "invariants": cmd_invariants,

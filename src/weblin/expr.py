@@ -989,8 +989,14 @@ def grid_function(*roots: Expr) -> Callable:
         vals = [None] * len(program.slots)
         with np.errstate(all="ignore"):
             _walk(code, _GRID, vals, {"x": xg, "y": yg}, dead)
-        arrays = [np.broadcast_to(np.asarray(vals[s], dtype=float),
-                                  shape).copy() for s in outs]
+        arrays = []
+        for v in map(vals.__getitem__, outs):
+            # a leaf, a constant, a repeated root or a root of a smaller
+            # shape gets an array of its own; a computed root is returned
+            if (not isinstance(v, np.ndarray) or v.shape != shape
+                    or any(v is a for a in (xg, yg, *arrays))):
+                v = np.broadcast_to(v, shape).copy()
+            arrays.append(v)
         return arrays[0] if len(arrays) == 1 else arrays
 
     return fn

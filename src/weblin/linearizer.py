@@ -8,13 +8,14 @@ system whose coefficients are the symbolic scalars H, K, mu and the frame
 derivatives of mu; a parallel coframe and its potentials (u, v) satisfy a
 linear system along with them.  The pipeline evaluates the coefficients
 once, integrates the whole system with classical 4th-order steps along grid
-lines in the x-first and the y-first order, verifies flatness
-(finite-difference curvature of the x-first lambda), path independence (the
-two orders), and a nondegenerate, closed coframe.  One RK4 kernel serves
-both directions (the y-system is the x-system with l1 <-> l2 and p <-> q
-swapped), and every line splits at its start node into a forward and a
-backward half-line, all run as one batch.  So the two orders take two
-stages: the base row and column, then every column and every row.
+lines in the x-first and the y-first order, and certifies flatness by
+holonomy: the two orders must give the same state (lambda, both coframes,
+u, v) at every node, which also makes the coframes closed, and the coframe
+must stay nondegenerate.  One RK4 kernel serves both directions (the
+y-system is the x-system with l1 <-> l2 and p <-> q swapped), and every
+line splits at its start node into a forward and a backward half-line, all
+run as one batch.  So the two orders take two stages: the base row and
+column, then every column and every row.
 `straightness_report` then traces the leaves of every foliation once,
 bisecting all its levels together (their points lie on grid lines, where u
 and v are interpolated together by cubic Hermite along the line) and
@@ -45,7 +46,7 @@ __all__ = [
     "LinearizerError", "NotLinearizableError", "integrate_lambda",
     "flatness_residual", "flat_coordinates", "straightness_report",
     "trace_leaves", "render_svg", "DEFAULT_GRID_N", "LAMBDA_BLOWUP_BOUND",
-    "LEAVES_PER_FOLIATION", "MIN_GRID", "MAX_GRID",
+    "LEAVES_PER_FOLIATION", "MIN_GRID", "MAX_GRID", "PATH_TOLERANCE",
 ]
 
 DEFAULT_GRID_N = 41
@@ -54,7 +55,7 @@ MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~118 MB
 DEFAULT_SUBSTEPS = 2  # RK4 substeps per grid interval
 LAMBDA_BLOWUP_BOUND = 1e12
 COFRAME_DET_BOUND = 1e-8
-FLATNESS_FACTOR = 1e-4  # threshold = factor * grid diameter
+PATH_TOLERANCE = 1e-8  # bound on the two-path (holonomy) residual
 LEAVES_PER_FOLIATION = 5
 BLOCK_POINTS = 2 ** 14  # line points per coefficient evaluation block
 BISECTION_CAP = 80  # halvings per leaf crossing, at most
@@ -114,11 +115,6 @@ class GridSpec:
     def hy(self) -> float:
         _, _, lo, hi = self.rect.as_floats()
         return (hi - lo) / (self.ny - 1)
-
-    @property
-    def diameter(self) -> float:
-        xlo, xhi, ylo, yhi = self.rect.as_floats()
-        return math.hypot(xhi - xlo, yhi - ylo)
 
     def nearest_index(self, x: float, y: float) -> tuple[int, int]:
         i = int(round((x - self.xs[0]) / self.hx))
@@ -349,32 +345,19 @@ def _on_grid_lines(g: GridSpec, fields: np.ndarray,
     return out
 
 
-def flatness_residual(cg: CoefficientGrid, l1: np.ndarray,
-                      l2: np.ndarray) -> float:
-    """Max curvature-coefficient magnitude of the connection deformed by
-    lambda = (l1, l2), given at the grid nodes.
+def flatness_residual(state: np.ndarray, state_t: np.ndarray) -> float:
+    """Holonomy of the Frobenius system: the max over nodes and the 8 state
+    components of |x-first - y-first| / max(1, max |x-first component|).
 
-    The lambda derivatives are finite differences (4th order, centered in
-    the interior); the symbolic coefficients are exact at the nodes.
+    Both states start from the same base state and solve the same system,
+    along the two path orders of `integrate_lambda`.  Their difference at
+    node (i, j) is the transport around the rectangle spanned by the base
+    and (i, j): the integrator's error (4th order in the step) for a flat
+    connection, the curvature integrated over the rectangle otherwise.
+    Equal potentials on both paths also make each coframe closed.
     """
-    g = cg.grid
-    fx, fy, H, K, mu, mu1, mu2 = cg.xlines[:, ::cg.r]
-
-    def d1(A):
-        return -_diff4(A, g.hx, 0) / fx
-
-    def d2(A):
-        return -_diff4(A, g.hy, 1) / fy
-
-    d1l1, d2l1 = d1(l1), d2(l1)
-    d1l2, d2l2 = d1(l2), d2(l2)
-    res = [
-        2 * d2l1 - d1l2 + mu2 - H * (2 * l1 - l2 + mu) - l1 * l2 - K,
-        d2l2 + l2 * (-H - l2 + mu),
-        -d1l1 + l1 * (H + l1 + mu),
-        d2l1 - 2 * d1l2 + mu1 - H * (l1 - 2 * l2 + mu) + l1 * l2 - K,
-    ]
-    return float(max(np.abs(a).max() for a in res))
+    scale = np.maximum(1.0, np.abs(state).max(axis=(0, 1)))
+    return float((np.abs(state - state_t) / scale).max())
 
 
 @dataclass
@@ -391,7 +374,6 @@ class LinearizationResult:
     v: np.ndarray
     base: tuple[float, float]
     lam0: tuple[float, float]
-    flatness_residual: float
     path_independence_residual: float
     straightness: dict[str, float]
     skipped_leaves: int
@@ -405,7 +387,6 @@ class LinearizationResult:
                      "rect": [repr(v) for v in self.grid.rect.as_floats()]},
             "base": [repr(self.base[0]), repr(self.base[1])],
             "lambda0": [repr(self.lam0[0]), repr(self.lam0[1])],
-            "flatness_residual": repr(self.flatness_residual),
             "path_independence_residual": repr(self.path_independence_residual),
             "straightness": {k: repr(v) for k, v in
                              sorted(self.straightness.items())},
@@ -427,13 +408,13 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     Decides the verdict with `check_dweb` and refuses a web that is not YES
     with `NotLinearizableError`, unless force=True.  Lambda starts at lam0
     at the grid node nearest to `base` (default: the grid center), and two
-    coframes start there as dx and dy.  The x-first sweep must give a flat
-    connection; the y-first sweep measures path independence; the coframes
-    must stay nondegenerate and closed (finite-difference curl), and their
-    potentials are u, v.  force=True skips only the flatness and closedness
-    refusals: a web whose validity checks are 0 or not finite on the grid
-    lines is refused by `CoefficientGrid`.  The leaves of every foliation
-    are traced and measured under (u, v) by `straightness_report`.
+    coframes start there as dx and dy.  The x-first and the y-first sweep
+    must agree (`flatness_residual` at most PATH_TOLERANCE: no holonomy,
+    so a flat connection and closed coframes), the coframes must stay
+    nondegenerate, and their potentials are u, v.  force=True skips only
+    the holonomy refusal: a web whose validity checks are 0 or not finite
+    on the grid lines is refused by `CoefficientGrid`.  The leaves of every
+    foliation are traced and measured under (u, v) by `straightness_report`.
     """
     if sorted(params or ()) != list(web.params):
         raise LinearizerError(f"the web has parameters {list(web.params)}, "
@@ -450,39 +431,26 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
     cg = CoefficientGrid(web, g)
-    fx, fy = cg.xlines[:2, ::cg.r]
+    fx, fy = cg.xlines[:2, ib * cg.r, jb]
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
-    s0 = [lam0[0], lam0[1], -1.0 / fx[ib, jb], 0.0, 0.0, -1.0 / fy[ib, jb],
-          0.0, 0.0]
+    s0 = [lam0[0], lam0[1], -1.0 / fx, 0.0, 0.0, -1.0 / fy, 0.0, 0.0]
     state, state_t = integrate_lambda(cg, (ib, jb), s0)
-    flat = flatness_residual(cg, state[:, :, 0], state[:, :, 1])
-    threshold = FLATNESS_FACTOR * g.diameter
-    if flat > threshold and not force:
+    resid = flatness_residual(state, state_t)
+    if not resid <= PATH_TOLERANCE and not force:  # a nan is refused too
         raise LinearizerError(
-            f"connection is not flat (residual {flat:.3e} > {threshold:.3e}); "
-            "linearization refused")
-    path_resid = float(np.abs(state[:, :, :2] - state_t[:, :, :2]).max())
+            f"connection is not flat (holonomy residual {resid:.3e} > "
+            f"{PATH_TOLERANCE:.0e}); linearization refused")
     p1, q1 = state[:, :, 2], state[:, :, 3]
     p2, q2 = state[:, :, 4], state[:, :, 5]
     det = p1 * q2 - q1 * p2
     if np.abs(det).min() < COFRAME_DET_BOUND:
         raise LinearizerError("coordinate map singular on grid")
-    curl = 0.0
-    for (p, q) in ((p1, q1), (p2, q2)):
-        gx = -p * fx  # d(potential)/dx
-        gy = -q * fy
-        c = _diff4(gx, g.hy, 1) - _diff4(gy, g.hx, 0)
-        curl = max(curl, float(np.abs(c).max()))
-    if curl > threshold and not force:
-        raise LinearizerError(
-            f"transported coframe is not closed (curl {curl:.3e}); "
-            "linearization refused")
     u, v = state[:, :, 6].copy(), state[:, :, 7].copy()  # not views of state
     straightness, skipped, leaves = straightness_report(web, g, u, v)
     return LinearizationResult(
         web=web, grid=g, u=u, v=v,
         base=(float(g.xs[ib]), float(g.ys[jb])), lam0=lam0,
-        flatness_residual=flat, path_independence_residual=path_resid,
+        path_independence_residual=resid,
         straightness=straightness, skipped_leaves=skipped, leaves=leaves,
         verdict=verdict, reports=reports)
 

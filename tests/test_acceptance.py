@@ -145,7 +145,7 @@ def _case_params(case):
 
 
 def test_criterion_6_frobenius_path_independence():
-    with criterion(6, "two-path lambda discrepancy < 1e-8 on 41x41 and "
+    with criterion(6, "two-path state discrepancy < 1e-8 on 41x41 and "
                       ">= 3.5x smaller when the step halves"):
         for name in PATH_CASES:
             case = corpus.case_by_name(name)

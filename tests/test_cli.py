@@ -279,6 +279,32 @@ class TestLinearizeCommand:
         assert code == EXIT_YES
         assert "lambda0 (0.3, -0.2)" in out
 
+    def test_negative_lambda0_after_a_space(self, capsys):
+        # a YES web, linearized from a nonzero lambda0
+        code, out, _ = run(capsys, "linearize", "--f", "x/y", "--g", "x+y",
+                           "--lambda0", "-0.1,0.1", "--json")
+        assert code == EXIT_YES
+        doc = json.loads(out)
+        assert doc["config"]["lambda0"] == ["-0.1", "0.1"]
+        assert float(doc["linearization"]["path_independence_residual"]) \
+            < lin.PATH_TOLERANCE
+
+    @pytest.mark.parametrize("spaced", ["--domain", "--base", "--lambda0"])
+    def test_leading_minus_after_a_space(self, capsys, spaced):
+        # argparse alone takes "-1/2,-1/2" for an option and reports that
+        # the flag expects one argument
+        values = {"--domain": "-3/4,-1/4,-3/4,-1/4", "--base": "-1/2,-1/2",
+                  "--lambda0": "-0.1,-0.2"}
+        argv = ["linearize", "--f", "x/y", "--g", "x+y", "--grid", "21",
+                "--json"]
+        for flag, value in values.items():
+            argv += [flag, value] if flag == spaced else [f"{flag}={value}"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_YES
+        config = json.loads(out)["config"]
+        for flag, value in values.items():
+            assert config[flag[2:]] == value.split(",")
+
     def test_constant_beyond_double_range(self, capsys):
         # a web constant past 2^1024 is an infinite coefficient on the grid
         code, out, err = run(capsys, "linearize", "--f", "3^1000*x/y",

@@ -752,8 +752,14 @@ class TestGridProgram:
             assert got.shape == want.shape == self.XX.shape
             assert got.tobytes() == want.tobytes()
         for i, got in enumerate(together):
+            assert got.flags.writeable and got.flags.owndata
             for other in (*together[i + 1:], self.XX, self.YY):
                 assert not np.shares_memory(got, other)
+        # a root that reads x alone, where y alone sets the shape
+        only_x = grid_function(*roots)(self.XX[:, :1], self.YY)
+        for got, want in zip(only_x, together):
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable and got.flags.owndata
 
     def test_a_call_holds_its_live_slots_not_its_program(self):
         # a chain of 80 array slots, each read only by the next: the call
@@ -772,6 +778,16 @@ class TestGridProgram:
             tracemalloc.stop()
         assert got.tobytes() == want.tobytes()
         assert peak <= 4 * x.nbytes
+        # a computed root is returned as the walk made it, not copied
+        fn = grid_function(exp_(X))
+        tracemalloc.start()
+        try:
+            got = fn(x, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == np.exp(x).tobytes()
+        assert peak <= 1.5 * x.nbytes
 
     def test_bindings_and_constants_checked_over_all_roots(self):
         with pytest.raises(MissingBindingError, match="q"):

@@ -35,14 +35,16 @@ def _linearize(web, n=41, ny=None, **kw):
     return lin.flat_coordinates(web, g, **kw)
 
 
-def _lambda(web, grid, lam0=(0.0, 0.0)):
-    """The pipeline's x-first lambda from the grid center, with its
-    coefficient grid."""
+def _states(web, grid, lam0=(0.0, 0.0)):
+    """The pipeline's x-first and y-first states from the grid center, the
+    coframes starting as dx and dy, with its coefficient grid."""
     cg = lin.CoefficientGrid(web, grid)
     cx, cy = grid.rect.center
-    node = grid.nearest_index(float(cx), float(cy))
-    state, _ = lin.integrate_lambda(cg, node, [*lam0, 0, 0, 0, 0, 0, 0])
-    return cg, state[:, :, 0], state[:, :, 1]
+    i, j = grid.nearest_index(float(cx), float(cy))
+    fx, fy = cg.xlines[:2, i * cg.r, j]
+    state, state_t = lin.integrate_lambda(
+        cg, (i, j), [*lam0, -1 / fx, 0, 0, -1 / fy, 0, 0])
+    return cg, state, state_t
 
 
 class TestGridSpec:
@@ -117,19 +119,21 @@ def web2_result(web2_grid):
 class TestTrivialGauge:
     def test_lambda_identically_zero(self):
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
-        _, lam1, lam2 = _lambda(ZERO_GAUGE_WEB, g)
-        assert np.abs(lam1).max() == 0
-        assert np.abs(lam2).max() == 0
+        _, state, _ = _states(ZERO_GAUGE_WEB, g)
+        assert np.abs(state[:, :, 0]).max() == 0
+        assert np.abs(state[:, :, 1]).max() == 0
 
     def test_connection_coefficients_vanish(self):
         # every coefficient of the deformed connection is a sum of
         # lambda1, lambda2, mu and H terms
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
-        cg, lam1, lam2 = _lambda(ZERO_GAUGE_WEB, g)
-        for arr in (lam1, lam2, *cg.xlines[[2, 4]], *cg.ylines[[2, 4]]):
+        cg, state, state_t = _states(ZERO_GAUGE_WEB, g)
+        for arr in (state[:, :, 0], state[:, :, 1], *cg.xlines[[2, 4]],
+                    *cg.ylines[[2, 4]]):
             assert np.abs(arr).max() == 0  # lambda, then H and mu
-        assert lin.flatness_residual(cg, lam1, lam2) < 1e-14
-        assert _linearize(ZERO_GAUGE_WEB, 21).flatness_residual < 1e-14
+        assert lin.flatness_residual(state, state_t) < 1e-14
+        assert (_linearize(ZERO_GAUGE_WEB, 21).path_independence_residual
+                < 1e-14)
 
     def test_flat_coordinates_are_translates(self):
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
@@ -328,20 +332,56 @@ class TestBatchedSweep:
 
 
 class TestFlatness:
+    PENCIL = corpus.linearization_web(corpus.case_by_name(
+        "pencil-with-parallels"))
+    POWER = corpus.linearization_web(corpus.case_by_name("power-web"))
+
     def test_example_two_residual(self, web2_result):
-        assert web2_result.flatness_residual < 1e-6
+        assert web2_result.path_independence_residual < 1e-6
 
     def test_example_one_residual(self):
-        web = corpus.linearization_web(corpus.case_by_name(
-            "pencil-with-parallels"))
-        assert _linearize(web).flatness_residual < 1e-6
+        assert _linearize(self.PENCIL).path_independence_residual < 1e-6
 
     def test_perturbation_detected(self, web2_grid):
-        cg, lam1, lam2 = _lambda(WEB2, web2_grid)
-        assert lin.flatness_residual(cg, lam1, lam2) < 1e-6
-        bumped = lam1.copy()
-        bumped[20, 20] += 0.1
-        assert lin.flatness_residual(cg, bumped, lam2) > 1e-3
+        _, state, state_t = _states(WEB2, web2_grid)
+        assert lin.flatness_residual(state, state_t) < 1e-6
+        bumped = state.copy()
+        bumped[20, 20, 0] += 0.1
+        assert lin.flatness_residual(bumped, state_t) > 1e-3
+
+    @pytest.mark.parametrize("lam0", [(0.1, -0.1), (0.0, -0.1), (0.0, 0.05)])
+    @pytest.mark.parametrize("web, params", [
+        (PENCIL, None), (POWER, {"n": F(2)})], ids=["pencil", "power"])
+    def test_nonzero_gauge_accepted(self, web, params, lam0):
+        # a nonzero lambda0 makes lambda vary on the grid; the residual
+        # must stay at the integrator's error, not the derivative's
+        res = _linearize(web, params=params, lam0=lam0)
+        assert res.verdict == "YES"
+        assert res.path_independence_residual < lin.PATH_TOLERANCE
+
+    def test_bumped_curvature_refused(self, monkeypatch):
+        # K + 1e-6 makes the connection of a YES web curved, by less than
+        # a finite difference of lambda can tell apart from its error
+        class Bumped(lin.CoefficientGrid):
+            def __init__(self, web, grid):
+                super().__init__(web, grid)
+                self.xlines[3] += 1e-6
+                self.ylines[3] += 1e-6
+
+        monkeypatch.setattr(lin, "CoefficientGrid", Bumped)
+        with pytest.raises(lin.LinearizerError, match="not flat"):
+            _linearize(WEB2)
+        res = _linearize(WEB2, force=True)
+        assert res.path_independence_residual > lin.PATH_TOLERANCE
+
+    @pytest.mark.parametrize("web", [
+        WEB5, _web("x/y", "x+y+x^2*y/1000",
+                   domain=Rect(F(1, 4), F(3, 4), F(1, 4), F(1, 2)))],
+        ids=["exponential-twist", "cubic-bump"])
+    def test_forced_no_web_reports_its_holonomy(self, web):
+        res = _linearize(web, force=True)
+        assert res.verdict == "NO"
+        assert res.path_independence_residual > 1e-6
 
     def test_nonflat_input_refused(self, monkeypatch):
         # a NO web passed off as YES: its lambda cannot be flat
@@ -361,10 +401,11 @@ class TestFlatness:
 
     def test_refinement_reduces_gauge_residual(self):
         # nontrivial lambda via a nonzero gauge; halving the step must cut
-        # the finite-difference flatness residual by >= 3.5 (or both are at
-        # rounding level already)
+        # the holonomy residual by >= 3.5 (or both are at rounding level
+        # already)
         coarse, fine = [_linearize(WEB2, n, lam0=(0.3, -0.2)
-                                   ).flatness_residual for n in (41, 81)]
+                                   ).path_independence_residual
+                        for n in (41, 81)]
         assert coarse < 1e-12 or fine <= coarse / 3.5
 
 
@@ -390,8 +431,8 @@ class TestFlatCoordinates:
     def test_gauge_freedom(self, web2_grid):
         # different initial deformation values give different coordinates
         # but leaves stay straight
-        _, lam1, _ = _lambda(WEB2, web2_grid, lam0=(0.3, -0.2))
-        assert np.abs(lam1).max() > 0.01
+        _, state, _ = _states(WEB2, web2_grid, lam0=(0.3, -0.2))
+        assert np.abs(state[:, :, 0]).max() > 0.01
         res = lin.flat_coordinates(WEB2, web2_grid, lam0=(0.3, -0.2))
         assert res.lam0 == (0.3, -0.2)
         assert max(res.straightness.values()) < 1e-5
@@ -827,5 +868,7 @@ class TestSvg:
 class TestJson:
     def test_result_json_strings(self, web2_result):
         d = web2_result.to_json()
-        assert isinstance(d["flatness_residual"], str)
+        assert "flatness_residual" not in d
+        assert isinstance(d["path_independence_residual"], str)
+        assert float(d["path_independence_residual"]) < lin.PATH_TOLERANCE
         assert set(d["straightness"]) == {"x", "y", "f", "g4"}
