@@ -26,10 +26,15 @@ from .expr import (Expr, EvalError, ExactBudgetError, Store, derive, div,
 __all__ = [
     "Rect", "WebSpec", "DomainTooSingularError", "web_K",
     "basic_invariant", "mu", "SamplePoint", "sample_points",
-    "random_rational", "reparameterized",
+    "random_rational", "reparameterized", "DEFAULT_GRID_N", "MIN_GRID",
+    "MAX_GRID",
 ]
 
 DEFAULT_DOMAIN = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
+# linearization grid nodes per axis, here so the CLI reads them without numpy
+DEFAULT_GRID_N = 41
+MIN_GRID = 5  # the 5-point finite-difference stencils need 5 nodes
+MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~118 MB
 PARAM_RANGE = (Fraction(2), Fraction(7))  # every parameter is drawn from it
 MAX_REJECTIONS = 100
 RATIONAL_DENOMINATOR_BOUND = 10 ** 4

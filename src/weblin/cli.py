@@ -23,8 +23,7 @@ from .calculus import Rect, WebSpec
 from .invariants import (MIN_PRECISION, MAX_PRECISION, MAX_POINTS,
                          ZeroTestPolicy, check_dweb, InvariantReport, YES, NO,
                          INCONCLUSIVE)
-from . import linearizer as lin
-from . import corpus
+from . import calculus, corpus
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -85,9 +84,9 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
     if not MIN_PRECISION <= args.precision <= MAX_PRECISION:
         raise UsageError(
             f"--precision must be {MIN_PRECISION} to {MAX_PRECISION} bits")
-    if not lin.MIN_GRID <= args.grid <= lin.MAX_GRID:
-        raise UsageError(f"--grid must be {lin.MIN_GRID} to {lin.MAX_GRID} "
-                         "nodes per axis")
+    if not calculus.MIN_GRID <= args.grid <= calculus.MAX_GRID:
+        raise UsageError(f"--grid must be {calculus.MIN_GRID} to "
+                         f"{calculus.MAX_GRID} nodes per axis")
     return args
 
 
@@ -177,6 +176,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
+    from . import linearizer as lin  # numpy loads for this command only
     web = _web_from_config(args)
     unknown = sorted(set(args.params) - set(web.params))
     if unknown:
@@ -273,7 +273,7 @@ def build_parser() -> _ArgumentParser:
     ap = _ArgumentParser(prog="weblin", description=__doc__,
                          formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.set_defaults(f=None, g=None, domain=None, seed=1, samples=8,
-                    precision=256, json=False, grid=lin.DEFAULT_GRID_N,
+                    precision=256, json=False, grid=calculus.DEFAULT_GRID_N,
                     base=None, lambda0="0,0", param=None, svg=None,
                     force=False, equivalence=False)
     default = ap.get_default
@@ -303,7 +303,8 @@ def build_parser() -> _ArgumentParser:
     command("invariants", "verdicts with full evidence")
     p = command("linearize", "construct flat coordinates")
     p.add_argument("--grid", type=int,
-                   help=f"grid nodes per axis, {lin.MIN_GRID}..{lin.MAX_GRID} "
+                   help=f"grid nodes per axis, {calculus.MIN_GRID}.."
+                        f"{calculus.MAX_GRID} "
                         f"(default {default('grid')})")
     p.add_argument("--base", help="base point x,y (default: domain center)")
     p.add_argument("--lambda0", help="initial deformation a,b "
@@ -323,12 +324,13 @@ _SIGNED_FLAGS = ("--domain", "--base", "--lambda0")
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
-    """`--lambda0 -0.1,0.1` as `--lambda0=-0.1,0.1`: argparse would take a
-    value with a leading minus for an option and find the flag's value
-    missing."""
+    """`--lambda0 -0.1,0.1` as `--lambda0=-0.1,0.1`, `--f -x` as `--f=-x`:
+    argparse would take a value with a leading minus for an option and find
+    the flag's value missing (`--f --g x` still misses one)."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[\d.]", arg):
+        if out and (out[-1] in _SIGNED_FLAGS and re.match(r"-[\d.]", arg)
+                    or out[-1] in ("--f", "--g") and re.match(r"-(?!-)", arg)):
             out[-1] += "=" + arg
         else:
             out.append(arg)

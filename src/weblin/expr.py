@@ -22,16 +22,15 @@ one `Store` per point so a node shared by several roots is computed once
 per point.  `evaluate` chooses the arithmetic by one argument, `precision`:
 None for exact, else the mantissa bits.  Exact is rational-only, decided by
 the node mask alone: a DAG with exp, log or a non-integer power is refused
-before any slot is computed.  Three arithmetics: reduced (numerator,
-denominator) int pairs capped at EXACT_BITS, p-bit floats as raw mpmath
-tuples, which alone keep the real-domain rules, and numpy doubles over
-whole grids (`grid_function`), which keep singular entries nan/inf and
-drop each array after its last reader.
+before any slot is computed.  Two arithmetics live here: reduced
+(numerator, denominator) int pairs capped at EXACT_BITS, and p-bit floats
+as raw mpmath tuples, which keep the real-domain rules.  The module is pure
+Python: the third arithmetic, numpy doubles over whole grids, lives with
+its one caller in `linearizer` (`grid_function`), which runs `_walk` too.
 """
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +39,6 @@ from itertools import repeat
 from typing import Callable, Mapping
 
 import mpmath
-import numpy as np
 from mpmath import libmp
 
 __all__ = [
@@ -50,7 +48,7 @@ __all__ = [
     "param", "add", "sub", "mul", "div", "neg", "pow_", "sqrt", "exp_",
     "log_", "X", "Y", "parse", "format_expr", "simplify", "derive",
     "substitute", "evaluate", "evaluate_scaled", "Program", "Store",
-    "dag_size", "is_exactly_evaluable", "grid_function",
+    "dag_size", "is_exactly_evaluable",
 ]
 
 CONST = "const"
@@ -870,36 +868,6 @@ def _scale(code: list[tuple], vals: list) -> tuple:
     return best
 
 
-class _GridArithmetic:
-    """numpy doubles, elementwise; singularities become nan/inf entries.
-
-    An exponent counts as an integer only when its node is an integer
-    constant, so a parameter exponent always goes through float `power`.
-    """
-
-    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
-    exp, log, check = np.exp, np.log, None
-
-    @staticmethod
-    def num(q: Fraction) -> float:
-        # a constant beyond double range is an infinite entry, as any other
-        # overflow on the grid is
-        try:
-            return float(q)
-        except OverflowError:
-            return math.inf if q > 0 else -math.inf
-
-    @staticmethod
-    def pow(b, ex, q):
-        if q is None or q.denominator != 1:
-            return np.power(b, ex)
-        n = int(q)
-        return np.power(b, n) if n >= 0 else 1.0 / np.power(b, -n)
-
-
-_GRID = _GridArithmetic()
-
-
 def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
               store: Store | None, scaled: bool):
     store = Store() if store is None else store
@@ -954,52 +922,6 @@ def evaluate_scaled(e: Expr, bindings: Mapping[str, object],
     shared `store` holds.  Exact evaluation reports no scale (None).
     """
     return _evaluate(e, bindings, precision, store, True)
-
-
-def grid_function(*roots: Expr) -> Callable:
-    """Compile roots to one vectorized double-precision function of (x, y)
-    arrays: the roots share one `Program`, so a node common to several is
-    computed once per call.  With one root the function returns its array,
-    with several a list of new arrays in root order (none aliases another
-    or an input).
-
-    The roots' codes merge into one children-first order, each slot at its
-    first use, with a release plan: a slot that is not a root is dropped
-    after its last reader, so a call holds its live slots, not one array
-    per slot.  Singularities surface as nan/inf entries, which callers must
-    check for; the numeric layer uses this for coefficients on the grid.
-    """
-    program = Program()
-    codes, names = zip(*map(program.code, roots))
-    _check_bindings(frozenset().union(*names), {"x", "y"})
-    code = list({ins[0]: ins for c in codes for ins in c}.values())
-    if any(k == UNDEF for _, k, _, _ in code):
-        raise SingularSampleError("undefined value (division by constant zero)")
-    outs = [program.slots[r] for r in roots]
-    last = {c: i for i, (_, _, _, kids) in enumerate(code) for c in kids}
-    dead = [[] for _ in code]
-    for s, i in last.items():
-        if s not in outs:
-            dead[i].append(s)
-
-    def fn(xg, yg):
-        xg = np.asarray(xg, dtype=float)
-        yg = np.asarray(yg, dtype=float)
-        shape = np.broadcast_shapes(xg.shape, yg.shape)
-        vals = [None] * len(program.slots)
-        with np.errstate(all="ignore"):
-            _walk(code, _GRID, vals, {"x": xg, "y": yg}, dead)
-        arrays = []
-        for v in map(vals.__getitem__, outs):
-            # a leaf, a constant, a repeated root or a root of a smaller
-            # shape gets an array of its own; a computed root is returned
-            if (not isinstance(v, np.ndarray) or v.shape != shape
-                    or any(v is a for a in (xg, yg, *arrays))):
-                v = np.broadcast_to(v, shape).copy()
-            arrays.append(v)
-        return arrays[0] if len(arrays) == 1 else arrays
-
-    return fn
 
 
 # ---------------------------------------------------------------------------

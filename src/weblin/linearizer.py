@@ -26,32 +26,34 @@ traced leaves, which `render_svg` draws.
 Coefficients are always evaluated from their symbolic expressions, with the
 web's validity checks, as one compiled program run block by block on the
 grid lines, refined to contain every integrator substep point; only the
-unknowns (lambda, the coframe, the potentials) are discretized.
+unknowns (lambda, the coframe, the potentials) are discretized, by
+`grid_function`: `expr._walk` in numpy doubles.  numpy is imported here
+alone, and the package and the CLI load this module only to linearize.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import SingularSampleError, format_expr, grid_function, substitute
-from .calculus import WebSpec, Rect, mu as web_mu
+from .expr import (UNDEF, Expr, Program, SingularSampleError, _check_bindings,
+                   _walk, format_expr, substitute)
+from .calculus import (DEFAULT_GRID_N, MAX_GRID, MIN_GRID, WebSpec, Rect,
+                       mu as web_mu)
 from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
 
 __all__ = [
     "GridSpec", "CoefficientGrid", "LinearizationResult",
     "LinearizerError", "NotLinearizableError", "integrate_lambda",
     "flatness_residual", "flat_coordinates", "straightness_report",
-    "trace_leaves", "render_svg", "DEFAULT_GRID_N", "LAMBDA_BLOWUP_BOUND",
-    "LEAVES_PER_FOLIATION", "MIN_GRID", "MAX_GRID", "PATH_TOLERANCE",
+    "trace_leaves", "render_svg", "grid_function", "LAMBDA_BLOWUP_BOUND",
+    "LEAVES_PER_FOLIATION", "PATH_TOLERANCE",
 ]
 
-DEFAULT_GRID_N = 41
-MIN_GRID = 5  # the 5-point finite-difference stencils need 5 nodes
-MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~118 MB
 DEFAULT_SUBSTEPS = 2  # RK4 substeps per grid interval
 LAMBDA_BLOWUP_BOUND = 1e12
 COFRAME_DET_BOUND = 1e-8
@@ -122,6 +124,82 @@ class GridSpec:
         if not (0 <= i < self.nx and 0 <= j < self.ny):
             raise LinearizerError("base point outside the grid")
         return i, j
+
+
+class _GridArithmetic:
+    """numpy doubles, elementwise; singularities become nan/inf entries.
+
+    An exponent counts as an integer only when its node is an integer
+    constant, so a parameter exponent always goes through float `power`.
+    """
+
+    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
+    exp, log, check = np.exp, np.log, None
+
+    @staticmethod
+    def num(q: Fraction) -> float:
+        # a constant beyond double range is an infinite entry, as any other
+        # overflow on the grid is
+        try:
+            return float(q)
+        except OverflowError:
+            return math.inf if q > 0 else -math.inf
+
+    @staticmethod
+    def pow(b, ex, q):
+        if q is None or q.denominator != 1:
+            return np.power(b, ex)
+        n = int(q)
+        return np.power(b, n) if n >= 0 else 1.0 / np.power(b, -n)
+
+
+_GRID = _GridArithmetic()
+
+
+def grid_function(*roots: Expr) -> Callable:
+    """Compile roots to one vectorized double-precision function of (x, y)
+    arrays: the roots share one `Program`, so a node common to several is
+    computed once per call.  With one root the function returns its array,
+    with several a list of new arrays in root order (none aliases another
+    or an input).
+
+    The roots' codes merge into one children-first order, each slot at its
+    first use, with a release plan: a slot that is not a root is dropped
+    after its last reader, so a call holds its live slots, not one array
+    per slot.  Singularities surface as nan/inf entries, which callers must
+    check for.
+    """
+    program = Program()
+    codes, names = zip(*map(program.code, roots))
+    _check_bindings(frozenset().union(*names), {"x", "y"})
+    code = list({ins[0]: ins for c in codes for ins in c}.values())
+    if any(k == UNDEF for _, k, _, _ in code):
+        raise SingularSampleError("undefined value (division by constant zero)")
+    outs = [program.slots[r] for r in roots]
+    last = {c: i for i, (_, _, _, kids) in enumerate(code) for c in kids}
+    dead = [[] for _ in code]
+    for s, i in last.items():
+        if s not in outs:
+            dead[i].append(s)
+
+    def fn(xg, yg):
+        xg = np.asarray(xg, dtype=float)
+        yg = np.asarray(yg, dtype=float)
+        shape = np.broadcast_shapes(xg.shape, yg.shape)
+        vals = [None] * len(program.slots)
+        with np.errstate(all="ignore"):
+            _walk(code, _GRID, vals, {"x": xg, "y": yg}, dead)
+        arrays = []
+        for v in map(vals.__getitem__, outs):
+            # a leaf, a constant, a repeated root or a root of a smaller
+            # shape gets an array of its own; a computed root is returned
+            if (not isinstance(v, np.ndarray) or v.shape != shape
+                    or any(v is a for a in (xg, yg, *arrays))):
+                v = np.broadcast_to(v, shape).copy()
+            arrays.append(v)
+        return arrays[0] if len(arrays) == 1 else arrays
+
+    return fn
 
 
 _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")

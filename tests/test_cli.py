@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from weblin import linearizer as lin
+from weblin import calculus, linearizer as lin
 from weblin.invariants import MAX_POINTS
 from weblin.cli import (main, build_parser, _build_config, EXIT_YES, EXIT_NO,
                         EXIT_INCONCLUSIVE, EXIT_USAGE)
@@ -173,7 +173,7 @@ class TestJsonReport:
         assert doc["linearization"] is None
         assert doc["config"] == {
             "command": "check", "domain": None, "seed": 1, "samples": 8,
-            "precision": 256, "grid": lin.DEFAULT_GRID_N, "base": None,
+            "precision": 256, "grid": calculus.DEFAULT_GRID_N, "base": None,
             "lambda0": ["0", "0"], "params": {}, "force": False}
         for inv in doc["invariants"]:
             assert set(inv) == {"name", "verdict", "dag_size", "evidence"}
@@ -305,6 +305,29 @@ class TestLinearizeCommand:
         for flag, value in values.items():
             assert config[flag[2:]] == value.split(",")
 
+    @pytest.mark.parametrize("flag, value, web", [
+        ("--f", "-x/y", {"f": "-x/y", "g": ["x + y"]}),
+        ("--g", "-x-y", {"f": "x/y", "g": ["-x - y"]})], ids=["f", "g"])
+    def test_expression_with_a_leading_minus(self, capsys, flag, value, web):
+        # read as --f=-x/y, not as an option that leaves --f without a value
+        values = {"--f": "x/y", "--g": "x+y", flag: value}
+        spaced = [t for item in values.items() for t in item]
+        joined = [f"{k}={v}" for k, v in values.items()]
+        code, out, err = run(capsys, "check", "--json", *spaced)
+        assert code == EXIT_YES and err == ""
+        assert json.loads(out)["web"] == web
+        assert run(capsys, "check", "--json", *joined) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--f", "--g", "x+y"], ["--f", "x/y", "--g"],
+        ["--f", "x/y", "--g", "--f", "-x"]])
+    def test_expression_flag_without_a_value_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: argument --") and err.endswith(
+            ": expected one argument\n")
+        assert err.count("\n") == 1
+
     def test_constant_beyond_double_range(self, capsys):
         # a web constant past 2^1024 is an infinite coefficient on the grid
         code, out, err = run(capsys, "linearize", "--f", "3^1000*x/y",
@@ -349,12 +372,12 @@ class TestLinearizeCommand:
                              "--g", "x+y", "--grid", str(nodes))
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == (f"error: --grid must be {lin.MIN_GRID} to "
-                       f"{lin.MAX_GRID} nodes per axis\n")
+        assert err == (f"error: --grid must be {calculus.MIN_GRID} to "
+                       f"{calculus.MAX_GRID} nodes per axis\n")
 
     def test_grid_help_reads_the_bounds(self, capsys, monkeypatch):
-        monkeypatch.setattr(lin, "MIN_GRID", 7)
-        monkeypatch.setattr(lin, "MAX_GRID", 301)
+        monkeypatch.setattr(calculus, "MIN_GRID", 7)
+        monkeypatch.setattr(calculus, "MAX_GRID", 301)
         with pytest.raises(SystemExit):
             build_parser().parse_args(["linearize", "--help"])
         assert "grid nodes per axis, 7..301" in capsys.readouterr().out
@@ -422,7 +445,7 @@ class TestLinearizeCommand:
     def test_grid_bound_accepted(self):
         args = build_parser().parse_args(["linearize", "--f", "x/y",
                                           "--g", "x+y", "--grid", "513"])
-        assert _build_config(args).grid == lin.MAX_GRID == 513
+        assert _build_config(args).grid == calculus.MAX_GRID == 513
 
     def test_param_flag(self, capsys):
         code, out, _ = run(capsys, "linearize", "--f", "x/y",

@@ -17,10 +17,11 @@ from weblin import expr as E
 from weblin.expr import (X, Y, add, const, div, mul, neg, parse, pow_, sqrt,
                          sub, exp_, log_, param, derive, evaluate,
                          evaluate_scaled, format_expr, simplify, substitute,
-                         dag_size, grid_function, ExprError,
-                         ParseError, EvalError, MissingBindingError,
-                         SingularSampleError, DomainEvalError, ExactnessError,
-                         ExactBudgetError, EXACT_BITS)
+                         dag_size, ExprError, ParseError, EvalError,
+                         MissingBindingError, SingularSampleError,
+                         DomainEvalError, ExactnessError, ExactBudgetError,
+                         EXACT_BITS)
+from weblin.linearizer import grid_function
 
 F = Fraction
 

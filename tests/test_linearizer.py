@@ -1,6 +1,8 @@
 """Frobenius integration, flatness, flat coordinates, straightness."""
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -11,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weblin.expr import Program, grid_function, parse
+from weblin.expr import Program, parse
 from weblin.calculus import Rect, WebSpec, mu as web_mu
 from weblin import linearizer as lin
+from weblin.linearizer import grid_function
 from weblin import corpus
 
 F = Fraction
@@ -835,6 +838,60 @@ class TestDependencies:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("argv, rc", [
+        ([], None), (["check", "--f", "x/y", "--g", "x+y"], 0),
+        (["invariants", "--f", "x/y", "--g", "exp(x)+y^2"], 1),
+        (["selftest"], 0)], ids=["import", "check", "invariants", "selftest"])
+    def test_check_does_not_import_numpy(self, argv, rc):
+        # a fresh interpreter: whether numpy is loaded after `import
+        # weblin`, after `import weblin.cli` and after the command
+        code = ("import contextlib, io, sys\n"
+                "import weblin\n"
+                "seen = ['numpy' in sys.modules]\n"
+                "from weblin import cli\n"
+                "seen.append('numpy' in sys.modules)\n"
+                "rc = None\n"
+                "if sys.argv[1:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        rc = cli.main(sys.argv[1:])\n"
+                "    seen.append('numpy' in sys.modules)\n"
+                "print(rc, seen)\n")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        seen = [False] * (3 if argv else 2)
+        assert proc.stdout.splitlines()[-1] == f"{rc} {seen}"
+
+    def test_linearize_loads_numpy_on_demand(self, tmp_path):
+        # after a check that left numpy out, linearize loads it and gives
+        # the recorded stdout and SVG digests
+        svg = tmp_path / "leaves.svg"
+        code = ("import contextlib, hashlib, io, json, sys\n"
+                "from weblin import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    cli.main(['check', '--f', 'x/y', '--g', 'x+y'])\n"
+                "before = 'numpy' in sys.modules\n"
+                "buf = io.StringIO()\n"
+                "with contextlib.redirect_stdout(buf):\n"
+                "    rc = cli.main(sys.argv[1:])\n"
+                "digest = hashlib.sha256(buf.getvalue().encode())\n"
+                "print(json.dumps({'before': before,\n"
+                "                  'after': 'numpy' in sys.modules,\n"
+                "                  'exit': rc, 'stdout': digest.hexdigest()}))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "linearize", "--json",
+             "--svg", str(svg), "--grid", "31", "--f", "y/x",
+             "--g", "(x - x*y)/(y - x*y)", "--domain", "1/4,3/8,1/2,3/4",
+             "--base", "0.28,0.7", "--lambda0", "0.3,-0.2", "--seed", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        got["svg"] = hashlib.sha256(svg.read_bytes()).hexdigest()
+        recorded = json.loads((Path(__file__).resolve().parent
+                               / "linearize_seed1.json").read_text())
+        assert got == {"before": False, "after": True, **recorded[
+            "linearize/bol-four-subweb@31/off-centre"]}
 
     def test_runtime_dependencies(self):
         tomllib = pytest.importorskip("tomllib")

@@ -28,6 +28,15 @@ def test_package_imports_resolve():
     assert names
     missing = [(m, n) for m, n in names if not hasattr(weblin, n)]
     assert not missing, missing
+    # the linearizer's names, which the package loads on first use
+    lazy = ("GridSpec", "LinearizationResult", "NotLinearizableError",
+            "flat_coordinates", "straightness_report", "render_svg")
+    assert set(lazy) == set(weblin._LINEARIZER_NAMES)
+    linearizer = importlib.import_module("weblin.linearizer")
+    assert [getattr(weblin, n) for n in lazy] == [
+        getattr(linearizer, n) for n in lazy]
+    with pytest.raises(AttributeError, match="no attribute 'grid_spec'"):
+        weblin.grid_spec
 
 
 
