@@ -33,7 +33,8 @@ __all__ = [
 DEFAULT_DOMAIN = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
 # linearization grid nodes per axis, here so the CLI reads them without numpy
 DEFAULT_GRID_N = 41
-MIN_GRID = 5  # the 5-point finite-difference stencils need 5 nodes
+# an x- or y-leaf has a point per node; straightness measures leaves of 5
+MIN_GRID = 5
 MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~118 MB
 PARAM_RANGE = (Fraction(2), Fraction(7))  # every parameter is drawn from it
 MAX_REJECTIONS = 100

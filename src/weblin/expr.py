@@ -1137,16 +1137,13 @@ def _fmt_node(n: Expr, strs) -> tuple[str, int]:
 
 def _fmt_pow(n: Expr, strs) -> tuple[str, int]:
     base, ex = n.children
-    bs, bp = strs[base]
     if ex.kind == CONST:
         r = ex.value
-        if r == _HALF:
-            return f"sqrt({bs})", _PREC_ATOM
         if r < 0:
             inner, _ = _fmt_pow_positive(base, -r, strs)
             return f"1/{inner}", _PREC_MUL
         return _fmt_pow_positive(base, r, strs)
-    bs = _wrap(bs, bp, _PREC_ATOM)
+    bs = _wrap(*strs[base], _PREC_ATOM)
     es, ep = strs[ex]
     es = es if ep == _PREC_ATOM else f"({es})"
     return f"{bs}^{es}", _PREC_POW

@@ -15,20 +15,23 @@ must stay nondegenerate.  One RK4 kernel serves both directions (the
 y-system is the x-system with l1 <-> l2 and p <-> q swapped), and every
 line splits at its start node into a forward and a backward half-line, all
 run as one batch.  So the two orders take two stages: the base row and
-column, then every column and every row.
+column, then every column and every row.  As du = theta1 and
+dv = theta2, the coframe is the Jacobian of (u, v) at every node.
 `straightness_report` then traces the leaves of every foliation once,
 bisecting all its levels together (their points lie on grid lines, where u
-and v are interpolated together by cubic Hermite along the line) and
-measures how straight they become under (x, y) -> (u, v).  The result
-holds u and v as node arrays, the certificates, the straightness and the
-traced leaves, which `render_svg` draws.
+and v are interpolated together by cubic Hermite along the line, with the
+Jacobian as slopes) and measures how straight they become under
+(x, y) -> (u, v).  The result holds u, v and their Jacobian as node
+arrays, the certificates, the straightness and the traced leaves, which
+`render_svg` draws.
 
 Coefficients are always evaluated from their symbolic expressions, with the
 web's validity checks, as one compiled program run block by block on the
-grid lines, refined to contain every integrator substep point; only the
-unknowns (lambda, the coframe, the potentials) are discretized, by
-`grid_function`: `expr._walk` in numpy doubles.  numpy is imported here
-alone, and the package and the CLI load this module only to linearize.
+grid lines, refined to contain every integrator substep point, by
+`grid_function`: `expr._walk` in numpy doubles.  Only the unknowns (lambda,
+the coframe, the potentials) are discretized, and nothing is finite
+differenced.  numpy is imported here alone, and the package and the CLI
+load this module only to linearize.
 """
 from __future__ import annotations
 
@@ -380,36 +383,23 @@ def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
     return cols[:, _SWAP].transpose(2, 0, 1), rows.transpose(0, 2, 1)
 
 
-def _diff4(A: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Fourth-order finite differences: centered 5-point stencils in the
-    interior, one-sided at the two boundary lines."""
-    B = np.moveaxis(A, axis, 0)
-    out = np.empty_like(B)
-    out[2:-2] = (B[:-4] - 8 * B[1:-3] + 8 * B[3:-1] - B[4:]) / (12 * h)
-    out[0] = (-25 * B[0] + 48 * B[1] - 36 * B[2] + 16 * B[3] - 3 * B[4]) / (12 * h)
-    out[1] = (-3 * B[0] - 10 * B[1] + 18 * B[2] - 6 * B[3] + B[4]) / (12 * h)
-    out[-2] = (3 * B[-1] + 10 * B[-2] - 18 * B[-3] + 6 * B[-4] - B[-5]) / (12 * h)
-    out[-1] = (25 * B[-1] - 48 * B[-2] + 36 * B[-3] - 16 * B[-4] + 3 * B[-5]) / (12 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _on_grid_lines(g: GridSpec, fields: np.ndarray,
+def _on_grid_lines(g: GridSpec, fields: np.ndarray, slopes: np.ndarray,
                    points: np.ndarray) -> np.ndarray:
     """Values of node fields (fields[k, i, j] at (xs[i], ys[j])) at points
     on grid lines (x equal to some xs[i] or y to some ys[j], bit for bit),
-    by cubic Hermite interpolation along the line with slopes from
-    4th-order finite differences of the nodes; one row per point, one
-    column per field."""
+    by cubic Hermite interpolation along the line between the node values
+    and the node slopes slopes[k, a] = d fields[k] / d (x, y)[a]; one row
+    per point, one column per field."""
     on_col = np.isin(points[:, 0], g.xs)
     on_row = ~on_col & np.isin(points[:, 1], g.ys)
     if not np.all(on_col | on_row):
         raise LinearizerError("point on no grid line; cannot interpolate")
     out = np.empty((len(points), len(fields)))
     # a column is interpolated in y (axis 1), a row in x (axis 0)
-    for sel, axis, nodes, across, h in ((on_col, 1, g.ys, g.xs, g.hy),
-                                        (on_row, 0, g.xs, g.ys, g.hx)):
+    for sel, axis, nodes, across in ((on_col, 1, g.ys, g.xs),
+                                     (on_row, 0, g.xs, g.ys)):
         vals = np.moveaxis(fields, axis + 1, 2)
-        slopes = np.moveaxis(_diff4(fields, h, axis + 1), axis + 1, 2)
+        slope = np.moveaxis(slopes[:, axis], axis + 1, 2)
         t, fixed = points[sel, axis], points[sel, 1 - axis]
         line = np.searchsorted(across, fixed)
         k = np.clip(np.searchsorted(nodes, t, side="right") - 1,
@@ -417,9 +407,9 @@ def _on_grid_lines(g: GridSpec, fields: np.ndarray,
         dt = nodes[k + 1] - nodes[k]
         s = (t - nodes[k]) / dt
         out[sel] = ((1 + 2 * s) * (1 - s) ** 2 * vals[:, line, k]
-                    + s * (1 - s) ** 2 * dt * slopes[:, line, k]
+                    + s * (1 - s) ** 2 * dt * slope[:, line, k]
                     + s * s * (3 - 2 * s) * vals[:, line, k + 1]
-                    + s * s * (s - 1) * dt * slopes[:, line, k + 1]).T
+                    + s * s * (s - 1) * dt * slope[:, line, k + 1]).T
     return out
 
 
@@ -441,15 +431,17 @@ def flatness_residual(state: np.ndarray, state_t: np.ndarray) -> float:
 @dataclass
 class LinearizationResult:
     """Flat coordinates of the parameter-free `web`: u and v at the nodes of
-    `grid` (u[i, j] at (xs[i], ys[j])), lambda starting at lam0 on the
-    `base` node; the residuals that certify them; the per-foliation
-    straightness of the mapped leaves, the number of leaves skipped, and
+    `grid` (u[i, j] at (xs[i], ys[j])) and their Jacobian, the coframe
+    (jacobian[k, a, i, j] = d (u, v)[k] / d (x, y)[a]), lambda starting at
+    lam0 on the `base` node; the residuals that certify them; the
+    per-foliation straightness of the mapped leaves, the number of leaves skipped, and
     the traced leaves as (foliation index, points, mapped points); the
     web's verdict and invariant reports."""
     web: WebSpec
     grid: GridSpec
     u: np.ndarray
     v: np.ndarray
+    jacobian: np.ndarray
     base: tuple[float, float]
     lam0: tuple[float, float]
     path_independence_residual: float
@@ -489,10 +481,11 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     coframes start there as dx and dy.  The x-first and the y-first sweep
     must agree (`flatness_residual` at most PATH_TOLERANCE: no holonomy,
     so a flat connection and closed coframes), the coframes must stay
-    nondegenerate, and their potentials are u, v.  force=True skips only
-    the holonomy refusal: a web whose validity checks are 0 or not finite
-    on the grid lines is refused by `CoefficientGrid`.  The leaves of every
-    foliation are traced and measured under (u, v) by `straightness_report`.
+    nondegenerate, and their potentials are u, v, with the coframes as
+    Jacobian.  force=True skips only the holonomy refusal: a web whose
+    validity checks are 0 or not finite on the grid lines is refused by
+    `CoefficientGrid`.  The leaves of every foliation are traced and
+    measured under (u, v) by `straightness_report`.
     """
     if sorted(params or ()) != list(web.params):
         raise LinearizerError(f"the web has parameters {list(web.params)}, "
@@ -518,15 +511,18 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
         raise LinearizerError(
             f"connection is not flat (holonomy residual {resid:.3e} > "
             f"{PATH_TOLERANCE:.0e}); linearization refused")
-    p1, q1 = state[:, :, 2], state[:, :, 3]
-    p2, q2 = state[:, :, 4], state[:, :, 5]
+    # coframe[k] = (p_k, q_k), so theta_k = -p_k fx dx - q_k fy dy
+    coframe = np.moveaxis(state[:, :, 2:6], 2, 0).reshape(2, 2, g.nx, g.ny)
+    (p1, q1), (p2, q2) = coframe
     det = p1 * q2 - q1 * p2
     if np.abs(det).min() < COFRAME_DET_BOUND:
         raise LinearizerError("coordinate map singular on grid")
     u, v = state[:, :, 6].copy(), state[:, :, 7].copy()  # not views of state
-    straightness, skipped, leaves = straightness_report(web, g, u, v)
+    jacobian = -coframe * cg.xlines[:2, ::cg.r]  # du = theta1, dv = theta2
+    straightness, skipped, leaves = straightness_report(web, g, u, v,
+                                                        jacobian)
     return LinearizationResult(
-        web=web, grid=g, u=u, v=v,
+        web=web, grid=g, u=u, v=v, jacobian=jacobian,
         base=(float(g.xs[ib]), float(g.ys[jb])), lam0=lam0,
         path_independence_residual=resid,
         straightness=straightness, skipped_leaves=skipped, leaves=leaves,
@@ -591,9 +587,10 @@ def _first_crossings(fn: Callable, W: np.ndarray, levels: np.ndarray,
             for sel in (keep & (lvl == i) for i in range(len(levels)))]
 
 
-def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
-                 leaves: int) -> list[np.ndarray]:
-    """Polyline samples of `leaves` level curves of one foliation of `web`.
+def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str
+                 ) -> list[np.ndarray]:
+    """Polyline samples of LEAVES_PER_FOLIATION level curves of one
+    foliation of `web`.
 
     Foliations are named "x", "y", "f", "g4".."gd".  A level curve of f/g
     is sampled where it first crosses each grid column and each grid row,
@@ -601,7 +598,7 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
     the row crossings; every sample point therefore lies on a grid line.
     Pieces that leave the rectangle are absent from the samples.
     """
-    xs, ys = grid.xs, grid.ys
+    xs, ys, leaves = grid.xs, grid.ys, LEAVES_PER_FOLIATION
     if foliation == "x":
         cols = np.linspace(1, grid.nx - 2, leaves).round().astype(int)
         return [np.stack([np.full(grid.ny, xs[i]), ys], axis=1)
@@ -634,24 +631,25 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str,
 
 
 def straightness_report(web: WebSpec, grid: GridSpec, u: np.ndarray,
-                        v: np.ndarray
+                        v: np.ndarray, jacobian: np.ndarray
                         ) -> tuple[dict[str, float], int,
                                    list[tuple[int, np.ndarray, np.ndarray]]]:
     """Per-foliation max normalized line-fit residual of the leaves of the
-    parameter-free `web` under (x, y) -> (u, v), with u and v given at the
-    nodes of `grid`.
+    parameter-free `web` under (x, y) -> (u, v), with u, v and their
+    Jacobian (jacobian[k, a] = d (u, v)[k] / d (x, y)[a], shape
+    (2, 2, nx, ny)) given at the nodes of `grid`.
 
     Traces LEAVES_PER_FOLIATION leaves of every foliation; the points of
-    all leaves go through one Hermite map for u and v together.  Leaves
-    with fewer than 5 usable sample points are skipped.  Returns the
-    report, the number of skipped leaves, and the leaves as (foliation
-    index, points, mapped points).
+    all leaves go through one Hermite map for u and v together, whose
+    slopes are the Jacobian's.  Leaves with fewer than 5 usable sample
+    points are skipped.  Returns the report, the number of skipped leaves,
+    and the leaves as (foliation index, points, mapped points).
     """
     names = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
     traced = [(idx, leaf) for idx, name in enumerate(names)
-              for leaf in trace_leaves(web, grid, name, LEAVES_PER_FOLIATION)]
+              for leaf in trace_leaves(web, grid, name)]
     points = np.concatenate([leaf for _, leaf in traced])
-    uv = _on_grid_lines(grid, np.stack([u, v]), points)
+    uv = _on_grid_lines(grid, np.stack([u, v]), jacobian, points)
     report = dict.fromkeys(names, 0.0)
     leaves: list[tuple[int, np.ndarray, np.ndarray]] = []
     skipped = end = 0

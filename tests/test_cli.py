@@ -506,6 +506,15 @@ class TestLinearizeCommand:
         assert err == ("linearization failed: Frobenius integration "
                        "diverged; shrink grid\n")
 
+    def test_singular_coordinate_map_is_one_line(self, capsys, monkeypatch):
+        # a bound above every |det| of the coframe refuses any run
+        monkeypatch.setattr(lin, "COFRAME_DET_BOUND", float("inf"))
+        code, out, err = run(capsys, "linearize", "--f", "x/y", "--g", "x+y",
+                             "--grid", "21")
+        assert code == EXIT_NO == 1
+        assert out == ""
+        assert err == "linearization failed: coordinate map singular on grid\n"
+
 
 class TestSelftest:
     def test_plain_corpus(self, capsys):

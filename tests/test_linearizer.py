@@ -151,6 +151,12 @@ class TestTrivialGauge:
         rep = _linearize(ZERO_GAUGE_WEB, 21).straightness
         assert max(rep.values()) < 1e-12
 
+    def test_jacobian_is_the_identity(self):
+        # u = x - x0 and v = y - y0: the coframe stays dx, dy exactly
+        jac = _linearize(ZERO_GAUGE_WEB, 21).jacobian
+        assert jac.shape == (2, 2, 21, 21)
+        assert np.abs(jac - np.eye(2)[:, :, None, None]).max() == 0
+
 
 class TestIntegrateLambda:
     def test_refuses_nonlinearizable(self):
@@ -447,18 +453,19 @@ class TestFlatCoordinates:
         off = rng.normal(size=2)
         u2 = mat[0, 0] * result.u + mat[0, 1] * result.v + off[0]
         v2 = mat[1, 0] * result.u + mat[1, 1] * result.v + off[1]
-        rep2, _, _ = lin.straightness_report(WEB2, result.grid, u2, v2)
+        jac2 = np.tensordot(mat, result.jacobian, axes=1)
+        rep2, _, _ = lin.straightness_report(WEB2, result.grid, u2, v2, jac2)
         assert set(rep2) == set(result.straightness)
         for k, v in result.straightness.items():
             assert rep2[k] < 1e-5
 
     def test_result_holds_the_straightness_report(self, web2_result):
-        # the pipeline's report is the pure function of its (u, v), and
-        # recomputing it leaves the result as it was
+        # the pipeline's report is the pure function of its (u, v) and
+        # their Jacobian, and recomputing it leaves the result as it was
         res = web2_result
         before = [(i, p.tobytes(), q.tobytes()) for i, p, q in res.leaves]
         rep, skipped, leaves = lin.straightness_report(
-            res.web, res.grid, res.u, res.v)
+            res.web, res.grid, res.u, res.v, res.jacobian)
         assert rep == res.straightness and skipped == res.skipped_leaves
         assert [(i, p.tobytes(), q.tobytes()) for i, p, q in leaves] == before
         assert [(i, p.tobytes(), q.tobytes())
@@ -472,9 +479,52 @@ class TestFlatCoordinates:
         web = _web("x*y", "x+y")
         grid = lin.GridSpec(rect=web.domain, nx=5, ny=5)
         u, v = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-        _, skipped, leaves = lin.straightness_report(web, grid, u, v)
+        identity = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, 5, 5))
+        _, skipped, leaves = lin.straightness_report(web, grid, u, v,
+                                                     identity)
         assert skipped == 1
         assert [len(p) for i, p, _ in leaves if i == 2].count(4) == 1
+
+    def test_jacobian_matches_node_gradients(self):
+        # the integrated coframe against 2nd-order differences of (u, v)
+        # at interior nodes: at 41 nodes they differ by 2.3e-4 (max |J| is
+        # 1.56), and by about a quarter of that at 81 nodes, the
+        # differences' own O(h^2) error
+        web = corpus.linearization_web(corpus.case_by_name("bol-four-subweb"))
+        gaps = []
+        for n in (41, 81):
+            res = _linearize(web, n)
+            xs, ys = res.grid.xs, res.grid.ys
+            grads = np.array([np.gradient(f, xs, ys, edge_order=2)
+                              for f in (res.u, res.v)])
+            assert res.jacobian.shape == grads.shape == (2, 2, n, n)
+            gaps.append(np.abs(res.jacobian - grads)[..., 1:-1, 1:-1].max())
+        assert gaps[0] < 3e-4
+        assert gaps[1] < gaps[0] / 3.5
+
+    def test_singular_coordinate_map_refused(self, monkeypatch):
+        # the refusal starts just above the run's minimum |det| of the
+        # coframe: at that minimum the run goes through
+        grid = lin.GridSpec(rect=WEB2.domain, nx=21, ny=21)
+        _, state, _ = _states(WEB2, grid)
+        p1, q1, p2, q2 = np.moveaxis(state[:, :, 2:6], 2, 0)
+        least = np.abs(p1 * q2 - q1 * p2).min()
+        monkeypatch.setattr(lin, "COFRAME_DET_BOUND", least)
+        lin.flat_coordinates(WEB2, grid)
+        monkeypatch.setattr(lin, "COFRAME_DET_BOUND",
+                            np.nextafter(least, np.inf))
+        with pytest.raises(lin.LinearizerError,
+                           match="^coordinate map singular on grid$"):
+            lin.flat_coordinates(WEB2, grid)
+
+    def test_smallest_grid_measures_every_foliation(self):
+        # MIN_GRID nodes per axis give x- and y-leaves of MIN_GRID points,
+        # as many as the report needs to measure a leaf
+        web = corpus.linearization_web(
+            corpus.case_by_name("pencil-with-parallels"))
+        res = _linearize(web, lin.MIN_GRID)
+        measured = [i for i, leaf, _ in res.leaves if len(leaf) >= 5]
+        assert sorted(set(measured)) == [0, 1, 2, 3]
 
     def test_negative_control(self):
         res = _linearize(WEB5, force=True)
@@ -629,7 +679,7 @@ class TestBisection:
             want.append(np.array(sorted(set(
                 list(zip(col_x.tolist(), col_y.tolist()))
                 + list(zip(row_x.tolist(), row_y.tolist()))))))
-        got = lin.trace_leaves(web, g, foliation, 5)
+        got = lin.trace_leaves(web, g, foliation)
         assert len(got) == len(want) == 5
         assert _same_bits(got, want)
 
@@ -771,23 +821,23 @@ class TestLineFamilies:
 
 class TestLeafTracing:
     def test_coordinate_foliations_are_grid_lines(self, web2_grid):
-        leaves = lin.trace_leaves(WEB2, web2_grid, "x", 5)
+        leaves = lin.trace_leaves(WEB2, web2_grid, "x")
         assert len(leaves) == 5
         for leaf in leaves:
             assert np.ptp(leaf[:, 0]) == 0
-        leaves = lin.trace_leaves(WEB2, web2_grid, "y", 5)
+        leaves = lin.trace_leaves(WEB2, web2_grid, "y")
         for leaf in leaves:
             assert np.ptp(leaf[:, 1]) == 0
 
     def test_level_curves_sit_on_levels(self, web2_grid):
         fn = lambda x, y: x / y
-        for leaf in lin.trace_leaves(WEB2, web2_grid, "f", 4):
+        for leaf in lin.trace_leaves(WEB2, web2_grid, "f"):
             vals = leaf[:, 0] / leaf[:, 1]
             assert np.ptp(vals) < 1e-9
 
     def test_unknown_foliation(self, web2_grid):
         with pytest.raises(lin.LinearizerError):
-            lin.trace_leaves(WEB2, web2_grid, "q", 3)
+            lin.trace_leaves(WEB2, web2_grid, "q")
 
 
 class TestHermite:
@@ -799,6 +849,13 @@ class TestHermite:
         XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
         return np.stack([grid_function(self.CUBIC)(XX, YY), XX * YY])
 
+    def _slopes(self):
+        # d/dx and d/dy of each field, from their formulas
+        g = self.GRID
+        XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
+        return np.array([[3 * XX ** 2 - 2 * YY ** 2, -4 * XX * YY + 1],
+                         [YY, XX]])
+
     def test_cubic_reproduced_on_grid_lines(self):
         g = self.GRID
         rng = np.random.default_rng(7)
@@ -806,21 +863,22 @@ class TestHermite:
         rows = np.stack([rng.uniform(-1, 1, 50), rng.choice(g.ys, 50)], axis=1)
         nodes = np.stack([g.xs[[0, 3, 20]], g.ys[[20, 0, 9]]], axis=1)
         pts = np.vstack([cols, rows, nodes])
-        got = lin._on_grid_lines(g, self._fields(), pts)
+        got = lin._on_grid_lines(g, self._fields(), self._slopes(), pts)
         assert got.shape == (len(pts), 2)
         want = grid_function(self.CUBIC)(pts[:, 0], pts[:, 1])
         assert np.abs(got[:, 0] - want).max() < 1e-12
         assert np.abs(got[:, 1] - pts[:, 0] * pts[:, 1]).max() < 1e-12
         # mapped together, each field gets the bits it gets alone
-        for k, field in enumerate(self._fields()):
-            alone = lin._on_grid_lines(g, field[None], pts)[:, 0]
+        for k, (field, slope) in enumerate(zip(self._fields(),
+                                               self._slopes())):
+            alone = lin._on_grid_lines(g, field[None], slope[None], pts)[:, 0]
             assert alone.tobytes() == got[:, k].copy().tobytes()
 
     def test_point_on_no_grid_line(self):
         g = self.GRID
         pts = np.array([[g.xs[3], 0.5], [g.xs[3] + 1e-9, g.ys[2] + 1e-9]])
         with pytest.raises(lin.LinearizerError, match="no grid line"):
-            lin._on_grid_lines(g, self._fields(), pts)
+            lin._on_grid_lines(g, self._fields(), self._slopes(), pts)
 
 
 class TestDependencies:
