@@ -35,7 +35,7 @@ DEFAULT_DOMAIN = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4)
 DEFAULT_GRID_N = 41
 # an x- or y-leaf has a point per node; straightness measures leaves of 5
 MIN_GRID = 5
-MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~118 MB
+MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~67 MB
 PARAM_RANGE = (Fraction(2), Fraction(7))  # every parameter is drawn from it
 MAX_REJECTIONS = 100
 RATIONAL_DENOMINATOR_BOUND = 10 ** 4

@@ -641,11 +641,9 @@ def derive(e: Expr, v: str) -> Expr:
                 d = mul(n, add(mul(dex, log_(b)), mul(ex, div(db, b))))
         elif n.kind == EXP:
             d = mul(n, _derivative_cache[(n.children[0], v)])
-        elif n.kind == LOG:
+        else:  # LOG: constants and the other variable left at the mask
             u = n.children[0]
             d = div(_derivative_cache[(u, v)], u)
-        else:  # const, param, var of the other name
-            d = _ZERO
         _derivative_cache[key] = d
     return _derivative_cache[(e, v)]
 

@@ -209,15 +209,16 @@ _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")
 
 
 class CoefficientGrid:
-    """Symbolic coefficients on the grid lines the sweeps read, refined by
-    r = 2m for the half-substep points of m = DEFAULT_SUBSTEPS RK4 substeps
-    per interval.  The seven coefficients (_COEFF_NAMES) and the web's
-    validity checks are one compiled program, run in blocks of at most
-    BLOCK_POINTS points into `xlines` (coefficient, refined x, y node) and
-    `ylines` (coefficient, refined y, x node); node values are
-    `xlines[:, ::r]`.  A check that is 0 or not finite at a line point, or
-    divides by a constant zero, refuses the web before any coefficient is
-    tested for finiteness."""
+    """The line coefficients of `_frame_step` on the grid lines the sweeps
+    read, refined by r = 2m for the half-substep points of
+    m = DEFAULT_SUBSTEPS RK4 substeps per interval: the x-system's in
+    `xlines` (coefficient, refined x, y node) and the y-system's in
+    `ylines` (coefficient, refined y, x node), node values at `[:, ::r]`.
+    The seven coefficients (_COEFF_NAMES) and the web's validity checks are
+    one compiled program, run in blocks of at most BLOCK_POINTS points, and
+    each block's line coefficients are computed once.  A check that is 0 or
+    not finite at a line point, or divides by a constant zero, refuses the
+    web before any coefficient is tested for finiteness."""
 
     def __init__(self, web: WebSpec, grid: GridSpec):
         self.grid = grid
@@ -232,79 +233,83 @@ class CoefficientGrid:
         xlo, xhi, ylo, yhi = grid.rect.as_floats()
         xs = np.linspace(xlo, xhi, (grid.nx - 1) * r + 1)
         ys = np.linspace(ylo, yhi, (grid.ny - 1) * r + 1)
-        self.xlines = np.empty((len(exprs), len(xs), grid.ny))
-        self.ylines = np.empty((len(exprs), len(ys), grid.nx))
+        self.xlines = np.empty((4, len(xs), grid.ny))
+        self.ylines = np.empty((4, len(ys), grid.nx))
         valid = np.ones(len(checks), dtype=bool)
+        finite = np.ones(len(exprs), dtype=bool)
         # (along, across) is (x, y) on the x-lines, (y, x) on the y-lines
-        for out, along, across, xy in ((self.xlines, xs, ys[::r], 1),
-                                       (self.ylines, ys, xs[::r], -1)):
+        for out, along, across, axis in ((self.xlines, xs, ys[::r], "x"),
+                                         (self.ylines, ys, xs[::r], "y")):
             rows = max(1, BLOCK_POINTS // len(across))
             for i in range(0, len(along), rows):
-                vals = fn(*np.meshgrid(along[i:i + rows], across,
-                                       indexing="ij")[::xy])
-                out[:, i:i + rows] = vals[:len(exprs)]
-                valid &= [np.all(np.isfinite(v) & (v != 0))
-                          for v in vals[len(exprs):]]
+                points = np.meshgrid(along[i:i + rows], across, indexing="ij")
+                vals = fn(*points if axis == "x" else points[::-1])
+                coeffs, tests = vals[:len(exprs)], vals[len(exprs):]
+                valid &= [np.all(np.isfinite(v) & (v != 0)) for v in tests]
+                finite &= [np.isfinite(v).all() for v in coeffs]
+                out[:, i:i + rows] = _line_coefficients(coeffs, axis)
         if not valid.all():  # the first failing check, whatever the blocks
             raise LinearizerError("web is degenerate on the grid: "
                                   f"{format_expr(checks[valid.argmin()])} is "
                                   "0 or not finite")
-        for name, xl, yl in zip(_COEFF_NAMES, self.xlines, self.ylines):
-            if not (np.isfinite(xl).all() and np.isfinite(yl).all()):
-                raise LinearizerError(
-                    f"coefficient {name} is singular inside the grid; "
-                    "choose a smaller or shifted rectangle")
+        if not finite.all():
+            raise LinearizerError(
+                f"coefficient {_COEFF_NAMES[finite.argmin()]} is singular "
+                "inside the grid; choose a smaller or shifted rectangle")
 
 
 # the y-system's state order (l1 <-> l2, p <-> q) and back: an involution
 _SWAP = [1, 0, 3, 2, 5, 4, 6, 7]
 
 
-def _line_coefficients(c: np.ndarray, along: str, h: float) -> np.ndarray:
-    """The coefficients (F, A, B, FH) of `_frame_step` along x- or y-lines,
-    times the substep h, from c = (fx, fy, H, K, mu, mu1, mu2)."""
+@np.errstate(all="ignore")  # CoefficientGrid refuses a singular value
+def _line_coefficients(c: Sequence[np.ndarray], along: str) -> np.ndarray:
+    """The coefficients (F, F A, F B, F H) of `_frame_step` along x- or
+    y-lines from c = (fx, fy, H, K, mu, mu1, mu2): F = -fx, A = H + mu
+    along x and F = -fy, A = H - mu along y."""
     fx, fy, H, K, mu, mu1, mu2 = c
     if along == "x":
         F, A, B = -fx, H + mu, -K / 3 - H * mu / 3 + (2.0 / 3) * mu1 - mu2 / 3
     else:
         F, A, B = -fy, H - mu, K / 3 + H * mu / 3 + mu1 / 3 - (2.0 / 3) * mu2
-    return h * np.stack((F, F * A, F * B, F * H))
+    return np.stack((F, F * A, F * B, F * H))
 
 
 def _frame_step(c: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
     """The frame equations along a line times the signed substep, written
     into `out`: s is the state (a, b, P1, Q1, P2, Q2, u, v) over a batch of
-    half-lines and c its coefficients from `_line_coefficients`.
+    half-lines and c = (F, FA, FB, FH) from `_line_coefficients` times the
+    signed substep: A and B come already multiplied by F.
 
     Along x the state is (l1, l2, p1, q1, p2, q2, u, v); along y it is in
     _SWAP order, which makes the y-system the x-system with its own F, A
     and B.  Two coframes theta = p w1 + q w2 = -p fx dx - q fy dy are
     transported, and the potentials integrate du = theta1, dv = theta2.
     """
-    F, A, B, FH = c
+    F, FA, FB, FH = c
     a, b, P, Q = s[0], s[1], s[2:6:2], s[3:6:2]
     Fa = F * a
-    t = A + Fa
+    t = FA + Fa
     np.multiply(a, t, out=out[0])  # F a (H +- mu + a)
     t += Fa
     np.multiply(P, t, out=out[2:6:2])  # F P (H +- mu + 2 a)
     Fa += FH
     np.multiply(b, Fa, out=out[1])
-    out[1] += B  # F b (H + a) + B
+    out[1] += FB  # F b (H + a) + F B
     np.multiply(Q, Fa, out=out[3:6:2])
     np.multiply(F, b, out=t)
     out[3:6:2] += P * t  # F (Q (H + a) + P b)
     np.multiply(P, F, out=out[6:])
 
 
-def _sweep(families: list[tuple[np.ndarray, str, float, int, np.ndarray]]
+def _sweep(families: list[tuple[np.ndarray, float, int, np.ndarray]]
            ) -> list[np.ndarray]:
     """Integrate families of parallel grid lines from a start node to both
     ends, all their forward and backward half-lines in one batch.
 
-    A family is (c, along, h, start, s0): the coefficients indexed
-    [coefficient, refined index along, line], the direction, the node
-    spacing, the start node and the (8, lines) start state in the order of
+    A family is (c, h, start, s0): the line coefficients of `_frame_step`
+    indexed [coefficient, refined index along, line], the node spacing,
+    the start node and the (8, lines) start state in the order of
     `_frame_step`.  Block by block of nodes, each half-line's coefficients
     are gathered by substep and stage point (refined offsets 0, 1, 2 in its
     direction), scaled by the signed substep and zero past its end, so a
@@ -313,27 +318,25 @@ def _sweep(families: list[tuple[np.ndarray, str, float, int, np.ndarray]]
     """
     m, r = DEFAULT_SUBSTEPS, 2 * DEFAULT_SUBSTEPS
     outs = []
-    for c, _, _, start, s0 in families:
+    for c, _, start, s0 in families:
         outs.append(np.empty(((c.shape[1] - 1) // r + 1,) + s0.shape))
         outs[-1][start] = s0
     # a base node on the grid's edge leaves a half-line without steps
-    halves = [(c, along, sign * h / m, start, sign, n, out)
-              for (c, along, h, start, _), out in zip(families, outs)
+    halves = [(c, sign * h / m, start, sign, n, out)
+              for (c, h, start, _), out in zip(families, outs)
               for sign, n in ((1, len(out) - 1 - start), (-1, start)) if n]
     s = np.concatenate([out[start] for *_, start, _, _, out in halves], 1)
     ends = np.cumsum([0] + [h[-1].shape[2] for h in halves])
     k, t = np.empty((4,) + s.shape), np.empty(s.shape)
-    nodes = max(h[5] for h in halves)
+    nodes = max(h[4] for h in halves)
     block = max(1, BLOCK_POINTS // (r * s.shape[1]))
     for first in range(0, nodes, block):
         steps = np.arange(first * m, min(first + block, nodes) * m)
         offsets = 2 * steps[:, None] + np.arange(3)
         slab = np.empty((len(steps), 3, 4, s.shape[1]))
-        for (c, along, hs, start, sign, n, _), lo, hi in zip(halves, ends,
-                                                             ends[1:]):
+        for (c, hs, start, sign, n, _), lo, hi in zip(halves, ends, ends[1:]):
             idx = start * r + sign * np.minimum(offsets, n * r)
-            slab[..., lo:hi] = np.moveaxis(
-                _line_coefficients(c[:, idx], along, hs), 0, 2)
+            slab[..., lo:hi] = np.moveaxis(hs * c[:, idx], 0, 2)
             slab[max(0, m * (n - first)):, ..., lo:hi] = 0
         for node, substeps in enumerate(
                 slab.reshape((-1, m) + slab.shape[1:]), first + 1):
@@ -375,11 +378,10 @@ def integrate_lambda(cg: CoefficientGrid, base_node: tuple[int, int],
     # a diverging state overflows before `_sweep` refuses it; the refusal
     # is the one report of that
     with np.errstate(all="ignore"):
-        row, col = _sweep([(xlines[:, :, jb:jb + 1], "x", g.hx, ib, start),
-                           (ylines[:, :, ib:ib + 1], "y", g.hy, jb,
-                            start[_SWAP])])
-        cols, rows = _sweep([(ylines, "y", g.hy, jb, row[:, _SWAP, 0].T),
-                             (xlines, "x", g.hx, ib, col[:, _SWAP, 0].T)])
+        row, col = _sweep([(xlines[:, :, jb:jb + 1], g.hx, ib, start),
+                           (ylines[:, :, ib:ib + 1], g.hy, jb, start[_SWAP])])
+        cols, rows = _sweep([(ylines, g.hy, jb, row[:, _SWAP, 0].T),
+                             (xlines, g.hx, ib, col[:, _SWAP, 0].T)])
     return cols[:, _SWAP].transpose(2, 0, 1), rows.transpose(0, 2, 1)
 
 
@@ -502,9 +504,9 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
     cg = CoefficientGrid(web, g)
-    fx, fy = cg.xlines[:2, ib * cg.r, jb]
+    F = np.stack([cg.xlines[0, ::cg.r], cg.ylines[0, ::cg.r].T])  # -fx, -fy
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
-    s0 = [lam0[0], lam0[1], -1.0 / fx, 0.0, 0.0, -1.0 / fy, 0.0, 0.0]
+    s0 = [*lam0, 1.0 / F[0, ib, jb], 0.0, 0.0, 1.0 / F[1, ib, jb], 0.0, 0.0]
     state, state_t = integrate_lambda(cg, (ib, jb), s0)
     resid = flatness_residual(state, state_t)
     if not resid <= PATH_TOLERANCE and not force:  # a nan is refused too
@@ -518,7 +520,7 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     if np.abs(det).min() < COFRAME_DET_BOUND:
         raise LinearizerError("coordinate map singular on grid")
     u, v = state[:, :, 6].copy(), state[:, :, 7].copy()  # not views of state
-    jacobian = -coframe * cg.xlines[:2, ::cg.r]  # du = theta1, dv = theta2
+    jacobian = coframe * F  # du = theta1, dv = theta2
     straightness, skipped, leaves = straightness_report(web, g, u, v,
                                                         jacobian)
     return LinearizationResult(

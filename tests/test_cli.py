@@ -208,6 +208,15 @@ class TestInvariantsCommand:
         assert "J5: NONZERO" in out
         assert "residual" in out
 
+    def test_evidence_point_prints_its_parameter_values(self, capsys):
+        code, out, _ = run(capsys, "invariants", "--f", "x/y",
+                           "--g", "x^n+y^n")
+        assert code == EXIT_YES
+        evidence = [line for line in out.splitlines() if ": residual " in line]
+        assert evidence[0].startswith(
+            "    x=260/517 y=165/322 n=1717/276: residual ")
+        assert all(" n=" in line for line in evidence)
+
 
 class TestLinearizeCommand:
     def test_refuses_without_force(self, capsys):
@@ -247,6 +256,16 @@ class TestLinearizeCommand:
         assert worst < 1e-5
         text = svg.read_text()
         assert text.startswith("<svg") and "<polyline" in text
+
+    def test_svg_path_is_the_last_text_line(self, capsys, tmp_path):
+        svg = tmp_path / "out.svg"
+        code, out, err = run(capsys, "linearize", "--f", "x/y",
+                             "--g", "(1-y)/(1-x)",
+                             "--domain", "1/4,3/8,1/2,3/4",
+                             "--grid", "21", "--svg", str(svg))
+        assert code == EXIT_YES and err == ""
+        assert out.splitlines()[-1] == f"svg written to {svg}"
+        assert svg.read_text().startswith("<svg")
 
     def test_force_runs_negative_control(self, capsys):
         code, out, _ = run(capsys, "linearize", "--f", "x/y",
@@ -505,6 +524,19 @@ class TestLinearizeCommand:
         assert out == ""
         assert err == ("linearization failed: Frobenius integration "
                        "diverged; shrink grid\n")
+
+    def test_singular_coefficient_is_one_line(self, capsys):
+        # f_x f_y underflows in doubles, so the coefficient mu is not
+        # finite on the grid lines, while the validity checks hold
+        code, out, err = run(capsys, "linearize",
+                             "--f", "(x+y+x*y)/10^200", "--g", "x+y",
+                             "--domain", "1/4,3/8,1/2,3/4", "--grid", "21",
+                             "--force")
+        assert code == EXIT_NO == 1
+        assert out == ""
+        assert err == ("linearization failed: coefficient mu is singular "
+                       "inside the grid; choose a smaller or shifted "
+                       "rectangle\n")
 
     def test_singular_coordinate_map_is_one_line(self, capsys, monkeypatch):
         # a bound above every |det| of the coframe refuses any run

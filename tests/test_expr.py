@@ -227,6 +227,23 @@ class TestSimplification:
             assert simplify(e) is e
             assert dag_size(simplify(e)) <= dag_size(e)
 
+    def test_merged_powers_are_flattened_again(self):
+        # sqrt(x*y)^2 distributes over the product: mul canonicalizes the
+        # factors x, y once more
+        assert parse("sqrt(x*y)*sqrt(x*y)") is parse("x*y")
+
+    def test_log_and_exp_rewrites(self):
+        assert parse("log(1)") is const(0)
+        assert parse("log(exp(x))") is X
+        assert parse("exp(log(x))") is X
+
+    @pytest.mark.parametrize("text", ["log(0)", "log(-2)"])
+    def test_log_of_a_nonpositive_constant_is_undefined(self, text):
+        u = parse(text)
+        assert u.kind == "undef" and format_expr(u) == "1/0"
+        with pytest.raises(SingularSampleError):
+            evaluate(u, *ctx())
+
     def test_exp_product_cancellation(self):
         e = div(mul(X, exp_(neg(X))), exp_(neg(X)))
         assert e is X

@@ -44,9 +44,9 @@ def _states(web, grid, lam0=(0.0, 0.0)):
     cg = lin.CoefficientGrid(web, grid)
     cx, cy = grid.rect.center
     i, j = grid.nearest_index(float(cx), float(cy))
-    fx, fy = cg.xlines[:2, i * cg.r, j]
+    Fx, Fy = cg.xlines[0, i * cg.r, j], cg.ylines[0, j * cg.r, i]  # -fx, -fy
     state, state_t = lin.integrate_lambda(
-        cg, (i, j), [*lam0, -1 / fx, 0, 0, -1 / fy, 0, 0])
+        cg, (i, j), [*lam0, 1 / Fx, 0, 0, 1 / Fy, 0, 0])
     return cg, state, state_t
 
 
@@ -131,9 +131,11 @@ class TestTrivialGauge:
         # lambda1, lambda2, mu and H terms
         g = lin.GridSpec(rect=ZERO_GAUGE_WEB.domain, nx=21, ny=21)
         cg, state, state_t = _states(ZERO_GAUGE_WEB, g)
-        for arr in (state[:, :, 0], state[:, :, 1], *cg.xlines[[2, 4]],
-                    *cg.ylines[[2, 4]]):
-            assert np.abs(arr).max() == 0  # lambda, then H and mu
+        for lines in (cg.xlines, cg.ylines):
+            assert np.all(lines[0] != 0)  # F, so F A = F H = 0 is H = mu = 0
+        for arr in (state[:, :, 0], state[:, :, 1], *cg.xlines[[1, 3]],
+                    *cg.ylines[[1, 3]]):
+            assert np.abs(arr).max() == 0  # lambda, then F A and F H
         assert lin.flatness_residual(state, state_t) < 1e-14
         assert (_linearize(ZERO_GAUGE_WEB, 21).path_independence_residual
                 < 1e-14)
@@ -256,15 +258,22 @@ def _rhs(c, s, along):
                      fac * q2])
 
 
-def _literal_line(cg, s0, along, line, start):
+def _literal_line(web, g, s0, along, line, start):
     """The states at every node of one grid line (node `line` across it)
     from node `start` on, by classical RK4 substeps of `_rhs` taken one at
-    a time, as an (nodes, 8) array."""
-    g, r, m = cg.grid, cg.r, lin.DEFAULT_SUBSTEPS
+    a time, as an (nodes, 8) array; the seven coefficients are evaluated
+    on the line's refined points apart from `CoefficientGrid`."""
+    r, m = 2 * lin.DEFAULT_SUBSTEPS, lin.DEFAULT_SUBSTEPS
+    mu = web_mu(web, 4)
+    fn = grid_function(web.fx, web.fy, web.H, web.K, mu, web.d1(mu),
+                       web.d2(mu))
+    xlo, xhi, ylo, yhi = g.rect.as_floats()
     if along == "x":
-        n, h, C = g.nx, g.hx, cg.xlines[:, :, line]
+        n, h, pts = g.nx, g.hx, _refined(xlo, xhi, g.nx)
+        C = np.stack(fn(pts, np.full_like(pts, g.ys[line])))
     else:
-        n, h, C = g.ny, g.hy, cg.ylines[:, :, line]
+        n, h, pts = g.ny, g.hy, _refined(ylo, yhi, g.ny)
+        C = np.stack(fn(np.full_like(pts, g.xs[line]), pts))
     out = np.empty((n, 8))
     out[start] = s0
     for sign, stop in ((1, n - 1), (-1, 0)):
@@ -299,11 +308,11 @@ class TestBatchedSweep:
         assert not np.array_equal(states[0], states[1])
         # both orders against one line at a time: the base row, then every
         # column; the base column, then every row
-        row = _literal_line(cg, s0, "x", jb, ib)
-        x_first = np.stack([_literal_line(cg, row[i], "y", i, jb)
+        row = _literal_line(WEB2, g, s0, "x", jb, ib)
+        x_first = np.stack([_literal_line(WEB2, g, row[i], "y", i, jb)
                             for i in range(31)])
-        col = _literal_line(cg, s0, "y", ib, jb)
-        y_first = np.stack([_literal_line(cg, col[j], "x", j, ib)
+        col = _literal_line(WEB2, g, s0, "y", ib, jb)
+        y_first = np.stack([_literal_line(WEB2, g, col[j], "x", j, ib)
                             for j in range(21)], axis=1)
         assert np.abs(states[0] - x_first).max() < 1e-12
         assert np.abs(states[1] - y_first).max() < 1e-12
@@ -335,7 +344,7 @@ class TestBatchedSweep:
         h = sign * 0.0125
         order = list(range(8)) if along == "x" else lin._SWAP
         out = np.empty((8, 50))
-        lin._frame_step(lin._line_coefficients(c, along, h), s[order], out)
+        lin._frame_step(h * lin._line_coefficients(c, along), s[order], out)
         expected = h * _rhs(c, s, along)
         assert np.allclose(out[order], expected, rtol=1e-13, atol=0)
 
@@ -370,12 +379,13 @@ class TestFlatness:
 
     def test_bumped_curvature_refused(self, monkeypatch):
         # K + 1e-6 makes the connection of a YES web curved, by less than
-        # a finite difference of lambda can tell apart from its error
+        # a finite difference of lambda can tell apart from its error; F B
+        # holds -K/3 F along x and K/3 F along y
         class Bumped(lin.CoefficientGrid):
             def __init__(self, web, grid):
                 super().__init__(web, grid)
-                self.xlines[3] += 1e-6
-                self.ylines[3] += 1e-6
+                self.xlines[2] -= self.xlines[0] * 1e-6 / 3
+                self.ylines[2] += self.ylines[0] * 1e-6 / 3
 
         monkeypatch.setattr(lin, "CoefficientGrid", Bumped)
         with pytest.raises(lin.LinearizerError, match="not flat"):
@@ -686,8 +696,8 @@ class TestBisection:
 
 class TestCoefficientMemory:
     def test_peak_grows_with_the_lattice_by_a_few_arrays(self):
-        # the seven coefficients are filled block by block on the two line
-        # families: refining the grid adds at most 16 doubles of peak
+        # the four line coefficients are filled block by block on the two
+        # line families: refining the grid adds at most 6 doubles of peak
         # memory per line point (from 81 nodes on, the blocks are full)
         web = corpus.linearization_web(corpus.case_by_name("bol-four-subweb"))
 
@@ -701,12 +711,12 @@ class TestCoefficientMemory:
             finally:
                 tracemalloc.stop()
             refined = (n - 1) * cg.r + 1
-            assert cg.xlines.shape == cg.ylines.shape == (7, refined, n)
+            assert cg.xlines.shape == cg.ylines.shape == (4, refined, n)
             return top, 2 * refined * n
 
         peak(21)  # builds the symbolic coefficients once
         (small, n81), (large, n161) = peak(81), peak(161)
-        assert large - small <= 16 * 8 * (n161 - n81)
+        assert large - small <= 6 * 8 * (n161 - n81)
 
     @pytest.mark.parametrize("name, all_slots_mib", [
         ("bol-four-subweb", 23.3), ("double-parabola-tangents", 26.4)])
@@ -757,6 +767,21 @@ class TestCoefficientBlocks:
             assert split.xlines.tobytes() == cg.xlines.tobytes()
             assert split.ylines.tobytes() == cg.ylines.tobytes()
 
+    @pytest.mark.parametrize("block", [None, 1, 7 * 21 + 3])
+    def test_singular_coefficient_refused_whatever_the_blocks(
+            self, monkeypatch, block):
+        # f_x f_y underflows in doubles: the checks hold and mu, the first
+        # coefficient that is not finite, names the refusal
+        web = _web("(x+y+x*y)/10^200", "x+y",
+                   domain=Rect(F(1, 4), F(3, 8), F(1, 2), F(3, 4)))
+        g = lin.GridSpec(rect=web.domain, nx=21, ny=21)
+        if block is not None:
+            monkeypatch.setattr(lin, "BLOCK_POINTS", block)
+        with pytest.raises(lin.LinearizerError, match="^" + re.escape(
+                "coefficient mu is singular inside the grid; choose a "
+                "smaller or shifted rectangle") + "$"):
+            lin.CoefficientGrid(web, g)
+
 
 class TestLineFamilies:
     GRID = lin.GridSpec(rect=WEB2.domain, nx=31, ny=21)
@@ -765,27 +790,36 @@ class TestLineFamilies:
     def cg(self):
         return lin.CoefficientGrid(WEB2, self.GRID)
 
+    @staticmethod
+    def _coefficients():
+        m = web_mu(WEB2, 4)
+        return grid_function(WEB2.fx, WEB2.fy, WEB2.H, WEB2.K, m,
+                             WEB2.d1(m), WEB2.d2(m))
+
     def test_lines_are_the_coefficients_at_their_points(self, cg):
         # the checks share the program, and change no coefficient bit
-        g, m = self.GRID, web_mu(WEB2, 4)
-        fn = grid_function(WEB2.fx, WEB2.fy, WEB2.H, WEB2.K, m,
-                           WEB2.d1(m), WEB2.d2(m))
+        g, fn = self.GRID, self._coefficients()
         xlo, xhi, ylo, yhi = g.rect.as_floats()
         xs, ys = _refined(xlo, xhi, g.nx), _refined(ylo, yhi, g.ny)
-        assert cg.xlines.shape == (7, len(xs), g.ny)
-        assert cg.ylines.shape == (7, len(ys), g.nx)
+        assert cg.xlines.shape == (4, len(xs), g.ny)
+        assert cg.ylines.shape == (4, len(ys), g.nx)
         for j, y in enumerate(g.ys):
-            want = np.stack(fn(xs, np.full_like(xs, y)))
+            want = lin._line_coefficients(fn(xs, np.full_like(xs, y)), "x")
             assert cg.xlines[:, :, j].tobytes() == want.tobytes()
         for i, x in enumerate(g.xs):
-            want = np.stack(fn(np.full_like(ys, x), ys))
+            want = lin._line_coefficients(fn(np.full_like(ys, x), ys), "y")
             assert cg.ylines[:, :, i].tobytes() == want.tobytes()
 
     def test_families_agree_at_the_nodes(self, cg):
+        # both families' node values come from the same coefficient bits,
+        # those of one evaluation at the nodes
+        g = self.GRID
+        vals = self._coefficients()(*np.meshgrid(g.xs, g.ys, indexing="ij"))
         at_x = cg.xlines[:, ::cg.r]
         at_y = cg.ylines[:, ::cg.r].transpose(0, 2, 1)
-        assert at_x.shape == (7, 31, 21)
-        assert at_x.tobytes() == at_y.tobytes()
+        assert at_x.shape == at_y.shape == (4, 31, 21)
+        assert at_x.tobytes() == lin._line_coefficients(vals, "x").tobytes()
+        assert at_y.tobytes() == lin._line_coefficients(vals, "y").tobytes()
 
     @pytest.mark.parametrize("rect", [
         Rect(F(1, 4), F(3, 4), F(-1, 2), F(5, 8)),
