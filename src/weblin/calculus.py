@@ -8,7 +8,8 @@ normalized coframe act on scalars as
 
 and everything else here (H, K, the basic invariants a_alpha and the
 deformation scalar mu) is built from them.  `WebSpec` holds the frame:
-f_x, f_y, d1, d2, H and K are read from the web, each built once per web.
+f_x, f_y, their inverses, H and K are built once per web, and the
+operators d1, d2 build their product anew on each call.
 """
 from __future__ import annotations
 
@@ -268,7 +269,7 @@ def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
                          random_rational(rng, dom.y_lo, dom.y_hi),
                          dict(params))
         store = stores[len(out)] if stores else Store()
-        if pt.x != pt.y and _point_is_valid(web, pt, precision, store):
+        if _point_is_valid(web, pt, precision, store):
             out.append(pt)
             rejects = 0
         else:

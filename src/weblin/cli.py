@@ -178,23 +178,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_linearize(args: argparse.Namespace) -> int:
     from . import linearizer as lin  # numpy loads for this command only
     web = _web_from_config(args)
-    unknown = sorted(set(args.params) - set(web.params))
-    if unknown:
-        raise UsageError(f"--param {', '.join(unknown)}: not a parameter "
-                         "of the web")
-    missing = sorted(set(web.params) - set(args.params))
-    if missing:
-        raise UsageError(f"no value for parameter(s) {', '.join(missing)}; "
-                         "give each with --param name=value")
     params = {k: _fraction(v, "--param") for k, v in args.params.items()}
     base = _floats(args.base, "--base") if args.base else None
-    try:
-        grid = lin.GridSpec(rect=web.domain, nx=args.grid, ny=args.grid)
-        if base is not None:
-            grid.nearest_index(*base)  # refused before the verdict runs
-    except lin.LinearizerError as err:
-        raise UsageError(str(err)) from None
     lam0 = _floats(args.lambda0, "--lambda0")
+    grid = lin.GridSpec(rect=web.domain, nx=args.grid, ny=args.grid)
     try:
         result = lin.flat_coordinates(web, grid, base=base, lam0=lam0,
                                       params=params, force=args.force,
@@ -346,8 +333,8 @@ def main(argv: list[str] | None = None) -> int:
                    "linearize": cmd_linearize, "selftest": cmd_selftest}
         return handler[args.command](args)
     except (UsageError, ExprError) as err:
-        # malformed domain rectangles, bad parameter names, and similar
-        # input-shaped problems are usage errors, not crashes
+        # malformed domain rectangles, bad parameter names, a base off the
+        # grid and similar input-shaped problems are usage errors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

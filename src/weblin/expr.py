@@ -348,9 +348,7 @@ def mul(*factors) -> Expr:
         if f.kind == UNDEF:
             return _UNDEF
         kids = f.children if f.kind == MUL else (f,)
-        for k in kids:
-            if k.kind == UNDEF:
-                return _UNDEF
+        for k in kids:  # a MUL node never holds an UNDEF child
             if k.kind == CONST:
                 coeff *= k.value
                 continue
@@ -813,11 +811,12 @@ class _MpfArithmetic:
     """p-bit floats as raw `mpmath.libmp` tuples (sign, mantissa, exponent,
     bit count): every operation is the libmp call mpmath's mpf operators
     make (at `prec`, round to nearest), so values are bit-identical to mpf
-    arithmetic, minus the object wrappers.  Refuses non-finite values, and
-    keeps the real-domain rules: an exponent counts as an integer by its
-    value, a zero base with a negative power is singular, and a negative
-    base with a non-integer power or the log of a non-positive value is a
-    domain error."""
+    arithmetic, minus the object wrappers.  It keeps the real-domain rules:
+    an exponent counts as an integer by its value, a zero base with a
+    negative power is singular, and a negative base with a non-integer
+    power or the log of a non-positive value is a domain error.  No value
+    needs a finiteness check: the leaves are rationals, and libmp's
+    exponents are unbounded ints, so its operations keep values finite."""
 
     def __init__(self, prec: int):
         rnd = libmp.round_nearest
@@ -826,9 +825,9 @@ class _MpfArithmetic:
         self.exp = lambda u: libmp.mpf_exp(u, prec, rnd)
         self.prec = prec
 
-    def num(self, q) -> tuple:
-        if not isinstance(q, Fraction):
-            return mpmath.mpf(q, prec=self.prec)._mpf_
+    check = None
+
+    def num(self, q: Fraction) -> tuple:
         p, rnd = self.prec, libmp.round_nearest  # mpf(numerator) / denominator
         return libmp.mpf_div(libmp.from_int(q.numerator, p, rnd),
                              libmp.from_int(q.denominator), p, rnd)
@@ -850,11 +849,6 @@ class _MpfArithmetic:
             raise DomainEvalError("log of non-positive value")
         return libmp.mpf_log(u, self.prec, libmp.round_nearest)
 
-    @staticmethod
-    def check(v: tuple) -> None:
-        if not v[1] and v[2]:  # inf and nan: zero mantissa, nonzero exponent
-            raise DomainEvalError("non-finite value in evaluation")
-
 
 def _scale(code: list[tuple], vals: list) -> tuple:
     """max(1, |v|) over the slots of a compiled root, as an mpf tuple."""
@@ -875,15 +869,10 @@ def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
         raise ExactnessError("exp, log or a non-integer power; "
                              "exact mode refused")
     if precision not in store:
-        if precision is None:
-            if not all(isinstance(v, (int, Fraction))
-                       for v in bindings.values()):
-                raise ExprError("exact mode requires rational bindings")
-            arith = _EXACT
-        else:
-            arith = _MpfArithmetic(precision)
-        leaves = {k: arith.num(Fraction(v) if isinstance(v, int) else v)
-                  for k, v in bindings.items()}
+        if not all(isinstance(v, (int, Fraction)) for v in bindings.values()):
+            raise ExprError("evaluation requires rational bindings")
+        arith = _EXACT if precision is None else _MpfArithmetic(precision)
+        leaves = {k: arith.num(v) for k, v in bindings.items()}
         store[precision] = [], leaves, arith
     vals, leaves, arith = store[precision]
     vals.extend([None] * (len(store.program.slots) - len(vals)))
@@ -897,15 +886,14 @@ def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
 def evaluate(e: Expr, bindings: Mapping[str, object],
              precision: int | None = None, *, store: Store | None = None):
     """The value of `e` at `bindings`, which must bind every variable and
-    parameter of `e` (a missing one raises, never defaults).  With
+    parameter of `e` (a missing one raises, never defaults) to a rational,
+    int or Fraction, in either arithmetic (else ExprError).  With
     `precision` None the arithmetic is exact: `e` must be free of exp, log
     and non-integer powers (else ExactnessError, see
-    `is_exactly_evaluable`), the bindings must be rational (int or
-    Fraction), values are bounded by EXACT_BITS and the result is a
-    Fraction.  An int `precision` evaluates in mpmath binary floats with
-    that many mantissa bits; bindings may then also be floats or mpfs, and
-    the result is an mpf.  Nodes a `store` already holds are read, not
-    computed."""
+    `is_exactly_evaluable`), values are bounded by EXACT_BITS and the
+    result is a Fraction.  An int `precision` evaluates in mpmath binary
+    floats with that many mantissa bits, and the result is an mpf.  Nodes a
+    `store` already holds are read, not computed."""
     return _evaluate(e, bindings, precision, store, False)[0]
 
 

@@ -43,8 +43,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import (UNDEF, Expr, Program, SingularSampleError, _check_bindings,
-                   _walk, format_expr, substitute)
+from .expr import (UNDEF, Expr, ExprError, Program, SingularSampleError,
+                   _check_bindings, _walk, format_expr, substitute)
 from .calculus import (DEFAULT_GRID_N, MAX_GRID, MIN_GRID, WebSpec, Rect,
                        mu as web_mu)
 from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
@@ -84,7 +84,12 @@ class NotLinearizableError(LinearizerError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular lattice of nx x ny nodes over a rational rectangle."""
+    """Rectangular lattice of nx x ny nodes over a rational rectangle.
+
+    The node coordinates `xs`, `ys` (read-only arrays) and spacings `hx`,
+    `hy` are computed once, here.  A node count outside MIN_GRID..MAX_GRID
+    or an extent that is not a positive double raises ExprError, as an
+    input error of `Rect` and `WebSpec` does."""
     rect: Rect
     nx: int = DEFAULT_GRID_N
     ny: int = DEFAULT_GRID_N
@@ -92,40 +97,25 @@ class GridSpec:
     def __post_init__(self):
         if not (MIN_GRID <= min(self.nx, self.ny)
                 and max(self.nx, self.ny) <= MAX_GRID):
-            raise LinearizerError(
+            raise ExprError(
                 f"grid needs {MIN_GRID} to {MAX_GRID} nodes per axis")
         try:
             xlo, xhi, ylo, yhi = self.rect.as_floats()
         except OverflowError:
             xlo = xhi = ylo = yhi = 0.0
         if not (0 < xhi - xlo < math.inf and 0 < yhi - ylo < math.inf):
-            raise LinearizerError("rectangle extent is not a positive double")
-
-    @property
-    def xs(self) -> np.ndarray:
-        lo, hi, _, _ = self.rect.as_floats()
-        return np.linspace(lo, hi, self.nx)
-
-    @property
-    def ys(self) -> np.ndarray:
-        _, _, lo, hi = self.rect.as_floats()
-        return np.linspace(lo, hi, self.ny)
-
-    @property
-    def hx(self) -> float:
-        lo, hi, _, _ = self.rect.as_floats()
-        return (hi - lo) / (self.nx - 1)
-
-    @property
-    def hy(self) -> float:
-        _, _, lo, hi = self.rect.as_floats()
-        return (hi - lo) / (self.ny - 1)
+            raise ExprError("rectangle extent is not a positive double")
+        xs = np.linspace(xlo, xhi, self.nx)
+        ys = np.linspace(ylo, yhi, self.ny)
+        xs.flags.writeable = ys.flags.writeable = False
+        self.__dict__.update(xs=xs, ys=ys, hx=(xhi - xlo) / (self.nx - 1),
+                             hy=(yhi - ylo) / (self.ny - 1))
 
     def nearest_index(self, x: float, y: float) -> tuple[int, int]:
         i = int(round((x - self.xs[0]) / self.hx))
         j = int(round((y - self.ys[0]) / self.hy))
         if not (0 <= i < self.nx and 0 <= j < self.ny):
-            raise LinearizerError("base point outside the grid")
+            raise ExprError("base point outside the grid")
         return i, j
 
 
@@ -230,7 +220,7 @@ class CoefficientGrid:
             fn = grid_function(*exprs, *checks)
         except SingularSampleError:  # it divides by a constant zero
             raise LinearizerError("web is degenerate on the grid") from None
-        xlo, xhi, ylo, yhi = grid.rect.as_floats()
+        xlo, xhi, ylo, yhi = grid.rect.as_floats()  # the refined lines
         xs = np.linspace(xlo, xhi, (grid.nx - 1) * r + 1)
         ys = np.linspace(ylo, yhi, (grid.ny - 1) * r + 1)
         self.xlines = np.empty((4, len(xs), grid.ny))
@@ -238,11 +228,11 @@ class CoefficientGrid:
         valid = np.ones(len(checks), dtype=bool)
         finite = np.ones(len(exprs), dtype=bool)
         # (along, across) is (x, y) on the x-lines, (y, x) on the y-lines
-        for out, along, across, axis in ((self.xlines, xs, ys[::r], "x"),
-                                         (self.ylines, ys, xs[::r], "y")):
+        for out, along, across, axis in ((self.xlines, xs, grid.ys, "x"),
+                                         (self.ylines, ys, grid.xs, "y")):
             rows = max(1, BLOCK_POINTS // len(across))
             for i in range(0, len(along), rows):
-                points = np.meshgrid(along[i:i + rows], across, indexing="ij")
+                points = along[i:i + rows, None], across
                 vals = fn(*points if axis == "x" else points[::-1])
                 coeffs, tests = vals[:len(exprs)], vals[len(exprs):]
                 valid &= [np.all(np.isfinite(v) & (v != 0)) for v in tests]
@@ -475,33 +465,39 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
                      ) -> LinearizationResult:
     """The linearization pipeline: flat coordinates (u, v) of the web.
 
-    Substitutes `params`, a value for each web parameter and no other name,
-    first: every later step, the verdict included, sees that web.
-    Decides the verdict with `check_dweb` and refuses a web that is not YES
-    with `NotLinearizableError`, unless force=True.  Lambda starts at lam0
-    at the grid node nearest to `base` (default: the grid center), and two
-    coframes start there as dx and dy.  The x-first and the y-first sweep
-    must agree (`flatness_residual` at most PATH_TOLERANCE: no holonomy,
-    so a flat connection and closed coframes), the coframes must stay
-    nondegenerate, and their potentials are u, v, with the coframes as
-    Jacobian.  force=True skips only the holonomy refusal: a web whose
-    validity checks are 0 or not finite on the grid lines is refused by
-    `CoefficientGrid`.  The leaves of every foliation are traced and
-    measured under (u, v) by `straightness_report`.
+    Its inputs are checked before any work, each refusal an ExprError:
+    `params` holds a value for each web parameter and no other name, and
+    `base` (default: the center) lies on the grid (default: the web's
+    domain, 41 nodes per axis).  The values are substituted first: every
+    later step, the verdict included, sees that web.  Decides the verdict
+    with `check_dweb` and refuses a web that is not YES with
+    `NotLinearizableError`, unless force=True.  Lambda starts at lam0 at
+    the grid node nearest to `base`, and two coframes start there as dx and
+    dy.  The x-first and the y-first sweep must agree (`flatness_residual`
+    at most PATH_TOLERANCE: no holonomy, so a flat connection and closed
+    coframes), the coframes must stay nondegenerate, and their potentials
+    are u, v, with the coframes as Jacobian.  force=True skips only the
+    holonomy refusal: a web whose validity checks are 0 or not finite on
+    the grid lines is refused by `CoefficientGrid`.  The leaves of every
+    foliation are traced and measured under (u, v) by
+    `straightness_report`.
     """
-    if sorted(params or ()) != list(web.params):
-        raise LinearizerError(f"the web has parameters {list(web.params)}, "
-                              f"values are given for {sorted(params or ())}")
+    unknown = sorted(set(params or ()) - set(web.params))
+    if unknown:
+        raise ExprError(f"{', '.join(unknown)}: not a parameter of the web")
+    missing = sorted(set(web.params) - set(params or ()))
+    if missing:
+        raise ExprError(f"no value for parameter(s) {', '.join(missing)}; "
+                        "each parameter of the web needs one")
+    g = grid or GridSpec(rect=web.domain)
+    base = g.rect.center if base is None else base
+    ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     if params:
         web = replace(web, f=substitute(web.f, params),
                       gs=tuple(substitute(e, params) for e in web.gs))
     verdict, reports = check_dweb(web, policy)
     if verdict != YES and not force:
         raise NotLinearizableError(verdict, reports)
-    g = grid or GridSpec(rect=web.domain)
-    if base is None:
-        base = g.rect.center
-    ib, jb = g.nearest_index(float(base[0]), float(base[1]))
     lam0 = (float(lam0[0]), float(lam0[1]))
     cg = CoefficientGrid(web, g)
     F = np.stack([cg.xlines[0, ::cg.r], cg.ylines[0, ::cg.r].T])  # -fx, -fy
@@ -511,8 +507,9 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     resid = flatness_residual(state, state_t)
     if not resid <= PATH_TOLERANCE and not force:  # a nan is refused too
         raise LinearizerError(
-            f"connection is not flat (holonomy residual {resid:.3e} > "
-            f"{PATH_TOLERANCE:.0e}); linearization refused")
+            f"holonomy residual {resid:.3e} > {PATH_TOLERANCE:.0e}: the "
+            "connection is not flat, or the integration error is too large "
+            "(a finer grid lowers it); linearization refused")
     # coframe[k] = (p_k, q_k), so theta_k = -p_k fx dx - q_k fy dy
     coframe = np.moveaxis(state[:, :, 2:6], 2, 0).reshape(2, 2, g.nx, g.ny)
     (p1, q1), (p2, q2) = coframe
@@ -616,8 +613,7 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str
     else:
         raise LinearizerError(f"unknown foliation {foliation!r}")
     fn = grid_function(e)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    W = fn(XX, YY)
+    W = fn(xs[:, None], ys)
     if not np.all(np.isfinite(W)):
         raise LinearizerError(f"foliation {foliation} is singular on the grid")
     levels = np.quantile(W, np.linspace(0.25, 0.75, leaves))

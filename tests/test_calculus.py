@@ -101,10 +101,9 @@ class TestH:
         H = web.H
         f = web.f
         with mpmath.workprec(300):
-            h = mpmath.mpf(2) ** -60
+            h = F(1, 2 ** 60)
             for pt in sample_points(web, 8):
-                xv = mpmath.mpf(pt.x.numerator) / pt.x.denominator
-                yv = mpmath.mpf(pt.y.numerator) / pt.y.denominator
+                xv, yv = pt.x, pt.y
 
                 def val(e, xx, yy):
                     return evaluate(e, {"x": xx, "y": yy}, 300)

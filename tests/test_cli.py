@@ -51,6 +51,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested too deeply" in err
 
+    def test_interval_too_narrow_for_rational_sampling(self, capsys):
+        # no rational with denominator at most 10^4 lies in [1e-5, 2e-5]
+        code, out, _ = run(capsys, "check", "--f", "x/y", "--g", "x+y",
+                           "--domain", "1/100000,2/100000,1/4,3/4")
+        assert code == EXIT_INCONCLUSIVE
+        assert out.count("INCONCLUSIVE (") == 2
+        assert out.count("reason: interval too narrow for rational "
+                         "sampling\n") == 2
+
     def test_huge_exact_residual(self, capsys):
         # exact residuals here run to thousands of digits, within the
         # exact-arithmetic budget: still an exact NO
@@ -537,6 +546,30 @@ class TestLinearizeCommand:
         assert err == ("linearization failed: coefficient mu is singular "
                        "inside the grid; choose a smaller or shifted "
                        "rectangle\n")
+
+    def test_coarse_grid_holonomy_is_one_line(self, capsys):
+        # a YES web whose integration error at the default grid exceeds
+        # PATH_TOLERANCE: refused there, linearized on a finer grid
+        argv = ["linearize", "--f", "x*y", "--g", "x+y",
+                "--domain", "1/4,3/8,1/2,3/4"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NO
+        assert out == ""
+        assert err.startswith("linearization failed: holonomy residual ")
+        assert "not flat" in err and "finer grid" in err
+        assert err.count("\n") == 1
+        code, out, _ = run(capsys, *argv, "--grid", "81")
+        assert code == EXIT_YES
+        assert "verdict: YES" in out
+
+    def test_singular_foliation_is_one_line(self, capsys):
+        # the verdict is YES, but f's values overflow doubles
+        code, out, err = run(capsys, "linearize", "--f", "x/y + 10^400",
+                             "--g", "x+y", "--grid", "9")
+        assert code == EXIT_NO
+        assert out == ""
+        assert err == ("linearization failed: foliation f is singular on "
+                       "the grid\n")
 
     def test_singular_coordinate_map_is_one_line(self, capsys, monkeypatch):
         # a bound above every |det| of the coframe refuses any run

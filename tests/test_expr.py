@@ -58,6 +58,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="argument list"):
             parse("x + sqrt")
 
+    @pytest.mark.parametrize("text, message", [
+        ("(x+y", "expected ')', found end of input at offset 4"),
+        ("sqrt(x y)", "expected ')', found 'y' at offset 7"),
+    ])
+    def test_unclosed_parenthesis(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_no_implicit_multiplication(self):
         # "xy" is a parameter name, not x*y
         assert parse("xy") is param("xy")
@@ -244,6 +253,17 @@ class TestSimplification:
         with pytest.raises(SingularSampleError):
             evaluate(u, *ctx())
 
+    @pytest.mark.parametrize("text, folded", [
+        ("0^x * 0^(-x-1)", "1/0"),  # the merged exponent is -1
+        ("0^(1/2)", "0"),
+        ("0^(-1/2)", "1/0"),
+        ("(0-4)^(1/2)", "1/0"),  # not a real number
+        ("1^x", "1"),
+        ("log(1/0)", "1/0"),
+    ])
+    def test_constant_powers_and_undefined_values_fold(self, text, folded):
+        assert format_expr(parse(text)) == folded
+
     def test_exp_product_cancellation(self):
         e = div(mul(X, exp_(neg(X))), exp_(neg(X)))
         assert e is X
@@ -306,10 +326,12 @@ class TestEvaluation:
         v, scale = evaluate_scaled(e, *ctx(F(1, 3), 1, precision=256))
         assert float(scale) >= 1e24
 
-    def test_float_mode_accepts_float_bindings(self):
+    def test_float_mode_refuses_float_bindings(self):
+        # bindings are rational in both arithmetics, with one message
         e = parse("x*y")
-        out = evaluate(e, {"x": 0.5, "y": 0.25}, 53)
-        assert out == 0.125
+        for v in (0.5, mpmath.mpf(0.5)):
+            with pytest.raises(ExprError, match="rational bindings"):
+                evaluate(e, {"x": v, "y": F(1, 4)}, 53)
 
     def test_binding_types(self):
         # exact evaluation refuses a float binding; float evaluation reads
@@ -527,12 +549,12 @@ class TestProperties:
         pt = {"x": F(2, 5), "y": F(5, 7), "n": F(5, 2)}
         d = derive(e, "x")
         with mpmath.workprec(300):
-            h = mpmath.mpf(2) ** -60
+            h = F(1, 2 ** 60)
             try:
-                up = _hp_value(e, {**pt, "x": None}, mpmath.mpf(2) / 5 + h)
-                dn = _hp_value(e, {**pt, "x": None}, mpmath.mpf(2) / 5 - h)
+                up = _hp_value(e, {**pt, "x": None}, F(2, 5) + h)
+                dn = _hp_value(e, {**pt, "x": None}, F(2, 5) - h)
                 want = (up - dn) / (2 * h)
-                got = _hp_value(d, {**pt, "x": None}, mpmath.mpf(2) / 5)
+                got = _hp_value(d, {**pt, "x": None}, F(2, 5))
             except EvalError:
                 assume(False)
             assert abs(got - want) <= mpmath.mpf(2) ** -80 * max(

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weblin.expr import Program, parse
+from weblin.expr import ExprError, Program, parse
 from weblin.calculus import Rect, WebSpec, mu as web_mu
 from weblin import linearizer as lin
 from weblin.linearizer import grid_function
@@ -54,12 +54,24 @@ class TestGridSpec:
     @pytest.mark.parametrize("nx, ny", [(4, 41), (41, 4), (514, 41),
                                         (41, 514), (100000, 100000)])
     def test_node_count_out_of_range(self, nx, ny):
-        with pytest.raises(lin.LinearizerError, match="grid"):
+        with pytest.raises(ExprError, match="grid"):
             lin.GridSpec(rect=WEB2.domain, nx=nx, ny=ny)
 
     def test_node_count_bounds_accepted(self):
         for n in (5, lin.MAX_GRID):
             assert lin.GridSpec(rect=WEB2.domain, nx=n, ny=n).nx == n
+
+    def test_lattice_is_computed_once(self):
+        rect = Rect(F(1, 3), F(5, 7), F(2, 9), F(10, 11))
+        g = lin.GridSpec(rect=rect, nx=31, ny=21)
+        assert g.xs is g.xs and g.ys is g.ys
+        assert not g.xs.flags.writeable and not g.ys.flags.writeable
+        with pytest.raises(ValueError):
+            g.xs[0] = 0.0
+        assert g.xs.tobytes() == np.linspace(1 / 3, 5 / 7, 31).tobytes()
+        assert g.ys.tobytes() == np.linspace(2 / 9, 10 / 11, 21).tobytes()
+        assert g.hx == (5 / 7 - 1 / 3) / 30 and g.hy == (10 / 11 - 2 / 9) / 20
+        assert g == lin.GridSpec(rect=rect, nx=31, ny=21)
 
 
 class TestDegenerateParameters:
@@ -95,9 +107,8 @@ class TestDegenerateParameters:
         assert max(res.straightness.values()) < 1e-5
 
     @pytest.mark.parametrize("params, message", [
-        ({"n": F(2), "q": F(1)}, "the web has parameters ['n'], values "
-                                 "are given for ['n', 'q']"),
-        ({}, "the web has parameters ['n'], values are given for []"),
+        ({"n": F(2), "q": F(1)}, "q: not a parameter of the web"),
+        ({}, "no value for parameter(s) n; "),
     ])
     def test_bad_parameters_refused_before_the_verdict(
             self, monkeypatch, params, message):
@@ -105,8 +116,20 @@ class TestDegenerateParameters:
             raise AssertionError("check_dweb called")
 
         monkeypatch.setattr(lin, "check_dweb", no_verdict)
-        with pytest.raises(lin.LinearizerError, match=re.escape(message)):
+        with pytest.raises(ExprError, match="^" + re.escape(message)):
             lin.flat_coordinates(self.POWER, params=params)
+
+    @pytest.mark.parametrize("grid", [None, 21])
+    def test_base_off_the_grid_refused_before_the_verdict(self, monkeypatch,
+                                                          grid):
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("check_dweb called")
+
+        monkeypatch.setattr(lin, "check_dweb", no_verdict)
+        g = grid and lin.GridSpec(rect=self.POWER.domain, nx=grid, ny=grid)
+        with pytest.raises(ExprError, match="^base point outside the grid$"):
+            lin.flat_coordinates(self.POWER, g, base=(0.25, 100.0),
+                                 params={"n": F(2)})
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +214,7 @@ class TestIntegrateLambda:
 
     def test_missing_parameter_value(self):
         web = corpus.web_for(corpus.case_by_name("power-web"))
-        with pytest.raises(lin.LinearizerError, match="parameter"):
+        with pytest.raises(ExprError, match="parameter"):
             _linearize(web, 21, force=True)
 
     def test_singular_grid_reported(self):
@@ -834,6 +857,7 @@ class TestLineFamilies:
             fn = real(*roots)
 
             def run(x, y):
+                x, y = np.broadcast_arrays(x, y)
                 points.extend(zip(x.ravel().tolist(), y.ravel().tolist()))
                 return fn(x, y)
             return run
