@@ -12,6 +12,7 @@ JSON output is byte-identical across runs with the same configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -307,6 +308,11 @@ def build_parser() -> _ArgumentParser:
     return ap
 
 
+# one parser per process: parsing leaves it as it was (each call fills a
+# new namespace, every default is immutable and the append flags start
+# from None)
+_parser = functools.cache(build_parser)
+
 _SIGNED_FLAGS = ("--domain", "--base", "--lambda0")
 
 
@@ -325,10 +331,9 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_config(ap.parse_args(argv))
+        args = _build_config(_parser().parse_args(argv))
         handler = {"check": cmd_check, "invariants": cmd_invariants,
                    "linearize": cmd_linearize, "selftest": cmd_selftest}
         return handler[args.command](args)

@@ -13,6 +13,10 @@ coefficients and of identical factors).  They deliberately do not factor or
 cancel symbolic rational functions; correctness of downstream zero tests
 rests on evaluation, not on the simplifier.  Operand order is structural
 (`_compare`), never by creation: no output depends on what was built before.
+The constructors reuse canonical operands: a term or factor that combines
+with no other is kept as the node it is, each node stores its (coefficient,
+core) and (base, exponent) split, and the operands of each canonical input
+come already sorted, so they are merged as runs rather than sorted again.
 The intern table and the derivative cache take no lock: each write is one
 dict operation on a key hashed in C, so threads racing on a key get one node.
 
@@ -23,18 +27,20 @@ per point.  `evaluate` chooses the arithmetic by one argument, `precision`:
 None for exact, else the mantissa bits.  Exact is rational-only, decided by
 the node mask alone: a DAG with exp, log or a non-integer power is refused
 before any slot is computed.  Two arithmetics live here: reduced
-(numerator, denominator) int pairs capped at EXACT_BITS, and p-bit floats
-as raw mpmath tuples, which keep the real-domain rules.  The module is pure
-Python: the third arithmetic, numpy doubles over whole grids, lives with
-its one caller in `linearizer` (`grid_function`), which runs `_walk` too.
+(numerator, denominator) int pairs capped at EXACT_BITS, a product computed
+in one pass and reduced by one gcd, and p-bit floats as raw mpmath tuples,
+which keep the real-domain rules.  The module is pure Python: the third
+arithmetic, numpy doubles over whole grids, lives with its one caller in
+`linearizer` (`grid_function`), which runs `_walk` too.
 """
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cmp_to_key, partial, reduce
 from itertools import repeat
 from typing import Callable, Mapping
 
@@ -74,6 +80,8 @@ EXACT_BITS = 2 ** 18
 # stay below it, so every constant prints.
 _STR_DIGITS = 4300
 _STR_BITS = 14284
+
+_Q0, _Q1, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 
 # a parameter name, and every identifier the parser accepts
 _IDENT = re.compile(r"[a-z][a-z0-9_]*")
@@ -117,9 +125,16 @@ class ExactBudgetError(ExactnessError):
 
 
 class Expr:
-    """One interned DAG node.  Compare with `is`/`==` (same thing here)."""
+    """One interned DAG node.  Compare with `is`/`==` (same thing here).
 
-    __slots__ = ("kind", "children", "value", "name", "mask")
+    `coeff`, `core` split a term of a sum (c * core, c rational), `base`,
+    `exponent` a factor of a product (base ^ exponent, the exponent a
+    Fraction when it is a constant node).  They are set at intern time, and
+    are (1, self) and (self, 1) for a node that is no such product or
+    power; only a core of several factors waits for `_core`."""
+
+    __slots__ = ("kind", "children", "value", "name", "mask", "coeff", "core",
+                 "base", "exponent")
 
     def __init__(self, kind: str, children: tuple["Expr", ...],
                  value: Fraction | None, name: str | None, mask: int):
@@ -128,6 +143,8 @@ class Expr:
         self.value = value
         self.name = name
         self.mask = mask
+        self.coeff = self.exponent = _Q1
+        self.core = self.base = self
 
     def __repr__(self) -> str:
         return f"<Expr {format_expr(self)}>"
@@ -161,8 +178,17 @@ def _intern(kind: str, children: tuple[Expr, ...] = (),
             e = children[1]
             if not (e.kind == CONST and e.value.denominator == 1):
                 mask |= _MASK_TRANSCENDENTAL
+        node = Expr(kind, children, value, name, mask)
+        if kind == MUL and children[0].kind == CONST:
+            # a core of two or more factors is interned by `_core`, when
+            # the product first meets a sum: not every product is a term
+            node.coeff = children[0].value
+            node.core = children[1] if len(children) == 2 else None
+        elif kind == POW:
+            node.base = children[0]
+            node.exponent = e.value if e.kind == CONST else e
         # a thread that loses the race gets the node the winner stored
-        node = _table.setdefault(key, Expr(kind, children, value, name, mask))
+        node = _table.setdefault(key, node)
     return node
 
 
@@ -220,16 +246,15 @@ Y = var("y")
 
 _ZERO = const(0)
 _ONE = const(1)
-_Q0, _Q1, _HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 
 
-def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
-    """Split a canonical term into (rational coefficient, remaining factor)."""
-    if t.kind == MUL and t.children[0].kind == CONST:
-        rest = t.children[1:]
-        core = rest[0] if len(rest) == 1 else _intern(MUL, rest)
-        return t.children[0].value, core
-    return _Q1, t
+def _core(t: Expr) -> Expr:
+    """The core of term t.  Racing threads intern the same node, so the
+    core is stored without a lock."""
+    core = t.core
+    if core is None:
+        core = t.core = _intern(MUL, t.children[1:])
+    return core
 
 
 def _scaled(core: Expr, c: Fraction) -> Expr:
@@ -284,40 +309,72 @@ def _compare(a: Expr, b: Expr) -> int:
 _order = cmp_to_key(_compare)
 
 
+def _merge(runs: list[list[Expr]]) -> list[Expr]:
+    """One ascending list of the nodes of `runs`, each ascending under
+    `_compare`: the others are inserted into the longest by binary search,
+    each from where the previous node of its run went, so `_compare` runs
+    only where two runs meet."""
+    runs = [r for r in runs if r]
+    if len(runs) < 2:
+        return runs[0] if runs else []
+    out = max(runs, key=len)
+    for run in runs:
+        if run is not out:
+            lo = 0
+            for x in run:
+                lo = bisect_left(out, _order(x), lo, key=_order)
+                out.insert(lo, x)
+                lo += 1
+    return out
+
+
 def add(*terms) -> Expr:
-    """n-ary sum; flattens, folds constants and collects like terms."""
+    """n-ary sum; flattens, folds constants and collects like terms.
+
+    A term whose core meets no other term is kept as the node it is; the
+    cores of each canonical input already come sorted, as one run."""
     const_acc = _Q0
     coeffs: dict[Expr, Fraction] = {}
+    alone: dict[Expr, Expr | None] = {}  # core -> its term, None if combined
+    runs: list[list[Expr]] = []
 
-    def accumulate(c: Fraction, core: Expr) -> None:
-        nonlocal const_acc
-        if core.kind == ADD:
-            # a rational multiple of a sum: distribute so the terms can
-            # cancel against siblings (term count is unchanged)
-            for kk in core.children:
-                if kk.kind == CONST:
-                    const_acc += c * kk.value
-                else:
-                    c2, core2 = _coeff_core(kk)
-                    accumulate(c * c2, core2)
-            return
+    def collect(c: Fraction, core: Expr, term: Expr | None,
+                run: list[Expr]) -> None:
         prev = coeffs.get(core)
-        coeffs[core] = c if prev is None else prev + c
+        if prev is None:
+            coeffs[core] = c
+            alone[core] = term
+            run.append(core)
+        else:
+            coeffs[core] = prev + c
+            alone[core] = None
 
-    stack = [as_expr(t) for t in terms]
-    for t in stack:
+    for t in map(as_expr, terms):
         if t.kind == UNDEF:
             return _UNDEF
         if t.kind == CONST:
             const_acc += t.value
             continue
-        kids = t.children if t.kind == ADD else (t,)
-        for k in kids:
+        run: list[Expr] = []
+        runs.append(run)
+        for k in t.children if t.kind == ADD else (t,):
             if k.kind == CONST:
                 const_acc += k.value
                 continue
-            accumulate(*_coeff_core(k))
-    parts = sorted((core for core, c in coeffs.items() if c), key=_order)
+            c, core = k.coeff, _core(k)
+            if core.kind != ADD:
+                collect(c, core, k, run)
+                continue
+            # a rational multiple of a sum: distribute so the terms can
+            # cancel against siblings (term count is unchanged)
+            inner: list[Expr] = []
+            runs.append(inner)
+            for kk in core.children:
+                if kk.kind == CONST:
+                    const_acc += c * kk.value
+                else:
+                    collect(c * kk.coeff, _core(kk), None, inner)
+    parts = _merge([[core for core in run if coeffs[core]] for run in runs])
     if not parts:
         return const(const_acc)
     # factor out a transcendental factor common to every term (exp never
@@ -330,7 +387,7 @@ def add(*terms) -> Expr:
             stripped = [mul(const(coeffs[core]), _strip_factor(core, common))
                         for core in parts]
             return mul(common, add(*stripped))
-    out = [_scaled(core, coeffs[core]) for core in parts]
+    out = [alone[core] or _scaled(core, coeffs[core]) for core in parts]
     if const_acc:
         out.append(const(const_acc))
     if len(out) == 1:
@@ -340,35 +397,51 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """n-ary product; flattens, folds constants, merges identical bases."""
+    return _mul([f.children if f.kind == MUL else (f,)
+                 for f in map(as_expr, factors)])
+
+
+def _mul(runs: list[tuple[Expr, ...]]) -> Expr:
+    """The product of the factors of `runs`: each the children of a
+    canonical product, or a part of them, or one node, so the factors of a
+    run other than constants and exp come sorted.  A factor whose base
+    meets no other factor is kept as the node it is."""
     coeff = _Q1
-    exps: dict[Expr, list] = {}  # base -> [rational sum or None, *symbolic]
+    alone: dict[Expr, Expr | None] = {}  # base -> its factor, None if shared
+    shared: dict[Expr, list[Expr]] = {}  # base -> its factors, if several
     exp_args: list[Expr] = []
-    stack = [as_expr(f) for f in factors]
-    for f in stack:
-        if f.kind == UNDEF:
-            return _UNDEF
-        kids = f.children if f.kind == MUL else (f,)
-        for k in kids:  # a MUL node never holds an UNDEF child
+    kept: list[list[Expr]] = []
+    for run in runs:
+        factors = []
+        for k in run:
             if k.kind == CONST:
-                coeff *= k.value
-                continue
-            if k.kind == EXP:
+                coeff = k.value if coeff is _Q1 else coeff * k.value
+            elif k.kind == EXP:
                 exp_args.append(k.children[0])
-                continue
-            if k.kind == POW and k.children[1].kind == CONST:
-                base, e = k.children[0], k.children[1].value
-            elif k.kind == POW:
-                base, e = k.children[0], k.children[1]
+            elif k.kind == UNDEF:  # a product never holds an UNDEF child
+                return _UNDEF
+            elif k.base not in alone:
+                alone[k.base] = k
+                factors.append(k)
             else:
-                base, e = k, _Q1
-            acc = exps.setdefault(base, [None])
-            if isinstance(e, Fraction):
-                acc[0] = e if acc[0] is None else acc[0] + e
-            else:
-                acc.append(e)
+                first = alone[k.base]
+                if first is None:
+                    shared[k.base].append(k)
+                else:
+                    shared[k.base] = [first, k]
+                    alone[k.base] = None
+        kept.append(factors)
     out: list[Expr] = []
     reflatten = False
-    for base, (rq, *syms) in exps.items():
+    for base, first in alone.items():  # the order the bases first appear
+        if first is not None:
+            continue
+        rq, syms = None, []
+        for k in shared[base]:
+            if isinstance(k.exponent, Fraction):
+                rq = k.exponent if rq is None else rq + k.exponent
+            else:
+                syms.append(k.exponent)
         if syms:
             total = add(const(rq), *syms) if rq else (
                 syms[0] if len(syms) == 1 else add(*syms))
@@ -395,11 +468,18 @@ def mul(*factors) -> Expr:
             coeff *= f.value
         else:
             out.append(f)
+    if shared:
+        kept = [[k for k in factors if alone[k.base] is not None]
+                for factors in kept]
     if reflatten:
-        return mul(const(coeff), *out)
+        return _mul([(const(coeff),), *kept,
+                     *(f.children if f.kind == MUL else (f,) for f in out)])
+    if out:
+        out.sort(key=_order)
+        kept.append(out)
+    out = _merge(kept)
     if not coeff or not out:
         return const(coeff)
-    out.sort(key=_order)
     if coeff != 1:
         out.insert(0, const(coeff))
     if len(out) == 1:
@@ -620,13 +700,15 @@ def derive(e: Expr, v: str) -> Expr:
         elif n.kind == ADD:
             d = add(*(_derivative_cache[(c, v)] for c in n.children))
         elif n.kind == MUL:
+            # each term's other factors are a run of the sorted children
             terms = []
             kids = n.children
             for i, c in enumerate(kids):
                 dc = _derivative_cache[(c, v)]
                 if dc.is_zero:
                     continue
-                terms.append(mul(dc, *(k for j, k in enumerate(kids) if j != i)))
+                terms.append(_mul([dc.children if dc.kind == MUL else (dc,),
+                                   kids[:i] + kids[i + 1:]]))
             d = add(*terms) if terms else _ZERO
         elif n.kind == POW:
             b, ex = n.children
@@ -699,9 +781,10 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object],
     """The value of compiled root `code`: the one DAG interpreter.  A slot
     already holding a value is read, one holding an error raises it again,
     so the first failing node in the root's own order raises.  `arith`
-    supplies `add` and `mul` (folded left to right), `num`, `pow`, `exp`
-    and `log` (None where the walk never meets them) and an optional
-    per-node `check`; `leaves` maps names to values.  `dead`, a release
+    supplies `add` (folded left to right), `mul`, which receives a
+    product's factor values in the node's order, `num`, `pow`, `exp` and
+    `log` (None where the walk never meets them) and an optional per-node
+    `check`; `leaves` maps names to values.  `dead`, a release
     plan, gives per instruction the slots it reads last: they are set back
     to None once it has run (a `Store` keeps every slot).
     """
@@ -715,7 +798,7 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object],
                     raise v
                 continue
             if k == MUL:
-                v = reduce(mul, map(vals.__getitem__, kids))
+                v = mul(map(vals.__getitem__, kids))
             elif k == ADD:
                 v = reduce(add, map(vals.__getitem__, kids))
             elif k == POW:
@@ -756,29 +839,29 @@ def _qadd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return t // g2, s * (db // g2)
 
 
-def _qmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """a * b on reduced pairs, reduced: the steps of `Fraction._mul`."""
-    na, da = a
-    nb, db = b
-    g1 = math.gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = math.gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return na * nb, da * db
+def _qprod(factors) -> tuple[int, int]:
+    """The product of reduced pairs, reduced in one pass: every numerator
+    and every denominator multiplied together, then one gcd.  Reduced
+    pairs are unique, so this is the pair a left fold of `Fraction`
+    products gives."""
+    p = q = 1
+    for n, d in factors:
+        p *= n
+        q *= d
+    g = math.gcd(p, q)
+    return (p, q) if g == 1 else (p // g, q // g)
 
 
 class _ExactArithmetic:
     """Rationals as reduced (numerator, denominator > 0) int pairs, so that
     every slot value is the one `Fraction` arithmetic would give; refuses
-    sizes above EXACT_BITS.  `_evaluate` hands it only DAGs without the
-    transcendental mask bit: no exp or log, and every power has an integer
-    constant exponent."""
+    sizes above EXACT_BITS.  A product is computed in one pass, reduced by
+    one gcd (`_qprod`); the unreduced pair has at most the factors' bits
+    together.  `_evaluate` hands it only DAGs without the transcendental
+    mask bit: no exp or log, and every power has an integer constant
+    exponent."""
 
-    add, mul = staticmethod(_qadd), staticmethod(_qmul)
+    add, mul = staticmethod(_qadd), staticmethod(_qprod)
     num = staticmethod(lambda q: (q.numerator, q.denominator))
     exp = log = None
 
@@ -821,7 +904,8 @@ class _MpfArithmetic:
     def __init__(self, prec: int):
         rnd = libmp.round_nearest
         self.add = lambda a, b: libmp.mpf_add(a, b, prec, rnd)
-        self.mul = lambda a, b: libmp.mpf_mul(a, b, prec, rnd)
+        # folded left to right, as mpf's `*` does
+        self.mul = partial(reduce, lambda a, b: libmp.mpf_mul(a, b, prec, rnd))
         self.exp = lambda u: libmp.mpf_exp(u, prec, rnd)
         self.prec = prec
 

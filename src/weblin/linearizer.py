@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -111,9 +112,16 @@ class GridSpec:
         self.__dict__.update(xs=xs, ys=ys, hx=(xhi - xlo) / (self.nx - 1),
                              hy=(yhi - ylo) / (self.ny - 1))
 
-    def nearest_index(self, x: float, y: float) -> tuple[int, int]:
-        i = int(round((x - self.xs[0]) / self.hx))
-        j = int(round((y - self.ys[0]) / self.hy))
+    def nearest_index(self, x, y) -> tuple[int, int]:
+        """The indices of the node nearest to the point (x, y), two reals;
+        ExprError for a point off the grid, infinite or not a number."""
+        try:
+            i = round((float(x) - float(self.xs[0])) / self.hx)
+            j = round((float(y) - float(self.ys[0])) / self.hy)
+        except OverflowError:  # infinite, or a rational past double range
+            raise ExprError("base point outside the grid") from None
+        except ValueError:
+            raise ExprError("base point is not a number") from None
         if not (0 <= i < self.nx and 0 <= j < self.ny):
             raise ExprError("base point outside the grid")
         return i, j
@@ -126,7 +134,8 @@ class _GridArithmetic:
     constant, so a parameter exponent always goes through float `power`.
     """
 
-    add, mul = staticmethod(operator.add), staticmethod(operator.mul)
+    add = staticmethod(operator.add)
+    mul = staticmethod(partial(reduce, operator.mul))  # folded left
     exp, log, check = np.exp, np.log, None
 
     @staticmethod
@@ -491,7 +500,7 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
                         "each parameter of the web needs one")
     g = grid or GridSpec(rect=web.domain)
     base = g.rect.center if base is None else base
-    ib, jb = g.nearest_index(float(base[0]), float(base[1]))
+    ib, jb = g.nearest_index(*base)
     if params:
         web = replace(web, f=substitute(web.f, params),
                       gs=tuple(substitute(e, params) for e in web.gs))

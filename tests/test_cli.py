@@ -102,6 +102,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: --precision") and err.count("\n") == 1
 
+    def test_one_parser_per_process_keeps_no_state(self):
+        # main reuses one parser: each parse fills a new namespace, so the
+        # flags of one call (appended --g and --param, a --seed) never
+        # reach the next, which reads what a new parser reads
+        from weblin import cli
+        assert cli._parser() is cli._parser()
+        first = cli._parser().parse_args(
+            ["linearize", "--f", "x/y", "--g", "x+y", "--g", "x-y",
+             "--param", "n=2", "--seed", "5"])
+        argv = ["linearize", "--f", "x/y", "--g", "x+y"]
+        second = cli._parser().parse_args(argv)
+        assert first.g == ["x+y", "x-y"] and first.param == ["n=2"]
+        assert second.g == ["x+y"] and second.param is None
+        assert vars(second) == vars(build_parser().parse_args(argv))
+
     @pytest.mark.parametrize("bits", [24, 65536])
     def test_precision_bounds_accepted(self, bits):
         args = build_parser().parse_args(["check", "--f", "x/y", "--g", "x+y",

@@ -187,6 +187,11 @@ class TestHashConsing:
 
         assert all(key(n) == k for k, n in E._table.items())
         assert all(E._table[key(n)] is n for n in E.topo_order(*results[0]))
+        # a term's core, stored on first use by whichever thread got there,
+        # is the node the table holds
+        cores = [n.core for n in E._table.values()
+                 if n.kind == E.MUL and n.core not in (None, n)]
+        assert cores and all(E._table[key(c)] is c for c in cores)
 
     def test_threaded_evaluation_is_pure(self):
         e = parse("x^3*y - sqrt(x + 2)/y + exp(x - y)")
@@ -488,6 +493,26 @@ class TestProperties:
 
     @given(_expr_strategy())
     @settings(max_examples=60, deadline=None)
+    def test_constructors_build_canonical_nodes(self, e):
+        # rebuilding changes nothing; in every sum the cores of the terms
+        # (coefficients dropped) and in every product the factors, the
+        # constant aside, are strictly increasing under the operand order,
+        # so no two terms share a core and no two factors a base
+        assert simplify(e) is e
+        for n in E.topo_order(e):
+            if n.kind == E.ADD:
+                keys = [E._core(t) for t in n.children if t.kind != E.CONST]
+            elif n.kind == E.MUL:
+                keys = [f for f in n.children if f.kind != E.CONST]
+                bases = [f.base for f in keys]
+                assert len(set(bases)) == len(bases)
+            else:
+                continue
+            assert len(set(keys)) == len(keys)
+            assert all(E._compare(a, b) < 0 for a, b in zip(keys, keys[1:]))
+
+    @given(_expr_strategy())
+    @settings(max_examples=60, deadline=None)
     def test_roundtrip_value_equality(self, e):
         text = format_expr(e)
         back = parse(text)
@@ -703,15 +728,25 @@ class TestPairArithmetic:
     """Exact evaluation runs on reduced (numerator, denominator > 0) int
     pairs; every operation gives the pair of the `Fraction` result."""
 
-    @given(_NUMERATORS, _DENOMINATORS, _NUMERATORS, _DENOMINATORS)
+    @given(_NUMERATORS, _DENOMINATORS, _NUMERATORS, _DENOMINATORS,
+           st.lists(st.tuples(_NUMERATORS, _DENOMINATORS, st.booleans()),
+                    max_size=6))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_add_and_mul_equal_fraction_arithmetic(self, n1, d1, n2, d2):
+    def test_add_and_mul_equal_fraction_arithmetic(self, n1, d1, n2, d2,
+                                                   more):
         a = F(n1, d1)
         # the second operand once on its own denominator, once on a's
         for b in (F(n2, d2), F(n2, a.denominator), -a, F(0)):
             for x, y in ((a, b), (b, a)):
                 assert E._qadd(_pair(x), _pair(y)) == _pair(x + y)
-                assert E._qmul(_pair(x), _pair(y)) == _pair(x * y)
+                assert E._qprod([_pair(x), _pair(y)]) == _pair(x * y)
+        # a product of 0 to 6 factors in one pass, some on a's denominator
+        qs = [F(n, a.denominator if shared else d) for n, d, shared in more]
+        want = F(1)
+        for q in qs:
+            want *= q
+        got = E._qprod(map(_pair, qs))
+        assert got == _pair(want) and got[1] > 0
 
     @given(_NUMERATORS, _DENOMINATORS, st.integers(-7, 7))
     @settings(max_examples=300, deadline=None, derandomize=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -130,6 +131,23 @@ class TestDegenerateParameters:
         with pytest.raises(ExprError, match="^base point outside the grid$"):
             lin.flat_coordinates(self.POWER, g, base=(0.25, 100.0),
                                  params={"n": F(2)})
+
+    @pytest.mark.parametrize("base, message", [
+        ((F(10 ** 400), F(1, 2)), "base point outside the grid"),
+        ((math.inf, 0.5), "base point outside the grid"),
+        ((0.5, -math.inf), "base point outside the grid"),
+        ((math.nan, 0.5), "base point is not a number"),
+    ])
+    def test_base_beyond_double_range_refused_before_the_verdict(
+            self, monkeypatch, base, message):
+        # a rational past double range, an infinity or a nan is an input
+        # refusal like any other, not an OverflowError or ValueError
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("check_dweb called")
+
+        monkeypatch.setattr(lin, "check_dweb", no_verdict)
+        with pytest.raises(ExprError, match=f"^{message}$"):
+            lin.flat_coordinates(self.POWER, base=base, params={"n": F(2)})
 
 
 @pytest.fixture(scope="module")
