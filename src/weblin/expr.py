@@ -40,7 +40,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, partial, reduce
+from functools import cmp_to_key, reduce
 from itertools import repeat
 from typing import Callable, Mapping
 
@@ -406,7 +406,7 @@ def _mul(runs: list[tuple[Expr, ...]]) -> Expr:
     canonical product, or a part of them, or one node, so the factors of a
     run other than constants and exp come sorted.  A factor whose base
     meets no other factor is kept as the node it is."""
-    coeff = _Q1
+    coeff, lead = _Q1, None  # lead: the constant factor coeff came from
     alone: dict[Expr, Expr | None] = {}  # base -> its factor, None if shared
     shared: dict[Expr, list[Expr]] = {}  # base -> its factors, if several
     exp_args: list[Expr] = []
@@ -415,7 +415,10 @@ def _mul(runs: list[tuple[Expr, ...]]) -> Expr:
         factors = []
         for k in run:
             if k.kind == CONST:
-                coeff = k.value if coeff is _Q1 else coeff * k.value
+                if coeff is _Q1:
+                    coeff, lead = k.value, k
+                else:
+                    coeff *= k.value
             elif k.kind == EXP:
                 exp_args.append(k.children[0])
             elif k.kind == UNDEF:  # a product never holds an UNDEF child
@@ -481,7 +484,8 @@ def _mul(runs: list[tuple[Expr, ...]]) -> Expr:
     if not coeff or not out:
         return const(coeff)
     if coeff != 1:
-        out.insert(0, const(coeff))
+        out.insert(0, lead if lead is not None and lead.value is coeff
+                   else const(coeff))
     if len(out) == 1:
         return out[0]
     return _intern(MUL, tuple(out))
@@ -902,12 +906,19 @@ class _MpfArithmetic:
     exponents are unbounded ints, so its operations keep values finite."""
 
     def __init__(self, prec: int):
-        rnd = libmp.round_nearest
+        rnd, mpf_mul = libmp.round_nearest, libmp.mpf_mul
         self.add = lambda a, b: libmp.mpf_add(a, b, prec, rnd)
-        # folded left to right, as mpf's `*` does
-        self.mul = partial(reduce, lambda a, b: libmp.mpf_mul(a, b, prec, rnd))
         self.exp = lambda u: libmp.mpf_exp(u, prec, rnd)
         self.prec = prec
+
+        def mul(factors) -> tuple:  # folded left to right, as mpf's `*` is
+            it = iter(factors)
+            v = next(it)
+            for w in it:
+                v = mpf_mul(v, w, prec, rnd)
+            return v
+
+        self.mul = mul
 
     check = None
 
