@@ -311,9 +311,9 @@ _order = cmp_to_key(_compare)
 
 def _merge(runs: list[list[Expr]]) -> list[Expr]:
     """One ascending list of the nodes of `runs`, each ascending under
-    `_compare`: the others are inserted into the longest by binary search,
-    each from where the previous node of its run went, so `_compare` runs
-    only where two runs meet."""
+    `_compare`: the others are inserted into the longest run, in place, by
+    binary search, each from where the previous node of its run went, so
+    `_compare` runs only where two runs meet."""
     runs = [r for r in runs if r]
     if len(runs) < 2:
         return runs[0] if runs else []
