@@ -57,17 +57,11 @@ def _fraction(text: str, what: str) -> Fraction:
         raise UsageError(f"bad {what} value {text!r}: {err}") from None
 
 
-def _floats(texts: tuple[str, ...], what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(_fraction(t, what)) for t in texts)
-    except OverflowError:
-        raise UsageError(f"{what} value beyond double range") from None
-
-
 def _build_config(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed flags and split them in place: `domain`, `base` and
     `lambda0` become tuples of strings (an empty `domain` or `base` is
-    unset) and the `param` items become the dict `params`."""
+    unset), the `param` items become the dict `params`, and `samples` and
+    `precision` the `policy`, which checks their ranges."""
     args.domain = (tuple(_split_csv(args.domain, 4, "--domain"))
                    if args.domain else None)
     args.base = tuple(_split_csv(args.base, 2, "--base")) if args.base else None
@@ -80,14 +74,7 @@ def _build_config(args: argparse.Namespace) -> argparse.Namespace:
         if name in args.params:
             raise UsageError(f"--param {name} given twice")
         args.params[name] = value
-    if not 1 <= args.samples <= MAX_POINTS:
-        raise UsageError(f"--samples must be 1 to {MAX_POINTS}")
-    if not MIN_PRECISION <= args.precision <= MAX_PRECISION:
-        raise UsageError(
-            f"--precision must be {MIN_PRECISION} to {MAX_PRECISION} bits")
-    if not calculus.MIN_GRID <= args.grid <= calculus.MAX_GRID:
-        raise UsageError(f"--grid must be {calculus.MIN_GRID} to "
-                         f"{calculus.MAX_GRID} nodes per axis")
+    args.policy = ZeroTestPolicy(points=args.samples, precision=args.precision)
     return args
 
 
@@ -119,10 +106,6 @@ def _web_from_config(args: argparse.Namespace) -> WebSpec:
         vals = [_fraction(v, "--domain") for v in args.domain]
         kw["domain"] = Rect(*vals)
     return WebSpec(f=f, gs=gs, seed=args.seed, **kw)
-
-
-def _policy(args: argparse.Namespace) -> ZeroTestPolicy:
-    return ZeroTestPolicy(points=args.samples, precision=args.precision)
 
 
 def _report_json(args: argparse.Namespace, web: WebSpec, verdict: str,
@@ -161,7 +144,7 @@ def _echo_web(web: WebSpec) -> None:
 
 def cmd_check(args: argparse.Namespace, verbose_evidence: bool = False) -> int:
     web = _web_from_config(args)
-    verdict, reports = check_dweb(web, _policy(args))
+    verdict, reports = check_dweb(web, args.policy)
     if args.json:
         print(json.dumps(_report_json(args, web, verdict, reports), indent=2))
     else:
@@ -180,13 +163,14 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     from . import linearizer as lin  # numpy loads for this command only
     web = _web_from_config(args)
     params = {k: _fraction(v, "--param") for k, v in args.params.items()}
-    base = _floats(args.base, "--base") if args.base else None
-    lam0 = _floats(args.lambda0, "--lambda0")
+    base = (tuple(_fraction(t, "--base") for t in args.base) if args.base
+            else None)
+    lam0 = tuple(_fraction(t, "--lambda0") for t in args.lambda0)
     grid = lin.GridSpec(rect=web.domain, nx=args.grid, ny=args.grid)
     try:
         result = lin.flat_coordinates(web, grid, base=base, lam0=lam0,
                                       params=params, force=args.force,
-                                      policy=_policy(args))
+                                      policy=args.policy)
     except lin.NotLinearizableError as err:
         msg = (f"web verdict is {err.verdict}; linearization refused "
                "(--force to run it anyway as a negative control)")
@@ -234,7 +218,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         runs.append(("substituted", corpus.substituted_web, corpus.CASES))
     for variant, build, cases in runs:
         for case in cases:
-            verdict, _ = check_dweb(build(case, seed=args.seed), _policy(args))
+            verdict, _ = check_dweb(build(case, seed=args.seed), args.policy)
             rows.append({"case": case.name, "variant": variant,
                          "expected": case.expected, "verdict": verdict,
                          "ok": verdict == case.expected})

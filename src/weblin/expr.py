@@ -19,6 +19,10 @@ core) and (base, exponent) split, and the operands of each canonical input
 come already sorted, so they are merged as runs rather than sorted again.
 The intern table and the derivative cache take no lock: each write is one
 dict operation on a key hashed in C, so threads racing on a key get one node.
+One children-first walk, `_fold`, serves ordering, rebuilding,
+differentiating and printing; it never enters a node already folded, so
+`derive`, with one cache per symbol, visits only the nodes that symbol has
+not differentiated.
 
 One interpreter, `_walk`, runs a `Program`: roots compiled lazily into
 slot orders over their union DAG (interning nothing), with values kept in
@@ -36,6 +40,7 @@ arithmetic, numpy doubles over whole grids, lives with its one caller in
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -155,7 +160,7 @@ class Expr:
 
 
 _table: dict[tuple, Expr] = {}
-_derivative_cache: dict[tuple[Expr, str], Expr] = {}
+_derivative_cache: dict[str, dict[Expr, Expr]] = {}  # by symbol
 
 
 def _intern(kind: str, children: tuple[Expr, ...] = (),
@@ -608,10 +613,11 @@ def sqrt(a) -> Expr:
     return pow_(a, _HALF)
 
 
-def topo_order(*roots: Expr) -> list[Expr]:
-    """Nodes reachable from the roots, children strictly before parents."""
-    order: list[Expr] = []
-    done: set[Expr] = set()
+def _fold(roots: tuple[Expr, ...], rule: Callable, done: dict) -> dict:
+    """Set done[n] = rule(n, done) for every node reachable from the roots
+    that `done` does not hold, children first, and return `done`.  A node
+    in `done` is never entered, and neither is anything below it unless
+    another path reaches it; `done` gains nodes in children-first order."""
     stack = list(reversed(roots))
     while stack:
         node = stack[-1]
@@ -622,10 +628,15 @@ def topo_order(*roots: Expr) -> list[Expr]:
         if pending:
             stack.extend(pending)
         else:
-            done.add(node)
-            order.append(node)
+            done[node] = rule(node, done)
             stack.pop()
-    return order
+    return done
+
+
+def topo_order(*roots: Expr) -> list[Expr]:
+    """Nodes reachable from the roots, children strictly before parents."""
+    # the keys of `done` are the order; a C rule runs no Python frame per node
+    return list(_fold(roots, operator.is_, {}))
 
 
 def dag_size(e: Expr) -> int:
@@ -644,11 +655,10 @@ _REBUILD = {ADD: add, MUL: mul, POW: pow_, EXP: exp_, LOG: log_}
 def _rebuild(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
     """Rebuild bottom-up through the canonicalizing constructors, with
     `leaf(n)` standing in for every childless node n."""
-    out: dict[Expr, Expr] = {}
-    for n in topo_order(e):
-        out[n] = (_REBUILD[n.kind](*(out[c] for c in n.children))
-                  if n.children else leaf(n))
-    return out[e]
+    def rule(n, out):
+        return (_REBUILD[n.kind](*(out[c] for c in n.children))
+                if n.children else leaf(n))
+    return _fold((e,), rule, {})[e]
 
 
 def simplify(e: Expr) -> Expr:
@@ -676,60 +686,49 @@ def derive(e: Expr, v: str) -> Expr:
 
     For v in {'x', 'y'} parameters are treated as constants; differentiating
     by a parameter name treats x and y as constants instead.  Results are
-    memoized per (node, symbol), so repeated differentiation of shared
-    subterms stays polynomial in the DAG size.
+    memoized per symbol and node, and a call enters only the nodes not yet
+    differentiated by v, so repeated differentiation of shared subterms
+    stays polynomial in the DAG size.
     """
-    hit = _derivative_cache.get((e, v))
-    if hit is not None:
-        return hit
-    if v == "x":
-        vmask = _MASK_X
-    elif v == "y":
-        vmask = _MASK_Y
-    elif _IDENT.fullmatch(v or ""):
-        vmask = _MASK_PARAM
-    else:
-        raise ExprError(f"cannot differentiate by {v!r}")
-    order = topo_order(e)
-    for n in order:
-        key = (n, v)
-        if key in _derivative_cache:
-            continue
+    done = _derivative_cache.get(v)
+    if done is None:
+        if not _IDENT.fullmatch(v or ""):
+            raise ExprError(f"cannot differentiate by {v!r}")
+        done = _derivative_cache.setdefault(v, {})
+    vmask = _MASK_X if v == "x" else _MASK_Y if v == "y" else _MASK_PARAM
+
+    def rule(n: Expr, d: dict) -> Expr:
         if n.kind == UNDEF:
-            d = _UNDEF
-        elif not (n.mask & vmask):
-            d = _ZERO
-        elif n.kind in (VAR, PARAM):
-            d = _ONE if n.name == v else _ZERO
-        elif n.kind == ADD:
-            d = add(*(_derivative_cache[(c, v)] for c in n.children))
-        elif n.kind == MUL:
+            return _UNDEF
+        if not (n.mask & vmask):
+            return _ZERO
+        if n.kind in (VAR, PARAM):
+            return _ONE if n.name == v else _ZERO
+        if n.kind == ADD:
+            return add(*(d[c] for c in n.children))
+        if n.kind == MUL:
             # each term's other factors are a run of the sorted children
             terms = []
             kids = n.children
             for i, c in enumerate(kids):
-                dc = _derivative_cache[(c, v)]
-                if dc.is_zero:
-                    continue
-                terms.append(_mul([dc.children if dc.kind == MUL else (dc,),
-                                   kids[:i] + kids[i + 1:]]))
-            d = add(*terms) if terms else _ZERO
-        elif n.kind == POW:
+                dc = d[c]
+                if not dc.is_zero:
+                    terms.append(_mul([dc.children if dc.kind == MUL
+                                       else (dc,), kids[:i] + kids[i + 1:]]))
+            return add(*terms) if terms else _ZERO
+        if n.kind == POW:
             b, ex = n.children
-            db = _derivative_cache[(b, v)]
             if not (ex.mask & vmask):
                 # exponent constant with respect to v: power rule
-                d = mul(ex, pow_(b, sub(ex, _ONE)), db)
-            else:
-                dex = _derivative_cache[(ex, v)]
-                d = mul(n, add(mul(dex, log_(b)), mul(ex, div(db, b))))
-        elif n.kind == EXP:
-            d = mul(n, _derivative_cache[(n.children[0], v)])
-        else:  # LOG: constants and the other variable left at the mask
-            u = n.children[0]
-            d = div(_derivative_cache[(u, v)], u)
-        _derivative_cache[key] = d
-    return _derivative_cache[(e, v)]
+                return mul(ex, pow_(b, sub(ex, _ONE)), d[b])
+            return mul(n, add(mul(d[ex], log_(b)), mul(ex, div(d[b], b))))
+        if n.kind == EXP:
+            return mul(n, d[n.children[0]])
+        # LOG: constants and the other variable left at the mask
+        u = n.children[0]
+        return div(d[u], u)
+
+    return _fold((e,), rule, done)[e]
 
 
 # ---------------------------------------------------------------------------
@@ -1173,10 +1172,7 @@ def _wrap(s: str, prec: int, need: int) -> str:
 
 def format_expr(e: Expr) -> str:
     """Deterministic text form; `parse(format_expr(e))` evaluates equal to e."""
-    strs: dict[Expr, tuple[str, int]] = {}
-    for n in topo_order(e):
-        strs[n] = _fmt_node(n, strs)
-    return strs[e][0]
+    return _fold((e,), _fmt_node, {})[e][0]
 
 
 def _fmt_const(v: Fraction) -> tuple[str, int]:

@@ -49,17 +49,22 @@ MAX_POINTS = 2 ** 10     # the draw memo holds about 50 KB per point
 
 @dataclass(frozen=True)
 class ZeroTestPolicy:
-    """Sampling schedule and thresholds for the vanishing test."""
+    """Sampling schedule and thresholds for the vanishing test.  A point
+    count or precision out of range raises ExprError, as an input does."""
     points: int = 8
     precision: int = 256
 
     def __post_init__(self):
+        need = f"sample points per test must be 1 to {MAX_POINTS}"
         if self.points < 1:  # with no points every expression would pass
-            raise ValueError("a vanishing test needs at least one point")
+            raise ex.ExprError(
+                f"{need}: a vanishing test needs at least one point")
         if self.points > MAX_POINTS:
-            raise ValueError(f"more than {MAX_POINTS} points per test")
+            raise ex.ExprError(
+                f"{need}: more than {MAX_POINTS} would outgrow the draw memo")
         if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
-            raise ValueError(f"precision outside {MIN_PRECISION}..{MAX_PRECISION}")
+            raise ex.ExprError(f"precision outside {MIN_PRECISION}.."
+                               f"{MAX_PRECISION} bits")
 
     @property
     def threshold_scale(self) -> float:

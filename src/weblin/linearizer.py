@@ -477,9 +477,10 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     Its inputs are checked before any work, each refusal an ExprError:
     `params` holds a value for each web parameter and no other name, and
     `base` (default: the center) lies on the grid (default: the web's
-    domain, 41 nodes per axis).  The values are substituted first: every
-    later step, the verdict included, sees that web.  Decides the verdict
-    with `check_dweb` and refuses a web that is not YES with
+    domain, 41 nodes per axis), and both reals of `lam0` are finite
+    doubles.  The values are substituted first: every later step, the
+    verdict included, sees that web.  Decides the verdict with
+    `check_dweb` and refuses a web that is not YES with
     `NotLinearizableError`, unless force=True.  Lambda starts at lam0 at
     the grid node nearest to `base`, and two coframes start there as dx and
     dy.  The x-first and the y-first sweep must agree (`flatness_residual`
@@ -501,13 +502,18 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
     g = grid or GridSpec(rect=web.domain)
     base = g.rect.center if base is None else base
     ib, jb = g.nearest_index(*base)
+    try:
+        lam0 = (float(lam0[0]), float(lam0[1]))
+    except OverflowError:  # a rational past double range
+        raise ExprError("lambda0 value beyond double range") from None
+    if not (math.isfinite(lam0[0]) and math.isfinite(lam0[1])):
+        raise ExprError("lambda0 value is not finite")
     if params:
         web = replace(web, f=substitute(web.f, params),
                       gs=tuple(substitute(e, params) for e in web.gs))
     verdict, reports = check_dweb(web, policy)
     if verdict != YES and not force:
         raise NotLinearizableError(verdict, reports)
-    lam0 = (float(lam0[0]), float(lam0[1]))
     cg = CoefficientGrid(web, g)
     F = np.stack([cg.xlines[0, ::cg.r], cg.ylines[0, ::cg.r].T])  # -fx, -fy
     # theta1 = dx, theta2 = dy at the base: dx = -(1/fx) w1, dy = -(1/fy) w2
@@ -615,11 +621,9 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str
         rows = np.linspace(1, grid.ny - 2, leaves).round().astype(int)
         return [np.stack([xs, np.full(grid.nx, ys[j])], axis=1)
                 for j in sorted(set(rows))]
-    if foliation == "f":
-        e = web.f
-    elif foliation.startswith("g"):
-        e = web.g(int(foliation[1:]))
-    else:
+    gs = {f"g{a}": g for a, g in enumerate(web.gs, 4)}
+    e = web.f if foliation == "f" else gs.get(foliation)
+    if e is None:
         raise LinearizerError(f"unknown foliation {foliation!r}")
     fn = grid_function(e)
     W = fn(xs[:, None], ys)

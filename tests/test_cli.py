@@ -10,7 +10,7 @@ import time
 import pytest
 
 from weblin import calculus, linearizer as lin
-from weblin.invariants import MAX_POINTS
+from weblin.invariants import MAX_POINTS, MAX_PRECISION, MIN_PRECISION
 from weblin.cli import (main, build_parser, _build_config, EXIT_YES, EXIT_NO,
                         EXIT_INCONCLUSIVE, EXIT_USAGE)
 
@@ -100,7 +100,8 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 5
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: --precision") and err.count("\n") == 1
+        assert err == (f"error: precision outside {MIN_PRECISION}.."
+                       f"{MAX_PRECISION} bits\n")
 
     def test_one_parser_per_process_keeps_no_state(self):
         # main reuses one parser: each parse fills a new namespace, so the
@@ -130,7 +131,9 @@ class TestExitCodes:
                              "--samples", str(n))
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == f"error: --samples must be 1 to {MAX_POINTS}\n"
+        assert err == (f"error: sample points per test must be 1 to "
+                       f"{MAX_POINTS}: more than {MAX_POINTS} would outgrow "
+                       "the draw memo\n")
 
     @pytest.mark.parametrize("n", [1, MAX_POINTS])
     def test_samples_bounds_accepted(self, n):
@@ -402,7 +405,8 @@ class TestLinearizeCommand:
                              "--g", "x+y", "--grid", str(nodes))
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: --grid") and err.count("\n") == 1
+        assert err == (f"error: grid needs {calculus.MIN_GRID} to "
+                       f"{calculus.MAX_GRID} nodes per axis\n")
 
     @pytest.mark.parametrize("nodes", [4, 0, -3])
     def test_grid_below_bound(self, capsys, nodes, monkeypatch):
@@ -415,7 +419,7 @@ class TestLinearizeCommand:
                              "--g", "x+y", "--grid", str(nodes))
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == (f"error: --grid must be {calculus.MIN_GRID} to "
+        assert err == (f"error: grid needs {calculus.MIN_GRID} to "
                        f"{calculus.MAX_GRID} nodes per axis\n")
 
     def test_grid_help_reads_the_bounds(self, capsys, monkeypatch):

@@ -893,6 +893,97 @@ class TestSubstitution:
         assert substitute(e, {"n": const(3)}) is pow_(X, 3)
 
 
+class _Lookups(dict):
+    """A `done` dict that records every node looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.looked = []
+
+    def __contains__(self, node):
+        self.looked.append(node)
+        return super().__contains__(node)
+
+
+def _counting(rule=lambda n, done: n.kind):
+    """A rule that records its nodes, and checks that each node's children
+    are done before the node."""
+    calls = []
+
+    def counted(n, done):
+        assert all(dict.__contains__(done, c) for c in n.children)
+        calls.append(n)
+        return rule(n, done)
+    return counted, calls
+
+
+class TestFold:
+    """`_fold`, the one children-first DAG walk: `topo_order`, `simplify`,
+    `substitute`, `derive` and `format_expr` run through it."""
+
+    def test_a_done_node_is_never_entered(self):
+        p, q = param("p"), param("q")
+        below = exp_(add(mul(p, q), q))  # p and q occur only under it
+        root = add(mul(below, X), pow_(Y, 3))
+        hidden = set(E.topo_order(below)) - {below}
+        rule, calls = _counting()
+        done = E._fold((root,), rule, _Lookups({below: "kept"}))
+        assert done[below] == "kept"
+        assert not hidden & set(calls) and not hidden & set(done.looked)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(E.topo_order(root)) - hidden - {below}
+
+    def test_second_fold_enters_only_the_new_nodes(self):
+        first = parse("x^2*y + sqrt(x + y) - exp(3*x)")
+        second = mul(add(first, parse("y^5 - x")), first)
+        rule, calls = _counting()
+        done = E._fold((first,), rule, {})
+        assert calls == E.topo_order(first)
+        old = set(calls)
+        calls.clear()
+        E._fold((second,), rule, done)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(E.topo_order(second)) - old
+        assert list(done) == E.topo_order(first) + calls
+        E._fold((first, second), rule, done)
+        assert len(calls) == len(set(E.topo_order(second)) - old)
+
+    def test_topo_order_is_children_first(self):
+        e = parse("(x + y)^3*exp(x*y) + log(x + y)/(x - 2*y)")
+        order = E.topo_order(e, derive(e, "y"))
+        assert len(order) == len(set(order))
+        index = {n: i for i, n in enumerate(order)}
+        assert all(index[c] < index[n] for n in order for c in n.children)
+
+    def test_derive_enters_only_nodes_not_differentiated(self, monkeypatch):
+        e = parse("x^3*y/(x + y^2) + exp(x*y)")
+        derive(e, "x")
+        extended = add(mul(e, parse("x - 5*y")), log_(add(X, 7)))
+        new = [n for n in E.topo_order(extended)
+               if n not in E._derivative_cache["x"]]
+        assert new
+        cache = _Lookups(E._derivative_cache["x"])
+        monkeypatch.setitem(E._derivative_cache, "x", cache)
+        calls = []
+        fold = E._fold
+
+        def recording_fold(roots, rule, done):
+            counted, seen = _counting(rule)
+            out = fold(roots, counted, done)
+            calls.extend(seen)
+            return out
+
+        monkeypatch.setattr(E, "_fold", recording_fold)
+        d = derive(extended, "x")
+        assert sorted(map(id, calls)) == sorted(map(id, new))
+        # looked up: the root and the children of new nodes, nothing deeper
+        assert set(cache.looked) <= {extended} | {c for n in new
+                                                  for c in n.children}
+        assert derive(extended, "x") is d and len(calls) == len(new)
+        assert all(isinstance(v, str) and isinstance(c, dict)
+                   for v, c in E._derivative_cache.items())
+
+
 class TestDerivatives:
     def test_memoized_same_handle(self):
         e = parse("x^2*y + sqrt(x + y)")

@@ -149,6 +149,23 @@ class TestDegenerateParameters:
         with pytest.raises(ExprError, match=f"^{message}$"):
             lin.flat_coordinates(self.POWER, base=base, params={"n": F(2)})
 
+    @pytest.mark.parametrize("lam0, message", [
+        ((F(10 ** 400), 0), "lambda0 value beyond double range"),
+        ((0, F(-10 ** 400)), "lambda0 value beyond double range"),
+        ((math.nan, 0), "lambda0 value is not finite"),
+        ((0.0, -math.inf), "lambda0 value is not finite"),
+    ])
+    def test_lambda0_beyond_double_range_refused_before_the_verdict(
+            self, monkeypatch, lam0, message):
+        # checked beside the base: not an OverflowError after the verdict,
+        # nor a nan start that ends in a diverged integration
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("check_dweb called")
+
+        monkeypatch.setattr(lin, "check_dweb", no_verdict)
+        with pytest.raises(ExprError, match=f"^{message}$"):
+            lin.flat_coordinates(self.POWER, lam0=lam0, params={"n": F(2)})
+
 
 @pytest.fixture(scope="module")
 def web2_grid():
@@ -914,6 +931,14 @@ class TestLeafTracing:
     def test_unknown_foliation(self, web2_grid):
         with pytest.raises(lin.LinearizerError):
             lin.trace_leaves(WEB2, web2_grid, "q")
+
+    @pytest.mark.parametrize("name", ["g", "gx", "g5", "g04"])
+    def test_malformed_foliation_name(self, web2_grid, name):
+        # refused like "q", not by a ValueError from int() or an
+        # out-of-range index
+        with pytest.raises(lin.LinearizerError,
+                           match=f"^unknown foliation '{name}'$"):
+            lin.trace_leaves(WEB2, web2_grid, name)
 
 
 class TestHermite:
