@@ -14,6 +14,7 @@ operators d1, d2 build their product anew on each call.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,8 +28,8 @@ from .expr import (Expr, EvalError, ExactBudgetError, Store, derive, div,
 __all__ = [
     "Rect", "WebSpec", "DomainTooSingularError", "web_K",
     "basic_invariant", "mu", "SamplePoint", "sample_points",
-    "random_rational", "reparameterized", "DEFAULT_GRID_N", "MIN_GRID",
-    "MAX_GRID",
+    "random_rational", "reparameterized", "BoundedMemo", "DEFAULT_GRID_N",
+    "MIN_GRID", "MAX_GRID", "MAX_BUILT",
 ]
 
 DEFAULT_DOMAIN = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
@@ -40,12 +41,46 @@ MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~67 MB
 PARAM_RANGE = (Fraction(2), Fraction(7))  # every parameter is drawn from it
 MAX_REJECTIONS = 100
 RATIONAL_DENOMINATOR_BOUND = 10 ** 4
+# web functions whose built expressions a memo keeps (validity checks here,
+# invariants in `invariants`); each entry holds interned nodes only
+MAX_BUILT = 2 ** 8
 # float-mode guard band for the "not 0, not 1, pairwise distinct" checks
 _DISTINCT_EPS = 2.0 ** -100
 
 
 class DomainTooSingularError(ex.ExprError):
     """Rejection sampling could not find enough valid points."""
+
+
+class BoundedMemo(dict):
+    """A dict whose values weigh at most `bound` together, each weighing 1
+    unless `weight` says otherwise.  Reads take no lock; `keep` inserts
+    under the memo's lock, evicting the oldest entries first."""
+
+    def __init__(self, bound: int, weight=lambda value: 1):
+        super().__init__()
+        self.bound, self.weight, self.held = bound, weight, 0
+        self.lock = threading.Lock()
+
+    def keep(self, key, value):
+        """The value held for `key`: the one another thread stored first,
+        else `value`, which is held unless it alone outweighs the bound."""
+        w = self.weight(value)
+        with self.lock:
+            if key in self:
+                return self[key]
+            if w > self.bound:
+                return value
+            while self.held + w > self.bound:
+                self.held -= self.weight(self.pop(next(iter(self))))
+            self[key] = value
+            self.held += w
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.held = 0
 
 
 @dataclass(frozen=True)
@@ -117,7 +152,12 @@ class WebSpec:
     def validity_checks(self) -> tuple[Expr, ...]:
         """What must not vanish at a valid sample point: the first partials
         of every web function, each a_alpha and a_alpha - 1, and the
-        pairwise differences of the a_alpha."""
+        pairwise differences of the a_alpha.  They depend on the web
+        functions alone, and are built once per (f, gs) in `_CHECKS`."""
+        key = self.f, self.gs
+        hit = _CHECKS.get(key)
+        if hit is not None:
+            return hit
         checks = [self.fx, self.fy]
         for g in self.gs:
             checks += [derive(g, "x"), derive(g, "y")]
@@ -126,7 +166,7 @@ class WebSpec:
             checks += [a, sub(a, 1)]
         for i, a in enumerate(a_list):
             checks += [sub(a, b) for b in a_list[i + 1:]]
-        return tuple(checks)
+        return _CHECKS.keep(key, tuple(checks))
 
     # -- the frame --------------------------------------------------------
 
@@ -160,6 +200,9 @@ class WebSpec:
     def K(self) -> Expr:
         """K = d1(H) - d2(H), the curvature of the 3-subweb."""
         return sub(self.d1(self.H), self.d2(self.H))
+
+
+_CHECKS = BoundedMemo(MAX_BUILT)  # (f, gs) -> validity checks
 
 
 def web_K(web: WebSpec, mode: str = "structure") -> Expr:

@@ -24,18 +24,21 @@ differentiating and printing; it never enters a node already folded, so
 `derive`, with one cache per symbol, visits only the nodes that symbol has
 not differentiated.
 
-One interpreter, `_walk`, runs a `Program`: roots compiled lazily into
-slot orders over their union DAG (interning nothing), with values kept in
-one `Store` per point so a node shared by several roots is computed once
-per point.  `evaluate` chooses the arithmetic by one argument, `precision`:
-None for exact, else the mantissa bits.  Exact is rational-only, decided by
-the node mask alone: a DAG with exp, log or a non-integer power is refused
-before any slot is computed.  Two arithmetics live here: reduced
-(numerator, denominator) int pairs capped at EXACT_BITS, a product computed
-in one pass and reduced by one gcd, and p-bit floats as raw mpmath tuples,
-which keep the real-domain rules.  The module is pure Python: the third
-arithmetic, numpy doubles over whole grids, lives with its one caller in
-`linearizer` (`grid_function`), which runs `_walk` too.
+One interpreter, `_walk`, runs a `Program`: each node of the roots' union
+DAG is compiled once, into one slot instruction that the code of every
+root reaching it shares (interning nothing), either lazily, as roots are
+first evaluated, or for all roots up front into a sealed program that
+threads may share.  Values are kept in one `Store` per point, so a node
+shared by several roots is computed once per point.  `evaluate` chooses
+the arithmetic by one argument, `precision`: None for exact, else the
+mantissa bits.  Exact is rational-only, decided by the node mask alone: a
+DAG with exp, log or a non-integer power is refused before any slot is
+computed.  Two arithmetics live here: reduced (numerator, denominator) int
+pairs capped at EXACT_BITS, a product of two cancelled across and one of
+more computed in one pass and reduced by one gcd, and p-bit floats as raw
+mpmath tuples, which keep the real-domain rules.  The module is pure
+Python: the third arithmetic, numpy doubles over whole grids, lives with
+its one caller in `linearizer` (`grid_function`), which runs `_walk` too.
 """
 from __future__ import annotations
 
@@ -737,25 +740,38 @@ def derive(e: Expr, v: str) -> Expr:
 
 class Program:
     """A straight-line program over the DAGs of the roots evaluated through
-    it, one slot per distinct node.  A root is compiled when first
-    evaluated: its children-first order becomes instructions (slot, kind,
-    constant, name or constant exponent, child slots), and nodes shared with
-    earlier roots keep their slots; the root's variable and parameter names
-    are recorded with them.  Compiling interns no node."""
+    it, one slot per distinct node.  Each node is compiled once, into one
+    instruction (slot, kind, constant, name or constant exponent, child
+    slots) that every root's code shares: a root's code is its
+    children-first order of those instructions, with its variable and
+    parameter names.  `Program(roots)` compiles the roots in order and is
+    sealed: it is never extended, so threads may share it.  An unsealed
+    program compiles a root when first evaluated.  Compiling interns no
+    node."""
 
-    def __init__(self):
-        self.slots: dict[Expr, int] = {}    # node -> slot
+    def __init__(self, roots: tuple[Expr, ...] = ()):
+        self.instructions: dict[Expr, tuple] = {}  # node -> instruction
         self.codes: dict[Expr, tuple] = {}  # root -> (instructions, names)
+        self.sealed = False
+        for root in roots:
+            self.code(root)
+        self.sealed = bool(roots)
 
     def code(self, root: Expr) -> tuple[list[tuple], frozenset[str]]:
         hit = self.codes.get(root)
         if hit is None:
-            code, slots = [], self.slots
+            if self.sealed:
+                raise ExprError("root not compiled into this sealed program")
+            code, instructions = [], self.instructions
             for n in topo_order(root):
-                arg = (n.value if n.kind == CONST else n.name if n.kind != POW
-                       else n.children[1].value)
-                code.append((slots.setdefault(n, len(slots)), n.kind, arg,
-                             tuple(slots[c] for c in n.children)))
+                ins = instructions.get(n)
+                if ins is None:
+                    arg = (n.value if n.kind == CONST else n.name
+                           if n.kind != POW else n.children[1].value)
+                    ins = instructions[n] = (
+                        len(instructions), n.kind, arg,
+                        tuple([instructions[c][0] for c in n.children]))
+                code.append(ins)
             names = frozenset(a for _, k, a, _ in code if k in (VAR, PARAM))
             hit = self.codes[root] = code, names
         return hit
@@ -843,10 +859,22 @@ def _qadd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _qprod(factors) -> tuple[int, int]:
-    """The product of reduced pairs, reduced in one pass: every numerator
-    and every denominator multiplied together, then one gcd.  Reduced
-    pairs are unique, so this is the pair a left fold of `Fraction`
-    products gives."""
+    """The product of reduced pairs, reduced.  Two factors cancel across
+    first, as `Fraction._mul` does (Knuth, TAOCP Vol. 2, 4.5.1): two gcds
+    at the factors' size instead of one at the product's.  More are
+    reduced in one pass: every numerator and every denominator multiplied
+    together, then one gcd.  Reduced pairs are unique, so either is the
+    pair a left fold of `Fraction` products gives."""
+    factors = list(factors)
+    if len(factors) == 2:
+        (na, da), (nb, db) = factors
+        g = math.gcd(na, db)
+        if g > 1:
+            na, db = na // g, db // g
+        g = math.gcd(nb, da)
+        if g > 1:
+            nb, da = nb // g, da // g
+        return na * nb, da * db
     p = q = 1
     for n, d in factors:
         p *= n
@@ -858,11 +886,11 @@ def _qprod(factors) -> tuple[int, int]:
 class _ExactArithmetic:
     """Rationals as reduced (numerator, denominator > 0) int pairs, so that
     every slot value is the one `Fraction` arithmetic would give; refuses
-    sizes above EXACT_BITS.  A product is computed in one pass, reduced by
-    one gcd (`_qprod`); the unreduced pair has at most the factors' bits
-    together.  `_evaluate` hands it only DAGs without the transcendental
-    mask bit: no exp or log, and every power has an integer constant
-    exponent."""
+    sizes above EXACT_BITS.  A product of two cancels across, one of more
+    is computed in one pass and reduced by one gcd (`_qprod`); the
+    unreduced pair has at most the factors' bits together.  `_evaluate`
+    hands it only DAGs without the transcendental mask bit: no exp or log,
+    and every power has an integer constant exponent."""
 
     add, mul = staticmethod(_qadd), staticmethod(_qprod)
     num = staticmethod(lambda q: (q.numerator, q.denominator))
@@ -969,7 +997,7 @@ def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
         leaves = {k: arith.num(v) for k, v in bindings.items()}
         store[precision] = [], leaves, arith
     vals, leaves, arith = store[precision]
-    vals.extend([None] * (len(store.program.slots) - len(vals)))
+    vals.extend([None] * (len(store.program.instructions) - len(vals)))
     v = _walk(code, arith, vals, leaves)
     if arith is _EXACT:
         return Fraction(*v), None

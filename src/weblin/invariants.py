@@ -8,7 +8,10 @@ between the deformation scalars of its 4-subwebs to vanish.  One formula,
 and of the linearizer.  Vanishing is decided by random evaluation: exact
 rational arithmetic whenever the expression allows it, p-bit (default 256)
 floating arithmetic with a scale-aware threshold otherwise.  The invariants
-of one web share their sample points.
+of one web share their sample points.  The invariants, and the slot program
+that evaluates them, are built once per tuple of web functions and reused
+by later checks of the same functions, within count and slot bounds;
+values are never reused across checks.
 """
 from __future__ import annotations
 
@@ -23,9 +26,10 @@ import mpmath
 from . import expr as ex
 from .expr import (Expr, EvalError, ExactBudgetError, add, mul, neg,
                    pow_, sub, evaluate, evaluate_scaled, is_exactly_evaluable)
-from .calculus import (WebSpec, SamplePoint, PARAM_RANGE,
-                       DomainTooSingularError, mu as web_mu, random_rational,
-                       sample_points)
+from . import calculus
+from .calculus import (WebSpec, SamplePoint, PARAM_RANGE, MAX_BUILT,
+                       BoundedMemo, DomainTooSingularError, mu as web_mu,
+                       random_rational, sample_points)
 
 __all__ = [
     "ZeroTestPolicy", "Evidence", "InvariantReport", "SampleMemo",
@@ -45,6 +49,10 @@ NONZERO_CONFIRMATIONS = 2  # float-mode witnesses required for NONZERO
 MIN_PRECISION = 24       # float bits; at 2 bits a YES web was answered NO
 MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
 MAX_POINTS = 2 ** 10     # the draw memo holds about 50 KB per point
+MAX_SIGHTED = 2 ** 8     # roots tuples seen once, waiting for a second check
+# slots of the published programs together, about 2 MB: the 19 corpus
+# benchmark webs need 6345
+MAX_PROGRAM_SLOTS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -143,9 +151,16 @@ def I2_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
 
 
 def build_compatibility_pair(web: WebSpec) -> tuple[Expr, Expr]:
-    """I1, I2 for the 4-subweb (x, y, f, g4)."""
-    m = web_mu(web, 4)
-    return I1_of_mu(m, web), I2_of_mu(m, web)
+    """I1, I2 for the 4-subweb (x, y, f, g4).  They depend on f and g4
+    alone, so they are built once per (f, g4): the last MAX_BUILT pairs
+    are kept, and a later web with the same functions gets the same nodes
+    whatever its domain and seed."""
+    key = web.f, web.g(4)
+    hit = _PAIRS.get(key)
+    if hit is None:
+        m = web_mu(web, 4)
+        hit = _PAIRS.keep(key, (I1_of_mu(m, web), I2_of_mu(m, web)))
+    return hit
 
 
 def J_alpha(web: WebSpec, alpha: int) -> Expr:
@@ -153,10 +168,49 @@ def J_alpha(web: WebSpec, alpha: int) -> Expr:
     deformation scalar of the 4-subweb (x, y, f, g_alpha) less that of
     (x, y, f, g4).  A g_alpha with the direction of f or of g4 makes every
     sample point invalid (a_alpha = 1 or a_alpha = a_4), so the test of
-    such a web ends INCONCLUSIVE."""
+    such a web ends INCONCLUSIVE.  Built once per (f, g4, g_alpha), as
+    `build_compatibility_pair` is."""
     if alpha < 5:
         raise ex.ExprError("J_alpha is defined for alpha >= 5")
-    return sub(web_mu(web, alpha), web_mu(web, 4))
+    key = web.f, web.g(4), web.g(alpha)
+    hit = _JS.get(key)
+    if hit is None:
+        hit = _JS.keep(key, sub(web_mu(web, alpha), web_mu(web, 4)))
+    return hit
+
+
+# Built invariants and published slot programs, shared by every check in
+# the process.  They hold interned nodes and the code compiled from them,
+# never a value: what depends on a seed, point or precision stays in the
+# check's SampleMemo.
+_PAIRS = BoundedMemo(MAX_BUILT)  # (f, g4) -> (I1, I2)
+_JS = BoundedMemo(MAX_BUILT)  # (f, g4, g_alpha) -> J_alpha
+_SIGHTED = BoundedMemo(MAX_SIGHTED)  # roots tuples seen once
+# check roots -> sealed program, weighed by its slots
+_PROGRAMS = BoundedMemo(MAX_PROGRAM_SLOTS, lambda p: len(p.instructions))
+
+
+def _program(roots: tuple[Expr, ...]) -> ex.Program:
+    """The slot program of a check's roots.  The first sighting of a roots
+    tuple gets a fresh program, compiled as its check evaluates; a later
+    one gets a sealed program, compiled completely and then published, so
+    the checks after it compile nothing.  Published programs hold at most
+    MAX_PROGRAM_SLOTS slots together, the oldest evicted first, and a
+    larger one is never held."""
+    hit = _PROGRAMS.get(roots)
+    if hit is not None:
+        return hit
+    if roots not in _SIGHTED:
+        _SIGHTED.keep(roots, None)
+        return ex.Program()
+    return _PROGRAMS.keep(roots, ex.Program(roots))
+
+
+def clear_caches() -> None:
+    """Forget every built invariant, validity check and slot program; no
+    output depends on them."""
+    for memo in (_PAIRS, _JS, _SIGHTED, _PROGRAMS, calculus._CHECKS):
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +340,18 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
     tests share their sample points and one slot program, so at each point
     a node of an invariant or validity check is computed once, and a
     report's `elapsed` counts validating a point, and each shared node, only
-    for the first invariant that reaches it.
+    for the first invariant that reaches it.  The invariants come from the
+    memoized builders, and the program of web functions checked before is
+    the published one (`_program`); sample points and values are never
+    reused across checks.
     """
     policy = policy or ZeroTestPolicy()
-    memo = SampleMemo()
+    I1, I2 = build_compatibility_pair(web)
+    invariants = [("I1", I1), ("I2", I2)]
+    invariants += [(f"J{alpha}", J_alpha(web, alpha))
+                   for alpha in range(5, web.d + 1)]
+    memo = SampleMemo(_program((*web.validity_checks,
+                                *(e for _, e in invariants))))
 
     def report(name: str, e: Expr) -> InvariantReport:
         t0 = time.perf_counter()
@@ -300,14 +362,10 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
             verdict=verdict, evidence=evidence,
             elapsed=time.perf_counter() - t0, mode=mode, reason=reason)
 
-    I1, I2 = build_compatibility_pair(web)
-    reports = [report("I1", I1), report("I2", I2)]
-    reports += [report(f"J{alpha}", J_alpha(web, alpha))
-                for alpha in range(5, web.d + 1)]
+    reports = [report(name, e) for name, e in invariants]
     verdicts = {r.verdict for r in reports}
     if verdicts == {ZERO}:
         return YES, reports
     if NONZERO in verdicts:
         return NO, reports
     return INCONCLUSIVE, reports
-

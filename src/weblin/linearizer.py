@@ -177,7 +177,7 @@ def grid_function(*roots: Expr) -> Callable:
     code = list({ins[0]: ins for c in codes for ins in c}.values())
     if any(k == UNDEF for _, k, _, _ in code):
         raise SingularSampleError("undefined value (division by constant zero)")
-    outs = [program.slots[r] for r in roots]
+    outs = [program.instructions[r][0] for r in roots]
     last = {c: i for i, (_, _, _, kids) in enumerate(code) for c in kids}
     dead = [[] for _ in code]
     for s, i in last.items():
@@ -188,7 +188,7 @@ def grid_function(*roots: Expr) -> Callable:
         xg = np.asarray(xg, dtype=float)
         yg = np.asarray(yg, dtype=float)
         shape = np.broadcast_shapes(xg.shape, yg.shape)
-        vals = [None] * len(program.slots)
+        vals = [None] * len(program.instructions)
         with np.errstate(all="ignore"):
             _walk(code, _GRID, vals, {"x": xg, "y": yg}, dead)
         arrays = []
@@ -465,6 +465,15 @@ class LinearizationResult:
         }
 
 
+def _two(value, what: str) -> tuple:
+    """`value` unpacked into its two items; ExprError for any other count."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ExprError(f"{what} needs two values") from None
+    return a, b
+
+
 def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
                      base: tuple[float, float] | None = None,
                      lam0: tuple[float, float] = (0.0, 0.0),
@@ -476,10 +485,10 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
 
     Its inputs are checked before any work, each refusal an ExprError:
     `params` holds a value for each web parameter and no other name, and
-    `base` (default: the center) lies on the grid (default: the web's
-    domain, 41 nodes per axis), and both reals of `lam0` are finite
-    doubles.  The values are substituted first: every later step, the
-    verdict included, sees that web.  Decides the verdict with
+    `base` (default: the center) is two reals that lie on the grid
+    (default: the web's domain, 41 nodes per axis), and `lam0` is two
+    reals, both finite doubles.  The values are substituted first: every
+    later step, the verdict included, sees that web.  Decides the verdict with
     `check_dweb` and refuses a web that is not YES with
     `NotLinearizableError`, unless force=True.  Lambda starts at lam0 at
     the grid node nearest to `base`, and two coframes start there as dx and
@@ -500,10 +509,10 @@ def flat_coordinates(web: WebSpec, grid: GridSpec | None = None, *,
         raise ExprError(f"no value for parameter(s) {', '.join(missing)}; "
                         "each parameter of the web needs one")
     g = grid or GridSpec(rect=web.domain)
-    base = g.rect.center if base is None else base
+    base = g.rect.center if base is None else _two(base, "base point")
     ib, jb = g.nearest_index(*base)
     try:
-        lam0 = (float(lam0[0]), float(lam0[1]))
+        lam0 = tuple(map(float, _two(lam0, "lambda0")))
     except OverflowError:  # a rational past double range
         raise ExprError("lambda0 value beyond double range") from None
     if not (math.isfinite(lam0[0]) and math.isfinite(lam0[1])):

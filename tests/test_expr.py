@@ -685,8 +685,29 @@ class TestSlotProgram:
         for root in (e, d, e):
             evaluate(root, *ctx(F(1, 3), F(1, 2), precision=256), store=store)
         assert len(E._table) == size
-        assert len(store.program.slots) == len(
+        assert len(store.program.instructions) == len(
             {n for r in (e, d) for n in E.topo_order(r)})
+
+    def test_one_instruction_per_node_shared_by_every_root(self):
+        e = parse("x^3*exp(y) + sqrt(x + y)/(x - y)")
+        roots = (e, derive(e, "x"), derive(e, "y"))
+        program = E.Program(roots)
+        nodes = {n for r in roots for n in E.topo_order(r)}
+        assert program.sealed and len(program.instructions) == len(nodes)
+        for r in roots:
+            code, _ = program.code(r)
+            assert [ins[0] for ins in code] == [
+                program.instructions[n][0] for n in E.topo_order(r)]
+            # the instruction objects themselves, not copies
+            assert all(ins is program.instructions[n]
+                       for ins, n in zip(code, E.topo_order(r)))
+        # a sealed program compiles nothing more
+        with pytest.raises(E.ExprError, match="sealed"):
+            program.code(mul(e, Y))
+        assert len(program.instructions) == len(nodes)
+        lazy = E.Program()
+        for r in roots:
+            assert lazy.code(r) == program.code(r)
 
 
 _BIG = 10 ** 40
@@ -730,16 +751,24 @@ class TestPairArithmetic:
 
     @given(_NUMERATORS, _DENOMINATORS, _NUMERATORS, _DENOMINATORS,
            st.lists(st.tuples(_NUMERATORS, _DENOMINATORS, st.booleans()),
-                    max_size=6))
+                    max_size=6),
+           st.integers(1, 2 ** 2048), st.integers(1, 2 ** 2048))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_add_and_mul_equal_fraction_arithmetic(self, n1, d1, n2, d2,
-                                                   more):
+                                                   more, big1, big2):
         a = F(n1, d1)
         # the second operand once on its own denominator, once on a's
         for b in (F(n2, d2), F(n2, a.denominator), -a, F(0)):
             for x, y in ((a, b), (b, a)):
                 assert E._qadd(_pair(x), _pair(y)) == _pair(x + y)
                 assert E._qprod([_pair(x), _pair(y)]) == _pair(x * y)
+        # two large factors, which cancel across: each numerator shares a
+        # factor of up to 2048 bits with the other's denominator, or none
+        for x, y in ((F(n1 * big1, d1 * big2), F(n2 * big2, d2 * big1)),
+                     (F(big1, d1), F(n2, big2)), (F(big1, big2), a)):
+            for p, q in ((x, y), (y, x)):
+                got = E._qprod([_pair(p), _pair(q)])
+                assert got == _pair(p * q) and got[1] > 0
         # a product of 0 to 6 factors in one pass, some on a's denominator
         qs = [F(n, a.denominator if shared else d) for n, d, shared in more]
         want = F(1)

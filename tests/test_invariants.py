@@ -3,18 +3,20 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from weblin.expr import (X, Y, parse, evaluate, const, sub, mul, add, div,
-                         pow_, param, derive, SingularSampleError)
+                         pow_, param, derive, topo_order, Program,
+                         SingularSampleError)
 from weblin.calculus import (Rect, WebSpec, sample_points, mu,
                              random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
                                J_alpha, build_compatibility_pair, check_dweb)
-from weblin import calculus, corpus, invariants
+from weblin import calculus, cli, corpus, invariants
 
 F = Fraction
 
@@ -449,3 +451,142 @@ class TestReportJson:
             assert set(e) == {"point", "params", "residual", "mode"}
             assert all(isinstance(v, str) for v in e["point"])
             assert isinstance(e["residual"], str)
+
+
+def _roots(web):
+    """What `check_dweb` keys its slot program by."""
+    return (*web.validity_checks, *build_compatibility_pair(web),
+            *(J_alpha(web, alpha) for alpha in range(5, web.d + 1)))
+
+
+def _report_json(web):
+    verdict, reports = check_dweb(web)
+    return json.dumps([verdict, *(r.to_json() for r in reports)])
+
+
+class TestCrossCheckCaches:
+    """Built invariants and slot programs are reused across checks of the
+    same web functions; nothing a check reports depends on them."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        invariants.clear_caches()
+        yield
+        invariants.clear_caches()
+
+    @pytest.mark.parametrize("functions", [
+        ["--f", "x/y", "--g", "(1 - y)/(1 - x)"],                   # exact
+        ["--f", "(x^3 + x)*exp(-y)", "--g", "exp(y) + x^3 + x"],    # float
+        ["--f", "x/y", "--g", "x + y", "--g", "2*x + y"],           # 5-web
+    ], ids=["exact", "float", "five-web"])
+    def test_cached_run_prints_what_a_cleared_run_prints(self, capsys,
+                                                         functions):
+        def run(*extra):
+            assert cli.main(["check", "--json", *functions, *extra]) == 0
+            return capsys.readouterr().out
+
+        runs = [("--seed", "1"),
+                ("--seed", "5", "--domain", "3/10,7/10,1/5,3/5"),
+                ("--seed", "9", "--precision", "64"),
+                ("--seed", "2", "--domain", "1/3,2/3,1/3,2/3",
+                 "--precision", "512")]
+        cleared = []
+        for extra in runs:
+            invariants.clear_caches()
+            cleared.append(run(*extra))
+        invariants.clear_caches()
+        # a first sighting, a second that publishes, then two hits
+        assert [run(*extra) for extra in runs] == cleared
+        assert len(invariants._PROGRAMS) == 1
+
+    def test_second_sighting_publishes_a_sealed_program(self):
+        web = corpus.web_for(corpus.case_by_name("bol-five-web"))
+        first = _report_json(web)
+        assert not invariants._PROGRAMS and _roots(web) in invariants._SIGHTED
+        # the same functions under another seed and domain are the same roots
+        other = WebSpec(f=web.f, gs=web.gs, seed=3,
+                        domain=Rect(F(1, 3), F(2, 3), F(1, 3), F(2, 3)))
+        _report_json(other)
+        program = invariants._PROGRAMS[_roots(web)]
+        assert program.sealed and set(program.codes) == set(_roots(web))
+        assert _report_json(web) == first
+        assert invariants._PROGRAMS[_roots(web)] is program
+
+    def test_held_slots_stay_within_the_bound(self, monkeypatch):
+        assert invariants._PROGRAMS.bound == invariants.MAX_PROGRAM_SLOTS
+        webs = [corpus.web_for(corpus.case_by_name(name))
+                for name in ("two-pencils", "power-web", "bol-five-web")]
+        want = [_report_json(web) for web in webs]
+        sizes = [len(Program(_roots(web)).instructions) for web in webs]
+        # room for the two largest together, so publishing evicts
+        bound = sum(sorted(sizes)[1:])
+        held = invariants.BoundedMemo(bound, invariants._PROGRAMS.weight)
+        monkeypatch.setattr(invariants, "_PROGRAMS", held)
+        for _ in range(3):
+            for web, report in zip(webs, want):
+                assert _report_json(web) == report
+                assert held.held == sum(
+                    len(p.instructions) for p in held.values()) <= bound
+        assert 0 < len(held) < len(webs)
+        # a program larger than the bound is never held, and still checks
+        small = invariants.BoundedMemo(min(sizes) - 1, held.weight)
+        monkeypatch.setattr(invariants, "_PROGRAMS", small)
+        for _ in range(3):
+            for web, report in zip(webs, want):
+                assert _report_json(web) == report
+        assert not small and small.held == 0
+
+    def test_builder_memo_stays_within_its_count(self, monkeypatch):
+        pairs = invariants.BoundedMemo(2)
+        monkeypatch.setattr(invariants, "_PAIRS", pairs)
+        assert invariants._JS.bound == calculus.MAX_BUILT
+        webs = [corpus.web_for(case) for case in corpus.CASES]
+        built = [build_compatibility_pair(web) for web in webs]
+        assert len(pairs) == 2 and pairs.held == 2
+        assert [build_compatibility_pair(web) for web in webs] == built
+
+    def test_threads_share_one_program(self):
+        web = corpus.web_for(corpus.case_by_name("double-parabola-tangents"))
+        want = _report_json(web)
+        invariants.clear_caches()
+        results: list[str] = []
+
+        def check():
+            results.append(_report_json(web))
+
+        def round_of_8():
+            threads = [threading.Thread(target=check) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+
+        round_of_8()  # cold: every thread sights the roots, some publish
+        round_of_8()  # every thread has sighted them: one program is held
+        program = invariants._PROGRAMS[_roots(web)]
+        size = len(program.instructions)
+        round_of_8()  # on the published program
+        assert results == [want] * 24
+        assert _report_json(web) == want
+        assert invariants._PROGRAMS[_roots(web)] is program
+        assert len(program.instructions) == size == len(
+            {n for root in _roots(web) for n in topo_order(root)})
+
+    @pytest.mark.parametrize("case", [*corpus.CASES, corpus.LINEAR_FIVE_WEB],
+                             ids=lambda c: c.name)
+    def test_memoized_invariants_are_the_built_nodes(self, case):
+        web = corpus.web_for(case)
+        memoized = (*build_compatibility_pair(web),
+                    *(J_alpha(web, alpha) for alpha in range(5, web.d + 1)))
+        moved = WebSpec(f=web.f, gs=web.gs, seed=7,
+                        domain=Rect(F(1, 3), F(2, 3), F(1, 3), F(2, 3)))
+        assert (*build_compatibility_pair(moved),
+                *(J_alpha(moved, a) for a in range(5, web.d + 1))) == memoized
+        invariants.clear_caches()
+        m = mu(web, 4)
+        built = (I1_of_mu(m, web), I2_of_mu(m, web),
+                 *(sub(mu(web, alpha), m) for alpha in range(5, web.d + 1)))
+        assert all(a is b for a, b in zip(memoized, built, strict=True))
+        assert all(a is b for a, b in zip(
+            memoized, (*build_compatibility_pair(web),
+                       *(J_alpha(web, a) for a in range(5, web.d + 1)))))

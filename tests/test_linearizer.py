@@ -166,6 +166,23 @@ class TestDegenerateParameters:
         with pytest.raises(ExprError, match=f"^{message}$"):
             lin.flat_coordinates(self.POWER, lam0=lam0, params={"n": F(2)})
 
+    @pytest.mark.parametrize("base, lam0, message", [
+        ((F(1, 2), F(1, 2)), (1,), "lambda0 needs two values"),
+        ((F(1, 2), F(1, 2)), (1, 2, 3), "lambda0 needs two values"),
+        ((0.5,), (0, 0), "base point needs two values"),
+        ((0.5, 0.5, 0.5), (0, 0), "base point needs two values"),
+    ])
+    def test_base_or_lambda0_of_other_length_refused_before_the_verdict(
+            self, monkeypatch, base, lam0, message):
+        # neither an IndexError or TypeError, nor a value silently dropped
+        def no_verdict(*args, **kwargs):
+            raise AssertionError("check_dweb called")
+
+        monkeypatch.setattr(lin, "check_dweb", no_verdict)
+        with pytest.raises(ExprError, match=f"^{message}$"):
+            lin.flat_coordinates(self.POWER, base=base, lam0=lam0,
+                                 params={"n": F(2)})
+
 
 @pytest.fixture(scope="module")
 def web2_grid():
@@ -800,7 +817,7 @@ class TestCoefficientMemory:
             tracemalloc.stop()
         assert cg.xlines.shape[1] * g.ny > lin.BLOCK_POINTS
         assert top - cg.xlines.nbytes - cg.ylines.nbytes < (
-            len(program.slots) * 8 * lin.BLOCK_POINTS / 2)
+            len(program.instructions) * 8 * lin.BLOCK_POINTS / 2)
         assert top <= all_slots_mib * 2 ** 20 / 2
 
 
