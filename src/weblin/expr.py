@@ -36,7 +36,8 @@ DAG with exp, log or a non-integer power is refused before any slot is
 computed.  Two arithmetics live here: reduced (numerator, denominator) int
 pairs capped at EXACT_BITS, a product of two cancelled across and one of
 more computed in one pass and reduced by one gcd, and p-bit floats as raw
-mpmath tuples, which keep the real-domain rules.  The module is pure
+mpmath tuples, which keep the real-domain rules and round each step of a
+sum or product inline, bit-identical to libmp.  The module is pure
 Python: the third arithmetic, numpy doubles over whole grids, lives with
 its one caller in `linearizer` (`grid_function`), which runs `_walk` too.
 """
@@ -800,12 +801,13 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object],
     """The value of compiled root `code`: the one DAG interpreter.  A slot
     already holding a value is read, one holding an error raises it again,
     so the first failing node in the root's own order raises.  `arith`
-    supplies `add` (folded left to right), `mul`, which receives a
-    product's factor values in the node's order, `num`, `pow`, `exp` and
-    `log` (None where the walk never meets them) and an optional per-node
-    `check`; `leaves` maps names to values.  `dead`, a release
-    plan, gives per instruction the slots it reads last: they are set back
-    to None once it has run (a `Store` keeps every slot).
+    supplies `add` and `mul`, which receive a sum's term or a product's
+    factor values in the node's order and fold them left to right (the
+    p-bit arithmetic rounds each step inline, as libmp would), `num`,
+    `pow`, `exp` and `log` (None where the walk never meets them) and an
+    optional per-node `check`; `leaves` maps names to values.  `dead`, a
+    release plan, gives per instruction the slots it reads last: they are
+    set back to None once it has run (a `Store` keeps every slot).
     """
     add, mul, num, power = arith.add, arith.mul, arith.num, arith.pow
     exp, log, check = arith.exp, arith.log, arith.check
@@ -819,7 +821,7 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object],
             if k == MUL:
                 v = mul(map(vals.__getitem__, kids))
             elif k == ADD:
-                v = reduce(add, map(vals.__getitem__, kids))
+                v = add(map(vals.__getitem__, kids))
             elif k == POW:
                 v = power(vals[kids[0]], vals[kids[1]], arg)
             elif k == CONST:
@@ -892,7 +894,8 @@ class _ExactArithmetic:
     hands it only DAGs without the transcendental mask bit: no exp or log,
     and every power has an integer constant exponent."""
 
-    add, mul = staticmethod(_qadd), staticmethod(_qprod)
+    add = staticmethod(lambda terms: reduce(_qadd, terms))
+    mul = staticmethod(_qprod)
     num = staticmethod(lambda q: (q.numerator, q.denominator))
     exp = log = None
 
@@ -923,29 +926,98 @@ _EXACT = _ExactArithmetic()
 
 class _MpfArithmetic:
     """p-bit floats as raw `mpmath.libmp` tuples (sign, mantissa, exponent,
-    bit count): every operation is the libmp call mpmath's mpf operators
-    make (at `prec`, round to nearest), so values are bit-identical to mpf
-    arithmetic, minus the object wrappers.  It keeps the real-domain rules:
-    an exponent counts as an integer by its value, a zero base with a
-    negative power is singular, and a negative base with a non-integer
-    power or the log of a non-positive value is a domain error.  No value
-    needs a finiteness check: the leaves are rationals, and libmp's
-    exponents are unbounded ints, so its operations keep values finite."""
+    bit count), the mantissa odd or zero.  Every value is bit-identical to
+    mpf arithmetic at `prec`, rounding to nearest, minus the object
+    wrappers.  `mul` and `add` receive a node's operand values and fold
+    them left to right in one loop, each step libmp's `mpf_mul` or
+    `mpf_add` with its round-half-to-even inlined: the exact product, or
+    the exactly aligned sum (except that, as in `mpf_add`, at an exponent
+    gap over 100 a term more than prec + 4 bits below the other counts
+    only as a sticky unit below the larger shifted by prec + 4 bits), is
+    cut to `prec` bits and its trailing zero bits are stripped.  Every
+    intermediate is rounded, so each value is the tuple the left fold of
+    libmp calls gives.  `num`, `pow`, `exp` and `log` are libmp calls.
+
+    It keeps the real-domain rules: an exponent counts as an integer by
+    its value, a zero base with a negative power is singular, and a
+    negative base with a non-integer power or the log of a non-positive
+    value is a domain error.  No value needs a finiteness check: the
+    leaves are rationals, and libmp's exponents are unbounded ints, so its
+    operations keep values finite."""
 
     def __init__(self, prec: int):
-        rnd, mpf_mul = libmp.round_nearest, libmp.mpf_mul
-        self.add = lambda a, b: libmp.mpf_add(a, b, prec, rnd)
+        rnd, wide = libmp.round_nearest, prec + 4
         self.exp = lambda u: libmp.mpf_exp(u, prec, rnd)
         self.prec = prec
 
-        def mul(factors) -> tuple:  # folded left to right, as mpf's `*` is
+        def mul(factors) -> tuple:
             it = iter(factors)
-            v = next(it)
-            for w in it:
-                v = mpf_mul(v, w, prec, rnd)
-            return v
+            sign, man, exp, _ = next(it)
+            for s, m, e, _ in it:
+                man *= m
+                sign ^= s
+                exp += e
+                n = man.bit_length() - prec
+                if n > 0:  # round half to even, then strip trailing zeros
+                    t = man >> (n - 1)
+                    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                        man = (t >> 1) + 1
+                    else:
+                        man = t >> 1
+                    exp += n
+                    if not man & 1:
+                        n = (man & -man).bit_length() - 1
+                        man >>= n
+                        exp += n
+            return (sign, man, exp, man.bit_length()) if man else libmp.fzero
 
-        self.mul = mul
+        def add(terms) -> tuple:
+            it = iter(terms)
+            sign, man, exp, bc = next(it)
+            for s, m, e, b in it:
+                if man and m:
+                    gap = exp - e
+                    if gap > 100 and bc + gap - b > wide:
+                        man = (man << wide) + (1 if sign == s else -1)
+                        exp -= wide
+                    elif gap < -100 and b - gap - bc > wide:
+                        man = (m << wide) + (1 if sign == s else -1)
+                        sign, exp = s, e - wide
+                    else:
+                        if gap > 0:
+                            man <<= gap
+                            exp = e
+                        elif gap:
+                            m <<= -gap
+                        if sign == s:
+                            man += m
+                        else:
+                            man -= m
+                            if man < 0:
+                                man, sign = -man, sign ^ 1
+                            elif not man:
+                                sign = exp = bc = 0
+                                continue
+                elif m:
+                    sign, man, exp = s, m, e
+                elif not man:
+                    continue
+                n = man.bit_length() - prec
+                if n > 0:  # round half to even
+                    t = man >> (n - 1)
+                    if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                        man = (t >> 1) + 1
+                    else:
+                        man = t >> 1
+                    exp += n
+                if not man & 1:  # strip trailing zeros
+                    n = (man & -man).bit_length() - 1
+                    man >>= n
+                    exp += n
+                bc = man.bit_length()
+            return sign, man, exp, bc
+
+        self.mul, self.add = mul, add
 
     check = None
 
@@ -974,11 +1046,13 @@ class _MpfArithmetic:
 
 def _scale(code: list[tuple], vals: list) -> tuple:
     """max(1, |v|) over the slots of a compiled root, as an mpf tuple."""
-    best = libmp.fone
+    best, top = libmp.fone, 1  # |best| < 2^top, top = exponent + bit count
     for s, _, _, _ in code:
-        a = (0,) + vals[s][1:]  # |v| < 2^(exponent + bit count)
-        if a[2] + a[3] >= best[2] + best[3] and libmp.mpf_gt(a, best):
-            best = a
+        v = vals[s]
+        if v[2] + v[3] >= top:
+            a = (0,) + v[1:]
+            if libmp.mpf_gt(a, best):
+                best, top = a, v[2] + v[3]
     return best
 
 

@@ -74,10 +74,11 @@ class ZeroTestPolicy:
             raise ex.ExprError(f"precision outside {MIN_PRECISION}.."
                                f"{MAX_PRECISION} bits")
 
-    @property
-    def threshold_scale(self) -> float:
-        # |value| < 2^-(precision/2) * max(1, magnitude) counts as vanishing
-        return 2.0 ** -(self.precision // 2)
+    def threshold(self, scale: mpmath.mpf) -> mpmath.mpf:
+        """|value| below 2^-(precision/2) * scale, with scale = max(1,
+        magnitude), counts as vanishing; the power of two is applied
+        exactly, so it never underflows."""
+        return mpmath.ldexp(scale, -(self.precision // 2))
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def zero_test(e: Expr, web: WebSpec,
                                                    policy.precision,
                                                    store=store)
                         # in mpf: a scale past the double range stays finite
-                        vanishes = abs(v) < policy.threshold_scale * scale
+                        vanishes = abs(v) < policy.threshold(scale)
                 except ExactBudgetError:
                     raise  # not a singular sample: INCONCLUSIVE below
                 except EvalError:

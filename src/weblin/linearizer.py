@@ -134,8 +134,8 @@ class _GridArithmetic:
     constant, so a parameter exponent always goes through float `power`.
     """
 
-    add = staticmethod(operator.add)
-    mul = staticmethod(partial(reduce, operator.mul))  # folded left
+    add = staticmethod(partial(reduce, operator.add))  # folded left
+    mul = staticmethod(partial(reduce, operator.mul))
     exp, log, check = np.exp, np.log, None
 
     @staticmethod

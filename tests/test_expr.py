@@ -11,7 +11,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, assume, strategies as st
+from hypothesis import example, given, settings, assume, strategies as st
+from mpmath import libmp
 
 from weblin import expr as E
 from weblin.expr import (X, Y, add, const, div, mul, neg, parse, pow_, sqrt,
@@ -820,6 +821,76 @@ class TestPairArithmetic:
                     nonzero += bool(want)
         # 21 invariants of 7 webs at 8 points, of YES and NO webs both
         assert values == 21 * 8 and 0 < nonzero < values
+
+
+@st.composite
+def _mpf_operands(draw):
+    """A precision of 24 to 1100 bits and 1 to 6 raw mpf operands: zeros,
+    powers of two, all-ones mantissas up to 8 bits wider than the
+    precision (which round up to a power of two), odd mantissas of up to
+    the precision's bits, exponents near each other or far apart (gaps past
+    100 and past prec + 4), and, at random, one operand the negation of
+    the one before it or of the libmp sum before it (exact cancellation)."""
+    prec = draw(st.integers(24, 1100))
+
+    def operand():
+        kind = draw(st.sampled_from(["zero", "two", "ones", "odd"]))
+        if kind == "zero":
+            return libmp.fzero
+        if kind == "two":
+            man = 1
+        elif kind == "ones":
+            man = (1 << draw(st.integers(prec - 2, prec + 8))) - 1
+        else:
+            # short and near-full widths make products of prec + 1 bits,
+            # the only width at which a product of odd mantissas can tie
+            bits = draw(st.integers(1, 9) | st.integers(prec - 8, prec)
+                        | st.integers(1, prec))
+            man = draw(st.integers(0, (1 << bits) - 1)) | 1
+        exp = draw(st.integers(-40, 40)
+                   | st.integers(-3 * prec - 300, 3 * prec + 300))
+        return libmp.from_man_exp(-man if draw(st.booleans()) else man, exp)
+
+    ops = [operand() for _ in range(draw(st.integers(1, 6)))]
+    if len(ops) > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, len(ops) - 1))
+        sums = draw(st.booleans())
+        ops[i] = libmp.mpf_neg(_libmp_fold(libmp.mpf_add, ops[:i], prec)
+                               if sums else ops[i - 1])
+    return prec, ops
+
+
+def _libmp_fold(op, operands, prec):
+    v = operands[0]
+    for w in operands[1:]:
+        v = op(v, w, prec, libmp.round_nearest)
+    return v
+
+
+class TestMpfKernel:
+    """`_MpfArithmetic.mul` and `.add` round each step inline; every value
+    is the tuple the left fold of libmp's `mpf_mul` or `mpf_add` gives."""
+
+    @given(_mpf_operands())
+    # 97 * 172961 = 2^24 + 1: halfway between two 24-bit mantissas
+    @example((24, [libmp.from_man_exp(97, 0), libmp.from_man_exp(172961, -5)]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_mul_and_add_equal_the_libmp_fold(self, drawn):
+        prec, ops = drawn
+        arith = E._MpfArithmetic(prec)
+        assert arith.mul(iter(ops)) == _libmp_fold(libmp.mpf_mul, ops, prec)
+        assert arith.add(iter(ops)) == _libmp_fold(libmp.mpf_add, ops, prec)
+
+    def test_walk_calls_no_libmp_mul_or_add(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("libmp called")
+
+        e = parse("(x + y)^3 * exp(x) + 3*x*y - sqrt(x + 2) * log(y)")
+        point = {"x": F(1, 3), "y": F(5, 7)}
+        want = evaluate(e, point, 256)
+        monkeypatch.setattr(libmp, "mpf_mul", refuse)
+        monkeypatch.setattr(libmp, "mpf_add", refuse)
+        assert evaluate(e, point, 256) == want
 
 
 class TestGridProgram:

@@ -264,6 +264,22 @@ class TestZeroTest:
         verdict, evidence, mode, _ = zero_test(parse("exp(3000*x)"), WEB1)
         assert verdict == "NONZERO" and mode == "float"
 
+    @pytest.mark.parametrize("bits", [2150, 4096])
+    def test_threshold_past_double_range(self, bits):
+        # 2^-(bits/2) is 0.0 as a double from 2150 bits on; a threshold
+        # computed in doubles then let no float residual vanish
+        # (the plain exponential-twist's invariants are exact, so it is
+        # checked under the substitution only)
+        policy = ZeroTestPolicy(precision=bits)
+        case = corpus.case_by_name("parabola-tangents")
+        for web, want in ((corpus.web_for(case), "YES"),
+                          (corpus.substituted_web(case), "YES"),
+                          (corpus.substituted_web(corpus.case_by_name(
+                              "exponential-twist")), "NO")):
+            verdict, reports = check_dweb(web, policy)
+            assert verdict == want, web.f
+            assert {r.mode for r in reports} == {"float"}
+
     def test_exact_budget_is_inconclusive(self):
         web = _web("x/y", "x^100000 + y")
         I1, _ = build_compatibility_pair(web)
