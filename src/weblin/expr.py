@@ -29,7 +29,8 @@ DAG is compiled once, into one slot instruction that the code of every
 root reaching it shares (interning nothing), either lazily, as roots are
 first evaluated, or for all roots up front into a sealed program that
 threads may share.  Values are kept in one `Store` per point, so a node
-shared by several roots is computed once per point.  `evaluate` chooses
+shared by several roots is computed once per point, and the stores of one
+check share their converted constants.  `evaluate` chooses
 the arithmetic by one argument, `precision`: None for exact, else the
 mantissa bits.  Exact is rational-only, decided by the node mask alone: a
 DAG with exp, log or a non-integer power is refused before any slot is
@@ -50,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Mapping
 
 import mpmath
@@ -742,17 +743,21 @@ def derive(e: Expr, v: str) -> Expr:
 class Program:
     """A straight-line program over the DAGs of the roots evaluated through
     it, one slot per distinct node.  Each node is compiled once, into one
-    instruction (slot, kind, constant, name or constant exponent, child
-    slots) that every root's code shares: a root's code is its
-    children-first order of those instructions, with its variable and
-    parameter names.  `Program(roots)` compiles the roots in order and is
-    sealed: it is never extended, so threads may share it.  An unsealed
-    program compiles a root when first evaluated.  Compiling interns no
-    node."""
+    instruction (slot, kind, argument, child slots) that every root's code
+    shares; the argument is the constant of a CONST node, the name of a
+    variable or parameter, the constant exponent of a POW node (None for
+    a symbolic one) and, for ADD and MUL, an `operator.itemgetter` of the
+    child slots, which hands the arithmetic the operand values as one
+    tuple.  A root's code is its children-first order of those
+    instructions, with its variable and parameter names.
+    `Program(roots)` compiles the roots in order and is sealed: it is
+    never extended, so threads may share it.  An unsealed program compiles
+    a root when first evaluated.  Compiling interns no node."""
 
     def __init__(self, roots: tuple[Expr, ...] = ()):
         self.instructions: dict[Expr, tuple] = {}  # node -> instruction
         self.codes: dict[Expr, tuple] = {}  # root -> (instructions, names)
+        self.slots: dict[Expr, Callable] = {}  # root -> `slot_getter`
         self.sealed = False
         for root in roots:
             self.code(root)
@@ -767,15 +772,27 @@ class Program:
             for n in topo_order(root):
                 ins = instructions.get(n)
                 if ins is None:
-                    arg = (n.value if n.kind == CONST else n.name
-                           if n.kind != POW else n.children[1].value)
-                    ins = instructions[n] = (
-                        len(instructions), n.kind, arg,
-                        tuple([instructions[c][0] for c in n.children]))
+                    kids = tuple([instructions[c][0] for c in n.children])
+                    k = n.kind
+                    arg = (_getter(kids) if k == ADD or k == MUL
+                           else n.value if k == CONST
+                           else n.children[1].value if k == POW else n.name)
+                    ins = instructions[n] = len(instructions), k, arg, kids
                 code.append(ins)
             names = frozenset(a for _, k, a, _ in code if k in (VAR, PARAM))
             hit = self.codes[root] = code, names
         return hit
+
+    def slot_getter(self, root: Expr) -> Callable[[list], tuple]:
+        """A getter of the values of a compiled root's slots, as a tuple,
+        made when first asked for.  A sealed program may add it: it is
+        derived from the root's code alone, so threads racing on it store
+        equal getters."""
+        get = self.slots.get(root)
+        if get is None:
+            get = self.slots[root] = _getter([s for s, _, _, _
+                                              in self.codes[root][0]])
+        return get
 
 
 def _check_bindings(names: frozenset[str], bound) -> None:
@@ -785,29 +802,46 @@ def _check_bindings(names: frozenset[str], bound) -> None:
             f"no binding for {', '.join(sorted(missing))}")
 
 
+def _getter(slots) -> Callable[[list], tuple]:
+    """A C-level getter of the values at `slots`, always as a tuple."""
+    if len(slots) == 1:
+        return operator.itemgetter(slots[0], slots[0])
+    return operator.itemgetter(*slots)
+
+
 class Store(dict):
     """One program's slot values at one point, keyed by the `precision`
     argument of `evaluate` (None for exact): a list holding each node's
     value, the EvalError it raised, or None while no root has reached it;
-    then the leaves and arithmetic."""
+    then the leaves, the arithmetic, the converted constants and the bound
+    names.  A store keeps the bindings of its first evaluation at each
+    precision.  `shared`, one dict for all the stores of one check, holds
+    per precision the arithmetic and the constants, each converted once
+    (by slot) for every store that shares it."""
 
-    def __init__(self, program: Program | None = None):
+    def __init__(self, program: Program | None = None,
+                 shared: dict | None = None):
         super().__init__()
         self.program = program or Program()
+        self.shared = {} if shared is None else shared
 
 
 def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object],
-          dead=repeat(())):
+          consts: list, dead=repeat(())):
     """The value of compiled root `code`: the one DAG interpreter.  A slot
     already holding a value is read, one holding an error raises it again,
     so the first failing node in the root's own order raises.  `arith`
     supplies `add` and `mul`, which receive a sum's term or a product's
-    factor values in the node's order and fold them left to right (the
-    p-bit arithmetic rounds each step inline, as libmp would), `num`,
-    `pow`, `exp` and `log` (None where the walk never meets them) and an
-    optional per-node `check`; `leaves` maps names to values.  `dead`, a
-    release plan, gives per instruction the slots it reads last: they are
-    set back to None once it has run (a `Store` keeps every slot).
+    factor values as one tuple in the node's order (taken by the
+    instruction's getter) and fold them left to right (the p-bit
+    arithmetic rounds each step inline, as libmp would), `num`, `pow`,
+    `exp` and `log` (None where the walk never meets them) and an optional
+    per-node `check`; `leaves` maps names to values.  `consts` holds the
+    converted constants by slot, None where none is converted yet: a
+    constant is converted once into it, and callers may start `vals` as a
+    copy of it.  `dead`, a release plan, gives per instruction the slots it
+    reads last: they are set back to None once it has run (a `Store` keeps
+    every slot).
     """
     add, mul, num, power = arith.add, arith.mul, arith.num, arith.pow
     exp, log, check = arith.exp, arith.log, arith.check
@@ -819,13 +853,15 @@ def _walk(code: list[tuple], arith, vals: list, leaves: Mapping[str, object],
                     raise v
                 continue
             if k == MUL:
-                v = mul(map(vals.__getitem__, kids))
+                v = mul(arg(vals))
             elif k == ADD:
-                v = add(map(vals.__getitem__, kids))
+                v = add(arg(vals))
             elif k == POW:
                 v = power(vals[kids[0]], vals[kids[1]], arg)
             elif k == CONST:
-                v = num(arg)
+                v = consts[s]
+                if v is None:
+                    v = consts[s] = num(arg)
             elif k == VAR or k == PARAM:
                 v = leaves[arg]
             elif k == EXP or k == LOG:
@@ -860,14 +896,13 @@ def _qadd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return t // g2, s * (db // g2)
 
 
-def _qprod(factors) -> tuple[int, int]:
+def _qprod(factors: tuple) -> tuple[int, int]:
     """The product of reduced pairs, reduced.  Two factors cancel across
     first, as `Fraction._mul` does (Knuth, TAOCP Vol. 2, 4.5.1): two gcds
     at the factors' size instead of one at the product's.  More are
     reduced in one pass: every numerator and every denominator multiplied
     together, then one gcd.  Reduced pairs are unique, so either is the
     pair a left fold of `Fraction` products gives."""
-    factors = list(factors)
     if len(factors) == 2:
         (na, da), (nb, db) = factors
         g = math.gcd(na, db)
@@ -1044,43 +1079,69 @@ class _MpfArithmetic:
         return libmp.mpf_log(u, self.prec, libmp.round_nearest)
 
 
-def _scale(code: list[tuple], vals: list) -> tuple:
-    """max(1, |v|) over the slots of a compiled root, as an mpf tuple."""
-    best, top = libmp.fone, 1  # |best| < 2^top, top = exponent + bit count
-    for s, _, _, _ in code:
-        v = vals[s]
-        if v[2] + v[3] >= top:
-            a = (0,) + v[1:]
-            if libmp.mpf_gt(a, best):
-                best, top = a, v[2] + v[3]
+_EXP, _BC = operator.itemgetter(2), operator.itemgetter(3)
+
+
+def _scale(values: tuple) -> tuple:
+    """max(1, |v|) over the values of a compiled root's slots, as an mpf
+    tuple.  |v| lies in [2^(top-1), 2^top), top = exponent + bit count, so
+    the largest top, found by a C-level max, picks the candidates, and
+    only ties on it are compared by libmp."""
+    tops = list(map(operator.add, map(_EXP, values), map(_BC, values)))
+    top = max(tops)
+    if top < 1:  # every |v| < 1
+        return libmp.fone
+    best = None
+    for v in compress(values, map(top.__eq__, tops)):
+        v = (0,) + v[1:]
+        if best is None or libmp.mpf_gt(v, best):
+            best = v
     return best
 
 
 def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
-              store: Store | None, scaled: bool):
+              store: Store | None, scaled: bool, raw: bool):
     store = Store() if store is None else store
-    code, names = store.program.code(e)
-    _check_bindings(names, bindings)
+    program = store.program
+    code, names = program.code(e)
+    entry = store.get(precision)
+    bound = bindings.keys() if entry is None else entry[4]
+    if not names <= bound:
+        _check_bindings(names, bound)
     if precision is None and not is_exactly_evaluable(e):
         raise ExactnessError("exp, log or a non-integer power; "
                              "exact mode refused")
-    if precision not in store:
+    if entry is None:
         if not all(isinstance(v, (int, Fraction)) for v in bindings.values()):
             raise ExprError("evaluation requires rational bindings")
-        arith = _EXACT if precision is None else _MpfArithmetic(precision)
+        shared = store.shared.get(precision)
+        if shared is None:
+            shared = store.shared[precision] = (
+                _EXACT if precision is None else _MpfArithmetic(precision), [])
+        arith, consts = shared
         leaves = {k: arith.num(v) for k, v in bindings.items()}
-        store[precision] = [], leaves, arith
-    vals, leaves, arith = store[precision]
-    vals.extend([None] * (len(store.program.instructions) - len(vals)))
-    v = _walk(code, arith, vals, leaves)
+        entry = store[precision] = ([], leaves, arith, consts,
+                                    frozenset(bindings))
+    vals, leaves, arith, consts, _ = entry
+    n = len(program.instructions)
+    if len(consts) < n:
+        consts.extend([None] * (n - len(consts)))
+    if len(vals) < n:
+        vals.extend(consts[len(vals):n])
+    v = _walk(code, arith, vals, leaves, consts)
+    scale = (_scale(program.slot_getter(e)(vals))
+             if scaled and arith is not _EXACT else None)
+    if raw:
+        return v, scale
     if arith is _EXACT:
         return Fraction(*v), None
-    return mpmath.mp.make_mpf(v), (mpmath.mp.make_mpf(_scale(code, vals))
-                                   if scaled else None)
+    return (mpmath.mp.make_mpf(v),
+            None if scale is None else mpmath.mp.make_mpf(scale))
 
 
 def evaluate(e: Expr, bindings: Mapping[str, object],
-             precision: int | None = None, *, store: Store | None = None):
+             precision: int | None = None, *, store: Store | None = None,
+             raw: bool = False):
     """The value of `e` at `bindings`, which must bind every variable and
     parameter of `e` (a missing one raises, never defaults) to a rational,
     int or Fraction, in either arithmetic (else ExprError).  With
@@ -1089,21 +1150,25 @@ def evaluate(e: Expr, bindings: Mapping[str, object],
     `is_exactly_evaluable`), values are bounded by EXACT_BITS and the
     result is a Fraction.  An int `precision` evaluates in mpmath binary
     floats with that many mantissa bits, and the result is an mpf.  Nodes a
-    `store` already holds are read, not computed."""
-    return _evaluate(e, bindings, precision, store, False)[0]
+    `store` already holds are read, not computed.  With `raw` the value is
+    returned as the arithmetic holds it: the reduced (numerator,
+    denominator) pair, or the libmp tuple (sign, mantissa, exponent, bit
+    count)."""
+    return _evaluate(e, bindings, precision, store, False, raw)[0]
 
 
 def evaluate_scaled(e: Expr, bindings: Mapping[str, object],
                     precision: int | None = None, *,
-                    store: Store | None = None):
+                    store: Store | None = None, raw: bool = False):
     """`evaluate`, paired with the magnitude scale max(1, |intermediates|).
 
     The scale is what a sound vanishing test compares the final value
     against: a tiny result reached through huge intermediates carries fewer
     trustworthy bits.  It spans the nodes of `e` alone, whatever else a
-    shared `store` holds.  Exact evaluation reports no scale (None).
+    shared `store` holds.  Exact evaluation reports no scale (None).  With
+    `raw` both come as libmp tuples (see `evaluate`).
     """
-    return _evaluate(e, bindings, precision, store, True)
+    return _evaluate(e, bindings, precision, store, True, raw)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ from __future__ import annotations
 import decimal
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from . import expr as ex
 from .expr import (Expr, EvalError, ExactBudgetError, add, mul, neg,
@@ -79,6 +80,12 @@ class ZeroTestPolicy:
         magnitude), counts as vanishing; the power of two is applied
         exactly, so it never underflows."""
         return mpmath.ldexp(scale, -(self.precision // 2))
+
+    def vanishes(self, v: tuple, scale: tuple) -> bool:
+        """|v| < threshold(scale), exactly, on libmp tuples: the exponent
+        of the scale shifted, then one libmp comparison."""
+        return libmp.mpf_lt((0,) + v[1:],
+                            libmp.mpf_shift(scale, -(self.precision // 2)))
 
 
 @dataclass(frozen=True)
@@ -218,46 +225,57 @@ def clear_caches() -> None:
 # vanishing test
 
 
-def _fmt_residual(v) -> str:
-    if isinstance(v, Fraction):
-        # str() fails past ex._STR_DIGITS digits
-        size = max(abs(v.numerator), v.denominator)
-        if size.bit_length() <= ex._STR_BITS or size < 10 ** ex._STR_DIGITS:
-            return str(v)
-        # bounded length: 25 significant digits, marked as approximate
-        return "~" + str(decimal.Context(prec=25).divide(v.numerator,
-                                                        v.denominator))
-    return mpmath.nstr(v, 25)
+def _fmt_residual(v: tuple, exact: bool) -> str:
+    """The residual string of a raw value: a reduced (numerator,
+    denominator) pair as `str(Fraction)` writes it, a libmp tuple as
+    `mpmath.nstr(v, 25)` does."""
+    if not exact:
+        return libmp.to_str(v, 25)
+    p, q = v
+    size = max(abs(p), q)
+    # str() fails past ex._STR_DIGITS digits
+    if size.bit_length() <= ex._STR_BITS or size < 10 ** ex._STR_DIGITS:
+        return str(p) if q == 1 else f"{p}/{q}"
+    # bounded length: 25 significant digits, marked as approximate
+    return "~" + str(decimal.Context(prec=25).divide(p, q))
 
 
-@dataclass
 class SampleMemo:
-    """The accepted sample points of one web.  A point depends only on the
-    generator state, the parameter values and the validation precision, so
-    it is drawn and validated once under those and kept with the state
-    after it (each distinct state held once) and a `Store` of `program`,
-    the slot program of the web's validity checks and invariants."""
-    program: ex.Program = field(default_factory=ex.Program)
-    points: dict = field(default_factory=dict)  # key -> (point, after, store)
-    states: dict = field(default_factory=dict)  # generator states, by value
+    """The accepted sample points of one web, which it records (f, gs,
+    domain and seed; a memo made without a web records the first web it
+    serves): `zero_test` refuses the memo for any other web.  The
+    points of a test are a walk of `Random(web.seed)`, and each is keyed by
+    its position in that stream: the draw counts of the finished parameter
+    rounds, the index in the current round and the validation precision.
+    The same web gives the same point at the same position, so a point is
+    drawn and validated once and kept with the generator state after it
+    and a `Store` of `program`, the slot program of the web's validity
+    checks and invariants; the stores share one `shared` dict, so each
+    constant is converted once per precision."""
+
+    def __init__(self, web: WebSpec | None = None,
+                 program: ex.Program | None = None):
+        self.web = None if web is None else _identity(web)
+        self.program = program or ex.Program()
+        self.shared: dict = {}  # precision -> arithmetic and constants
+        self.points: dict = {}  # position -> (point, store, state after)
+
+
+def _identity(web: WebSpec) -> tuple:
+    """What the points of a web's tests depend on."""
+    return web.f, web.gs, web.domain, web.seed
 
 
 def _draw(web: WebSpec, rng: random.Random, params: dict[str, Fraction],
-          precision: int, memo: SampleMemo) -> tuple[SamplePoint, ex.Store]:
-    """The next accepted point of `rng` and its store, drawn once per memo:
-    a later walk reaching the same state replays them."""
-    intern = memo.states.setdefault
-    state = rng.getstate()
-    key = (intern(state, state), tuple(sorted(params.items())), precision)
-    hit = memo.points.get(key)
-    if hit is None:
-        store = ex.Store(memo.program)
-        pt = sample_points(web, 1, rng, params=params, precision=precision,
-                           stores=[store])[0]
-        state = rng.getstate()
-        hit = memo.points[key] = pt, intern(state, state), store
-    rng.setstate(hit[1])
-    return hit[0], hit[2]
+          precision: int, memo: SampleMemo, key: tuple) -> tuple:
+    """Draw the next accepted point of `rng` and validate it into a new
+    store; keep them in `memo` at stream position `key`, with the state
+    after the draw, which is read there once (`getstate`)."""
+    store = ex.Store(memo.program, memo.shared)
+    pt = sample_points(web, 1, rng, params=params, precision=precision,
+                       stores=[store])[0]
+    hit = memo.points[key] = pt, store, rng.getstate()
+    return hit
 
 
 def zero_test(e: Expr, web: WebSpec,
@@ -271,37 +289,59 @@ def zero_test(e: Expr, web: WebSpec,
     floats; in float mode a NONZERO verdict needs confirmation at two
     independent points.  Sampling failures, and exact values outgrowing
     EXACT_BITS, yield INCONCLUSIVE, never a guess (a float fallback could
-    call a tiny but nonzero exact value zero).  A `memo` shared by the
-    tests of one web draws each sample point once and evaluates each shared
-    node once per point; the evidence does not depend on it.
+    call a tiny but nonzero exact value zero).  Values are decided as raw
+    tuples (`ZeroTestPolicy.vanishes`).
+
+    A `memo` of this web (else ExprError), shared by the tests of one web,
+    draws each sample point once and evaluates each shared node once per
+    point; the evidence does not depend on it.  A point the memo holds is
+    replayed with no generator call; the generator is set to the state
+    after the last point only when it has to draw again after a replay.
     """
     policy = policy or ZeroTestPolicy()
-    memo = SampleMemo() if memo is None else memo
-    rng = random.Random(web.seed)
+    if memo is None:
+        memo = SampleMemo(web)
+    elif memo.web is None:
+        memo.web = _identity(web)
+    elif memo.web != _identity(web):
+        raise ex.ExprError("the sample memo belongs to another web")
+    points, precision = memo.points, policy.precision
+    rng, synced, last = random.Random(web.seed), True, None
     exact = is_exactly_evaluable(e)
     mode = "exact" if exact else "float"
     witnesses = 1 if exact else NONZERO_CONFIRMATIONS
     draws = PARAM_DRAWS if web.params else 1
     evidence: list[Evidence] = []
     hits = 0
+    finished = ()  # draw counts of the finished parameter rounds
 
     try:
         for _ in range(draws):
-            params = {name: random_rational(rng, *PARAM_RANGE)
-                      for name in web.params}
             passes = failures = 0
-            for _ in range(3 * policy.points):
-                pt, store = _draw(web, rng, params, policy.precision, memo)
+            for i in range(3 * policy.points):
+                key = finished, i, precision
+                hit = points.get(key)
+                if hit is None:
+                    if not synced:
+                        rng.setstate(last[2])
+                        synced = True
+                    params = (last[0].params if i else
+                              {name: random_rational(rng, *PARAM_RANGE)
+                               for name in web.params})
+                    hit = _draw(web, rng, params, precision, memo, key)
+                else:
+                    synced = False
+                last = hit
+                pt, store = hit[0], hit[1]
                 try:
                     if exact:
-                        v = evaluate(e, pt.bindings(), store=store)
-                        vanishes = not v
+                        v = evaluate(e, pt.bindings(), store=store, raw=True)
+                        vanishes = not v[0]
                     else:
                         v, scale = evaluate_scaled(e, pt.bindings(),
-                                                   policy.precision,
-                                                   store=store)
-                        # in mpf: a scale past the double range stays finite
-                        vanishes = abs(v) < policy.threshold(scale)
+                                                   precision, store=store,
+                                                   raw=True)
+                        vanishes = policy.vanishes(v, scale)
                 except ExactBudgetError:
                     raise  # not a singular sample: INCONCLUSIVE below
                 except EvalError:
@@ -310,7 +350,7 @@ def zero_test(e: Expr, web: WebSpec,
                         return (INCONCLUSIVE, evidence, mode,
                                 "too many singular samples")
                     continue
-                evidence.append(Evidence(pt, _fmt_residual(v), mode))
+                evidence.append(Evidence(pt, _fmt_residual(v, exact), mode))
                 if vanishes:
                     passes += 1
                     if passes == policy.points:
@@ -324,6 +364,7 @@ def zero_test(e: Expr, web: WebSpec,
                 # than `points` passes: one was an unconfirmed outlier
                 return (INCONCLUSIVE, evidence, mode,
                         "sampling budget exhausted with an unconfirmed outlier")
+            finished += (i + 1,)
     except (DomainTooSingularError, ExactBudgetError) as err:
         return INCONCLUSIVE, evidence, mode, str(err)
     if hits:
@@ -351,8 +392,8 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
     invariants = [("I1", I1), ("I2", I2)]
     invariants += [(f"J{alpha}", J_alpha(web, alpha))
                    for alpha in range(5, web.d + 1)]
-    memo = SampleMemo(_program((*web.validity_checks,
-                                *(e for _, e in invariants))))
+    memo = SampleMemo(web, _program((*web.validity_checks,
+                                     *(e for _, e in invariants))))
 
     def report(name: str, e: Expr) -> InvariantReport:
         t0 = time.perf_counter()

@@ -168,8 +168,8 @@ def grid_function(*roots: Expr) -> Callable:
     The roots' codes merge into one children-first order, each slot at its
     first use, with a release plan: a slot that is not a root is dropped
     after its last reader, so a call holds its live slots, not one array
-    per slot.  Singularities surface as nan/inf entries, which callers must
-    check for.
+    per slot.  The constants are converted on the first call and kept.
+    Singularities surface as nan/inf entries, which callers must check for.
     """
     program = Program()
     codes, names = zip(*map(program.code, roots))
@@ -178,6 +178,7 @@ def grid_function(*roots: Expr) -> Callable:
     if any(k == UNDEF for _, k, _, _ in code):
         raise SingularSampleError("undefined value (division by constant zero)")
     outs = [program.instructions[r][0] for r in roots]
+    consts = [None] * len(program.instructions)
     last = {c: i for i, (_, _, _, kids) in enumerate(code) for c in kids}
     dead = [[] for _ in code]
     for s, i in last.items():
@@ -188,9 +189,9 @@ def grid_function(*roots: Expr) -> Callable:
         xg = np.asarray(xg, dtype=float)
         yg = np.asarray(yg, dtype=float)
         shape = np.broadcast_shapes(xg.shape, yg.shape)
-        vals = [None] * len(program.instructions)
+        vals = consts.copy()
         with np.errstate(all="ignore"):
-            _walk(code, _GRID, vals, {"x": xg, "y": yg}, dead)
+            _walk(code, _GRID, vals, {"x": xg, "y": yg}, consts, dead)
         arrays = []
         for v in map(vals.__getitem__, outs):
             # a leaf, a constant, a repeated root or a root of a smaller
@@ -705,7 +706,8 @@ def _svg_panel(polylines: list[tuple[int, np.ndarray]], origin_x: float,
         q = (p - lo) / span
         sx = origin_x + pad + q[:, 0] * (size - 2 * pad)
         sy = pad + (1.0 - q[:, 1]) * (size - 2 * pad)
-        coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(sx, sy))
+        coords = " ".join(f"{a:.2f},{b:.2f}"
+                          for a, b in zip(sx.tolist(), sy.tolist()))
         color = _PALETTE[fol_idx % len(_PALETTE)]
         lines.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1" points="{coords}"/>')

@@ -708,7 +708,30 @@ class TestSlotProgram:
         assert len(program.instructions) == len(nodes)
         lazy = E.Program()
         for r in roots:
-            assert lazy.code(r) == program.code(r)
+            assert _shape(lazy.code(r)) == _shape(program.code(r))
+
+    def test_sum_and_product_getters_take_their_child_slots(self):
+        e = parse("x^3*exp(y) + sqrt(x + y)/(x - y)")
+        program = E.Program((e, derive(e, "y")))
+        slots = list(range(len(program.instructions)))
+        ops = [(arg, kids) for _, k, arg, kids
+               in program.instructions.values() if k in (E.ADD, E.MUL)]
+        assert ops and all(get(slots) == kids for get, kids in ops)
+        for r in (e, derive(e, "y")):
+            code, _ = program.code(r)
+            assert program.slot_getter(r)(slots) == tuple(
+                ins[0] for ins in code)
+        # a tuple, always
+        assert E.Program((X,)).slot_getter(X)([7]) == (7, 7)
+
+
+def _shape(compiled):
+    """A root's code and names with each sum's or product's getter
+    replaced by the slots it takes."""
+    code, names = compiled
+    probe = list(range(max(ins[0] for ins in code) + 1))
+    return [(s, k, arg(probe) if k in (E.ADD, E.MUL) else arg, kids)
+            for s, k, arg, kids in code], names
 
 
 _BIG = 10 ** 40
@@ -775,7 +798,7 @@ class TestPairArithmetic:
         want = F(1)
         for q in qs:
             want *= q
-        got = E._qprod(map(_pair, qs))
+        got = E._qprod(tuple(map(_pair, qs)))  # operands come as a tuple
         assert got == _pair(want) and got[1] > 0
 
     @given(_NUMERATORS, _DENOMINATORS, st.integers(-7, 7))
@@ -880,6 +903,20 @@ class TestMpfKernel:
         arith = E._MpfArithmetic(prec)
         assert arith.mul(iter(ops)) == _libmp_fold(libmp.mpf_mul, ops, prec)
         assert arith.add(iter(ops)) == _libmp_fold(libmp.mpf_add, ops, prec)
+
+    @given(_mpf_operands())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_scale_is_the_largest_magnitude_at_least_one(self, drawn):
+        _, ops = drawn
+        want = libmp.fone  # the plain loop over libmp comparisons
+        for v in ops:
+            if libmp.mpf_gt(libmp.mpf_abs(v), want):
+                want = libmp.mpf_abs(v)
+        assert E._scale(tuple(ops)) == want
+        # ties on exponent + bit count: a smaller value ahead of the largest
+        _, man, exp, bc = want
+        lead = libmp.from_man_exp(-(1 << (bc - 1)), exp)
+        assert E._scale((lead, *ops, lead)) == want
 
     def test_walk_calls_no_libmp_mul_or_add(self, monkeypatch):
         def refuse(*args):

@@ -4,14 +4,17 @@ from __future__ import annotations
 import json
 import random
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import libmp
 
 from weblin.expr import (X, Y, parse, evaluate, const, sub, mul, add, div,
                          pow_, param, derive, topo_order, Program,
-                         SingularSampleError)
+                         ExprError, SingularSampleError)
 from weblin.calculus import (Rect, WebSpec, sample_points, mu,
                              random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
@@ -302,11 +305,12 @@ class TestZeroTest:
         # the threshold, 0 a vanishing one (8 points, budget 24, cap 16)
         outcomes = iter(script)
 
-        def scripted(e, bindings, precision=None, store=None):
+        def scripted(e, bindings, precision=None, *, store=None, raw=False):
+            assert raw  # the test decides on libmp tuples
             step = next(outcomes)
             if step == "E":
                 raise SingularSampleError("scripted")
-            return mpmath.mpf(int(step)), mpmath.mpf(1)
+            return libmp.from_int(int(step)), libmp.fone
 
         def exact(*args, **kwargs):
             raise AssertionError("exact evaluation of a float-mode expression")
@@ -361,19 +365,57 @@ class TestSharedSamples:
         zero_test(exprs[1], web, memo=memo)
         assert len(calls) == drawn
 
-    def test_memo_holds_each_state_once(self):
-        # a point's "after" state is the key state of the next point: the
-        # memo keeps one object per distinct generator state
+    def test_replayed_draws_touch_no_generator_state(self, monkeypatch):
+        # a point is keyed by its stream position: a new draw reads the
+        # state after it once, a replayed one neither reads nor sets it,
+        # and the generator is set only to draw again after a replay
         web = corpus.web_for(corpus.case_by_name("power-web"))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("getstate", "setstate"):
+            monkeypatch.setattr(random.Random, name,
+                                counted(name, getattr(random.Random, name)))
+        monkeypatch.setattr(invariants, "sample_points",
+                            counted("draws", invariants.sample_points))
+        I1, I2 = build_compatibility_pair(web)
+        memo = invariants.SampleMemo(web)
+        first = zero_test(I1, web, memo=memo)
+        assert calls["getstate"] == calls["draws"] == len(memo.points) > 10
+        assert calls["setstate"] == 0
+        zero_test(I2, web, memo=memo)
+        assert calls["getstate"] == calls["draws"] == len(memo.points)
+        assert calls["setstate"] <= 1
+        before = dict(calls)
+        assert zero_test(I1, web, memo=memo) == first
+        assert zero_test(I2, web, memo=memo)[0] == "ZERO"
+        assert calls == before  # every draw replayed
+
+    def test_memo_serves_one_web(self):
+        # a memo replays by stream position, which another domain or seed
+        # would give other points: at [2, 3]^2 a shared memo once reported
+        # the default domain's first point (340/1101, 1527/4180)
+        a = WEB1
+        b = _web("x/y", "x+y", domain=Rect(2, 3, 2, 3))
+        I1, _ = build_compatibility_pair(a)
         memo = invariants.SampleMemo()
-        for e in build_compatibility_pair(web):
-            zero_test(e, web, memo=memo)
-        held = ([key[0] for key in memo.points]
-                + [hit[1] for hit in memo.points.values()])
-        distinct = set(held)
-        assert len(memo.points) > 10
-        assert len({id(state) for state in held}) == len(distinct)
-        assert len(distinct) < len(held)
+        zero_test(I1, a, memo=memo)
+        for other in (b, _web("x/y", "x+y", seed=2), _web("x/y", "x-y")):
+            with pytest.raises(ExprError, match="another web"):
+                zero_test(I1, other, memo=memo)
+        assert zero_test(I1, _web("x/y", "x+y"), memo=memo) == zero_test(I1, a)
+        _, evidence, _, _ = zero_test(I1, b)
+        first = evidence[0].point
+        assert (first.x, first.y) == (F(1166, 551), F(2331, 1045))
+        assert all(2 <= ev.point.x <= 3 and 2 <= ev.point.y <= 3
+                   for ev in evidence)
+        with pytest.raises(ExprError, match="another web"):
+            zero_test(I1, b, memo=invariants.SampleMemo(a))
 
     @pytest.mark.parametrize("case", [*corpus.CASES, corpus.LINEAR_FIVE_WEB],
                              ids=lambda c: c.name)
@@ -606,3 +648,54 @@ class TestCrossCheckCaches:
         assert all(a is b for a, b in zip(
             memoized, (*build_compatibility_pair(web),
                        *(J_alpha(web, a) for a in range(5, web.d + 1)))))
+
+
+def _near(bound: tuple, prec: int):
+    """Values about a positive p-bit `bound`: zero, the bound, one ulp
+    either side of it and p-bit values around it, each of either sign."""
+    sign, man, exp, bc = bound
+    m, e = man << (prec - bc), exp - (prec - bc)  # m has exactly p bits
+    below = (m - 1, e) if m > 1 << (prec - 1) else ((1 << prec) - 1, e - 1)
+    exact = st.sampled_from([(0, 0), (m, e), (m + 1, e), below])
+    wide = st.tuples(st.integers(1, (1 << prec) - 1),
+                     st.integers(e - 3, e + 3))
+    return st.tuples(st.booleans(), exact | wide).map(
+        lambda d: libmp.from_man_exp(-d[1][0] if d[0] else d[1][0], d[1][1]))
+
+
+@st.composite
+def _valued(draw, scaled: bool):
+    prec = draw(st.sampled_from([24, 256, 2048]))
+    scale = libmp.fone
+    if scaled and draw(st.booleans()):
+        # max(1, magnitude) of p-bit values: at least 1, at most p bits
+        scale = libmp.from_man_exp(draw(st.integers(1, (1 << prec) - 1)),
+                                   draw(st.integers(0, 3 * prec)))
+    bound = (libmp.mpf_shift(scale, -(prec // 2)) if scaled
+             else libmp.mpf_shift(libmp.fone, -100))
+    return prec, scale, draw(_near(bound, prec))
+
+
+class TestRawDecisions:
+    """The sample validation and the vanishing test decide on libmp tuples;
+    each decision is the mpf comparison it replaces, made at the value's
+    own precision (at the default 53 bits `abs` would first round a wider
+    value, and the comparison one ulp below the bound would differ)."""
+
+    @given(_valued(scaled=False))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_validation_equals_the_mpf_comparison(self, drawn):
+        prec, _, v = drawn
+        with mpmath.workprec(prec):
+            want = abs(mpmath.mp.make_mpf(v)) < 2.0 ** -100
+        assert calculus._negligible(v) == want
+
+    @given(_valued(scaled=True))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_vanishing_equals_the_threshold_comparison(self, drawn):
+        prec, scale, v = drawn
+        policy = ZeroTestPolicy(precision=prec)
+        with mpmath.workprec(prec):
+            want = abs(mpmath.mp.make_mpf(v)) < policy.threshold(
+                mpmath.mp.make_mpf(scale))
+        assert policy.vanishes(v, scale) == want
