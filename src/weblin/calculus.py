@@ -44,11 +44,6 @@ RATIONAL_DENOMINATOR_BOUND = 10 ** 4
 # web functions whose built expressions a memo keeps (validity checks here,
 # invariants in `invariants`); each entry holds interned nodes only
 MAX_BUILT = 2 ** 8
-# float-mode guard band for the "not 0, not 1, pairwise distinct" checks:
-# a p-bit value (sign, mantissa, exponent, bit count) has |v| < 2^-100
-# exactly when its mantissa is 0 or exponent + bit count <= -100, since
-# 2^(bit count - 1) <= mantissa < 2^(bit count)
-_DISTINCT_EXP = -100
 
 
 class DomainTooSingularError(ex.ExprError):
@@ -277,28 +272,23 @@ def random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 
 def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int,
                     store: Store | None = None) -> bool:
-    """Whether every validity check of the web is nonzero at the point:
-    exactly for a rational web, else with |v| >= 2^-100 at `precision`
-    bits.  Decided on the raw values (see `expr.evaluate`), so no number
-    object is made."""
-    exact = web.is_rational
+    """Whether no validity check of the web is negligible at the point:
+    exactly nonzero for a rational web, else |v| >= 2^-100 at `precision`
+    bits (`expr.arithmetic`).  Decided on the raw values (see
+    `expr.evaluate`), so no number object is made."""
+    precision = None if web.is_rational else precision
+    negligible = ex.arithmetic(precision).negligible
     bindings = point.bindings()
     for chk in web.validity_checks:
         try:
-            v = evaluate(chk, bindings, None if exact else precision,
-                         store=store, raw=True)
+            v = evaluate(chk, bindings, precision, store=store, raw=True)
         except ExactBudgetError:
             raise  # not a property of the point: the zero test reports it
         except EvalError:
             return False
-        if not v[0] if exact else _negligible(v):
+        if negligible(v):
             return False
     return True
-
-
-def _negligible(v: tuple) -> bool:
-    """|v| < 2^-100 for a p-bit value as a libmp tuple, decided exactly."""
-    return not v[1] or v[2] + v[3] <= _DISTINCT_EXP
 
 
 def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,

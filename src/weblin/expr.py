@@ -38,12 +38,14 @@ computed.  Two arithmetics live here: reduced (numerator, denominator) int
 pairs capped at EXACT_BITS, a product of two cancelled across and one of
 more computed in one pass and reduced by one gcd, and p-bit floats as raw
 mpmath tuples, which keep the real-domain rules and round each step of a
-sum or product inline, bit-identical to libmp.  The module is pure
+sum or product inline, bit-identical to libmp; each also decides on the
+raw values it makes (`arithmetic`).  The module is pure
 Python: the third arithmetic, numpy doubles over whole grids, lives with
 its one caller in `linearizer` (`grid_function`), which runs `_walk` too.
 """
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 import re
@@ -63,8 +65,8 @@ __all__ = [
     "ExactnessError", "ExactBudgetError", "EXACT_BITS", "const", "var",
     "param", "add", "sub", "mul", "div", "neg", "pow_", "sqrt", "exp_",
     "log_", "X", "Y", "parse", "format_expr", "simplify", "derive",
-    "substitute", "evaluate", "evaluate_scaled", "Program", "Store",
-    "dag_size", "is_exactly_evaluable",
+    "substitute", "evaluate", "evaluate_scaled", "arithmetic", "Program",
+    "Store", "dag_size", "is_exactly_evaluable",
 ]
 
 CONST = "const"
@@ -84,6 +86,7 @@ _MASK_TRANSCENDENTAL = 8  # exp/log node, or pow with non-integer exponent
 
 # exact evaluation refuses a numerator or denominator longer than this
 EXACT_BITS = 2 ** 18
+NONZERO_CONFIRMATIONS = 2  # float-mode witnesses required for NONZERO
 
 # str() of an int longer than 4300 digits (Python's default limit) fails;
 # every int below 2**_STR_BITS is shorter than that.  A DAG constant must
@@ -813,11 +816,13 @@ class Store(dict):
     """One program's slot values at one point, keyed by the `precision`
     argument of `evaluate` (None for exact): a list holding each node's
     value, the EvalError it raised, or None while no root has reached it;
-    then the leaves, the arithmetic, the converted constants and the bound
-    names.  A store keeps the bindings of its first evaluation at each
-    precision.  `shared`, one dict for all the stores of one check, holds
-    per precision the arithmetic and the constants, each converted once
-    (by slot) for every store that shares it."""
+    then the leaves, the arithmetic, the converted constants and the
+    bindings.  A store holds one point: its first evaluation at a precision
+    fixes the bindings, and other values later raise ExprError (equal
+    ones, in a fresh dict too, read the slots held).  `shared`, one dict
+    for all the stores of one check, holds per precision the arithmetic
+    and the constants, each converted once (by slot) for every store that
+    shares it."""
 
     def __init__(self, program: Program | None = None,
                  shared: dict | None = None):
@@ -925,14 +930,29 @@ class _ExactArithmetic:
     every slot value is the one `Fraction` arithmetic would give; refuses
     sizes above EXACT_BITS.  A product of two cancels across, one of more
     is computed in one pass and reduced by one gcd (`_qprod`); the
-    unreduced pair has at most the factors' bits together.  `_evaluate`
+    unreduced pair has at most the factors' bits together.  `evaluate`
     hands it only DAGs without the transcendental mask bit: no exp or log,
-    and every power has an integer constant exponent."""
+    and every power has an integer constant exponent.  Only 0 vanishes or
+    is negligible, so one nonzero point witnesses NONZERO."""
 
+    mode, witnesses = "exact", 1
     add = staticmethod(lambda terms: reduce(_qadd, terms))
     mul = staticmethod(_qprod)
     num = staticmethod(lambda q: (q.numerator, q.denominator))
     exp = log = None
+    vanishes = staticmethod(lambda v, _scale: not v[0])
+    negligible = staticmethod(lambda v: not v[0])
+    value = staticmethod(lambda v: Fraction(*v))
+
+    @staticmethod
+    def residual(v: tuple[int, int]) -> str:
+        """`str(Fraction)`, or past _STR_DIGITS digits (where `str` fails)
+        25 significant digits marked `~`."""
+        p, q = v
+        size = max(abs(p), q)
+        if size.bit_length() <= _STR_BITS or size < 10 ** _STR_DIGITS:
+            return str(p) if q == 1 else f"{p}/{q}"
+        return "~" + str(decimal.Context(prec=25).divide(p, q))
 
     @staticmethod
     def check(v: tuple[int, int]) -> None:
@@ -978,7 +998,11 @@ class _MpfArithmetic:
     negative base with a non-integer power or the log of a non-positive
     value is a domain error.  No value needs a finiteness check: the
     leaves are rationals, and libmp's exponents are unbounded ints, so its
-    operations keep values finite."""
+    operations keep values finite.  Decisions are exact on the tuples: a
+    value vanishes below 2^-(prec/2) times its scale (`evaluate_scaled`)
+    and NONZERO needs NONZERO_CONFIRMATIONS witnesses."""
+
+    mode, witnesses = "float", NONZERO_CONFIRMATIONS
 
     def __init__(self, prec: int):
         rnd, wide = libmp.round_nearest, prec + 4
@@ -1078,6 +1102,23 @@ class _MpfArithmetic:
             raise DomainEvalError("log of non-positive value")
         return libmp.mpf_log(u, self.prec, libmp.round_nearest)
 
+    def vanishes(self, v: tuple, scale: tuple) -> bool:
+        return libmp.mpf_lt((0,) + v[1:],
+                            libmp.mpf_shift(scale, -(self.prec // 2)))
+
+    # |v| < 2^-100: 2^(bit count - 1) <= mantissa < 2^(bit count)
+    negligible = staticmethod(lambda v: not v[1] or v[2] + v[3] <= -100)
+    residual = staticmethod(lambda v: libmp.to_str(v, 25))  # as nstr(v, 25)
+    value = staticmethod(lambda v: mpmath.mp.make_mpf(v))
+
+
+def arithmetic(precision: int | None):
+    """The arithmetic of `evaluate` at `precision` (None for exact), as a
+    `Store` caches it.  Its `mode`, `witnesses`, `vanishes(v, scale)`,
+    `negligible(v)`, `residual(v)` and `value(v)` answer every exact/float
+    question of the zero test and the sample validation."""
+    return _EXACT if precision is None else _MpfArithmetic(precision)
+
 
 _EXP, _BC = operator.itemgetter(2), operator.itemgetter(3)
 
@@ -1099,46 +1140,6 @@ def _scale(values: tuple) -> tuple:
     return best
 
 
-def _evaluate(e: Expr, bindings: Mapping[str, object], precision: int | None,
-              store: Store | None, scaled: bool, raw: bool):
-    store = Store() if store is None else store
-    program = store.program
-    code, names = program.code(e)
-    entry = store.get(precision)
-    bound = bindings.keys() if entry is None else entry[4]
-    if not names <= bound:
-        _check_bindings(names, bound)
-    if precision is None and not is_exactly_evaluable(e):
-        raise ExactnessError("exp, log or a non-integer power; "
-                             "exact mode refused")
-    if entry is None:
-        if not all(isinstance(v, (int, Fraction)) for v in bindings.values()):
-            raise ExprError("evaluation requires rational bindings")
-        shared = store.shared.get(precision)
-        if shared is None:
-            shared = store.shared[precision] = (
-                _EXACT if precision is None else _MpfArithmetic(precision), [])
-        arith, consts = shared
-        leaves = {k: arith.num(v) for k, v in bindings.items()}
-        entry = store[precision] = ([], leaves, arith, consts,
-                                    frozenset(bindings))
-    vals, leaves, arith, consts, _ = entry
-    n = len(program.instructions)
-    if len(consts) < n:
-        consts.extend([None] * (n - len(consts)))
-    if len(vals) < n:
-        vals.extend(consts[len(vals):n])
-    v = _walk(code, arith, vals, leaves, consts)
-    scale = (_scale(program.slot_getter(e)(vals))
-             if scaled and arith is not _EXACT else None)
-    if raw:
-        return v, scale
-    if arith is _EXACT:
-        return Fraction(*v), None
-    return (mpmath.mp.make_mpf(v),
-            None if scale is None else mpmath.mp.make_mpf(scale))
-
-
 def evaluate(e: Expr, bindings: Mapping[str, object],
              precision: int | None = None, *, store: Store | None = None,
              raw: bool = False):
@@ -1154,21 +1155,53 @@ def evaluate(e: Expr, bindings: Mapping[str, object],
     returned as the arithmetic holds it: the reduced (numerator,
     denominator) pair, or the libmp tuple (sign, mantissa, exponent, bit
     count)."""
-    return _evaluate(e, bindings, precision, store, False, raw)[0]
+    store = Store() if store is None else store
+    program = store.program
+    code, names = program.code(e)
+    entry = store.get(precision)
+    if entry is not None and bindings != entry[4]:
+        raise ExprError("the store holds the values of other bindings")
+    if not names <= bindings.keys():
+        _check_bindings(names, bindings)
+    if precision is None and not is_exactly_evaluable(e):
+        raise ExactnessError("exp, log or a non-integer power; "
+                             "exact mode refused")
+    if entry is None:
+        if not all(isinstance(v, (int, Fraction)) for v in bindings.values()):
+            raise ExprError("evaluation requires rational bindings")
+        shared = store.shared.get(precision)
+        if shared is None:
+            shared = store.shared[precision] = arithmetic(precision), []
+        arith, consts = shared
+        leaves = {k: arith.num(v) for k, v in bindings.items()}
+        entry = store[precision] = [], leaves, arith, consts, dict(bindings)
+    vals, leaves, arith, consts, _ = entry
+    n = len(program.instructions)
+    if len(consts) < n:
+        consts.extend([None] * (n - len(consts)))
+    if len(vals) < n:
+        vals.extend(consts[len(vals):n])
+    v = _walk(code, arith, vals, leaves, consts)
+    return v if raw else arith.value(v)
 
 
 def evaluate_scaled(e: Expr, bindings: Mapping[str, object],
                     precision: int | None = None, *,
                     store: Store | None = None, raw: bool = False):
-    """`evaluate`, paired with the magnitude scale max(1, |intermediates|).
-
-    The scale is what a sound vanishing test compares the final value
-    against: a tiny result reached through huge intermediates carries fewer
-    trustworthy bits.  It spans the nodes of `e` alone, whatever else a
-    shared `store` holds.  Exact evaluation reports no scale (None).  With
-    `raw` both come as libmp tuples (see `evaluate`).
-    """
-    return _evaluate(e, bindings, precision, store, True, raw)
+    """`evaluate`, paired with the magnitude scale max(1, |intermediates|)
+    over the nodes of `e` alone, whatever else a shared `store` holds: a
+    tiny result reached through huge intermediates carries fewer
+    trustworthy bits, so the float `vanishes` compares against it.  Exact
+    evaluation reports no scale (None).  With `raw` both come as libmp
+    tuples (see `evaluate`)."""
+    store = Store() if store is None else store
+    v = evaluate(e, bindings, precision, store=store, raw=True)
+    vals, _, arith, _, _ = store[precision]
+    scale = (None if precision is None
+             else _scale(store.program.slot_getter(e)(vals)))
+    if raw:
+        return v, scale
+    return arith.value(v), None if scale is None else arith.value(scale)
 
 
 # ---------------------------------------------------------------------------

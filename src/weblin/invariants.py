@@ -7,22 +7,19 @@ between the deformation scalars of its 4-subwebs to vanish.  One formula,
 `calculus.mu`, gives every deformation scalar: that of I1 and I2, of the J
 and of the linearizer.  Vanishing is decided by random evaluation: exact
 rational arithmetic whenever the expression allows it, p-bit (default 256)
-floating arithmetic with a scale-aware threshold otherwise.  The invariants
-of one web share their sample points.  The invariants, and the slot program
-that evaluates them, are built once per tuple of web functions and reused
-by later checks of the same functions, within count and slot bounds;
-values are never reused across checks.
+floating arithmetic otherwise, chosen once per test; the arithmetic
+decides each value (`expr.arithmetic`).  The invariants of one web share
+their sample points.  The invariants, and the slot program that evaluates
+them, are built once per tuple of web functions and reused by later
+checks of the same functions, within count and slot bounds; values are
+never reused across checks.
 """
 from __future__ import annotations
 
-import decimal
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-from mpmath import libmp
 
 from . import expr as ex
 from .expr import (Expr, EvalError, ExactBudgetError, add, mul, neg,
@@ -46,7 +43,6 @@ YES = "YES"
 NO = "NO"
 
 PARAM_DRAWS = 3            # parameter draws per test of a web with parameters
-NONZERO_CONFIRMATIONS = 2  # float-mode witnesses required for NONZERO
 MIN_PRECISION = 24       # float bits; at 2 bits a YES web was answered NO
 MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
 MAX_POINTS = 2 ** 10     # the draw memo holds about 50 KB per point
@@ -58,12 +54,17 @@ MAX_PROGRAM_SLOTS = 2 ** 13
 
 @dataclass(frozen=True)
 class ZeroTestPolicy:
-    """Sampling schedule and thresholds for the vanishing test.  A point
-    count or precision out of range raises ExprError, as an input does."""
+    """Sampling schedule and float bits of the vanishing test.  A point
+    count or precision that is not an int or out of range raises
+    ExprError, as an input does."""
     points: int = 8
     precision: int = 256
 
     def __post_init__(self):
+        for name in ("points", "precision"):
+            v = getattr(self, name)
+            if type(v) is not int:  # a float, or a bool
+                raise ex.ExprError(f"{name} must be an int, not {v!r}")
         need = f"sample points per test must be 1 to {MAX_POINTS}"
         if self.points < 1:  # with no points every expression would pass
             raise ex.ExprError(
@@ -74,18 +75,6 @@ class ZeroTestPolicy:
         if not MIN_PRECISION <= self.precision <= MAX_PRECISION:
             raise ex.ExprError(f"precision outside {MIN_PRECISION}.."
                                f"{MAX_PRECISION} bits")
-
-    def threshold(self, scale: mpmath.mpf) -> mpmath.mpf:
-        """|value| below 2^-(precision/2) * scale, with scale = max(1,
-        magnitude), counts as vanishing; the power of two is applied
-        exactly, so it never underflows."""
-        return mpmath.ldexp(scale, -(self.precision // 2))
-
-    def vanishes(self, v: tuple, scale: tuple) -> bool:
-        """|v| < threshold(scale), exactly, on libmp tuples: the exponent
-        of the scale shifted, then one libmp comparison."""
-        return libmp.mpf_lt((0,) + v[1:],
-                            libmp.mpf_shift(scale, -(self.precision // 2)))
 
 
 @dataclass(frozen=True)
@@ -225,21 +214,6 @@ def clear_caches() -> None:
 # vanishing test
 
 
-def _fmt_residual(v: tuple, exact: bool) -> str:
-    """The residual string of a raw value: a reduced (numerator,
-    denominator) pair as `str(Fraction)` writes it, a libmp tuple as
-    `mpmath.nstr(v, 25)` does."""
-    if not exact:
-        return libmp.to_str(v, 25)
-    p, q = v
-    size = max(abs(p), q)
-    # str() fails past ex._STR_DIGITS digits
-    if size.bit_length() <= ex._STR_BITS or size < 10 ** ex._STR_DIGITS:
-        return str(p) if q == 1 else f"{p}/{q}"
-    # bounded length: 25 significant digits, marked as approximate
-    return "~" + str(decimal.Context(prec=25).divide(p, q))
-
-
 class SampleMemo:
     """The accepted sample points of one web, which it records (f, gs,
     domain and seed; a memo made without a web records the first web it
@@ -286,11 +260,12 @@ def zero_test(e: Expr, web: WebSpec,
 
     Returns (verdict, evidence, mode, reason).  Exact arithmetic when the
     expression is free of radicals/transcendentals, else high-precision
-    floats; in float mode a NONZERO verdict needs confirmation at two
-    independent points.  Sampling failures, and exact values outgrowing
-    EXACT_BITS, yield INCONCLUSIVE, never a guess (a float fallback could
-    call a tiny but nonzero exact value zero).  Values are decided as raw
-    tuples (`ZeroTestPolicy.vanishes`).
+    floats, chosen once (`expr.arithmetic`): it decides each raw value
+    (`vanishes`), writes its residual, and says how many independent
+    nonzero points make NONZERO (`witnesses`, two in float mode).
+    Sampling failures, and exact values outgrowing EXACT_BITS, yield
+    INCONCLUSIVE, never a guess (a float fallback could call a tiny but
+    nonzero exact value zero).
 
     A `memo` of this web (else ExprError), shared by the tests of one web,
     draws each sample point once and evaluates each shared node once per
@@ -307,9 +282,17 @@ def zero_test(e: Expr, web: WebSpec,
         raise ex.ExprError("the sample memo belongs to another web")
     points, precision = memo.points, policy.precision
     rng, synced, last = random.Random(web.seed), True, None
-    exact = is_exactly_evaluable(e)
-    mode = "exact" if exact else "float"
-    witnesses = 1 if exact else NONZERO_CONFIRMATIONS
+    bits = None if is_exactly_evaluable(e) else precision
+    arith = ex.arithmetic(bits)
+    mode, witnesses, vanishes = arith.mode, arith.witnesses, arith.vanishes
+    # the benchmark tracer spans exact and float evaluation by these two
+    # module attributes, so each mode calls its own; only float has a scale
+    if mode == "float":
+        def value(bindings, store):
+            return evaluate_scaled(e, bindings, bits, store=store, raw=True)
+    else:
+        def value(bindings, store):
+            return evaluate(e, bindings, bits, store=store, raw=True), None
     draws = PARAM_DRAWS if web.params else 1
     evidence: list[Evidence] = []
     hits = 0
@@ -334,14 +317,7 @@ def zero_test(e: Expr, web: WebSpec,
                 last = hit
                 pt, store = hit[0], hit[1]
                 try:
-                    if exact:
-                        v = evaluate(e, pt.bindings(), store=store, raw=True)
-                        vanishes = not v[0]
-                    else:
-                        v, scale = evaluate_scaled(e, pt.bindings(),
-                                                   precision, store=store,
-                                                   raw=True)
-                        vanishes = policy.vanishes(v, scale)
+                    v, scale = value(pt.bindings(), store)
                 except ExactBudgetError:
                     raise  # not a singular sample: INCONCLUSIVE below
                 except EvalError:
@@ -350,8 +326,8 @@ def zero_test(e: Expr, web: WebSpec,
                         return (INCONCLUSIVE, evidence, mode,
                                 "too many singular samples")
                     continue
-                evidence.append(Evidence(pt, _fmt_residual(v, exact), mode))
-                if vanishes:
+                evidence.append(Evidence(pt, arith.residual(v), mode))
+                if vanishes(v, scale):
                     passes += 1
                     if passes == policy.points:
                         break

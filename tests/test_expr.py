@@ -314,6 +314,37 @@ class TestEvaluation:
         assert None not in store
         assert evaluate(sqrt(parse("x^2")), *ctx(F(3, 4), 1, 256)) == F(3, 4)
 
+    @pytest.mark.parametrize("precision", [None, 64])
+    def test_store_holds_one_point(self, precision):
+        # the store's slots are the values at its first bindings: other
+        # values are refused, never answered with the first point's value
+        store = E.Store()
+        assert evaluate(X, {"x": 1}, precision, store=store) == 1
+        for other in ({"x": 2}, {"x": 1, "y": 2}):
+            with pytest.raises(ExprError, match="other bindings"):
+                evaluate(X, other, precision, store=store)
+            with pytest.raises(ExprError, match="other bindings"):
+                evaluate_scaled(X, other, precision, store=store)
+        assert evaluate(X, {"x": F(1)}, precision, store=store) == 1
+        assert evaluate(X, {"x": 2}, precision) == 2
+
+    def test_equal_bindings_reuse_the_store(self):
+        # `SamplePoint.bindings()` makes a fresh dict per call: equal
+        # values read the slots the store holds, at each precision key
+        from weblin.calculus import SamplePoint
+        pt = SamplePoint(F(1, 3), F(5, 7), {"n": F(2)})
+        e = parse("n*x^2 + y")
+        store = E.Store()
+        entries = []
+        for precision in (None, 64):
+            first = evaluate(e, pt.bindings(), precision, store=store)
+            entry = store[precision]
+            assert pt.bindings() is not pt.bindings()
+            assert evaluate(e, pt.bindings(), precision, store=store) == first
+            assert store[precision] is entry
+            entries.append(entry)
+        assert entries[0] is not entries[1]
+
     def test_negative_radicand(self):
         with pytest.raises(DomainEvalError):
             evaluate(sqrt(Y), *ctx(1, -1, 256))
