@@ -14,9 +14,13 @@ cancel symbolic rational functions; correctness of downstream zero tests
 rests on evaluation, not on the simplifier.  Operand order is structural
 (`_compare`), never by creation: no output depends on what was built before.
 The constructors reuse canonical operands: a term or factor that combines
-with no other is kept as the node it is, each node stores its (coefficient,
-core) and (base, exponent) split, and the operands of each canonical input
+with no other is kept as the node it is, each node stores its coefficient
+and its (base, exponent) split, and the operands of each canonical input
 come already sorted, so they are merged as runs rather than sorted again.
+The build interns only nodes a DAG keeps: `add` collects like terms under
+a key, the tuple of a term's factors when it has several, and `derive`
+holds a product's derivative as its product-rule terms until a consumer
+other than a sum needs it as a node.
 The intern table and the derivative cache take no lock: each write is one
 dict operation on a key hashed in C, so threads racing on a key get one node.
 One children-first walk, `_fold`, serves ordering, rebuilding,
@@ -140,13 +144,15 @@ class ExactBudgetError(ExactnessError):
 class Expr:
     """One interned DAG node.  Compare with `is`/`==` (same thing here).
 
-    `coeff`, `core` split a term of a sum (c * core, c rational), `base`,
-    `exponent` a factor of a product (base ^ exponent, the exponent a
-    Fraction when it is a constant node).  They are set at intern time, and
-    are (1, self) and (self, 1) for a node that is no such product or
-    power; only a core of several factors waits for `_core`."""
+    `coeff` is the rational coefficient of a term of a sum (1 unless the
+    node is a product led by a constant), `base`, `exponent` split a factor
+    of a product (base ^ exponent, the exponent a Fraction when it is a
+    constant node).  They are set at intern time, and are 1 and (self, 1)
+    for a node that is no such product or power.  A term's core, what
+    remains without the coefficient, is no node: `add` keys it by the
+    factors themselves (`_core_key`)."""
 
-    __slots__ = ("kind", "children", "value", "name", "mask", "coeff", "core",
+    __slots__ = ("kind", "children", "value", "name", "mask", "coeff",
                  "base", "exponent")
 
     def __init__(self, kind: str, children: tuple["Expr", ...],
@@ -157,7 +163,7 @@ class Expr:
         self.name = name
         self.mask = mask
         self.coeff = self.exponent = _Q1
-        self.core = self.base = self
+        self.base = self
 
     def __repr__(self) -> str:
         return f"<Expr {format_expr(self)}>"
@@ -193,10 +199,7 @@ def _intern(kind: str, children: tuple[Expr, ...] = (),
                 mask |= _MASK_TRANSCENDENTAL
         node = Expr(kind, children, value, name, mask)
         if kind == MUL and children[0].kind == CONST:
-            # a core of two or more factors is interned by `_core`, when
-            # the product first meets a sum: not every product is a term
             node.coeff = children[0].value
-            node.core = children[1] if len(children) == 2 else None
         elif kind == POW:
             node.base = children[0]
             node.exponent = e.value if e.kind == CONST else e
@@ -261,46 +264,55 @@ _ZERO = const(0)
 _ONE = const(1)
 
 
-def _core(t: Expr) -> Expr:
-    """The core of term t.  Racing threads intern the same node, so the
-    core is stored without a lock."""
-    core = t.core
-    if core is None:
-        core = t.core = _intern(MUL, t.children[1:])
-    return core
-
-
-def _scaled(core: Expr, c: Fraction) -> Expr:
-    if c == 1:
-        return core
-    if core.kind == MUL:
-        return _intern(MUL, (const(c),) + core.children)
-    return _intern(MUL, (const(c), core))
-
-
-def _term_exp_factor(t: Expr) -> Expr | None:
-    """The unique exp(...) factor of a canonical term, if any."""
-    if t.kind == EXP:
+def _core_key(t: Expr) -> Expr | tuple[Expr, ...]:
+    """The key under which `add` collects term t: t itself, its one factor
+    after the constant, or the tuple of its factors after the constant (a
+    product of coefficient 1 is keyed by all its factors).  A tuple stands
+    for the product of its factors, which `add` interns only once it is a
+    term: most keys never are."""
+    if t.kind != MUL:
         return t
-    if t.kind == MUL:
-        for c in t.children:
-            if c.kind == EXP:
-                return c
+    kids = t.children
+    if kids[0].kind != CONST:
+        return kids
+    return kids[1] if len(kids) == 2 else kids[1:]
+
+
+def _factors(key: Expr | tuple[Expr, ...]) -> tuple[Expr, ...]:
+    return key if key.__class__ is tuple else (key,)
+
+
+def _scaled(key: Expr | tuple[Expr, ...], c: Fraction) -> Expr:
+    """The term c * key, interned."""
+    if key.__class__ is tuple:
+        return _intern(MUL, key if c == 1 else (const(c),) + key)
+    return key if c == 1 else _intern(MUL, (const(c), key))
+
+
+def _exp_factor(key: Expr | tuple[Expr, ...]) -> Expr | None:
+    """The unique exp(...) factor of a core key, if any."""
+    for f in _factors(key):
+        if f.kind == EXP:
+            return f
     return None
 
 
-def _strip_factor(t: Expr, f: Expr) -> Expr:
-    if t is f:
-        return _ONE
-    rest = tuple(c for c in t.children if c is not f)
-    if len(rest) == 1:
-        return rest[0]
-    return _intern(MUL, rest)
-
-
-def _compare(a: Expr, b: Expr) -> int:
+def _compare(a, b) -> int:
     """Operand order of sums and products: kind, then constant value or name,
-    then children lexicographically; hash-consing makes one descent decide."""
+    then children lexicographically; hash-consing makes one descent decide.
+    A tuple of factors, a core key of `add`, compares as their product."""
+    if a.__class__ is tuple or b.__class__ is tuple:
+        ka = MUL if a.__class__ is tuple else a.kind
+        kb = MUL if b.__class__ is tuple else b.kind
+        if ka != kb:
+            return -1 if ka < kb else 1
+        ac = a if a.__class__ is tuple else a.children
+        bc = b if b.__class__ is tuple else b.children
+        for a, b in zip(ac, bc):
+            if a is not b:
+                break
+        else:
+            return (len(ac) > len(bc)) - (len(ac) < len(bc))
     while a is not b:
         if a.kind != b.kind:
             return -1 if a.kind < b.kind else 1
@@ -322,11 +334,11 @@ def _compare(a: Expr, b: Expr) -> int:
 _order = cmp_to_key(_compare)
 
 
-def _merge(runs: list[list[Expr]]) -> list[Expr]:
-    """One ascending list of the nodes of `runs`, each ascending under
-    `_compare`: the others are inserted into the longest run, in place, by
-    binary search, each from where the previous node of its run went, so
-    `_compare` runs only where two runs meet."""
+def _merge(runs: list[list]) -> list:
+    """One ascending list of the nodes (or core keys) of `runs`, each
+    ascending under `_compare`: the others are inserted into the longest
+    run, in place, by binary search, each from where the previous node of
+    its run went, so `_compare` runs only where two runs meet."""
     runs = [r for r in runs if r]
     if len(runs) < 2:
         return runs[0] if runs else []
@@ -344,23 +356,24 @@ def _merge(runs: list[list[Expr]]) -> list[Expr]:
 def add(*terms) -> Expr:
     """n-ary sum; flattens, folds constants and collects like terms.
 
-    A term whose core meets no other term is kept as the node it is; the
-    cores of each canonical input already come sorted, as one run."""
+    Like terms are collected under their core key (`_core_key`), so a
+    product that only scales a term is never interned.  A term whose key
+    meets no other term is kept as the node it is; the keys of each
+    canonical input already come sorted, as one run."""
     const_acc = _Q0
-    coeffs: dict[Expr, Fraction] = {}
-    alone: dict[Expr, Expr | None] = {}  # core -> its term, None if combined
-    runs: list[list[Expr]] = []
+    coeffs: dict = {}  # core key -> its coefficient
+    alone: dict = {}  # core key -> its term, None if combined
+    runs: list[list] = []
 
-    def collect(c: Fraction, core: Expr, term: Expr | None,
-                run: list[Expr]) -> None:
-        prev = coeffs.get(core)
+    def collect(c: Fraction, key, term: Expr | None, run: list) -> None:
+        prev = coeffs.get(key)
         if prev is None:
-            coeffs[core] = c
-            alone[core] = term
-            run.append(core)
+            coeffs[key] = c
+            alone[key] = term
+            run.append(key)
         else:
-            coeffs[core] = prev + c
-            alone[core] = None
+            coeffs[key] = prev + c
+            alone[key] = None
 
     for t in map(as_expr, terms):
         if t.kind == UNDEF:
@@ -368,39 +381,42 @@ def add(*terms) -> Expr:
         if t.kind == CONST:
             const_acc += t.value
             continue
-        run: list[Expr] = []
+        run: list = []
         runs.append(run)
         for k in t.children if t.kind == ADD else (t,):
             if k.kind == CONST:
                 const_acc += k.value
                 continue
-            c, core = k.coeff, _core(k)
-            if core.kind != ADD:
-                collect(c, core, k, run)
+            key = _core_key(k)
+            if key.__class__ is tuple or key.kind != ADD:
+                collect(k.coeff, key, k, run)
                 continue
             # a rational multiple of a sum: distribute so the terms can
             # cancel against siblings (term count is unchanged)
-            inner: list[Expr] = []
+            c = k.coeff
+            inner: list = []
             runs.append(inner)
-            for kk in core.children:
+            for kk in key.children:
                 if kk.kind == CONST:
                     const_acc += c * kk.value
                 else:
-                    collect(c * kk.coeff, _core(kk), None, inner)
-    parts = _merge([[core for core in run if coeffs[core]] for run in runs])
+                    collect(c * kk.coeff, _core_key(kk), None, inner)
+    parts = _merge([[key for key in run if coeffs[key]] for run in runs])
     if not parts:
         return const(const_acc)
     # factor out a transcendental factor common to every term (exp never
     # vanishes, so this is unconditionally value-preserving); it lets the
     # quotient layer cancel exp factors and keep such webs exactly evaluable
     if not const_acc and len(parts) > 1:
-        common = _term_exp_factor(parts[0])
+        common = _exp_factor(parts[0])
         if common is not None and all(
-                _term_exp_factor(core) is common for core in parts[1:]):
-            stripped = [mul(const(coeffs[core]), _strip_factor(core, common))
-                        for core in parts]
+                _exp_factor(key) is common for key in parts[1:]):
+            stripped = [_mul([(const(coeffs[key]),),
+                              tuple(f for f in _factors(key)
+                                    if f is not common)])
+                        for key in parts]
             return mul(common, add(*stripped))
-    out = [alone[core] or _scaled(core, coeffs[core]) for core in parts]
+    out = [alone[key] or _scaled(key, coeffs[key]) for key in parts]
     if const_acc:
         out.append(const(const_acc))
     if len(out) == 1:
@@ -689,6 +705,37 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 # differentiation
 
 
+def _scales_sum(t: Expr) -> bool:
+    """Whether t is a rational multiple of a sum, which `add` distributes."""
+    kids = t.children
+    return (t.kind == MUL and len(kids) == 2 and kids[0].kind == CONST
+            and kids[1].kind == ADD)
+
+
+def _exp_in_term(t: Expr) -> bool:
+    """Whether a term `add` collects from t has an exp factor: then `add`
+    of t and its siblings may factor a common exp out, and t must be
+    summed with them alone."""
+    if not t.mask & _MASK_TRANSCENDENTAL:
+        return False
+    if t.kind == ADD:
+        return any(map(_exp_in_term, t.children))
+    if _scales_sum(t):
+        return _exp_in_term(t.children[1])
+    return t.kind == EXP or t.kind == MUL and any(
+        k.kind == EXP for k in t.children)
+
+
+def _node(d: dict, n: Expr) -> Expr:
+    """The derivative of n from cache d as a node: a tuple of product-rule
+    terms is summed once and the sum written back.  Racing threads sum the
+    same terms, so they store the same node."""
+    dn = d[n]
+    if dn.__class__ is tuple:
+        dn = d[n] = add(*dn)
+    return dn
+
+
 def derive(e: Expr, v: str) -> Expr:
     """Symbolic partial derivative with respect to a variable or parameter.
 
@@ -696,7 +743,12 @@ def derive(e: Expr, v: str) -> Expr:
     by a parameter name treats x and y as constants instead.  Results are
     memoized per symbol and node, and a call enters only the nodes not yet
     differentiated by v, so repeated differentiation of shared subterms
-    stays polynomial in the DAG size.
+    stays polynomial in the DAG size.  A product's derivative is memoized
+    as the tuple of its product-rule terms, spliced into the one `add` of a
+    sum it is a term of, and summed into a node only where something else
+    needs it (a factor, a power base, the result); so a sum of products
+    interns no sum per product.  A product whose terms carry an exp factor
+    is summed at once, as `add` factors a common exp out of its own terms.
     """
     done = _derivative_cache.get(v)
     if done is None:
@@ -705,7 +757,7 @@ def derive(e: Expr, v: str) -> Expr:
         done = _derivative_cache.setdefault(v, {})
     vmask = _MASK_X if v == "x" else _MASK_Y if v == "y" else _MASK_PARAM
 
-    def rule(n: Expr, d: dict) -> Expr:
+    def rule(n: Expr, d: dict) -> Expr | tuple[Expr, ...]:
         if n.kind == UNDEF:
             return _UNDEF
         if not (n.mask & vmask):
@@ -713,30 +765,44 @@ def derive(e: Expr, v: str) -> Expr:
         if n.kind in (VAR, PARAM):
             return _ONE if n.name == v else _ZERO
         if n.kind == ADD:
-            return add(*(d[c] for c in n.children))
+            terms = []
+            for c in n.children:
+                dc = d[c]
+                if dc.__class__ is tuple:
+                    terms += dc
+                else:
+                    terms.append(dc)
+            return add(*terms)
         if n.kind == MUL:
             # each term's other factors are a run of the sorted children
             terms = []
             kids = n.children
             for i, c in enumerate(kids):
-                dc = d[c]
+                dc = _node(d, c)
                 if not dc.is_zero:
                     terms.append(_mul([dc.children if dc.kind == MUL
                                        else (dc,), kids[:i] + kids[i + 1:]]))
-            return add(*terms) if terms else _ZERO
+            if not terms:
+                return _ZERO
+            if len(terms) == 1 and not _scales_sum(terms[0]):
+                return terms[0]  # `add` would return it as it is
+            if any(map(_exp_in_term, terms)):
+                return add(*terms)
+            return tuple(terms)
         if n.kind == POW:
             b, ex = n.children
             if not (ex.mask & vmask):
                 # exponent constant with respect to v: power rule
-                return mul(ex, pow_(b, sub(ex, _ONE)), d[b])
-            return mul(n, add(mul(d[ex], log_(b)), mul(ex, div(d[b], b))))
+                return mul(ex, pow_(b, sub(ex, _ONE)), _node(d, b))
+            return mul(n, add(mul(_node(d, ex), log_(b)),
+                              mul(ex, div(_node(d, b), b))))
         if n.kind == EXP:
-            return mul(n, d[n.children[0]])
+            return mul(n, _node(d, n.children[0]))
         # LOG: constants and the other variable left at the mask
         u = n.children[0]
-        return div(d[u], u)
+        return div(_node(d, u), u)
 
-    return _fold((e,), rule, done)[e]
+    return _node(_fold((e,), rule, done), e)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,8 +1182,15 @@ def arithmetic(precision: int | None):
     """The arithmetic of `evaluate` at `precision` (None for exact), as a
     `Store` caches it.  Its `mode`, `witnesses`, `vanishes(v, scale)`,
     `negligible(v)`, `residual(v)` and `value(v)` answer every exact/float
-    question of the zero test and the sample validation."""
-    return _EXACT if precision is None else _MpfArithmetic(precision)
+    question of the zero test and the sample validation.  A precision
+    other than None or an int of at least 1 bit (a bool is no int here) is
+    refused with ExprError."""
+    if precision is None:
+        return _EXACT
+    if precision.__class__ is not int or precision < 1:
+        raise ExprError(f"precision must be None or an int >= 1, "
+                        f"got {precision!r}")
+    return _MpfArithmetic(precision)
 
 
 _EXP, _BC = operator.itemgetter(2), operator.itemgetter(3)

@@ -157,15 +157,17 @@ class TestHashConsing:
         assert not any((E.CONST, k, 1) in E._table for k in ks)  # fresh
         texts = [f"(x + {k})^3*y - {k}*sqrt(x*y + {k})/(y - {k}) + exp(x/{k})"
                  for k in ks]
+        cores = [f"x*y*(x + {k})" for k in ks]
         barrier = threading.Barrier(8)
         results = []
 
         def build():
             barrier.wait(timeout=60)
             out = []
-            for text in texts:
+            for text, core in zip(texts, cores):
                 e = parse(text)
-                out += [e, derive(e, "x"), derive(derive(e, "y"), "x")]
+                out += [parse(f"2*{core} + 3*{core}"), e, derive(e, "x"),
+                        derive(derive(e, "y"), "x")]
             results.append(out)
 
         interval = sys.getswitchinterval()
@@ -188,11 +190,12 @@ class TestHashConsing:
 
         assert all(key(n) == k for k, n in E._table.items())
         assert all(E._table[key(n)] is n for n in E.topo_order(*results[0]))
-        # a term's core, stored on first use by whichever thread got there,
-        # is the node the table holds
-        cores = [n.core for n in E._table.values()
-                 if n.kind == E.MUL and n.core not in (None, n)]
-        assert cores and all(E._table[key(c)] is c for c in cores)
+        # like terms are collected under their factors: the sum of terms
+        # that share a core of several factors interns no node for it
+        for r in results[0][::4]:
+            core = r.children[1:]
+            assert r.coeff == 5 and len(core) > 1
+            assert (E.MUL, None, core) not in E._table
 
     def test_threaded_evaluation_is_pure(self):
         e = parse("x^3*y - sqrt(x + 2)/y + exp(x - y)")
@@ -313,6 +316,15 @@ class TestEvaluation:
             evaluate(parse("1/x + sqrt(y)"), *ctx(0, 1), store=store)
         assert None not in store
         assert evaluate(sqrt(parse("x^2")), *ctx(F(3, 4), 1, 256)) == F(3, 4)
+
+    @pytest.mark.parametrize("precision", [0, -5, 100.5, True])
+    def test_precision_must_be_a_positive_int(self, precision):
+        # 0 and -5 never returned, 100.5 raised a bare TypeError and True
+        # evaluated at one bit
+        with pytest.raises(ExprError, match="precision"):
+            evaluate(parse("x/3"), {"x": 2}, precision)
+        with pytest.raises(ExprError, match="precision"):
+            E.arithmetic(precision)
 
     @pytest.mark.parametrize("precision", [None, 64])
     def test_store_holds_one_point(self, precision):
@@ -533,7 +545,8 @@ class TestProperties:
         assert simplify(e) is e
         for n in E.topo_order(e):
             if n.kind == E.ADD:
-                keys = [E._core(t) for t in n.children if t.kind != E.CONST]
+                keys = [E._core_key(t) for t in n.children
+                        if t.kind != E.CONST]
             elif n.kind == E.MUL:
                 keys = [f for f in n.children if f.kind != E.CONST]
                 bases = [f.base for f in keys]
@@ -1173,3 +1186,78 @@ class TestDerivatives:
     def test_invalid_symbol_rejected(self):
         with pytest.raises(E.ExprError):
             derive(X, "2bad")
+
+
+class TestLazyDerivative:
+    """A product's derivative is cached as its product-rule terms until a
+    consumer other than a sum needs it as a node."""
+
+    @given(_expr_strategy())
+    @settings(max_examples=40, deadline=None)
+    def test_derive_returns_a_node(self, e):
+        for v in ("x", "y"):
+            d = derive(e, v)
+            assert isinstance(d, E.Expr) and derive(e, v) is d
+            assert all(isinstance(n, E.Expr) for n in E.topo_order(d))
+            for n in E.topo_order(e):
+                assert isinstance(derive(n, v), E.Expr)
+
+    def test_shared_product_derivative_is_the_node_of_a_fresh_cache(
+            self, monkeypatch):
+        p = parse("x^2*y*(x + 3*y)*lazy_shared")
+        s = add(p, X)
+        base, arg = sqrt(p), exp_(p)  # p is a power base and an argument
+        assert base.children[0] is p and arg.children[0] is p
+        monkeypatch.setattr(E, "_derivative_cache", {})
+        derive(s, "x")
+        held = E._derivative_cache["x"][p]
+        assert isinstance(held, tuple) and len(held) > 1
+        got = [derive(base, "x"), derive(arg, "x"), derive(s, "x")]
+        dp = E._derivative_cache["x"][p]
+        assert isinstance(dp, E.Expr) and dp is add(*held)
+        monkeypatch.setattr(E, "_derivative_cache", {})
+        assert derive(p, "x") is dp
+        assert [derive(base, "x"), derive(arg, "x"), derive(s, "x")] == got
+
+    def test_threads_deriving_one_fresh_web_get_the_same_nodes(self):
+        from weblin import corpus
+        from weblin.calculus import reparameterized
+        from weblin.invariants import build_compatibility_pair
+
+        case = next(c for c in corpus.CASES if c.name == "two-pencils")
+        assert (E.CONST, 1000033, 1000037) not in E._table  # fresh
+        p, q = parse("x + 1000033/1000037*x^3"), parse("y + 7/1000039*y^2")
+        barrier = threading.Barrier(8)
+        results = []
+
+        def build():
+            barrier.wait(timeout=60)
+            web = reparameterized(corpus.web_for(case), p, q, case.domain)
+            results.append(build_compatibility_pair(web))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(isinstance(r, E.Expr) for pair in results for r in pair)
+        assert all(a is b for pair in results for a, b in zip(pair, results[0]))
+
+    def test_sum_of_products_interns_no_sum_per_term(self):
+        products = [parse(f"x^{i + 2}*(y + x)^2*lazy_sum_{i}")
+                    for i in range(3)]
+        d = derive(add(*products), "x")
+        assert d.kind == E.ADD and len(d.children) == 6
+        held = E._derivative_cache["x"]
+        assert all(isinstance(held[p], tuple) for p in products)
+        sums = {n for n in E._table.values() if n.kind == E.ADD}
+        for p in products:
+            dp = derive(p, "x")
+            assert dp.kind == E.ADD and dp not in sums
