@@ -1250,6 +1250,15 @@ class TestLazyDerivative:
         assert all(isinstance(r, E.Expr) for pair in results for r in pair)
         assert all(a is b for pair in results for a, b in zip(pair, results[0]))
 
+    def test_exp_terms_of_a_product_are_summed_at_once(self):
+        # x*exp(x) differentiates to exp(x) + x*exp(x), which `add` turns
+        # into exp(x)*(1 + x); spliced into the sum with 2*x instead, the
+        # common exp would not be factored out
+        e = parse("x*exp(x) + x^2")
+        want = add(mul(exp_(X), add(1, X)), mul(2, X))
+        assert derive(e, "x") is want
+        assert derive(parse("x*exp(x)"), "x") is mul(exp_(X), add(1, X))
+
     def test_sum_of_products_interns_no_sum_per_term(self):
         products = [parse(f"x^{i + 2}*(y + x)^2*lazy_sum_{i}")
                     for i in range(3)]
