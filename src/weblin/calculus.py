@@ -14,7 +14,6 @@ operators d1, d2 build their product anew on each call.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,8 +27,8 @@ from .expr import (Expr, EvalError, ExactBudgetError, Store, derive, div,
 __all__ = [
     "Rect", "WebSpec", "DomainTooSingularError", "web_K",
     "basic_invariant", "mu", "SamplePoint", "sample_points",
-    "random_rational", "reparameterized", "BoundedMemo", "DEFAULT_GRID_N",
-    "MIN_GRID", "MAX_GRID", "MAX_BUILT",
+    "random_rational", "reparameterized", "DEFAULT_GRID_N", "MIN_GRID",
+    "MAX_GRID",
 ]
 
 DEFAULT_DOMAIN = (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4), Fraction(3, 4))
@@ -41,44 +40,10 @@ MAX_GRID = 513  # a memory bound: there the coefficient arrays take ~67 MB
 PARAM_RANGE = (Fraction(2), Fraction(7))  # every parameter is drawn from it
 MAX_REJECTIONS = 100
 RATIONAL_DENOMINATOR_BOUND = 10 ** 4
-# web functions whose built expressions a memo keeps (validity checks here,
-# invariants in `invariants`); each entry holds interned nodes only
-MAX_BUILT = 2 ** 8
 
 
 class DomainTooSingularError(ex.ExprError):
     """Rejection sampling could not find enough valid points."""
-
-
-class BoundedMemo(dict):
-    """A dict whose values weigh at most `bound` together, each weighing 1
-    unless `weight` says otherwise.  Reads take no lock; `keep` inserts
-    under the memo's lock, evicting the oldest entries first."""
-
-    def __init__(self, bound: int, weight=lambda value: 1):
-        super().__init__()
-        self.bound, self.weight, self.held = bound, weight, 0
-        self.lock = threading.Lock()
-
-    def keep(self, key, value):
-        """The value held for `key`: the one another thread stored first,
-        else `value`, which is held unless it alone outweighs the bound."""
-        w = self.weight(value)
-        with self.lock:
-            if key in self:
-                return self[key]
-            if w > self.bound:
-                return value
-            while self.held + w > self.bound:
-                self.held -= self.weight(self.pop(next(iter(self))))
-            self[key] = value
-            self.held += w
-        return value
-
-    def clear(self) -> None:
-        with self.lock:
-            super().clear()
-            self.held = 0
 
 
 @dataclass(frozen=True)
@@ -151,11 +116,8 @@ class WebSpec:
         """What must not vanish at a valid sample point: the first partials
         of every web function, each a_alpha and a_alpha - 1, and the
         pairwise differences of the a_alpha.  They depend on the web
-        functions alone, and are built once per (f, gs) in `_CHECKS`."""
-        key = self.f, self.gs
-        hit = _CHECKS.get(key)
-        if hit is not None:
-            return hit
+        functions alone, so a check of functions checked before takes them
+        from their memo entry in `invariants` instead."""
         checks = [self.fx, self.fy]
         for g in self.gs:
             checks += [derive(g, "x"), derive(g, "y")]
@@ -164,7 +126,7 @@ class WebSpec:
             checks += [a, sub(a, 1)]
         for i, a in enumerate(a_list):
             checks += [sub(a, b) for b in a_list[i + 1:]]
-        return _CHECKS.keep(key, tuple(checks))
+        return tuple(checks)
 
     # -- the frame --------------------------------------------------------
 
@@ -198,9 +160,6 @@ class WebSpec:
     def K(self) -> Expr:
         """K = d1(H) - d2(H), the curvature of the 3-subweb."""
         return sub(self.d1(self.H), self.d2(self.H))
-
-
-_CHECKS = BoundedMemo(MAX_BUILT)  # (f, gs) -> validity checks
 
 
 def web_K(web: WebSpec, mode: str = "structure") -> Expr:
@@ -271,15 +230,15 @@ def random_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int,
-                    store: Store | None = None) -> bool:
-    """Whether no validity check of the web is negligible at the point:
-    exactly nonzero for a rational web, else |v| >= 2^-100 at `precision`
-    bits (`expr.arithmetic`).  Decided on the raw values (see
+                    store: Store, checks: tuple[Expr, ...]) -> bool:
+    """Whether none of `checks`, the web's validity checks, is negligible at
+    the point: exactly nonzero for a rational web, else |v| >= 2^-100 at
+    `precision` bits (`expr.arithmetic`).  Decided on the raw values (see
     `expr.evaluate`), so no number object is made."""
     precision = None if web.is_rational else precision
     negligible = ex.arithmetic(precision).negligible
     bindings = point.bindings()
-    for chk in web.validity_checks:
+    for chk in checks:
         try:
             v = evaluate(chk, bindings, precision, store=store, raw=True)
         except ExactBudgetError:
@@ -294,15 +253,18 @@ def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int,
 def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
                   params: Mapping[str, Fraction] | None = None,
                   precision: int = 256,
-                  stores: list[Store] | None = None) -> list[SamplePoint]:
+                  stores: list[Store] | None = None,
+                  checks: tuple[Expr, ...] | None = None) -> list[SamplePoint]:
     """Draw `count` accepted sample points inside the web domain.
 
     Points violating the web validity constraints are rejected; after
     MAX_REJECTIONS consecutive rejections the domain is declared too
-    singular.  A candidate's validity checks share one store: with
-    `stores`, one per point, that of the point it would become.
+    singular.  A candidate's validity checks (`checks`, else
+    `web.validity_checks`) share one store: with `stores`, one per point,
+    that of the point it would become.
     """
     rng = rng if rng is not None else random.Random(web.seed)
+    checks = web.validity_checks if checks is None else checks
     if params is None:
         params = {name: random_rational(rng, *PARAM_RANGE)
                   for name in web.params}
@@ -314,7 +276,7 @@ def sample_points(web: WebSpec, count: int, rng: random.Random | None = None,
                          random_rational(rng, dom.y_lo, dom.y_hi),
                          dict(params))
         store = stores[len(out)] if stores else Store()
-        if _point_is_valid(web, pt, precision, store):
+        if _point_is_valid(web, pt, precision, store, checks):
             out.append(pt)
             rejects = 0
         else:

@@ -1228,6 +1228,8 @@ def evaluate(e: Expr, bindings: Mapping[str, object],
     returned as the arithmetic holds it: the reduced (numerator,
     denominator) pair, or the libmp tuple (sign, mantissa, exponent, bit
     count)."""
+    if precision.__class__ is not int and precision is not None:
+        arithmetic(precision)  # refused before a store finds 1 for True
     store = Store() if store is None else store
     program = store.program
     code, names = program.code(e)

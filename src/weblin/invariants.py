@@ -9,14 +9,15 @@ and of the linearizer.  Vanishing is decided by random evaluation: exact
 rational arithmetic whenever the expression allows it, p-bit (default 256)
 floating arithmetic otherwise, chosen once per test; the arithmetic
 decides each value (`expr.arithmetic`).  The invariants of one web share
-their sample points.  The invariants, and the slot program that evaluates
-them, are built once per tuple of web functions and reused by later
-checks of the same functions, within count and slot bounds; values are
-never reused across checks.
+their sample points.  What a check builds from the web functions (the
+validity checks, the invariants and their slot program) is kept for later
+checks of the same functions, one memo entry per tuple (f, g4..gd) within
+one slot bound; values are never reused across checks.
 """
 from __future__ import annotations
 
 import random
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +25,9 @@ from fractions import Fraction
 from . import expr as ex
 from .expr import (Expr, EvalError, ExactBudgetError, add, mul, neg,
                    pow_, sub, evaluate, evaluate_scaled, is_exactly_evaluable)
-from . import calculus
-from .calculus import (WebSpec, SamplePoint, PARAM_RANGE, MAX_BUILT,
-                       BoundedMemo, DomainTooSingularError, mu as web_mu,
-                       random_rational, sample_points)
+from .calculus import (WebSpec, SamplePoint, PARAM_RANGE,
+                       DomainTooSingularError, mu as web_mu, random_rational,
+                       sample_points)
 
 __all__ = [
     "ZeroTestPolicy", "Evidence", "InvariantReport", "SampleMemo",
@@ -46,9 +46,8 @@ PARAM_DRAWS = 3            # parameter draws per test of a web with parameters
 MIN_PRECISION = 24       # float bits; at 2 bits a YES web was answered NO
 MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
 MAX_POINTS = 2 ** 10     # the draw memo holds about 50 KB per point
-MAX_SIGHTED = 2 ** 8     # roots tuples seen once, waiting for a second check
-# slots of the published programs together, about 2 MB: the 19 corpus
-# benchmark webs need 6345
+# slots of the memo's entries together, about 2 MB with their programs
+# published: the 19 corpus benchmark webs need 6345
 MAX_PROGRAM_SLOTS = 2 ** 13
 
 
@@ -148,16 +147,13 @@ def I2_of_mu(mu_expr: Expr, web: WebSpec) -> Expr:
 
 
 def build_compatibility_pair(web: WebSpec) -> tuple[Expr, Expr]:
-    """I1, I2 for the 4-subweb (x, y, f, g4).  They depend on f and g4
-    alone, so they are built once per (f, g4): the last MAX_BUILT pairs
-    are kept, and a later web with the same functions gets the same nodes
-    whatever its domain and seed."""
-    key = web.f, web.g(4)
-    hit = _PAIRS.get(key)
-    if hit is None:
-        m = web_mu(web, 4)
-        hit = _PAIRS.keep(key, (I1_of_mu(m, web), I2_of_mu(m, web)))
-    return hit
+    """I1, I2 for the 4-subweb (x, y, f, g4): those of the memo entry of
+    the web's functions (`_BUILT`) if it has one, else built anew."""
+    hit = _BUILT.get((web.f, web.gs))
+    if hit is not None:
+        return hit.invariants[:2]
+    m = web_mu(web, 4)
+    return I1_of_mu(m, web), I2_of_mu(m, web)
 
 
 def J_alpha(web: WebSpec, alpha: int) -> Expr:
@@ -165,49 +161,68 @@ def J_alpha(web: WebSpec, alpha: int) -> Expr:
     deformation scalar of the 4-subweb (x, y, f, g_alpha) less that of
     (x, y, f, g4).  A g_alpha with the direction of f or of g4 makes every
     sample point invalid (a_alpha = 1 or a_alpha = a_4), so the test of
-    such a web ends INCONCLUSIVE.  Built once per (f, g4, g_alpha), as
-    `build_compatibility_pair` is."""
+    such a web ends INCONCLUSIVE.  Taken from the memo entry as in
+    `build_compatibility_pair`."""
     if alpha < 5:
         raise ex.ExprError("J_alpha is defined for alpha >= 5")
-    key = web.f, web.g(4), web.g(alpha)
-    hit = _JS.get(key)
-    if hit is None:
-        hit = _JS.keep(key, sub(web_mu(web, alpha), web_mu(web, 4)))
-    return hit
-
-
-# Built invariants and published slot programs, shared by every check in
-# the process.  They hold interned nodes and the code compiled from them,
-# never a value: what depends on a seed, point or precision stays in the
-# check's SampleMemo.
-_PAIRS = BoundedMemo(MAX_BUILT)  # (f, g4) -> (I1, I2)
-_JS = BoundedMemo(MAX_BUILT)  # (f, g4, g_alpha) -> J_alpha
-_SIGHTED = BoundedMemo(MAX_SIGHTED)  # roots tuples seen once
-# check roots -> sealed program, weighed by its slots
-_PROGRAMS = BoundedMemo(MAX_PROGRAM_SLOTS, lambda p: len(p.instructions))
-
-
-def _program(roots: tuple[Expr, ...]) -> ex.Program:
-    """The slot program of a check's roots.  The first sighting of a roots
-    tuple gets a fresh program, compiled as its check evaluates; a later
-    one gets a sealed program, compiled completely and then published, so
-    the checks after it compile nothing.  Published programs hold at most
-    MAX_PROGRAM_SLOTS slots together, the oldest evicted first, and a
-    larger one is never held."""
-    hit = _PROGRAMS.get(roots)
+    web.g(alpha)  # an alpha past d raises ExprError, entry or not
+    hit = _BUILT.get((web.f, web.gs))
     if hit is not None:
-        return hit
-    if roots not in _SIGHTED:
-        _SIGHTED.keep(roots, None)
-        return ex.Program()
-    return _PROGRAMS.keep(roots, ex.Program(roots))
+        return hit.invariants[alpha - 3]
+    return sub(web_mu(web, alpha), web_mu(web, 4))
+
+
+class BoundedMemo(dict):
+    """A dict whose values weigh at most `bound` together, by `weight`;
+    one that alone outweighs it is never held.  Reads take no lock; `keep`
+    inserts under the memo's lock, evicting the oldest entries first."""
+
+    def __init__(self, bound: int, weight):
+        super().__init__()
+        self.bound, self.weight, self.held = bound, weight, 0
+        self.lock = threading.Lock()
+
+    def keep(self, key, value):
+        """The value held for `key`: the one another thread stored first,
+        else `value`, which is held unless it alone outweighs the bound."""
+        w = self.weight(value)
+        with self.lock:
+            if key in self:
+                return self[key]
+            if w > self.bound:
+                return value
+            while self.held + w > self.bound:
+                self.held -= self.weight(self.pop(next(iter(self))))
+            self[key] = value
+            self.held += w
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.held = 0
+
+
+@dataclass
+class _Built:
+    """A memo entry: the validity checks and invariants (I1, I2, J5..Jd)
+    of one tuple of web functions, the slot count of their program, and
+    the program, None until the second check publishes it sealed."""
+    checks: tuple[Expr, ...]
+    invariants: tuple[Expr, ...]
+    slots: int
+    program: ex.Program | None = None
+
+
+# (f, gs) -> _Built for every check in the process: interned nodes and
+# compiled code only, never a value (those stay in a check's SampleMemo)
+_BUILT = BoundedMemo(MAX_PROGRAM_SLOTS, lambda built: built.slots)
 
 
 def clear_caches() -> None:
     """Forget every built invariant, validity check and slot program; no
     output depends on them."""
-    for memo in (_PAIRS, _JS, _SIGHTED, _PROGRAMS, calculus._CHECKS):
-        memo.clear()
+    _BUILT.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +240,15 @@ class SampleMemo:
     drawn and validated once and kept with the generator state after it
     and a `Store` of `program`, the slot program of the web's validity
     checks and invariants; the stores share one `shared` dict, so each
-    constant is converted once per precision."""
+    constant is converted once per precision.  A point is validated by
+    `checks`, the web's validity checks (else `web.validity_checks`)."""
 
     def __init__(self, web: WebSpec | None = None,
-                 program: ex.Program | None = None):
+                 program: ex.Program | None = None,
+                 checks: tuple[Expr, ...] | None = None):
         self.web = None if web is None else _identity(web)
         self.program = program or ex.Program()
+        self.checks = checks
         self.shared: dict = {}  # precision -> arithmetic and constants
         self.points: dict = {}  # position -> (point, store, state after)
 
@@ -247,7 +265,7 @@ def _draw(web: WebSpec, rng: random.Random, params: dict[str, Fraction],
     after the draw, which is read there once (`getstate`)."""
     store = ex.Store(memo.program, memo.shared)
     pt = sample_points(web, 1, rng, params=params, precision=precision,
-                       stores=[store])[0]
+                       stores=[store], checks=memo.checks)[0]
     hit = memo.points[key] = pt, store, rng.getstate()
     return hit
 
@@ -358,18 +376,26 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
     tests share their sample points and one slot program, so at each point
     a node of an invariant or validity check is computed once, and a
     report's `elapsed` counts validating a point, and each shared node, only
-    for the first invariant that reaches it.  The invariants come from the
-    memoized builders, and the program of web functions checked before is
-    the published one (`_program`); sample points and values are never
-    reused across checks.
+    for the first invariant that reaches it.  The builders give the nodes
+    of the memo entry of the web's functions (`_BUILT`).  A first check
+    keeps the entry, weighed by its program's slots but without it, and the
+    second publishes the sealed program, so later checks build and compile
+    nothing; sample points and values are never reused across checks.
     """
     policy = policy or ZeroTestPolicy()
-    I1, I2 = build_compatibility_pair(web)
-    invariants = [("I1", I1), ("I2", I2)]
-    invariants += [(f"J{alpha}", J_alpha(web, alpha))
-                   for alpha in range(5, web.d + 1)]
-    memo = SampleMemo(web, _program((*web.validity_checks,
-                                     *(e for _, e in invariants))))
+    alphas = range(5, web.d + 1)
+    exprs = (*build_compatibility_pair(web), *(J_alpha(web, a)
+                                               for a in alphas))
+    key = web.f, web.gs
+    built = _BUILT.get(key)
+    if built is None:
+        checks, program = web.validity_checks, ex.Program()
+    else:
+        checks = built.checks
+        if built.program is None:  # racing threads publish equal programs
+            built.program = ex.Program((*checks, *exprs))
+        program = built.program
+    memo = SampleMemo(web, program, checks)
 
     def report(name: str, e: Expr) -> InvariantReport:
         t0 = time.perf_counter()
@@ -380,7 +406,12 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
             verdict=verdict, evidence=evidence,
             elapsed=time.perf_counter() - t0, mode=mode, reason=reason)
 
-    reports = [report(name, e) for name, e in invariants]
+    names = ("I1", "I2", *(f"J{alpha}" for alpha in alphas))
+    reports = [report(name, e) for name, e in zip(names, exprs)]
+    if built is None:
+        for root in (*checks, *exprs):  # those the reports did not reach
+            program.code(root)
+        _BUILT.keep(key, _Built(checks, exprs, len(program.instructions)))
     verdicts = {r.verdict for r in reports}
     if verdicts == {ZERO}:
         return YES, reports

@@ -326,6 +326,19 @@ class TestEvaluation:
         with pytest.raises(ExprError, match="precision"):
             E.arithmetic(precision)
 
+    @pytest.mark.parametrize("valid, equal", [(1, True), (24, 24.0)])
+    def test_a_reused_store_refuses_an_equal_invalid_precision(self, valid,
+                                                               equal):
+        # a store keys its values by precision, and True == 1, 24.0 == 24:
+        # the refusal must come before the lookup, or the invalid one reads
+        # the values of the valid one
+        store = E.Store()
+        evaluate(parse("x/3"), {"x": 2}, valid, store=store)
+        with pytest.raises(ExprError, match="precision"):
+            evaluate(parse("x/3"), {"x": 2}, equal, store=store)
+        with pytest.raises(ExprError, match="precision"):
+            evaluate_scaled(parse("x/3"), {"x": 2}, equal, store=store)
+
     @pytest.mark.parametrize("precision", [None, 64])
     def test_store_holds_one_point(self, precision):
         # the store's slots are the values at its first bindings: other

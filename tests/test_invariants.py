@@ -1,7 +1,9 @@
 """Linearizability invariants, vanishing test, and web verdicts."""
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import random
 import threading
 from collections import Counter
@@ -19,6 +21,7 @@ from weblin.calculus import (Rect, WebSpec, sample_points, mu,
                              random_rational)
 from weblin.invariants import (ZeroTestPolicy, zero_test, I1_of_mu, I2_of_mu,
                                J_alpha, build_compatibility_pair, check_dweb)
+import weblin
 from weblin import calculus, cli, corpus, invariants
 
 F = Fraction
@@ -522,9 +525,14 @@ class TestReportJson:
 
 
 def _roots(web):
-    """What `check_dweb` keys its slot program by."""
+    """What `check_dweb` compiles its slot program from."""
     return (*web.validity_checks, *build_compatibility_pair(web),
             *(J_alpha(web, alpha) for alpha in range(5, web.d + 1)))
+
+
+def _key(web):
+    """What `check_dweb` keys its memo entry by."""
+    return web.f, web.gs
 
 
 def _report_json(web):
@@ -565,53 +573,114 @@ class TestCrossCheckCaches:
         invariants.clear_caches()
         # a first sighting, a second that publishes, then two hits
         assert [run(*extra) for extra in runs] == cleared
-        assert len(invariants._PROGRAMS) == 1
+        [built] = invariants._BUILT.values()
+        assert built.program.sealed
+
+    @pytest.mark.parametrize("functions", [
+        ("x/y", "(1 - y)/(1 - x)"),                   # exact
+        ("(x^3 + x)*exp(-y)", "exp(y) + x^3 + x"),    # float
+        ("x/y", "x + y", "2*x + y"),                  # 5-web
+    ], ids=["exact", "float", "five-web"])
+    def test_a_warm_check_builds_nothing(self, monkeypatch, functions):
+        calls = Counter()
+        for module, name in ((calculus, "basic_invariant"),
+                             (invariants, "web_mu"), (invariants, "I1_of_mu")):
+            def counting(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counting)
+        first = None
+        for sighting in range(3):
+            calls.clear()
+            # a new web each time, so nothing is held by the web itself
+            report = _report_json(_web(*functions))
+            if first is None:
+                first = report
+                assert set(calls) == {"basic_invariant", "web_mu", "I1_of_mu"}
+            else:
+                assert report == first
+                assert sum(calls.values()) == 0, (sighting, calls)
+
+    def test_J_alpha_refuses_alpha_outside_5_to_d(self):
+        web = _web("x/y", "x + y", "2*x + y")
+        for cold in (True, False):
+            assert (_key(web) not in invariants._BUILT) == cold
+            for alpha in (4, web.d + 1):
+                with pytest.raises(ExprError):
+                    J_alpha(web, alpha)
+            check_dweb(web)
 
     def test_second_sighting_publishes_a_sealed_program(self):
         web = corpus.web_for(corpus.case_by_name("bol-five-web"))
         first = _report_json(web)
-        assert not invariants._PROGRAMS and _roots(web) in invariants._SIGHTED
+        assert invariants._BUILT[_key(web)].program is None
         # the same functions under another seed and domain are the same roots
         other = WebSpec(f=web.f, gs=web.gs, seed=3,
                         domain=Rect(F(1, 3), F(2, 3), F(1, 3), F(2, 3)))
         _report_json(other)
-        program = invariants._PROGRAMS[_roots(web)]
+        program = invariants._BUILT[_key(web)].program
         assert program.sealed and set(program.codes) == set(_roots(web))
         assert _report_json(web) == first
-        assert invariants._PROGRAMS[_roots(web)] is program
+        assert invariants._BUILT[_key(web)].program is program
 
-    def test_held_slots_stay_within_the_bound(self, monkeypatch):
-        assert invariants._PROGRAMS.bound == invariants.MAX_PROGRAM_SLOTS
+    def test_entries_stay_within_the_slot_bound(self, monkeypatch):
+        assert invariants._BUILT.bound == invariants.MAX_PROGRAM_SLOTS
         webs = [corpus.web_for(corpus.case_by_name(name))
                 for name in ("two-pencils", "power-web", "bol-five-web")]
-        want = [_report_json(web) for web in webs]
-        sizes = [len(Program(_roots(web)).instructions) for web in webs]
-        # room for the two largest together, so publishing evicts
-        bound = sum(sorted(sizes)[1:])
-        held = invariants.BoundedMemo(bound, invariants._PROGRAMS.weight)
-        monkeypatch.setattr(invariants, "_PROGRAMS", held)
+        # every sample point is invalid, so each first check ends
+        # INCONCLUSIVE: g_y = 0, or g5 has the direction of g4 and the
+        # validity checks after a4 - a5 are reached by no report
+        webs += [_web("x*y", "x"),
+                 _web("x/y", "x + y", "2*x + 2*y", "x^2 + y")]
+        want = []
+        for web in webs:
+            invariants.clear_caches()
+            want.append(_report_json(web))
+        assert [json.loads(w)[0] for w in want[-2:]] == ["INCONCLUSIVE"] * 2
+        sizes = {_key(web): len(Program(_roots(web)).instructions)
+                 for web in webs}
+        # room for the two largest together, so keeping evicts
+        bound = sum(sorted(sizes.values())[-2:])
+        held = invariants.BoundedMemo(bound, invariants._BUILT.weight)
+        monkeypatch.setattr(invariants, "_BUILT", held)
+        order = []  # the keys the memo should hold, oldest first
         for _ in range(3):
             for web, report in zip(webs, want):
+                key = _key(web)
+                if key not in order:
+                    while sum(map(sizes.get, order)) + sizes[key] > bound:
+                        order.pop(0)
+                    order.append(key)
                 assert _report_json(web) == report
+                assert list(held) == order
+                assert all(b.slots == sizes[k] for k, b in held.items())
                 assert held.held == sum(
-                    len(p.instructions) for p in held.values()) <= bound
+                    b.slots for b in held.values()) <= bound
         assert 0 < len(held) < len(webs)
-        # a program larger than the bound is never held, and still checks
-        small = invariants.BoundedMemo(min(sizes) - 1, held.weight)
-        monkeypatch.setattr(invariants, "_PROGRAMS", small)
+        # an entry larger than the bound is never held, and still checks
+        small = invariants.BoundedMemo(min(sizes.values()) - 1, held.weight)
+        monkeypatch.setattr(invariants, "_BUILT", small)
         for _ in range(3):
             for web, report in zip(webs, want):
                 assert _report_json(web) == report
         assert not small and small.held == 0
 
-    def test_builder_memo_stays_within_its_count(self, monkeypatch):
-        pairs = invariants.BoundedMemo(2)
-        monkeypatch.setattr(invariants, "_PAIRS", pairs)
-        assert invariants._JS.bound == calculus.MAX_BUILT
-        webs = [corpus.web_for(case) for case in corpus.CASES]
-        built = [build_compatibility_pair(web) for web in webs]
-        assert len(pairs) == 2 and pairs.held == 2
-        assert [build_compatibility_pair(web) for web in webs] == built
+    def test_clear_caches_empties_every_memo(self):
+        # found by scanning the modules, so a memo added later is cleared
+        # between tests too
+        memos = {}
+        for info in pkgutil.iter_modules(weblin.__path__):
+            if info.name != "__main__":  # importing it runs the command
+                module = importlib.import_module(f"weblin.{info.name}")
+                memos.update((id(v), v) for v in vars(module).values()
+                             if isinstance(v, invariants.BoundedMemo))
+        assert invariants._BUILT in memos.values()
+        check_dweb(WEB1)
+        for memo in memos.values():
+            dict.__setitem__(memo, ("probe",), None)
+            memo.held += 1
+        invariants.clear_caches()
+        assert all(not m and m.held == 0 for m in memos.values())
 
     def test_threads_share_one_program(self):
         web = corpus.web_for(corpus.case_by_name("double-parabola-tangents"))
@@ -631,12 +700,12 @@ class TestCrossCheckCaches:
 
         round_of_8()  # cold: every thread sights the roots, some publish
         round_of_8()  # every thread has sighted them: one program is held
-        program = invariants._PROGRAMS[_roots(web)]
+        program = invariants._BUILT[_key(web)].program
         size = len(program.instructions)
         round_of_8()  # on the published program
         assert results == [want] * 24
         assert _report_json(web) == want
-        assert invariants._PROGRAMS[_roots(web)] is program
+        assert invariants._BUILT[_key(web)].program is program
         assert len(program.instructions) == size == len(
             {n for root in _roots(web) for n in topo_order(root)})
 

@@ -55,8 +55,8 @@ def test_traced_names_resolve(monkeypatch):
 
 def test_trace_gate_fires_on_cached_checks(monkeypatch):
     # the tracer proves each layer ran by the wrappers it puts on module
-    # attributes; checks of web functions seen before, served from the
-    # builder memos and a published slot program, must still go through
+    # attributes; checks of web functions seen before, served from their
+    # memo entry and its published slot program, must still go through
     # every wrapped name, or a traced benchmark run fails its integrity check
     from weblin import invariants
 
@@ -75,14 +75,18 @@ def test_trace_gate_fires_on_cached_checks(monkeypatch):
 
     run_all()
     run_all()  # the second sighting publishes each program
-    published = dict(invariants._PROGRAMS)
-    assert len(published) == len(chosen)
+    def published():
+        return {key: built.program
+                for key, built in invariants._BUILT.items()}
+
+    held = published()
+    assert len(held) == len(chosen) and None not in held.values()
     tracer.install()
     try:
         run_all()
     finally:
         tracer.uninstall()
-    assert invariants._PROGRAMS == published  # the traced run only hit
+    assert published() == held  # the traced run only hit
     tracer.check_integrity("corpus-warm")
     # `build_compatibility_pair` and `J_alpha` share one span name, so
     # count them: one pair per check and one J per foliation past the 4th
