@@ -17,19 +17,22 @@ line splits at its start node into a forward and a backward half-line, all
 run as one batch.  So the two orders take two stages: the base row and
 column, then every column and every row.  As du = theta1 and
 dv = theta2, the coframe is the Jacobian of (u, v) at every node.
-`straightness_report` then traces the leaves of every foliation once,
-bisecting all its levels together (their points lie on grid lines, where u
-and v are interpolated together by cubic Hermite along the line, with the
-Jacobian as slopes) and measures how straight they become under
-(x, y) -> (u, v).  The result holds u, v and their Jacobian as node
-arrays, the certificates, the straightness and the traced leaves, which
-`render_svg` draws.
+`straightness_report` then traces the leaves of every foliation in one
+call, bisecting every level of every foliation in one halving loop (their
+points lie on grid lines, where u and v are interpolated together by cubic
+Hermite along the line, with the Jacobian as slopes) and measures how
+straight they become under (x, y) -> (u, v).  The result holds u, v and
+their Jacobian as node arrays, the certificates, the straightness and the
+traced leaves, which `render_svg` draws.
 
 Coefficients are always evaluated from their symbolic expressions, with the
 web's validity checks, as one compiled program run block by block on the
 grid lines, refined to contain every integrator substep point, by
-`grid_function`: `expr._walk` in numpy doubles.  Only the unknowns (lambda,
-the coframe, the potentials) are discretized, and nothing is finite
+`grid_function`: `expr._walk` in numpy doubles.  The coefficients, and the
+program that compiles them and the leaf functions, are kept in the memo
+entry of the web's functions (`invariants._BUILT`), so a web linearized
+again derives and compiles nothing.  Only the unknowns (lambda, the
+coframe, the potentials) are discretized, and nothing is finite
 differenced.  numpy is imported here alone, and the package and the CLI
 load this module only to linearize.
 """
@@ -48,6 +51,7 @@ from .expr import (UNDEF, Expr, ExprError, Program, SingularSampleError,
                    _check_bindings, _walk, format_expr, substitute)
 from .calculus import (DEFAULT_GRID_N, MAX_GRID, MIN_GRID, WebSpec, Rect,
                        mu as web_mu)
+from . import invariants
 from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
 
 __all__ = [
@@ -88,14 +92,19 @@ class GridSpec:
     """Rectangular lattice of nx x ny nodes over a rational rectangle.
 
     The node coordinates `xs`, `ys` (read-only arrays) and spacings `hx`,
-    `hy` are computed once, here.  A node count outside MIN_GRID..MAX_GRID
-    or an extent that is not a positive double raises ExprError, as an
-    input error of `Rect` and `WebSpec` does."""
+    `hy` are computed once, here.  A node count that is not an int or
+    lies outside MIN_GRID..MAX_GRID, or an extent that is not a positive
+    double, raises ExprError, as an input error of `Rect` and `WebSpec`
+    does."""
     rect: Rect
     nx: int = DEFAULT_GRID_N
     ny: int = DEFAULT_GRID_N
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            n = getattr(self, name)
+            if type(n) is not int:  # a float, a string, None or a bool
+                raise ExprError(f"{name} must be an int, not {n!r}")
         if not (MIN_GRID <= min(self.nx, self.ny)
                 and max(self.nx, self.ny) <= MAX_GRID):
             raise ExprError(
@@ -158,12 +167,14 @@ class _GridArithmetic:
 _GRID = _GridArithmetic()
 
 
-def grid_function(*roots: Expr) -> Callable:
+def grid_function(*roots: Expr, program: Program | None = None
+                  ) -> Callable:
     """Compile roots to one vectorized double-precision function of (x, y)
-    arrays: the roots share one `Program`, so a node common to several is
-    computed once per call.  With one root the function returns its array,
-    with several a list of new arrays in root order (none aliases another
-    or an input).
+    arrays: the roots share one `Program`, `program` if given (a program
+    that compiled them already, sealed or not, gives their code and
+    compiles nothing), so a node common to several is computed once per
+    call.  With one root the function returns its array, with several a
+    list of new arrays in root order (none aliases another or an input).
 
     The roots' codes merge into one children-first order, each slot at its
     first use, with a release plan: a slot that is not a root is dropped
@@ -171,7 +182,7 @@ def grid_function(*roots: Expr) -> Callable:
     per slot.  The constants are converted on the first call and kept.
     Singularities surface as nan/inf entries, which callers must check for.
     """
-    program = Program()
+    program = Program() if program is None else program
     codes, names = zip(*map(program.code, roots))
     _check_bindings(frozenset().union(*names), {"x", "y"})
     code = list({ins[0]: ins for c in codes for ins in c}.values())
@@ -208,6 +219,32 @@ def grid_function(*roots: Expr) -> Callable:
 _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")
 
 
+def _grid_program(web: WebSpec
+                  ) -> tuple[tuple[Expr, ...], tuple[Expr, ...], Program]:
+    """The seven coefficients of `CoefficientGrid` (_COEFF_NAMES), the
+    web's validity checks, and one sealed program of them and the web
+    functions, which every grid function of the web shares.  They are
+    those of the memo entry of the web's functions (`invariants._BUILT`)
+    if it holds them; else they are built, and kept in the entry if the
+    web has one (a check made it), which grows by the program's slots and
+    publishes its check program (`_Built.sealed`), so a later
+    linearization of the same functions builds and compiles nothing."""
+    key = web.f, web.gs
+    built = invariants._BUILT.get(key)
+    if built is not None and built.grid is not None:
+        coeffs, program = built.grid
+        return coeffs, built.checks, program
+    m = web_mu(web, 4)
+    coeffs = (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m))
+    checks = web.validity_checks if built is None else built.checks
+    program = Program((*coeffs, *checks, web.f, *web.gs))
+    if built is not None:
+        invariants._BUILT.renew(key, built, replace(
+            built, program=built.sealed(), grid=(coeffs, program),
+            slots=built.slots + len(program.instructions)))
+    return coeffs, checks, program
+
+
 class CoefficientGrid:
     """The line coefficients of `_frame_step` on the grid lines the sweeps
     read, refined by r = 2m for the half-substep points of
@@ -215,19 +252,18 @@ class CoefficientGrid:
     `xlines` (coefficient, refined x, y node) and the y-system's in
     `ylines` (coefficient, refined y, x node), node values at `[:, ::r]`.
     The seven coefficients (_COEFF_NAMES) and the web's validity checks are
-    one compiled program, run in blocks of at most BLOCK_POINTS points, and
-    each block's line coefficients are computed once.  A check that is 0 or
-    not finite at a line point, or divides by a constant zero, refuses the
-    web before any coefficient is tested for finiteness."""
+    one compiled program (`_grid_program`, kept with the web's invariants),
+    run in blocks of at most BLOCK_POINTS points, and each block's line
+    coefficients are computed once.  A check that is 0 or not finite at a
+    line point, or divides by a constant zero, refuses the web before any
+    coefficient is tested for finiteness."""
 
     def __init__(self, web: WebSpec, grid: GridSpec):
         self.grid = grid
         self.r = r = 2 * DEFAULT_SUBSTEPS
-        m = web_mu(web, 4)
-        exprs = (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m))
-        checks = web.validity_checks
+        exprs, checks, program = _grid_program(web)
         try:
-            fn = grid_function(*exprs, *checks)
+            fn = grid_function(*exprs, *checks, program=program)
         except SingularSampleError:  # it divides by a constant zero
             raise LinearizerError("web is degenerate on the grid") from None
         xlo, xhi, ylo, yhi = grid.rect.as_floats()  # the refined lines
@@ -275,11 +311,20 @@ def _line_coefficients(c: Sequence[np.ndarray], along: str) -> np.ndarray:
     return np.stack((F, F * A, F * B, F * H))
 
 
-def _frame_step(c: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
+def _rows(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the rows a, b, (P1, P2), (Q1, Q2) and (u, v) of a state or
+    a derivative (8, half-lines) in the order of `_frame_step`."""
+    return s[0], s[1], s[2:6:2], s[3:6:2], s[6:]
+
+
+def _frame_step(c: np.ndarray, s: tuple, out: tuple, scratch: tuple
+                ) -> None:
     """The frame equations along a line times the signed substep, written
-    into `out`: s is the state (a, b, P1, Q1, P2, Q2, u, v) over a batch of
-    half-lines and c = (F, FA, FB, FH) from `_line_coefficients` times the
-    signed substep: A and B come already multiplied by F.
+    into `out`, the `_rows` of the derivative: s holds the `_rows` of the
+    state (a, b, P1, Q1, P2, Q2, u, v) over a batch of half-lines and c =
+    (F, FA, FB, FH) from `_line_coefficients` times the signed substep: A
+    and B come already multiplied by F.  `scratch` is two buffers of one
+    row and one of two rows.
 
     Along x the state is (l1, l2, p1, q1, p2, q2, u, v); along y it is in
     _SWAP order, which makes the y-system the x-system with its own F, A
@@ -287,19 +332,22 @@ def _frame_step(c: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
     transported, and the potentials integrate du = theta1, dv = theta2.
     """
     F, FA, FB, FH = c
-    a, b, P, Q = s[0], s[1], s[2:6:2], s[3:6:2]
-    Fa = F * a
-    t = FA + Fa
-    np.multiply(a, t, out=out[0])  # F a (H +- mu + a)
+    a, b, P, Q, _ = s
+    da, db, dP, dQ, duv = out
+    Fa, t, Pt = scratch
+    np.multiply(F, a, out=Fa)
+    np.add(FA, Fa, out=t)
+    np.multiply(a, t, out=da)  # F a (H +- mu + a)
     t += Fa
-    np.multiply(P, t, out=out[2:6:2])  # F P (H +- mu + 2 a)
+    np.multiply(P, t, out=dP)  # F P (H +- mu + 2 a)
     Fa += FH
-    np.multiply(b, Fa, out=out[1])
-    out[1] += FB  # F b (H + a) + F B
-    np.multiply(Q, Fa, out=out[3:6:2])
+    np.multiply(b, Fa, out=db)
+    db += FB  # F b (H + a) + F B
+    np.multiply(Q, Fa, out=dQ)
     np.multiply(F, b, out=t)
-    out[3:6:2] += P * t  # F (Q (H + a) + P b)
-    np.multiply(P, F, out=out[6:])
+    np.multiply(P, t, out=Pt)
+    dQ += Pt  # F (Q (H + a) + P b)
+    np.multiply(P, F, out=duv)
 
 
 def _sweep(families: list[tuple[np.ndarray, float, int, np.ndarray]]
@@ -313,8 +361,10 @@ def _sweep(families: list[tuple[np.ndarray, float, int, np.ndarray]]
     `_frame_step`.  Block by block of nodes, each half-line's coefficients
     are gathered by substep and stage point (refined offsets 0, 1, 2 in its
     direction), scaled by the signed substep and zero past its end, so a
-    finished half-line stays constant.  Returns each family's states as a
-    (nodes along, 8, lines) array.
+    finished half-line stays constant.  The state, stage and derivative
+    buffers, their row views and the kernel's scratch are made once per
+    sweep.  Returns each family's states as a (nodes along, 8, lines)
+    array.
     """
     m, r = DEFAULT_SUBSTEPS, 2 * DEFAULT_SUBSTEPS
     outs = []
@@ -327,13 +377,18 @@ def _sweep(families: list[tuple[np.ndarray, float, int, np.ndarray]]
               for sign, n in ((1, len(out) - 1 - start), (-1, start)) if n]
     s = np.concatenate([out[start] for *_, start, _, _, out in halves], 1)
     ends = np.cumsum([0] + [h[-1].shape[2] for h in halves])
-    k, t = np.empty((4,) + s.shape), np.empty(s.shape)
+    lines = s.shape[1]
+    k, t, acc = np.empty((4, 8, lines)), np.empty(s.shape), np.empty(s.shape)
+    k0, k1, k2, k3 = k
+    rows_s, rows_t, (r0, r1, r2, r3) = _rows(s), _rows(t), map(_rows, k)
+    scratch = np.empty(lines), np.empty(lines), np.empty((2, lines))
+    lam = np.empty((2, lines))  # |l1|, |l2|
     nodes = max(h[4] for h in halves)
-    block = max(1, BLOCK_POINTS // (r * s.shape[1]))
+    block = max(1, BLOCK_POINTS // (r * lines))
     for first in range(0, nodes, block):
         steps = np.arange(first * m, min(first + block, nodes) * m)
         offsets = 2 * steps[:, None] + np.arange(3)
-        slab = np.empty((len(steps), 3, 4, s.shape[1]))
+        slab = np.empty((len(steps), 3, 4, lines))
         for (c, hs, start, sign, n, _), lo, hi in zip(halves, ends, ends[1:]):
             idx = start * r + sign * np.minimum(offsets, n * r)
             slab[..., lo:hi] = np.moveaxis(hs * c[:, idx], 0, 2)
@@ -341,17 +396,23 @@ def _sweep(families: list[tuple[np.ndarray, float, int, np.ndarray]]
         for node, substeps in enumerate(
                 slab.reshape((-1, m) + slab.shape[1:]), first + 1):
             for c1, c2, c3 in substeps:
-                _frame_step(c1, s, k[0])
-                np.multiply(k[0], 0.5, out=t)
+                _frame_step(c1, rows_s, r0, scratch)
+                np.multiply(k0, 0.5, out=t)
                 t += s
-                _frame_step(c2, t, k[1])
-                np.multiply(k[1], 0.5, out=t)
+                _frame_step(c2, rows_t, r1, scratch)
+                np.multiply(k1, 0.5, out=t)
                 t += s
-                _frame_step(c2, t, k[2])
-                np.add(s, k[2], out=t)
-                _frame_step(c3, t, k[3])
-                s += (k[0] + k[3] + 2 * (k[1] + k[2])) / 6
-                if not np.abs(s[:2]).max() <= LAMBDA_BLOWUP_BOUND:
+                _frame_step(c2, rows_t, r2, scratch)
+                np.add(s, k2, out=t)
+                _frame_step(c3, rows_t, r3, scratch)
+                # s += (k0 + k3 + 2 * (k1 + k2)) / 6, step by step
+                np.add(k0, k3, out=acc)
+                np.add(k1, k2, out=t)
+                t *= 2
+                acc += t
+                acc /= 6
+                s += acc
+                if not np.abs(s[:2], out=lam).max() <= LAMBDA_BLOWUP_BOUND:
                     raise LinearizerError(
                         "Frobenius integration diverged; shrink grid")
             for (*_, start, sign, n, out), lo, hi in zip(halves, ends,
@@ -569,85 +630,126 @@ def _tls_line_residual(points: np.ndarray) -> float:
     return res / extent if extent > 0 else 0.0
 
 
-def _first_crossings(fn: Callable, W: np.ndarray, levels: np.ndarray,
-                     across: np.ndarray, along_nodes: np.ndarray, along: str
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """First crossing of each level on every line of W, bisected for all
-    levels and lines at once.  W[k] samples fn on the line at across[k], at
-    along_nodes in direction `along`; a line whose bracket fails (non-finite
-    or same-signed ends, non-finite midpoints) is dropped.  The halving
-    stops after BISECTION_CAP steps, or at the first step that leaves the
-    whole state (lo, hi, f(lo), keep) unchanged: the step is deterministic,
-    so that state is a fixed point and the roots are those of BISECTION_CAP
-    halvings.  Returns, per level, the across coordinates and the roots of
-    the lines kept."""
-    D = W - levels[:, None, None]
-    change = D[:, :, :-1] * D[:, :, 1:] <= 0
-    lvl, k = np.nonzero(change.any(axis=2))
-    j = change[lvl, k].argmax(axis=1)
-    fixed, lo, hi = across[k], along_nodes[j], along_nodes[j + 1]
-    c = levels[lvl]
+def _first_crossings(fns: Sequence[Callable], Ws: Sequence[np.ndarray],
+                     levels: Sequence[np.ndarray], xs: np.ndarray,
+                     ys: np.ndarray) -> list[list[tuple]]:
+    """First crossing of each level of every function on every grid column
+    and row, all bisected in one loop.  Ws[i] samples fns[i] at the nodes
+    (Ws[i][k, l] at (xs[k], ys[l])) and levels[i] holds its levels.  A
+    column x = xs[k] is bracketed at its first sign change of Ws[i] - level
+    along ys, a row y = ys[l] at its first along xs; a line whose bracket
+    fails (non-finite or same-signed ends, non-finite midpoints) is dropped.
+    Each halving calls every function once, on the midpoints of all its
+    columns and rows.  The halving stops after BISECTION_CAP steps, or at
+    the first step that leaves the whole state (lo, hi, f(lo), keep)
+    unchanged: the step is deterministic, so that state is a fixed point of
+    every bracket and the roots are those of BISECTION_CAP halvings.
+    Returns, per function and level, the columns' (x, root) and the rows'
+    (y, root) of the lines kept."""
+    spans, parts, n = [], [], 0  # function i owns [a, m) columns, [m, b) rows
+    for W, lv in zip(Ws, levels):
+        span = [n]
+        for V, across, along in ((W, xs, ys), (W.T, ys, xs)):
+            D = V - lv[:, None, None]
+            change = D[:, :, :-1] * D[:, :, 1:] <= 0
+            lvl, k = np.nonzero(change.any(axis=2))
+            j = change[lvl, k].argmax(axis=1)
+            parts.append((across[k], along[j], along[j + 1], lv[lvl], lvl))
+            n += len(k)
+            span.append(n)
+        spans.append(span)
+    fixed, lo0, hi0, c, lvl = map(np.concatenate, zip(*parts))
+    x, y = fixed.copy(), fixed.copy()  # a column's x, a row's y stay fixed
 
-    def val(t: np.ndarray) -> np.ndarray:
-        return (fn(t, fixed) if along == "x" else fn(fixed, t)) - c
+    def val(t: np.ndarray, out: np.ndarray) -> None:
+        # f - level at the points whose free coordinate is t
+        for fn, (a, m, b) in zip(fns, spans):
+            if a < b:
+                y[a:m] = t[a:m]
+                x[m:b] = t[m:b]
+                np.subtract(fn(x[a:b], y[a:b]), c[a:b], out=out[a:b])
 
+    state = np.empty((3, n))
+    lo, hi, flo = state
+    lo[:], hi[:] = lo0, hi0
+    fm, mid, left = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     with np.errstate(all="ignore"):
-        flo, fhi = val(lo), val(hi)
-        keep = np.isfinite(flo) & np.isfinite(fhi) & ~(flo * fhi > 0)
-        state = None
+        val(lo, flo)
+        val(hi, fm)
+        keep = np.isfinite(flo) & np.isfinite(fm) & ~(flo * fm > 0)
+        last = None
         for _ in range(BISECTION_CAP):
-            mid = 0.5 * (lo + hi)
-            fm = val(mid)
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            val(mid, fm)
             keep &= np.isfinite(fm)
-            left = flo * fm <= 0
-            hi = np.where(left, mid, hi)
-            lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
-            last, state = state, (lo.tobytes(), hi.tobytes(), flo.tobytes(),
-                                  keep.tobytes())
-            if state == last:
+            np.less_equal(flo * fm, 0, out=left)
+            np.copyto(hi, mid, where=left)
+            np.logical_not(left, out=left)
+            np.copyto(lo, mid, where=left)
+            np.copyto(flo, fm, where=left)
+            prev, last = last, state.tobytes() + keep.tobytes()
+            if last == prev:
                 break
     roots = 0.5 * (lo + hi)
-    return [(fixed[sel], roots[sel])
-            for sel in (keep & (lvl == i) for i in range(len(levels)))]
+
+    def kept(a: int, b: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+        sel = keep[a:b] & (lvl[a:b] == level)
+        return fixed[a:b][sel], roots[a:b][sel]
+
+    return [[(kept(a, m, i), kept(m, b, i)) for i in range(len(lv))]
+            for (a, m, b), lv in zip(spans, levels)]
 
 
-def trace_leaves(web: WebSpec, grid: GridSpec, foliation: str
-                 ) -> list[np.ndarray]:
-    """Polyline samples of LEAVES_PER_FOLIATION level curves of one
-    foliation of `web`.
+def trace_leaves(web: WebSpec, grid: GridSpec, foliations: Sequence[str]
+                 ) -> list[list[np.ndarray]]:
+    """Polyline samples of LEAVES_PER_FOLIATION level curves of each named
+    foliation of `web`, one list per name in their order.
 
     Foliations are named "x", "y", "f", "g4".."gd".  A level curve of f/g
-    is sampled where it first crosses each grid column and each grid row,
-    found by bisecting the column crossings of all levels together, then
-    the row crossings; every sample point therefore lies on a grid line.
-    Pieces that leave the rectangle are absent from the samples.
+    is sampled where it first crosses each grid column and each grid row;
+    the crossings of all levels of all the f/g foliations named are
+    bisected together (`_first_crossings`), each function called once per
+    halving, so every sample point lies on a grid line.  The functions
+    share the web's grid program (`_grid_program`).  Pieces that leave the
+    rectangle are absent from the samples.
     """
     xs, ys, leaves = grid.xs, grid.ys, LEAVES_PER_FOLIATION
-    if foliation == "x":
-        cols = np.linspace(1, grid.nx - 2, leaves).round().astype(int)
-        return [np.stack([np.full(grid.ny, xs[i]), ys], axis=1)
-                for i in sorted(set(cols))]
-    if foliation == "y":
-        rows = np.linspace(1, grid.ny - 2, leaves).round().astype(int)
-        return [np.stack([xs, np.full(grid.nx, ys[j])], axis=1)
-                for j in sorted(set(rows))]
-    gs = {f"g{a}": g for a, g in enumerate(web.gs, 4)}
-    e = web.f if foliation == "f" else gs.get(foliation)
-    if e is None:
-        raise LinearizerError(f"unknown foliation {foliation!r}")
-    fn = grid_function(e)
-    W = fn(xs[:, None], ys)
-    if not np.all(np.isfinite(W)):
-        raise LinearizerError(f"foliation {foliation} is singular on the grid")
-    levels = np.quantile(W, np.linspace(0.25, 0.75, leaves))
-    out = []
-    for (col_x, col_y), (row_y, row_x) in zip(
-            _first_crossings(fn, W, levels, xs, ys, "y"),
-            _first_crossings(fn, W.T, levels, ys, xs, "x")):
-        pts = (list(zip(col_x.tolist(), col_y.tolist()))
-               + list(zip(row_x.tolist(), row_y.tolist())))
-        if pts:
-            out.append(np.array(sorted(set(pts))))
+    named = {"f": web.f, **{f"g{a}": g for a, g in enumerate(web.gs, 4)}}
+    out: list[list[np.ndarray]] = []
+    curves, program = [], None  # (index in out, function, values, levels)
+    for foliation in foliations:
+        if foliation == "x":
+            cols = np.linspace(1, grid.nx - 2, leaves).round().astype(int)
+            out.append([np.stack([np.full(grid.ny, xs[i]), ys], axis=1)
+                        for i in sorted(set(cols))])
+            continue
+        if foliation == "y":
+            rows = np.linspace(1, grid.ny - 2, leaves).round().astype(int)
+            out.append([np.stack([xs, np.full(grid.nx, ys[j])], axis=1)
+                        for j in sorted(set(rows))])
+            continue
+        e = named.get(foliation)
+        if e is None:
+            raise LinearizerError(f"unknown foliation {foliation!r}")
+        if program is None:
+            program = _grid_program(web)[2]
+        fn = grid_function(e, program=program)
+        W = fn(xs[:, None], ys)
+        if not np.all(np.isfinite(W)):
+            raise LinearizerError(
+                f"foliation {foliation} is singular on the grid")
+        levels = np.quantile(W, np.linspace(0.25, 0.75, leaves))
+        curves.append((len(out), fn, W, levels))
+        out.append([])
+    if curves:
+        at, fns, Ws, levels = zip(*curves)
+        for i, crossings in zip(at, _first_crossings(fns, Ws, levels, xs, ys)):
+            for (col_x, col_y), (row_y, row_x) in crossings:
+                pts = (list(zip(col_x.tolist(), col_y.tolist()))
+                       + list(zip(row_x.tolist(), row_y.tolist())))
+                if pts:
+                    out[i].append(np.array(sorted(set(pts))))
     return out
 
 
@@ -667,8 +769,8 @@ def straightness_report(web: WebSpec, grid: GridSpec, u: np.ndarray,
     and the leaves as (foliation index, points, mapped points).
     """
     names = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
-    traced = [(idx, leaf) for idx, name in enumerate(names)
-              for leaf in trace_leaves(web, grid, name)]
+    traced = [(idx, leaf) for idx, leaves in
+              enumerate(trace_leaves(web, grid, names)) for leaf in leaves]
     points = np.concatenate([leaf for _, leaf in traced])
     uv = _on_grid_lines(grid, np.stack([u, v]), jacobian, points)
     report = dict.fromkeys(names, 0.0)
@@ -704,10 +806,11 @@ def _svg_panel(polylines: list[tuple[int, np.ndarray]], origin_x: float,
     lines = []
     for fol_idx, p in polylines:
         q = (p - lo) / span
-        sx = origin_x + pad + q[:, 0] * (size - 2 * pad)
-        sy = pad + (1.0 - q[:, 1]) * (size - 2 * pad)
-        coords = " ".join(f"{a:.2f},{b:.2f}"
-                          for a, b in zip(sx.tolist(), sy.tolist()))
+        sxy = np.empty((len(p), 2))
+        sxy[:, 0] = origin_x + pad + q[:, 0] * (size - 2 * pad)
+        sxy[:, 1] = pad + (1.0 - q[:, 1]) * (size - 2 * pad)
+        pairs = " ".join(("%.2f,%.2f",) * len(p))  # formatted in one pass
+        coords = pairs % tuple(sxy.ravel().tolist())
         color = _PALETTE[fol_idx % len(_PALETTE)]
         lines.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1" points="{coords}"/>')

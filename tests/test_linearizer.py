@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from weblin.expr import ExprError, Program, parse
 from weblin.calculus import Rect, WebSpec, mu as web_mu
 from weblin import linearizer as lin
 from weblin.linearizer import grid_function
-from weblin import corpus
+from weblin import corpus, invariants
 
 F = Fraction
 
@@ -57,6 +58,16 @@ class TestGridSpec:
     def test_node_count_out_of_range(self, nx, ny):
         with pytest.raises(ExprError, match="grid"):
             lin.GridSpec(rect=WEB2.domain, nx=nx, ny=ny)
+
+    @pytest.mark.parametrize("count", [41.0, "41", None, True],
+                             ids=["float", "str", "none", "bool"])
+    @pytest.mark.parametrize("axis", ["nx", "ny"])
+    def test_node_count_not_an_int_refused(self, axis, count):
+        # refused by name and value, not by a TypeError from numpy or a
+        # comparison, and True is not the node count 1
+        with pytest.raises(ExprError, match="^" + re.escape(
+                f"{axis} must be an int, not {count!r}") + "$"):
+            lin.GridSpec(rect=WEB2.domain, **{axis: count})
 
     def test_node_count_bounds_accepted(self):
         for n in (5, lin.MAX_GRID):
@@ -419,7 +430,9 @@ class TestBatchedSweep:
         h = sign * 0.0125
         order = list(range(8)) if along == "x" else lin._SWAP
         out = np.empty((8, 50))
-        lin._frame_step(h * lin._line_coefficients(c, along), s[order], out)
+        scratch = np.empty(50), np.empty(50), np.empty((2, 50))
+        lin._frame_step(h * lin._line_coefficients(c, along),
+                        lin._rows(s[order]), lin._rows(out), scratch)
         expected = h * _rhs(c, s, along)
         assert np.allclose(out[order], expected, rtol=1e-13, atol=0)
 
@@ -643,13 +656,13 @@ class TestPipeline:
             grids.append(args)
             return real_grid(*args, **kwargs)
 
-        def counting_compile(*roots):
+        def counting_compile(*roots, **kwargs):
             compiled.append(len(roots))
-            return real_compile(*roots)
+            return real_compile(*roots, **kwargs)
 
-        def counting_trace(web, grid, foliation, *args, **kwargs):
-            traced.append(foliation)
-            return real_trace(web, grid, foliation, *args, **kwargs)
+        def counting_trace(web, grid, foliations, *args, **kwargs):
+            traced.append(tuple(foliations))
+            return real_trace(web, grid, foliations, *args, **kwargs)
 
         monkeypatch.setattr(lin, "CoefficientGrid", counting_grid)
         monkeypatch.setattr(lin, "trace_leaves", counting_trace)
@@ -657,10 +670,75 @@ class TestPipeline:
         res = _linearize(WEB2, 21)
         lin.render_svg(res, str(tmp_path / "web.svg"))
         assert len(grids) == 1
-        assert traced == ["x", "y", "f", "g4"]
+        assert traced == [("x", "y", "f", "g4")]
         # one program for the coefficients and the validity checks, one
         # per traced level-curve foliation
         assert compiled == [7 + len(WEB2.validity_checks), 1, 1]
+
+    def test_first_linearization_keeps_the_grid_part_in_the_entry(self):
+        # the coefficients and one sealed grid program join the web's memo
+        # entry, which is renewed as the newest, weighed by both programs
+        invariants.clear_caches()
+        key = WEB3.f, WEB3.gs
+        invariants.check_dweb(WEB3)
+        invariants.check_dweb(WEB2)
+        first = _linearize(WEB3, 21)
+        memo = invariants._BUILT
+        assert list(memo) == [(WEB2.f, WEB2.gs), key]
+        built = memo[key]
+        coeffs, program = built.grid
+        checked = (*built.checks, *built.invariants)
+        assert built.program.sealed and set(built.program.codes) == set(
+            checked)
+        assert program.sealed and set(program.codes) == {
+            *coeffs, *built.checks, WEB3.f, *WEB3.gs}
+        assert built.slots == (len(Program(checked).instructions)
+                               + len(program.instructions))
+        assert memo.held == sum(b.slots for b in memo.values())
+        again = _linearize(WEB3, 21)
+        assert memo[key] is built  # kept, not renewed
+        assert again.to_json() == first.to_json()
+        assert again.u.tobytes() == first.u.tobytes()
+
+    def test_grid_part_beyond_the_bound_is_not_kept(self, monkeypatch):
+        # an entry that outgrows the bound with its grid part is dropped,
+        # and every linearization still gives the cold result
+        invariants.clear_caches()
+        cold = _linearize(WEB2, 21)
+        built = invariants._BUILT[WEB2.f, WEB2.gs]
+        checked = built.slots - len(built.grid[1].instructions)
+        small = invariants.BoundedMemo(checked, invariants._BUILT.weight)
+        monkeypatch.setattr(invariants, "_BUILT", small)
+        for _ in range(2):
+            res = _linearize(WEB2, 21)
+            assert not small and small.held == 0
+            assert res.to_json() == cold.to_json()
+            assert res.u.tobytes() == cold.u.tobytes()
+
+    def test_threads_keep_one_consistent_entry(self):
+        # threads linearizing the same functions race to keep the grid
+        # part; every result is the cold one and the memo's weight stays
+        # the sum of its entries
+        invariants.clear_caches()
+        cold = _linearize(WEB3, 21).to_json()
+        invariants.clear_caches()
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                threads = [threading.Thread(target=lambda: results.append(
+                    _linearize(WEB3, 21).to_json())) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [cold] * 12
+        memo = invariants._BUILT
+        assert memo[WEB3.f, WEB3.gs].grid is not None
+        assert memo.held == sum(b.slots for b in memo.values())
 
     def test_verdict_and_reports_on_result(self, web2_result):
         assert web2_result.verdict == "YES"
@@ -697,8 +775,8 @@ def _same_bits(a, b):
 
 
 class TestBisection:
-    """One bisection per foliation and direction gives the roots of 80
-    plain halvings per level, bit for bit."""
+    """One bisection of every foliation, direction and level together
+    gives the roots of 80 plain halvings per level, bit for bit."""
 
     XS, YS = np.linspace(0, 1, 9), np.linspace(0, 1, 5)
 
@@ -715,8 +793,7 @@ class TestBisection:
         # midpoint, one never crossed, and an ordinary one
         levels = np.array([0.5, 0.2, 10.0, 0.3])
         fn, xs, ys = self._fn, self.XS, self.YS
-        got = list(zip(lin._first_crossings(fn, W, levels, xs, ys, "y"),
-                       lin._first_crossings(fn, W.T, levels, ys, xs, "x")))
+        [got] = lin._first_crossings([fn], [W], [levels], xs, ys)
         want = [(_halving_oracle(fn, W, c, xs, ys, "y"),
                  _halving_oracle(fn, W.T, c, ys, xs, "x")) for c in levels]
         for (gc, gr), (wc, wr) in zip(got, want):
@@ -737,21 +814,22 @@ class TestBisection:
 
         XX, YY = np.meshgrid(self.XS, self.YS, indexing="ij")
         W = XX + YY / 4
-        got = lin._first_crossings(fn, W, np.array([0.3, 0.45]),
-                                   self.XS, self.YS, "y")
+        [got] = lin._first_crossings([fn], [W], [np.array([0.3, 0.45])],
+                                     self.XS, self.YS)
         halvings = len(calls) - 2  # two calls for the bracket ends
-        want = [_halving_oracle(fn, W, c, self.XS, self.YS, "y")
+        want = [(_halving_oracle(fn, W, c, self.XS, self.YS, "y"),
+                 _halving_oracle(fn, W.T, c, self.YS, self.XS, "x"))
                 for c in (0.3, 0.45)]
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
-        assert len(got[0][0]) == len(got[1][0]) == 2
+        for (gc, gr), (wc, wr) in zip(got, want):
+            assert _same_bits(gc, wc) and _same_bits(gr, wr)
+        assert len(got[0][0][0]) == len(got[1][0][0]) == 2  # two columns
         # brackets a quarter wide reach adjacent doubles in about 54
         assert 50 < halvings < 80
 
-    @pytest.mark.parametrize("web, foliation", [
-        (WEB2, "f"), (WEB2, "g4"), (WEB3, "f"), (WEB3, "g4")])
-    def test_trace_leaves_match_plain_halvings(self, web, foliation):
-        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
-        e = web.f if foliation == "f" else web.g(4)
+    @staticmethod
+    def _oracle_leaves(e, g):
+        """The leaves of the level curves of e, each level bisected alone
+        by `_halving_oracle` on the columns, then on the rows."""
         fn = grid_function(e)
         XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
         W = fn(XX, YY)
@@ -764,9 +842,54 @@ class TestBisection:
             want.append(np.array(sorted(set(
                 list(zip(col_x.tolist(), col_y.tolist()))
                 + list(zip(row_x.tolist(), row_y.tolist()))))))
-        got = lin.trace_leaves(web, g, foliation)
+        return want
+
+    @pytest.mark.parametrize("web, foliation", [
+        (WEB2, "f"), (WEB2, "g4"), (WEB3, "f"), (WEB3, "g4")])
+    def test_trace_leaves_match_plain_halvings(self, web, foliation):
+        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
+        e = web.f if foliation == "f" else web.g(4)
+        want = self._oracle_leaves(e, g)
+        [got] = lin.trace_leaves(web, g, [foliation])
         assert len(got) == len(want) == 5
         assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("web", [
+        WEB2, WEB3, corpus.linearization_web(corpus.LINEAR_FIVE_WEB)],
+        ids=["two-pencils", "parabola-tangents", "linear-five-web"])
+    def test_every_foliation_in_one_call_matches_plain_halvings(
+            self, monkeypatch, web):
+        # one call traces the coordinate foliations and bisects every level
+        # of every f/g foliation together: each leaf function runs once
+        # for its nodes, twice for the bracket ends and once per halving
+        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
+        names = ["x", "y", "f"] + [f"g{a}" for a in range(4, web.d + 1)]
+        calls = []
+        real = lin.grid_function
+
+        def counting(*roots, **kwargs):
+            fn = real(*roots, **kwargs)
+
+            def run(x, y):
+                calls.append(roots)
+                return fn(x, y)
+            return run
+
+        monkeypatch.setattr(lin, "grid_function", counting)
+        got = lin.trace_leaves(web, g, names)
+        monkeypatch.undo()
+        assert len(got) == len(names)
+        for leaves, axis in zip(got[:2], (0, 1)):  # grid columns, rows
+            assert len(leaves) == 5
+            assert all(np.ptp(leaf[:, axis]) == 0 for leaf in leaves)
+        for leaves, e in zip(got[2:], (web.f, *web.gs)):
+            want = self._oracle_leaves(e, g)
+            assert len(leaves) == len(want) == 5
+            assert _same_bits(leaves, want)
+        per_function = {roots: calls.count(roots) for roots in calls}
+        assert len(per_function) == web.d - 2
+        assert len(set(per_function.values())) == 1
+        assert max(per_function.values()) <= lin.BISECTION_CAP + 3
 
 
 class TestCoefficientMemory:
@@ -905,8 +1028,8 @@ class TestLineFamilies:
         points = []
         real = lin.grid_function
 
-        def recording(*roots):
-            fn = real(*roots)
+        def recording(*roots, **kwargs):
+            fn = real(*roots, **kwargs)
 
             def run(x, y):
                 x, y = np.broadcast_arrays(x, y)
@@ -931,23 +1054,23 @@ class TestLineFamilies:
 
 class TestLeafTracing:
     def test_coordinate_foliations_are_grid_lines(self, web2_grid):
-        leaves = lin.trace_leaves(WEB2, web2_grid, "x")
+        [leaves] = lin.trace_leaves(WEB2, web2_grid, ["x"])
         assert len(leaves) == 5
         for leaf in leaves:
             assert np.ptp(leaf[:, 0]) == 0
-        leaves = lin.trace_leaves(WEB2, web2_grid, "y")
+        [leaves] = lin.trace_leaves(WEB2, web2_grid, ["y"])
         for leaf in leaves:
             assert np.ptp(leaf[:, 1]) == 0
 
     def test_level_curves_sit_on_levels(self, web2_grid):
         fn = lambda x, y: x / y
-        for leaf in lin.trace_leaves(WEB2, web2_grid, "f"):
+        for leaf in lin.trace_leaves(WEB2, web2_grid, ["f"])[0]:
             vals = leaf[:, 0] / leaf[:, 1]
             assert np.ptp(vals) < 1e-9
 
     def test_unknown_foliation(self, web2_grid):
         with pytest.raises(lin.LinearizerError):
-            lin.trace_leaves(WEB2, web2_grid, "q")
+            lin.trace_leaves(WEB2, web2_grid, ["q"])
 
     @pytest.mark.parametrize("name", ["g", "gx", "g5", "g04"])
     def test_malformed_foliation_name(self, web2_grid, name):
@@ -955,7 +1078,7 @@ class TestLeafTracing:
         # out-of-range index
         with pytest.raises(lin.LinearizerError,
                            match=f"^unknown foliation '{name}'$"):
-            lin.trace_leaves(WEB2, web2_grid, name)
+            lin.trace_leaves(WEB2, web2_grid, [name])
 
 
 class TestHermite:
