@@ -12,8 +12,7 @@ decides each value (`expr.arithmetic`).  The invariants of one web share
 their sample points.  What a check builds from the web functions (the
 validity checks, the invariants and their slot program) is kept for later
 checks of the same functions, one memo entry per tuple (f, g4..gd) within
-one slot bound; the linearizer keeps its coefficients and grid program in
-the same entry.  Values are never reused across checks.
+one slot bound; values are never reused across checks.
 """
 from __future__ import annotations
 
@@ -48,8 +47,7 @@ MIN_PRECISION = 24       # float bits; at 2 bits a YES web was answered NO
 MAX_PRECISION = 2 ** 16  # a bound on the cost of one float evaluation
 MAX_POINTS = 2 ** 10     # the draw memo holds about 50 KB per point
 # slots of the memo's entries together, about 2 MB with their programs
-# published: the 19 corpus benchmark webs need 6345, the six linearized
-# ones 2425 with their grid programs
+# published: the 19 corpus benchmark webs need 6345
 MAX_PROGRAM_SLOTS = 2 ** 13
 
 
@@ -199,16 +197,6 @@ class BoundedMemo(dict):
             self.held += w
         return value
 
-    def renew(self, key, old, value):
-        """Hold `value` for `key` in place of `old`, as the newest entry,
-        unless it alone outweighs the bound; as `keep` if another thread
-        renewed or evicted `old` first."""
-        with self.lock:
-            if self.get(key) is old:
-                del self[key]
-                self.held -= self.weight(old)
-        return self.keep(key, value)
-
     def clear(self) -> None:
         with self.lock:
             super().clear()
@@ -218,36 +206,22 @@ class BoundedMemo(dict):
 @dataclass
 class _Built:
     """A memo entry: the validity checks and invariants (I1, I2, J5..Jd)
-    of one tuple of web functions, the program of both, None until the
-    second check publishes it sealed, and, from the first linearization
-    of the functions on, their grid part (`linearizer._grid_program`): the
-    seven coefficient roots and the sealed program that compiles them,
-    the checks and the web functions for every grid function of the web.
-    A linearization publishes the program at once.  `slots` counts the
-    instructions of both programs, the entry's weight."""
+    of one tuple of web functions, the slot count of their program, and
+    the program, None until the second check publishes it sealed."""
     checks: tuple[Expr, ...]
     invariants: tuple[Expr, ...]
     slots: int
     program: ex.Program | None = None
-    grid: tuple[tuple[Expr, ...], ex.Program] | None = None
-
-    def sealed(self) -> ex.Program:
-        """The entry's program, published sealed on the first call (racing
-        threads publish equal programs)."""
-        if self.program is None:
-            self.program = ex.Program((*self.checks, *self.invariants))
-        return self.program
 
 
-# (f, gs) -> _Built for every check and linearization in the process:
-# interned nodes and compiled code only, never a value (those stay in a
-# check's SampleMemo or a linearization's arrays)
+# (f, gs) -> _Built for every check in the process: interned nodes and
+# compiled code only, never a value (those stay in a check's SampleMemo)
 _BUILT = BoundedMemo(MAX_PROGRAM_SLOTS, lambda built: built.slots)
 
 
 def clear_caches() -> None:
-    """Forget every built invariant, validity check, coefficient and slot
-    program; no output depends on them."""
+    """Forget every built invariant, validity check and slot program; no
+    output depends on them."""
     _BUILT.clear()
 
 
@@ -405,9 +379,8 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
     for the first invariant that reaches it.  The builders give the nodes
     of the memo entry of the web's functions (`_BUILT`).  A first check
     keeps the entry, weighed by its program's slots but without it, and the
-    second (or the first linearization) publishes the sealed program, so
-    later checks build and compile nothing; sample points and values are
-    never reused across checks.
+    second publishes the sealed program, so later checks build and compile
+    nothing; sample points and values are never reused across checks.
     """
     policy = policy or ZeroTestPolicy()
     alphas = range(5, web.d + 1)
@@ -418,7 +391,10 @@ def check_dweb(web: WebSpec, policy: ZeroTestPolicy | None = None
     if built is None:
         checks, program = web.validity_checks, ex.Program()
     else:
-        checks, program = built.checks, built.sealed()
+        checks = built.checks
+        if built.program is None:  # racing threads publish equal programs
+            built.program = ex.Program((*checks, *exprs))
+        program = built.program
     memo = SampleMemo(web, program, checks)
 
     def report(name: str, e: Expr) -> InvariantReport:

@@ -28,11 +28,8 @@ traced leaves, which `render_svg` draws.
 Coefficients are always evaluated from their symbolic expressions, with the
 web's validity checks, as one compiled program run block by block on the
 grid lines, refined to contain every integrator substep point, by
-`grid_function`: `expr._walk` in numpy doubles.  The coefficients, and the
-program that compiles them and the leaf functions, are kept in the memo
-entry of the web's functions (`invariants._BUILT`), so a web linearized
-again derives and compiles nothing.  Only the unknowns (lambda, the
-coframe, the potentials) are discretized, and nothing is finite
+`grid_function`: `expr._walk` in numpy doubles.  Only the unknowns (lambda,
+the coframe, the potentials) are discretized, and nothing is finite
 differenced.  numpy is imported here alone, and the package and the CLI
 load this module only to linearize.
 """
@@ -51,7 +48,6 @@ from .expr import (UNDEF, Expr, ExprError, Program, SingularSampleError,
                    _check_bindings, _walk, format_expr, substitute)
 from .calculus import (DEFAULT_GRID_N, MAX_GRID, MIN_GRID, WebSpec, Rect,
                        mu as web_mu)
-from . import invariants
 from .invariants import check_dweb, InvariantReport, ZeroTestPolicy, YES
 
 __all__ = [
@@ -167,14 +163,12 @@ class _GridArithmetic:
 _GRID = _GridArithmetic()
 
 
-def grid_function(*roots: Expr, program: Program | None = None
-                  ) -> Callable:
+def grid_function(*roots: Expr) -> Callable:
     """Compile roots to one vectorized double-precision function of (x, y)
-    arrays: the roots share one `Program`, `program` if given (a program
-    that compiled them already, sealed or not, gives their code and
-    compiles nothing), so a node common to several is computed once per
-    call.  With one root the function returns its array, with several a
-    list of new arrays in root order (none aliases another or an input).
+    arrays: the roots share one `Program`, so a node common to several is
+    computed once per call.  With one root the function returns its array,
+    with several a list of new arrays in root order (none aliases another
+    or an input).
 
     The roots' codes merge into one children-first order, each slot at its
     first use, with a release plan: a slot that is not a root is dropped
@@ -182,7 +176,7 @@ def grid_function(*roots: Expr, program: Program | None = None
     per slot.  The constants are converted on the first call and kept.
     Singularities surface as nan/inf entries, which callers must check for.
     """
-    program = Program() if program is None else program
+    program = Program()
     codes, names = zip(*map(program.code, roots))
     _check_bindings(frozenset().union(*names), {"x", "y"})
     code = list({ins[0]: ins for c in codes for ins in c}.values())
@@ -219,32 +213,6 @@ def grid_function(*roots: Expr, program: Program | None = None
 _COEFF_NAMES = ("fx", "fy", "H", "K", "mu", "mu1", "mu2")
 
 
-def _grid_program(web: WebSpec
-                  ) -> tuple[tuple[Expr, ...], tuple[Expr, ...], Program]:
-    """The seven coefficients of `CoefficientGrid` (_COEFF_NAMES), the
-    web's validity checks, and one sealed program of them and the web
-    functions, which every grid function of the web shares.  They are
-    those of the memo entry of the web's functions (`invariants._BUILT`)
-    if it holds them; else they are built, and kept in the entry if the
-    web has one (a check made it), which grows by the program's slots and
-    publishes its check program (`_Built.sealed`), so a later
-    linearization of the same functions builds and compiles nothing."""
-    key = web.f, web.gs
-    built = invariants._BUILT.get(key)
-    if built is not None and built.grid is not None:
-        coeffs, program = built.grid
-        return coeffs, built.checks, program
-    m = web_mu(web, 4)
-    coeffs = (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m))
-    checks = web.validity_checks if built is None else built.checks
-    program = Program((*coeffs, *checks, web.f, *web.gs))
-    if built is not None:
-        invariants._BUILT.renew(key, built, replace(
-            built, program=built.sealed(), grid=(coeffs, program),
-            slots=built.slots + len(program.instructions)))
-    return coeffs, checks, program
-
-
 class CoefficientGrid:
     """The line coefficients of `_frame_step` on the grid lines the sweeps
     read, refined by r = 2m for the half-substep points of
@@ -252,18 +220,19 @@ class CoefficientGrid:
     `xlines` (coefficient, refined x, y node) and the y-system's in
     `ylines` (coefficient, refined y, x node), node values at `[:, ::r]`.
     The seven coefficients (_COEFF_NAMES) and the web's validity checks are
-    one compiled program (`_grid_program`, kept with the web's invariants),
-    run in blocks of at most BLOCK_POINTS points, and each block's line
-    coefficients are computed once.  A check that is 0 or not finite at a
-    line point, or divides by a constant zero, refuses the web before any
-    coefficient is tested for finiteness."""
+    one compiled program, run in blocks of at most BLOCK_POINTS points, and
+    each block's line coefficients are computed once.  A check that is 0 or
+    not finite at a line point, or divides by a constant zero, refuses the
+    web before any coefficient is tested for finiteness."""
 
     def __init__(self, web: WebSpec, grid: GridSpec):
         self.grid = grid
         self.r = r = 2 * DEFAULT_SUBSTEPS
-        exprs, checks, program = _grid_program(web)
+        m = web_mu(web, 4)
+        exprs = (web.fx, web.fy, web.H, web.K, m, web.d1(m), web.d2(m))
+        checks = web.validity_checks
         try:
-            fn = grid_function(*exprs, *checks, program=program)
+            fn = grid_function(*exprs, *checks)
         except SingularSampleError:  # it divides by a constant zero
             raise LinearizerError("web is degenerate on the grid") from None
         xlo, xhi, ylo, yhi = grid.rect.as_floats()  # the refined lines
@@ -710,14 +679,13 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliations: Sequence[str]
     is sampled where it first crosses each grid column and each grid row;
     the crossings of all levels of all the f/g foliations named are
     bisected together (`_first_crossings`), each function called once per
-    halving, so every sample point lies on a grid line.  The functions
-    share the web's grid program (`_grid_program`).  Pieces that leave the
-    rectangle are absent from the samples.
+    halving, so every sample point lies on a grid line.  Pieces that leave
+    the rectangle are absent from the samples.
     """
     xs, ys, leaves = grid.xs, grid.ys, LEAVES_PER_FOLIATION
     named = {"f": web.f, **{f"g{a}": g for a, g in enumerate(web.gs, 4)}}
     out: list[list[np.ndarray]] = []
-    curves, program = [], None  # (index in out, function, values, levels)
+    curves = []  # (index in out, function, values, levels)
     for foliation in foliations:
         if foliation == "x":
             cols = np.linspace(1, grid.nx - 2, leaves).round().astype(int)
@@ -732,9 +700,7 @@ def trace_leaves(web: WebSpec, grid: GridSpec, foliations: Sequence[str]
         e = named.get(foliation)
         if e is None:
             raise LinearizerError(f"unknown foliation {foliation!r}")
-        if program is None:
-            program = _grid_program(web)[2]
-        fn = grid_function(e, program=program)
+        fn = grid_function(e)
         W = fn(xs[:, None], ys)
         if not np.all(np.isfinite(W)):
             raise LinearizerError(

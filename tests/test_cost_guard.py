@@ -5,8 +5,7 @@ A check pays for the arithmetic of its sample points and little else: the
 generator state is read once per new draw and never touched on a replay,
 validation decides on raw values without making mpf objects, and each
 constant node is converted once per check and precision.  A linearization
-of web functions linearized before derives, builds and compiles nothing,
-and bisects every leaf in one halving loop.
+bisects every leaf of every foliation in one halving loop.
 """
 from __future__ import annotations
 
@@ -112,42 +111,31 @@ def test_check_pays_only_for_its_arithmetic(tally, web):
 
 @pytest.mark.parametrize("name", ["parabola-tangents", "bol-four-subweb",
                                   "linear-five-web"])
-def test_warm_linearization_builds_and_compiles_nothing(monkeypatch, name):
-    # the first linearization of the web functions keeps their coefficients
-    # and grid program with their invariants; the second, of a new WebSpec
-    # as each CLI call makes, derives, builds and compiles nothing, and
-    # traces every leaf in one halving loop
+def test_warm_linearization_halves_every_leaf_in_one_loop(monkeypatch, name):
+    # the second linearization of the web functions, of a new WebSpec as
+    # each CLI call makes, traces every foliation in one call, and each
+    # leaf function runs once on the nodes, once per bracket end and once
+    # per halving of the one loop
     from weblin import linearizer as lin
 
     case = (corpus.LINEAR_FIVE_WEB if name == "linear-five-web"
             else corpus.case_by_name(name))
     invariants.clear_caches()
     first = lin.flat_coordinates(corpus.linearization_web(case))
-    counts = Counter()
+    traces = Counter()
     leaf_runs = Counter()
+    trace = lin.trace_leaves
 
-    def count(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting_trace(*args, **kwargs):
+        traces["trace_leaves"] += 1
+        return trace(*args, **kwargs)
 
-    # derive and mu under every name that calls them
-    monkeypatch.setattr(calculus, "derive", count("derive", calculus.derive))
-    monkeypatch.setattr(E, "derive", count("derive", E.derive))
-    monkeypatch.setattr(calculus, "mu", count("mu", calculus.mu))
-    monkeypatch.setattr(invariants, "web_mu", count("mu", invariants.web_mu))
-    monkeypatch.setattr(lin, "web_mu", count("mu", lin.web_mu))
-    monkeypatch.setattr(E.Program, "__init__",
-                        count("Program", E.Program.__init__))
-    monkeypatch.setattr(lin, "trace_leaves",
-                        count("trace_leaves", lin.trace_leaves))
     web = corpus.linearization_web(case)
     leaves = {web.f, *web.gs}
     compile_ = lin.grid_function
 
-    def grid_function(*roots, **kwargs):
-        fn = compile_(*roots, **kwargs)
+    def grid_function(*roots):
+        fn = compile_(*roots)
         if len(roots) > 1 or roots[0] not in leaves:
             return fn
 
@@ -156,9 +144,10 @@ def test_warm_linearization_builds_and_compiles_nothing(monkeypatch, name):
             return fn(x, y)
         return leaf
 
+    monkeypatch.setattr(lin, "trace_leaves", counting_trace)
     monkeypatch.setattr(lin, "grid_function", grid_function)
     second = lin.flat_coordinates(web)
-    assert counts == {"trace_leaves": 1}
+    assert traces == {"trace_leaves": 1}
     assert len(leaf_runs) == len(leaves)
     assert max(leaf_runs.values()) <= lin.BISECTION_CAP + 3
     assert second.to_json() == first.to_json()

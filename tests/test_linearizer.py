@@ -7,7 +7,6 @@ import math
 import re
 import subprocess
 import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +18,7 @@ from weblin.expr import ExprError, Program, parse
 from weblin.calculus import Rect, WebSpec, mu as web_mu
 from weblin import linearizer as lin
 from weblin.linearizer import grid_function
-from weblin import corpus, invariants
+from weblin import corpus
 
 F = Fraction
 
@@ -656,9 +655,9 @@ class TestPipeline:
             grids.append(args)
             return real_grid(*args, **kwargs)
 
-        def counting_compile(*roots, **kwargs):
+        def counting_compile(*roots):
             compiled.append(len(roots))
-            return real_compile(*roots, **kwargs)
+            return real_compile(*roots)
 
         def counting_trace(web, grid, foliations, *args, **kwargs):
             traced.append(tuple(foliations))
@@ -674,71 +673,6 @@ class TestPipeline:
         # one program for the coefficients and the validity checks, one
         # per traced level-curve foliation
         assert compiled == [7 + len(WEB2.validity_checks), 1, 1]
-
-    def test_first_linearization_keeps_the_grid_part_in_the_entry(self):
-        # the coefficients and one sealed grid program join the web's memo
-        # entry, which is renewed as the newest, weighed by both programs
-        invariants.clear_caches()
-        key = WEB3.f, WEB3.gs
-        invariants.check_dweb(WEB3)
-        invariants.check_dweb(WEB2)
-        first = _linearize(WEB3, 21)
-        memo = invariants._BUILT
-        assert list(memo) == [(WEB2.f, WEB2.gs), key]
-        built = memo[key]
-        coeffs, program = built.grid
-        checked = (*built.checks, *built.invariants)
-        assert built.program.sealed and set(built.program.codes) == set(
-            checked)
-        assert program.sealed and set(program.codes) == {
-            *coeffs, *built.checks, WEB3.f, *WEB3.gs}
-        assert built.slots == (len(Program(checked).instructions)
-                               + len(program.instructions))
-        assert memo.held == sum(b.slots for b in memo.values())
-        again = _linearize(WEB3, 21)
-        assert memo[key] is built  # kept, not renewed
-        assert again.to_json() == first.to_json()
-        assert again.u.tobytes() == first.u.tobytes()
-
-    def test_grid_part_beyond_the_bound_is_not_kept(self, monkeypatch):
-        # an entry that outgrows the bound with its grid part is dropped,
-        # and every linearization still gives the cold result
-        invariants.clear_caches()
-        cold = _linearize(WEB2, 21)
-        built = invariants._BUILT[WEB2.f, WEB2.gs]
-        checked = built.slots - len(built.grid[1].instructions)
-        small = invariants.BoundedMemo(checked, invariants._BUILT.weight)
-        monkeypatch.setattr(invariants, "_BUILT", small)
-        for _ in range(2):
-            res = _linearize(WEB2, 21)
-            assert not small and small.held == 0
-            assert res.to_json() == cold.to_json()
-            assert res.u.tobytes() == cold.u.tobytes()
-
-    def test_threads_keep_one_consistent_entry(self):
-        # threads linearizing the same functions race to keep the grid
-        # part; every result is the cold one and the memo's weight stays
-        # the sum of its entries
-        invariants.clear_caches()
-        cold = _linearize(WEB3, 21).to_json()
-        invariants.clear_caches()
-        results = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(2):
-                threads = [threading.Thread(target=lambda: results.append(
-                    _linearize(WEB3, 21).to_json())) for _ in range(6)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert results == [cold] * 12
-        memo = invariants._BUILT
-        assert memo[WEB3.f, WEB3.gs].grid is not None
-        assert memo.held == sum(b.slots for b in memo.values())
 
     def test_verdict_and_reports_on_result(self, web2_result):
         assert web2_result.verdict == "YES"
@@ -867,8 +801,8 @@ class TestBisection:
         calls = []
         real = lin.grid_function
 
-        def counting(*roots, **kwargs):
-            fn = real(*roots, **kwargs)
+        def counting(*roots):
+            fn = real(*roots)
 
             def run(x, y):
                 calls.append(roots)
@@ -1028,8 +962,8 @@ class TestLineFamilies:
         points = []
         real = lin.grid_function
 
-        def recording(*roots, **kwargs):
-            fn = real(*roots, **kwargs)
+        def recording(*roots):
+            fn = real(*roots)
 
             def run(x, y):
                 x, y = np.broadcast_arrays(x, y)
