@@ -20,9 +20,9 @@ from functools import cached_property
 from typing import Mapping
 
 from . import expr as ex
-from .expr import (Expr, EvalError, ExactBudgetError, Store, derive, div,
-                   mul, pow_, sub, log_, evaluate, is_exactly_evaluable,
-                   topo_order)
+from .expr import (Expr, EvalError, ExactBudgetError, MagnitudeError, Store,
+                   derive, div, mul, pow_, sub, log_, evaluate,
+                   is_exactly_evaluable, topo_order)
 
 __all__ = [
     "Rect", "WebSpec", "DomainTooSingularError", "web_K",
@@ -241,7 +241,7 @@ def _point_is_valid(web: WebSpec, point: SamplePoint, precision: int,
     for chk in checks:
         try:
             v = evaluate(chk, bindings, precision, store=store, raw=True)
-        except ExactBudgetError:
+        except (ExactBudgetError, MagnitudeError):
             raise  # not a property of the point: the zero test reports it
         except EvalError:
             return False

@@ -6,14 +6,21 @@
     weblin selftest   [--equivalence]            built-in corpus regression
 
 Exit codes for check/invariants: 0 = YES, 1 = NO, 2 = INCONCLUSIVE,
-3 = usage or expression error.  All randomness is controlled by --seed;
-JSON output is byte-identical across runs with the same configuration.
+3 = usage or expression error.  A run that exhausts memory or the
+recursion limit prints one line and exits 2, as INCONCLUSIVE: no
+exception exits 1, the code of NO.  A reader that closes the output early
+(`weblin check --json ... | head -1`) leaves the exit code as it was.  All
+randomness is controlled by --seed; JSON output is byte-identical across
+runs with the same configuration.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
+import os
 import re
 import sys
 import time
@@ -314,18 +321,40 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _write_out(text: str) -> None:
+    """Write the command's output to stdout.  A reader that closed the
+    pipe gets nothing more: stdout then points at devnull, so the
+    interpreter's last flush cannot fail (the SIGPIPE note of the Python
+    `signal` docs)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with contextlib.suppress(OSError, ValueError, AttributeError):
+            fd = sys.stdout.fileno()  # none on an in-memory stdout
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    out = io.StringIO()  # written once the exit code is known
     try:
         args = _build_config(_parser().parse_args(argv))
         handler = {"check": cmd_check, "invariants": cmd_invariants,
                    "linearize": cmd_linearize, "selftest": cmd_selftest}
-        return handler[args.command](args)
+        with contextlib.redirect_stdout(out):
+            code = handler[args.command](args)
     except (UsageError, ExprError) as err:
         # malformed domain rectangles, bad parameter names, a base off the
         # grid and similar input-shaped problems are usage errors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, RecursionError) as err:  # no partial report
+        print(f"error: {type(err).__name__}: the run exhausted its "
+              "resources; INCONCLUSIVE", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    _write_out(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -66,7 +66,8 @@ from mpmath import libmp
 __all__ = [
     "Expr", "ExprError", "ParseError", "EvalError",
     "MissingBindingError", "SingularSampleError", "DomainEvalError",
-    "ExactnessError", "ExactBudgetError", "EXACT_BITS", "const", "var",
+    "ExactnessError", "ExactBudgetError", "EXACT_BITS", "MagnitudeError",
+    "EXP_ARGUMENT_BITS", "const", "var",
     "param", "add", "sub", "mul", "div", "neg", "pow_", "sqrt", "exp_",
     "log_", "X", "Y", "parse", "format_expr", "simplify", "derive",
     "substitute", "evaluate", "evaluate_scaled", "arithmetic", "Program",
@@ -91,6 +92,11 @@ _MASK_TRANSCENDENTAL = 8  # exp/log node, or pow with non-integer exponent
 # exact evaluation refuses a numerator or denominator longer than this
 EXACT_BITS = 2 ** 18
 NONZERO_CONFIRMATIONS = 2  # float-mode witnesses required for NONZERO
+# p-bit exp refuses an argument of 2^32 or more in magnitude: libmp's
+# working bits and shifts grow with it (e^(3·10^24) raised MemoryError),
+# and its value would need an exponent past 32 bits.  The corpus, the
+# benchmark webs and the tests stay below 2^11.
+EXP_ARGUMENT_BITS = 32
 
 # str() of an int longer than 4300 digits (Python's default limit) fails;
 # every int below 2**_STR_BITS is shorter than that.  A DAG constant must
@@ -139,6 +145,15 @@ class ExactBudgetError(ExactnessError):
 
     def __init__(self):
         super().__init__(f"exact evaluation exceeded {EXACT_BITS} bits")
+
+
+class MagnitudeError(EvalError):
+    """Float mode refused: an exponential's argument passed
+    EXP_ARGUMENT_BITS."""
+
+    def __init__(self):
+        super().__init__(f"float evaluation refused an exp argument of "
+                         f"magnitude 2^{EXP_ARGUMENT_BITS} or more")
 
 
 class Expr:
@@ -1055,25 +1070,43 @@ class _MpfArithmetic:
     the exactly aligned sum (except that, as in `mpf_add`, at an exponent
     gap over 100 a term more than prec + 4 bits below the other counts
     only as a sticky unit below the larger shifted by prec + 4 bits), is
-    cut to `prec` bits and its trailing zero bits are stripped.  Every
-    intermediate is rounded, so each value is the tuple the left fold of
-    libmp calls gives.  `num`, `pow`, `exp` and `log` are libmp calls.
+    cut to `prec` bits.  Every intermediate is rounded, so each value is
+    the tuple the left fold of libmp calls gives.  A sum strips its
+    trailing zero bits after every step, since `mpf_add`'s gap rule reads
+    the bit count; a product strips them once, after its fold, since
+    rounding reads only the value (extra trailing zeros shift the round
+    bit and the sticky bits together).  `num`, `exp` and `log` are libmp
+    calls.  `pow` takes `mpf_pow`'s branches: an integer exponent is
+    `mpf_pow_int`, x^(k/2) the integer power of sqrt(x) at prec + 10 bits
+    (x^(1/2) is `mpf_sqrt` at prec), any other exp(t · log x) with log(x)
+    at prec + 10 bits.  That sqrt and that log are kept per base value in
+    `roots` and `logs`, so the powers of one base at a point take one;
+    the object lives in one check's `SampleMemo.shared`, so they hold at
+    most one value per power slot and point of one check.
 
     It keeps the real-domain rules: an exponent counts as an integer by
     its value, a zero base with a negative power is singular, and a
     negative base with a non-integer power or the log of a non-positive
-    value is a domain error.  No value needs a finiteness check: the
-    leaves are rationals, and libmp's exponents are unbounded ints, so its
-    operations keep values finite.  Decisions are exact on the tuples: a
-    value vanishes below 2^-(prec/2) times its scale (`evaluate_scaled`)
-    and NONZERO needs NONZERO_CONFIRMATIONS witnesses."""
+    value is a domain error.  An exp argument (that of `exp`, or t · log x
+    of a power) of magnitude 2^EXP_ARGUMENT_BITS or more raises
+    MagnitudeError.  No value needs a finiteness check: the leaves are
+    rationals, and libmp's exponents are unbounded ints, so its operations
+    keep values finite.  Decisions are exact on the tuples: a value
+    vanishes below 2^-(prec/2) times its scale (`evaluate_scaled`), and
+    NONZERO needs NONZERO_CONFIRMATIONS witnesses."""
 
     mode, witnesses = "float", NONZERO_CONFIRMATIONS
 
     def __init__(self, prec: int):
         rnd, wide = libmp.round_nearest, prec + 4
-        self.exp = lambda u: libmp.mpf_exp(u, prec, rnd)
-        self.prec = prec
+        self.prec, self.half = prec, prec // 2
+        self.roots: dict[tuple, tuple] = {}  # base -> sqrt at prec + 10
+        self.logs: dict[tuple, tuple] = {}  # base -> log at prec + 10
+
+        def exp(u: tuple) -> tuple:
+            if u[2] + u[3] > EXP_ARGUMENT_BITS and u[1]:
+                raise MagnitudeError()
+            return libmp.mpf_exp(u, prec, rnd)
 
         def mul(factors) -> tuple:
             it = iter(factors)
@@ -1083,18 +1116,20 @@ class _MpfArithmetic:
                 sign ^= s
                 exp += e
                 n = man.bit_length() - prec
-                if n > 0:  # round half to even, then strip trailing zeros
+                if n > 0:  # round half to even
                     t = man >> (n - 1)
                     if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
                         man = (t >> 1) + 1
                     else:
                         man = t >> 1
                     exp += n
-                    if not man & 1:
-                        n = (man & -man).bit_length() - 1
-                        man >>= n
-                        exp += n
-            return (sign, man, exp, man.bit_length()) if man else libmp.fzero
+            if not man:
+                return libmp.fzero
+            if not man & 1:  # strip trailing zeros
+                n = (man & -man).bit_length() - 1
+                man >>= n
+                exp += n
+            return sign, man, exp, man.bit_length()
 
         def add(terms) -> tuple:
             it = iter(terms)
@@ -1142,7 +1177,7 @@ class _MpfArithmetic:
                 bc = man.bit_length()
             return sign, man, exp, bc
 
-        self.mul, self.add = mul, add
+        self.exp, self.mul, self.add = exp, mul, add
 
     check = None
 
@@ -1154,23 +1189,41 @@ class _MpfArithmetic:
     def pow(self, b: tuple, ex: tuple, _q) -> tuple:
         if not b[1] and ex[0] and ex[1]:
             raise SingularSampleError("zero base with negative power")
-        if ex[2] >= 0:  # a zero or integer value
-            return libmp.mpf_pow_int(b, libmp.to_int(ex), self.prec,
-                                     libmp.round_nearest)
+        prec, rnd = self.prec, libmp.round_nearest
+        sign, man, exp, _ = ex
+        if exp >= 0:  # a zero or integer value
+            return libmp.mpf_pow_int(b, libmp.to_int(ex), prec, rnd)
         if b[0] and b[1]:
             raise DomainEvalError("negative base with fractional power")
         if not b[1]:
             return libmp.fzero
-        return libmp.mpf_pow(b, ex, self.prec, libmp.round_nearest)
+        if exp == -1:  # k/2
+            if man == 1 and not sign:
+                return libmp.mpf_sqrt(b, prec, rnd)
+            r = self.roots.get(b)
+            if r is None:
+                r = self.roots[b] = libmp.mpf_sqrt(b, prec + 10, rnd)
+            if man == 1:
+                return libmp.mpf_div(libmp.fone, r, prec, rnd)
+            return libmp.mpf_pow_int(r, -man if sign else man, prec, rnd)
+        c = self.logs.get(b)
+        if c is None:
+            c = self.logs[b] = libmp.mpf_log(b, prec + 10, rnd)
+        return self.exp(libmp.mpf_mul(ex, c))
 
     def log(self, u: tuple) -> tuple:
         if u[0] or not u[1]:
             raise DomainEvalError("log of non-positive value")
         return libmp.mpf_log(u, self.prec, libmp.round_nearest)
 
-    def vanishes(self, v: tuple, scale: tuple) -> bool:
+    def vanishes(self, v: tuple, scale: Callable[[], tuple]) -> bool:
+        """|v| < 2^-(prec/2) · scale, where `scale()` gives max(1,
+        |intermediates|) as a tuple.  It is called only when |v| <
+        2^(exponent + bit count) <= 2^-(prec/2) does not already decide."""
+        if not v[1] or v[2] + v[3] <= -self.half:
+            return True
         return libmp.mpf_lt((0,) + v[1:],
-                            libmp.mpf_shift(scale, -(self.prec // 2)))
+                            libmp.mpf_shift(scale(), -self.half))
 
     # |v| < 2^-100: 2^(bit count - 1) <= mantissa < 2^(bit count)
     negligible = staticmethod(lambda v: not v[1] or v[2] + v[3] <= -100)
@@ -1267,16 +1320,21 @@ def evaluate_scaled(e: Expr, bindings: Mapping[str, object],
     over the nodes of `e` alone, whatever else a shared `store` holds: a
     tiny result reached through huge intermediates carries fewer
     trustworthy bits, so the float `vanishes` compares against it.  Exact
-    evaluation reports no scale (None).  With `raw` both come as libmp
-    tuples (see `evaluate`)."""
+    evaluation reports no scale (None).  With `raw` the value comes as a
+    libmp tuple (see `evaluate`) and the scale as a call that computes
+    that tuple from the store's slots, so the walk over them (`_scale`)
+    runs only if `vanishes` asks for it: a value below 2^-(p/2) vanishes
+    whatever its scale."""
     store = Store() if store is None else store
     v = evaluate(e, bindings, precision, store=store, raw=True)
     vals, _, arith, _, _ = store[precision]
-    scale = (None if precision is None
-             else _scale(store.program.slot_getter(e)(vals)))
+    scale = None
+    if precision is not None:
+        def scale() -> tuple:
+            return _scale(store.program.slot_getter(e)(vals))
     if raw:
         return v, scale
-    return arith.value(v), None if scale is None else arith.value(scale)
+    return arith.value(v), None if scale is None else arith.value(scale())
 
 
 # ---------------------------------------------------------------------------

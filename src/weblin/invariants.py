@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import (Expr, EvalError, ExactBudgetError, add, mul, neg,
-                   pow_, sub, evaluate, evaluate_scaled, is_exactly_evaluable)
+from .expr import (Expr, EvalError, ExactBudgetError, MagnitudeError, add,
+                   mul, neg, pow_, sub, evaluate, evaluate_scaled,
+                   is_exactly_evaluable)
 from .calculus import (WebSpec, SamplePoint, PARAM_RANGE,
                        DomainTooSingularError, mu as web_mu, random_rational,
                        sample_points)
@@ -280,8 +281,11 @@ def zero_test(e: Expr, web: WebSpec,
     expression is free of radicals/transcendentals, else high-precision
     floats, chosen once (`expr.arithmetic`): it decides each raw value
     (`vanishes`), writes its residual, and says how many independent
-    nonzero points make NONZERO (`witnesses`, two in float mode).
-    Sampling failures, and exact values outgrowing EXACT_BITS, yield
+    nonzero points make NONZERO (`witnesses`, two in float mode).  A float
+    point is evaluated once, by `evaluate_scaled`, whose scale `vanishes`
+    computes only when the value is at least 2^-(p/2), so only for a
+    NONZERO candidate.  Sampling failures, exact values outgrowing
+    EXACT_BITS and float exp arguments past EXP_ARGUMENT_BITS yield
     INCONCLUSIVE, never a guess (a float fallback could call a tiny but
     nonzero exact value zero).
 
@@ -304,7 +308,8 @@ def zero_test(e: Expr, web: WebSpec,
     arith = ex.arithmetic(bits)
     mode, witnesses, vanishes = arith.mode, arith.witnesses, arith.vanishes
     # the benchmark tracer spans exact and float evaluation by these two
-    # module attributes, so each mode calls its own; only float has a scale
+    # module attributes, so each mode calls its own; only float has a
+    # scale, a call that `vanishes` makes only if the value needs it
     if mode == "float":
         def value(bindings, store):
             return evaluate_scaled(e, bindings, bits, store=store, raw=True)
@@ -336,7 +341,7 @@ def zero_test(e: Expr, web: WebSpec,
                 pt, store = hit[0], hit[1]
                 try:
                     v, scale = value(pt.bindings(), store)
-                except ExactBudgetError:
+                except (ExactBudgetError, MagnitudeError):
                     raise  # not a singular sample: INCONCLUSIVE below
                 except EvalError:
                     failures += 1
@@ -359,7 +364,7 @@ def zero_test(e: Expr, web: WebSpec,
                 return (INCONCLUSIVE, evidence, mode,
                         "sampling budget exhausted with an unconfirmed outlier")
             finished += (i + 1,)
-    except (DomainTooSingularError, ExactBudgetError) as err:
+    except (DomainTooSingularError, ExactBudgetError, MagnitudeError) as err:
         return INCONCLUSIVE, evidence, mode, str(err)
     if hits:
         return (INCONCLUSIVE, evidence, mode,

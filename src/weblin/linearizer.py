@@ -223,7 +223,9 @@ class CoefficientGrid:
     one compiled program, run in blocks of at most BLOCK_POINTS points, and
     each block's line coefficients are computed once.  A check that is 0 or
     not finite at a line point, or divides by a constant zero, refuses the
-    web before any coefficient is tested for finiteness."""
+    web; so does one that takes both signs over the line points, since a
+    check nonzero on the (connected) rectangle keeps one sign there.  Both
+    come before any coefficient is tested for finiteness."""
 
     def __init__(self, web: WebSpec, grid: GridSpec):
         self.grid = grid
@@ -241,6 +243,7 @@ class CoefficientGrid:
         self.xlines = np.empty((4, len(xs), grid.ny))
         self.ylines = np.empty((4, len(ys), grid.nx))
         valid = np.ones(len(checks), dtype=bool)
+        low, high = np.full(len(checks), np.inf), np.full(len(checks), -np.inf)
         finite = np.ones(len(exprs), dtype=bool)
         # (along, across) is (x, y) on the x-lines, (y, x) on the y-lines
         for out, along, across, axis in ((self.xlines, xs, grid.ys, "x"),
@@ -251,12 +254,19 @@ class CoefficientGrid:
                 vals = fn(*points if axis == "x" else points[::-1])
                 coeffs, tests = vals[:len(exprs)], vals[len(exprs):]
                 valid &= [np.all(np.isfinite(v) & (v != 0)) for v in tests]
+                np.minimum(low, [v.min() for v in tests], out=low)
+                np.maximum(high, [v.max() for v in tests], out=high)
                 finite &= [np.isfinite(v).all() for v in coeffs]
                 out[:, i:i + rows] = _line_coefficients(coeffs, axis)
         if not valid.all():  # the first failing check, whatever the blocks
             raise LinearizerError("web is degenerate on the grid: "
                                   f"{format_expr(checks[valid.argmin()])} is "
                                   "0 or not finite")
+        changes = (low < 0) & (high > 0)
+        if changes.any():
+            raise LinearizerError("web is degenerate inside the grid: "
+                                  f"{format_expr(checks[changes.argmax()])} "
+                                  "changes sign")
         if not finite.all():
             raise LinearizerError(
                 f"coefficient {_COEFF_NAMES[finite.argmin()]} is singular "
@@ -614,7 +624,14 @@ def _first_crossings(fns: Sequence[Callable], Ws: Sequence[np.ndarray],
     unchanged: the step is deterministic, so that state is a fixed point of
     every bracket and the roots are those of BISECTION_CAP halvings.
     Returns, per function and level, the columns' (x, root) and the rows'
-    (y, root) of the lines kept."""
+    (y, root) of the lines kept.
+
+    The first crossing is the only one: `CoefficientGrid` refuses a web
+    whose partials of the web functions take both signs on the grid lines,
+    so each function is strictly monotone along every column and row
+    (Rolle), and a level meets each line at most once.  Two zeros of a
+    partial inside one refined interval make no sign change there; that
+    web is not refused, and its folded leaf keeps its first crossing."""
     spans, parts, n = [], [], 0  # function i owns [a, m) columns, [m, b) rows
     for W, lv in zip(Ws, levels):
         span = [n]

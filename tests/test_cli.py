@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from weblin import calculus, linearizer as lin
+from weblin import calculus, cli, linearizer as lin
 from weblin.invariants import MAX_POINTS, MAX_PRECISION, MIN_PRECISION
 from weblin.cli import (main, build_parser, _build_config, EXIT_YES, EXIT_NO,
                         EXIT_INCONCLUSIVE, EXIT_USAGE)
@@ -184,6 +185,70 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check", "--f", "x/y", "--g", "x")
         assert code == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in out
+
+    @pytest.mark.parametrize("f, g", [
+        # exp of about exp(3e24): libmp raised MemoryError in mpf_exp
+        ("exp(exp(40*exp((3*x + 2*y)^3)))", "exp(x*y)*x/y + y"),
+        # ran 19.6 s, then the residual's exponent was too long to print
+        ("exp(exp(60*(x/y + 4*x)*exp(2*(-y + 1)/(-x + 1))))", "(8*x + y)^3"),
+    ], ids=["memory-error", "residual-too-long"])
+    def test_huge_exp_argument_is_inconclusive(self, f, g):
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "weblin", "check", "--f", f, "--g", g],
+            capture_output=True, text=True)
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == EXIT_INCONCLUSIVE
+        assert proc.stderr == ""
+        reasons = [line for line in proc.stdout.splitlines()
+                   if "reason:" in line]
+        # one line per invariant (I1, I2), each the same refusal
+        assert reasons == [
+            "    reason: float evaluation refused an exp argument of "
+            "magnitude 2^32 or more"] * 2
+
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    def test_exhausted_resources_are_one_line(self, capsys, monkeypatch,
+                                             error):
+        def exhausted(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(cli, "check_dweb", exhausted)
+        code, out, err = run(capsys, "check", "--f", "x/y", "--g", "x+y")
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert err == (f"error: {error.__name__}: the run exhausted its "
+                       "resources; INCONCLUSIVE\n")
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedOutput:
+    """A reader that closes stdout early leaves the exit code of the
+    verdict and nothing on stderr."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (("check", "--json", "--f", "x/y", "--g", "x+y"), EXIT_YES),
+        (("invariants", "--f", "y/x", "--g", "(1-y)/(1-x)", "--g",
+          "(x-x*y)/(y-x*y)"), EXIT_NO),
+    ])
+    def test_in_process(self, capsys, monkeypatch, argv, want):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(list(argv)) == want
+        assert capsys.readouterr().err == ""
+
+    def test_through_a_pipe(self):
+        # the read end is closed before weblin writes its report
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weblin", "check", "--json", "--f", "x/y",
+             "--g", "x+y"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == EXIT_YES
+        assert err == b""
 
 
 class TestJsonReport:

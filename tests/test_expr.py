@@ -987,6 +987,93 @@ class TestMpfKernel:
         assert evaluate(e, point, 256) == want
 
 
+@st.composite
+def _pow_cases(draw):
+    """A precision, one to three positive p-bit bases and one to eight
+    powers of them, so bases repeat: integer exponents, +-1/2, +-k/2 and
+    general ones of up to 20 bits."""
+    prec = draw(st.sampled_from([24, 53, 256, 1100]))
+    bases = draw(st.lists(
+        st.tuples(st.integers(1, (1 << prec) - 1),
+                  st.integers(-2 * prec, prec)).map(
+            lambda d: libmp.from_man_exp(d[0], d[1], prec)),
+        min_size=1, max_size=3))
+    exponent = st.one_of(
+        st.integers(-40, 40).map(libmp.from_int),
+        st.sampled_from([1, -1]).map(lambda s: libmp.from_man_exp(s, -1)),
+        st.integers(-20, 20).map(lambda k: libmp.from_man_exp(2 * k + 1, -1)),
+        st.tuples(st.integers(-(1 << 20), 1 << 20),
+                  st.integers(-40, -2)).map(
+            lambda d: libmp.from_man_exp(d[0], d[1])))
+    powers = draw(st.lists(st.tuples(st.sampled_from(bases), exponent),
+                           min_size=1, max_size=8))
+    return prec, powers
+
+
+class TestMpfPow:
+    """`_MpfArithmetic.pow` takes `libmp.mpf_pow`'s branches, with each
+    base's sqrt or log computed once per arithmetic object."""
+
+    @given(_pow_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_pow_equals_libmp(self, drawn):
+        prec, powers = drawn
+        arith = E._MpfArithmetic(prec)
+        for b, t in powers * 2:  # the second round reads the kept values
+            assert arith.pow(b, t, None) == libmp.mpf_pow(
+                b, t, prec, libmp.round_nearest)
+        bases = {b for b, _ in powers}
+        assert set(arith.roots) <= bases and set(arith.logs) <= bases
+
+    def test_one_sqrt_or_log_per_base(self, monkeypatch):
+        arith = E._MpfArithmetic(256)
+        calls = []
+        for name in ("mpf_sqrt", "mpf_log"):
+            def counted(*args, _f=getattr(libmp, name), _name=name):
+                calls.append((_name, args[1]))
+                return _f(*args)
+            monkeypatch.setattr(libmp, name, counted)
+        b = libmp.from_rational(7, 3, 256, libmp.round_nearest)
+        for k in (-3, -1, 3, 5):
+            arith.pow(b, libmp.from_man_exp(k, -1), None)
+        n = libmp.from_rational(5, 7, 256, libmp.round_nearest)
+        for t in (n, libmp.mpf_sub(n, libmp.fone)):  # x^n and x^(n - 1)
+            arith.pow(b, t, None)
+        assert calls == [("mpf_sqrt", 266), ("mpf_log", 266)]
+        arith.pow(b, libmp.from_man_exp(1, -1), None)  # sqrt at p bits
+        assert calls[2:] == [("mpf_sqrt", 256)]
+
+    def test_zero_and_negative_bases(self):
+        arith = E._MpfArithmetic(256)
+        zero, minus = libmp.fzero, libmp.from_int(-2)
+        half, general = libmp.from_man_exp(1, -1), libmp.from_man_exp(3, -3)
+        for t in (libmp.from_int(-2), libmp.mpf_neg(half),
+                  libmp.mpf_neg(general)):
+            with pytest.raises(SingularSampleError, match="zero base"):
+                arith.pow(zero, t, None)
+        for t in (half, general, libmp.from_man_exp(3, -1)):
+            assert arith.pow(zero, t, None) == libmp.fzero
+            with pytest.raises(DomainEvalError, match="negative base"):
+                arith.pow(minus, t, None)
+        assert arith.pow(minus, libmp.from_int(3), None) == libmp.from_int(-8)
+        assert not arith.roots and not arith.logs
+
+    def test_exp_argument_bound(self):
+        arith = E._MpfArithmetic(256)
+        below = libmp.from_int((1 << E.EXP_ARGUMENT_BITS) - 1)
+        assert arith.exp(below) == libmp.mpf_exp(below, 256,
+                                                 libmp.round_nearest)
+        for u in (libmp.from_int(1 << E.EXP_ARGUMENT_BITS),
+                  libmp.from_int(-(1 << E.EXP_ARGUMENT_BITS))):
+            with pytest.raises(E.MagnitudeError):
+                arith.exp(u)
+        # a general power is exp(t log x): 2^(2^33) has log 2^33 ln 2
+        big = libmp.from_man_exp(1, 1 << 33)
+        with pytest.raises(E.MagnitudeError):
+            arith.pow(big, libmp.from_man_exp(3, -2), None)
+        assert issubclass(E.MagnitudeError, EvalError)
+
+
 class TestGridProgram:
     """Roots compiled together into one grid program share its slots, yet
     every root's array is, bit for bit, what the root compiled alone

@@ -315,15 +315,22 @@ class TestZeroTest:
     ])
     def test_scripted_inconclusive_exits(self, monkeypatch, script, reason):
         # evaluation outcomes in order: E a singular sample, 1 a value above
-        # the threshold, 0 a vanishing one (8 points, budget 24, cap 16)
+        # the threshold, 0 a vanishing one (8 points, budget 24, cap 16);
+        # the scale is asked for only by a value that 2^-128 cannot decide
         outcomes = iter(script)
+        scaled = []
 
         def scripted(e, bindings, precision=None, *, store=None, raw=False):
             assert raw  # the test decides on libmp tuples
             step = next(outcomes)
             if step == "E":
                 raise SingularSampleError("scripted")
-            return libmp.from_int(int(step)), libmp.fone
+
+            def scale():
+                scaled.append(step)
+                return libmp.fone
+
+            return libmp.from_int(int(step)), scale
 
         def exact(*args, **kwargs):
             raise AssertionError("exact evaluation of a float-mode expression")
@@ -334,6 +341,7 @@ class TestZeroTest:
         assert (verdict, mode, got) == ("INCONCLUSIVE", "float", reason)
         assert len(evidence) == len(script.replace("E", ""))
         assert next(outcomes, None) is None  # every scripted step was used
+        assert scaled == ["1"] * script.count("1")
 
     def test_inconclusive_propagates_to_verdict(self):
         # with shared draws, every invariant still meets the singular domain
@@ -342,6 +350,49 @@ class TestZeroTest:
         assert [r.verdict for r in reports] == ["INCONCLUSIVE"] * 2
         assert all("singular" in r.reason and not r.evidence
                    for r in reports)
+
+    @pytest.mark.parametrize("name, build, want", [
+        ("parabola-tangents", corpus.web_for, "YES"),
+        ("double-parabola-tangents", corpus.substituted_web, "YES"),
+        ("power-web", corpus.web_for, "YES"),
+        ("exponential-twist", corpus.substituted_web, "NO"),
+        ("bol-five-web", corpus.substituted_web, "NO"),
+    ])
+    def test_scale_walked_only_for_nonzero_candidates(self, monkeypatch, name,
+                                                      build, want):
+        # a float value below 2^-128 vanishes whatever its scale, so the
+        # slots are walked for the scale only at the points above it
+        walked = []
+
+        def counted(values):
+            walked.append(values)
+            return scale(values)
+
+        scale = weblin.expr._scale
+        monkeypatch.setattr(weblin.expr, "_scale", counted)
+        verdict, reports = check_dweb(build(corpus.case_by_name(name)))
+        assert verdict == want
+        assert {r.mode for r in reports} == {"float"}
+        above = sum(abs(mpmath.mpf(e.residual)) >= mpmath.ldexp(1, -128)
+                    for r in reports for e in r.evidence)
+        assert len(walked) == above
+        assert (above == 0) == (want == "YES")
+
+    def test_power_roots_and_logs_stay_in_the_check(self):
+        # power-web's powers x^n, x^(n - 1), ... (and of y) have one base
+        # per point: all take one log, or at a half-integer n one sqrt, of
+        # it, held by the check's memo alone
+        web = corpus.web_for(corpus.case_by_name("power-web"))
+        memo = invariants.SampleMemo(web)
+        for e in build_compatibility_pair(web):
+            assert zero_test(e, web, memo=memo)[0] == "ZERO"
+        arith = memo.shared[256][0]
+        symbolic = sum(ins[1] == "pow" and ins[2] is None
+                       for ins in memo.program.instructions.values())
+        held = len(arith.roots) + len(arith.logs)
+        assert symbolic > 2 and 0 < held <= 2 * len(memo.points)
+        assert invariants.SampleMemo(web).shared == {}
+        assert arithmetic(256) is not arithmetic(256)
 
 
 class TestSharedSamples:
@@ -773,11 +824,21 @@ class TestRawDecisions:
     @given(_valued(scaled=True))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_vanishing_equals_the_threshold_comparison(self, drawn):
+        # values about scale · 2^-(p/2), scale 1 among them: those below
+        # 2^(exponent + bits) <= 2^-(p/2) decide without the scale
         prec, scale, v = drawn
         with mpmath.workprec(prec):
             want = abs(mpmath.mp.make_mpf(v)) < mpmath.ldexp(
                 mpmath.mp.make_mpf(scale), -(prec // 2))
-        assert arithmetic(prec).vanishes(v, scale) == want
+        asked = []
+
+        def scaled():
+            asked.append(scale)
+            return scale
+
+        assert arithmetic(prec).vanishes(v, scaled) == want
+        decided = not v[1] or v[2] + v[3] <= -(prec // 2)
+        assert asked == ([] if decided else [scale])
 
 
 class TestDecisionProtocol:

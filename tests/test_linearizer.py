@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weblin.expr import ExprError, Program, parse
-from weblin.calculus import Rect, WebSpec, mu as web_mu
+from weblin.expr import ExprError, Program, Y, parse
+from weblin.calculus import Rect, WebSpec, mu as web_mu, reparameterized
+from weblin.invariants import check_dweb
 from weblin import linearizer as lin
 from weblin.linearizer import grid_function
 from weblin import corpus
@@ -308,6 +309,22 @@ class TestIntegrateLambda:
                 f"web is degenerate on the grid: {check} - 33/64 is 0 or not "
                 "finite")):
             lin.flat_coordinates(web, g, force=True)
+
+    def test_sign_change_between_the_points_refused(self):
+        # two-pencils under x -> (x - 0.5123)^2 + 0.3: a YES web on each
+        # side of the fold x = 0.5123, where fx = 0 between line points;
+        # no grid makes that flat, so it is refused as degenerate, with
+        # the first check that changes sign, not as a holonomy failure
+        fold = parse("(x - 5123/10000)^2 + 3/10")
+        web = reparameterized(corpus.web_for(corpus.case_by_name(
+            "two-pencils")), fold, Y, Rect(F(1, 4), F(3, 4), F(1, 4), F(3, 4)))
+        assert check_dweb(web)[0] == "YES"
+        g = lin.GridSpec(rect=web.domain, nx=41, ny=41)
+        assert 0.5123 not in np.linspace(0.25, 0.75, 40 * 4 + 1)
+        with pytest.raises(lin.LinearizerError, match=re.escape(
+                "web is degenerate inside the grid: (2*x - 5123/5000)/y "
+                "changes sign")):
+            lin.flat_coordinates(web, g)
 
 
 def _rhs(c, s, along):
